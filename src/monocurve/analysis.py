@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -49,7 +50,6 @@ from .resolution import (
     ShapeMismatch,
     betti_table,
     build_resolution,
-    compose_zero,
     hilbert_numerator,
     hilbert_series_truncation,
     minimalize,
@@ -129,26 +129,6 @@ class AnalysisReport:
         }
 
 
-def _multiset_diff(left, right) -> tuple:
-    """Elements of each list missing from the other, multiset-wise."""
-    left, right = sorted(left), sorted(right)
-    only_left, only_right = [], []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            i += 1
-            j += 1
-        elif left[i] < right[j]:
-            only_left.append(left[i])
-            i += 1
-        else:
-            only_right.append(right[j])
-            j += 1
-    only_left.extend(left[i:])
-    only_right.extend(right[j:])
-    return only_left, only_right
-
-
 def analyze_sequence(
     m0: int,
     m1: int,
@@ -205,14 +185,14 @@ def analyze_sequence(
     timings["census"] = time.perf_counter() - stage
 
     stage = time.perf_counter()
-    flags["compose_ok"] = all(
-        compose_zero(left, right) for left, right in zip(resolution.maps, resolution.maps[1:])
-    )
+    # validate() checks composition before minimality, so one pass sets both
     try:
         resolution.validate()
-        flags["minimal_ok"] = True
-    except (ShapeMismatch, NotMinimal):
-        flags["minimal_ok"] = False
+        flags["compose_ok"] = flags["minimal_ok"] = True
+    except ShapeMismatch:
+        flags["compose_ok"] = flags["minimal_ok"] = False
+    except NotMinimal:
+        flags["compose_ok"], flags["minimal_ok"] = True, False
 
     params_json: dict | None
     case_label = None
@@ -262,11 +242,12 @@ def analyze_sequence(
                 }
             )
         tabulated = graded_shifts(case, params, spec)
-        computed_twists = [sorted(module.twists) for module in resolution.modules[1:]]
+        computed_twists = [module.twists for module in resolution.modules[1:]]
         for level in range(max(len(tabulated), len(computed_twists))):
-            expected = list(tabulated[level]) if level < len(tabulated) else []
-            got = computed_twists[level] if level < len(computed_twists) else []
-            table_only, computed_only = _multiset_diff(expected, got)
+            expected = Counter(tabulated[level] if level < len(tabulated) else ())
+            got = Counter(computed_twists[level] if level < len(computed_twists) else ())
+            table_only = sorted((expected - got).elements())
+            computed_only = sorted((got - expected).elements())
             if table_only or computed_only:
                 discrepancies.append(
                     {

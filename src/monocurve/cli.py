@@ -38,14 +38,7 @@ from .resolution import (
 )
 from .semigroup import ValidationError, gamma_series_truncation, validate_sequence
 
-# test hook: swap in a different resolution builder to watch the series
-# identity catch a wrong complex
-_resolution_factory = None
-
-
 def _resolve(kernel):
-    if _resolution_factory is not None:
-        return _resolution_factory(kernel)
     return minimalize(build_resolution(kernel.reduced_gb))
 
 
@@ -54,6 +47,11 @@ def _parse_seq(text: str) -> tuple:
     if len(parts) != 4:
         raise ValueError("expected four comma-separated integers, got %r" % text)
     return tuple(int(p.strip()) for p in parts)
+
+
+def _check_truncate(truncate: int) -> None:
+    if truncate < 0:
+        raise ValueError("--truncate must be nonnegative, got %d" % truncate)
 
 
 def _numerator_text(numerator: dict) -> str:
@@ -99,6 +97,7 @@ def _print_report(report, stream) -> None:
 def cmd_analyze(args) -> int:
     try:
         seq = _parse_seq(args.seq)
+        _check_truncate(args.truncate)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -117,6 +116,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        _check_truncate(args.truncate)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     reports = sweep(
         args.max_m2,
         args.max_n,
@@ -180,6 +184,7 @@ def cmd_hilbert(args) -> int:
     try:
         seq = _parse_seq(args.seq)
         spec = validate_sequence(*seq)
+        _check_truncate(args.truncate)
     except (ValueError, ValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

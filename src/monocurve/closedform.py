@@ -28,7 +28,9 @@ from importlib import resources
 
 from .semigroup import SequenceSpec, min_multiple_in
 from .poly import Poly, Ring, is_homogeneous
-from .groebner import VARIABLE_NAMES, ToricIdeal, buchberger, is_pure_difference
+# buchberger is not called here; it stays importable as closedform.buchberger
+# because perfbench/spans.py wraps that attribute
+from .groebner import VARIABLE_NAMES, ToricIdeal, buchberger, is_pure_difference  # noqa: F401
 from .resolution import FreeResolution, GradedFreeModule, GradedMap, minimalize
 
 
@@ -189,19 +191,12 @@ def _monic_parts(p: Poly, order) -> tuple:
 def extract_parameters(ideal: ToricIdeal) -> CaseParameters:
     """Read the structural exponents off the ideal's reduced basis.
 
-    Falls back to a fresh (unreduced) completion when the reduced basis
-    fails to classify, and refuses with TemplateMismatch if the second
-    attempt fails too.
+    Refuses with TemplateMismatch when the basis fails to fit the templates.
     """
     ring = ideal.ring
     if ring.names != VARIABLE_NAMES:
         raise TemplateMismatch("expected the four standard curve variables")
-    order = ring.order()
-    try:
-        return _classify(list(ideal.reduced_gb.elements), order, ideal.spec)
-    except TemplateMismatch:
-        completed = buchberger(ideal.generators, order, record=False)
-        return _classify(list(completed.elements), order, ideal.spec)
+    return _classify(list(ideal.reduced_gb.elements), ring.order(), ideal.spec)
 
 
 def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
@@ -532,17 +527,15 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
 # clears those mechanically.
 
 
-def _syzygies_cross_12(ring, gens, p):
+def _exponents(p: CaseParameters) -> tuple:
+    """(x0_plain, x0_pure, x2_plain, x2_cross, y_order, y_split, x2_gap)."""
+    return p.x0_plain, p.x0_pure, p.x2_plain, p.x2_cross, p.y_order, p.y_split, p.x2_gap()
+
+
+def _syzygies_cross_12(m, z, gens, p):
     """Offsets (1, 2): generators [quadric, plain0, plain1, cross0, pure]."""
     xi = gens[0]
-    lam, mu = p.x0_plain, p.x0_pure
-    q, qc, v, w = p.x2_plain, p.x2_cross, p.y_order, p.y_split
-    gap = q - qc
-    z = ring.zero()
-
-    def m(**kw):
-        return ring.monomial(_variable_monomial(**kw))
-
+    lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
         [-m(x2=q), m(x1=1), -m(x0=1), z, z],
         [m(x0=lam + mu) - m(x2=qc + 1, y=v - w), z, z, xi, z],
@@ -560,17 +553,10 @@ def _syzygies_cross_12(ring, gens, p):
     return b_cols, c_cols
 
 
-def _syzygies_cross_11(ring, gens, p):
+def _syzygies_cross_11(m, z, gens, p):
     """Offsets (1, 1): generators [quadric, plain0, plain1, cross0, cross1, pure]."""
     xi = gens[0]
-    lam, mu = p.x0_plain, p.x0_pure
-    q, qc, v, w = p.x2_plain, p.x2_cross, p.y_order, p.y_split
-    gap = q - qc
-    z = ring.zero()
-
-    def m(**kw):
-        return ring.monomial(_variable_monomial(**kw))
-
+    lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
         [-m(x2=q), m(x1=1), -m(x0=1), z, z, z],
         [-m(x2=qc, y=v - w), z, z, m(x1=1), -m(x0=1), z],
@@ -591,17 +577,10 @@ def _syzygies_cross_11(ring, gens, p):
     return b_cols, c_cols
 
 
-def _syzygies_cross_21(ring, gens, p):
+def _syzygies_cross_21(m, z, gens, p):
     """Offsets (2, 1): generators [quadric, plain0, cross0, cross1, pure]."""
     xi = gens[0]
-    lam, mu = p.x0_plain, p.x0_pure
-    q, qc, v, w = p.x2_plain, p.x2_cross, p.y_order, p.y_split
-    gap = q - qc
-    z = ring.zero()
-
-    def m(**kw):
-        return ring.monomial(_variable_monomial(**kw))
-
+    lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
         [m(x0=lam, y=w) - m(x2=q + 1), xi, z, z, z],
         [-m(x2=qc, y=v - w), z, m(x1=1), -m(x0=1), z],
@@ -619,17 +598,10 @@ def _syzygies_cross_21(ring, gens, p):
     return b_cols, c_cols
 
 
-def _syzygies_cross_22(ring, gens, p):
+def _syzygies_cross_22(m, z, gens, p):
     """Offsets (2, 2): generators [quadric, plain0, cross0, pure]."""
     xi = gens[0]
-    lam, mu = p.x0_plain, p.x0_pure
-    q, qc, v, w = p.x2_plain, p.x2_cross, p.y_order, p.y_split
-    gap = q - qc
-    z = ring.zero()
-
-    def m(**kw):
-        return ring.monomial(_variable_monomial(**kw))
-
+    lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
         [m(x0=lam, y=w) - m(x2=q + 1), xi, z, z],
         [m(x0=lam + mu) - m(x2=qc + 1, y=v - w), z, xi, z],
@@ -644,16 +616,10 @@ def _syzygies_cross_22(ring, gens, p):
     return b_cols, c_cols
 
 
-def _syzygies_plain_first(ring, gens, p):
+def _syzygies_plain_first(m, z, gens, p):
     """No cross family, plain offset 1: generators [quadric, plain0, plain1, pure]."""
     xi, f0, f1, th = gens
-    lam = p.x0_plain
-    q, w = p.x2_plain, p.y_split
-    z = ring.zero()
-
-    def m(**kw):
-        return ring.monomial(_variable_monomial(**kw))
-
+    lam, q, w = p.x0_plain, p.x2_plain, p.y_split
     b_cols = [
         [-m(x2=q), m(x1=1), -m(x0=1), z],
         [m(x0=lam - 1, y=w), -m(x2=1), m(x1=1), z],
@@ -668,10 +634,9 @@ def _syzygies_plain_first(ring, gens, p):
     return b_cols, c_cols
 
 
-def _syzygies_koszul(ring, gens, p):
+def _syzygies_koszul(m, z, gens, p):
     """No cross family, plain offset 2: three generators, pairwise-coprime leads."""
     xi, f0, th = gens
-    z = ring.zero()
     b_cols = [
         [-f0, xi, z],
         [-th, z, xi],
@@ -728,7 +693,11 @@ def closed_form_base(params: CaseParameters, spec: SequenceSpec) -> FreeResoluti
         build = _syzygies_plain_first
     else:
         build = _syzygies_koszul
-    b_cols, c_cols = build(ring, gens, params)
+
+    def m(**kw):
+        return ring.monomial(_variable_monomial(**kw))
+
+    b_cols, c_cols = build(m, ring.zero(), gens, params)
     return _assemble(ring, gens, b_cols, c_cols)
 
 

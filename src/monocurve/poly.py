@@ -108,11 +108,6 @@ class Ring:
     def monomial(self, mono: tuple, coeff=1) -> "Poly":
         return Poly(self, {tuple(mono): coeff})
 
-    def variable(self, index: int, power: int = 1) -> "Poly":
-        mono = [0] * len(self.names)
-        mono[index] = power
-        return Poly(self, {tuple(mono): 1})
-
     def extended(self, name: str = "T", weight: int = 1) -> "Ring":
         """Ring with one auxiliary variable appended (used for elimination)."""
         return Ring(self.names + (name,), self.weights + (weight,))
@@ -137,7 +132,6 @@ class GrevlexOrder:
     variable (in storage order) with differing exponent decides, smaller
     exponent winning."""
 
-    kind = "weighted-grevlex"
     __slots__ = ("ring",)
 
     def __init__(self, ring: Ring):
@@ -161,7 +155,6 @@ class EliminationOrder:
     """Any monomial containing the last variable beats any without it; ties
     fall back to weighted grevlex on the remaining variables."""
 
-    kind = "elimination"
     __slots__ = ("ring",)
 
     def __init__(self, ring: Ring):
@@ -185,7 +178,6 @@ class PositionOverTerm:
     """Module order: smaller basis position always wins; within a position,
     the underlying ring order decides."""
 
-    kind = "position-over-term"
     __slots__ = ("base",)
 
     def __init__(self, base):
@@ -208,7 +200,6 @@ class SchreyerOrder:
     and the iterated syzygy construction provably sheds one variable of its
     lead cofactors per level, so it stops within #variables steps."""
 
-    kind = "schreyer"
     __slots__ = ("parent", "leads", "_module_parent")
 
     def __init__(self, parent, leads):
@@ -235,11 +226,6 @@ def compare(order, a, b) -> int:
     if ka > kb:
         return GT
     return EQ
-
-
-def weighted_degree(ring: Ring, mono: tuple) -> int:
-    """Dot product of an exponent vector with the ring's weights."""
-    return ring.degree(mono)
 
 
 class Poly:
@@ -328,18 +314,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def mul_term(self, mono: tuple, coeff) -> "Poly":
         """Fast product with a single term."""
         if not coeff:
@@ -362,16 +336,6 @@ class Poly:
 
     def __repr__(self):
         return render(self)
-
-    def constant_value(self):
-        """The coefficient if this is a constant polynomial, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            (m, c), = self.terms.items()
-            if not any(m):
-                return c
-        return None
 
 
 class Vect:

@@ -25,7 +25,6 @@ from monocurve.poly import (
     Vect,
     is_homogeneous,
     mono_divides,
-    weighted_degree,
 )
 from monocurve.groebner import GroebnerBasis, buchberger
 
@@ -111,9 +110,6 @@ class GradedMap:
 
     def column(self, j: int) -> Vect:
         return Vect.from_polys([self.entries[i][j] for i in range(self.target.rank)])
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.entries for p in row)
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -230,7 +226,7 @@ def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
         col[rec.j] = col[rec.j] + rec.cofactor_j
         columns.append(col)
         (mono, _coeff), = rec.cofactor_i.terms.items()
-        column_twists.append(weighted_degree(ring, mono) + degrees[rec.i])
+        column_twists.append(ring.degree(mono) + degrees[rec.i])
     source = GradedFreeModule(ring, tuple(column_twists))
     entries = [[columns[c][i] for c in range(len(columns))] for i in range(t)]
     return GradedMap(source, target, entries)

@@ -39,9 +39,10 @@ class SubSemigroup:
     Membership is decided exactly: after dividing out the gcd g of the
     generators, every multiple of g at least min(gens)*max(gens) belongs to
     the semigroup, so a boolean table up to that bound settles all queries.
+    The table grows on demand, only as far as the largest query below it.
     """
 
-    __slots__ = ("generators", "gcd", "_table", "_bound")
+    __slots__ = ("generators", "gcd", "_reduced", "_table", "_bound")
 
     def __init__(self, generators):
         gens = tuple(sorted(set(int(g) for g in generators)))
@@ -49,36 +50,33 @@ class SubSemigroup:
             raise ValueError("generators must be positive integers")
         self.generators = gens
         self.gcd = math.gcd(*gens)
-        self._table: list[bool] | None = None
-        self._bound = 0
-
-    def _ensure_table(self) -> None:
-        if self._table is not None:
-            return
-        g = self.gcd
-        reduced = [a // g for a in self.generators]
+        self._reduced = tuple(a // self.gcd for a in gens)
         # Everything >= min*max (in the reduced scale) is representable; the
         # Frobenius number of a coprime set a_1 < ... < a_k is < a_1 * a_k.
-        bound = reduced[0] * reduced[-1] + 1
-        table = [False] * bound
-        table[0] = True
-        for s in range(1, bound):
+        self._bound = self._reduced[0] * self._reduced[-1] + 1
+        self._table = [True]
+
+    def _grow(self, upto: int) -> None:
+        table = self._table
+        start = len(table)
+        table.extend([False] * (upto + 1 - start))
+        reduced = self._reduced
+        for s in range(start, upto + 1):
             for a in reduced:
                 if a <= s and table[s - a]:
                     table[s] = True
                     break
-        self._table = table
-        self._bound = bound
 
     def contains(self, s: int) -> bool:
         if s < 0:
             return False
         if s % self.gcd:
             return False
-        self._ensure_table()
         reduced = s // self.gcd
         if reduced >= self._bound:
             return True
+        if reduced >= len(self._table):
+            self._grow(reduced)
         return self._table[reduced]
 
     def __contains__(self, s: int) -> bool:
@@ -162,18 +160,6 @@ class SequenceSpec:
         return f"({self.m0},{self.m1},{self.m2},{self.n})"
 
 
-def _representable(s: int, gens: tuple[int, ...]) -> bool:
-    """Membership of a single small value, via a table bounded by s itself."""
-    table = [False] * (s + 1)
-    table[0] = True
-    for v in range(1, s + 1):
-        for a in gens:
-            if a <= v and table[v - a]:
-                table[v] = True
-                break
-    return table[s]
-
-
 def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
     """Check a candidate sequence and return its SequenceSpec.
 
@@ -192,6 +178,6 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
     order = (("n", 3), ("m0", 0), ("m1", 1), ("m2", 2))
     for name, index in order:
         rest = values[:index] + values[index + 1 :]
-        if _representable(values[index], rest):
+        if SubSemigroup(rest).contains(values[index]):
             raise NotMinimal(name)
     return SequenceSpec(m0, m1, m2, n)

@@ -94,6 +94,28 @@ def test_analyze_fast_level_skips_closed_form(capsys):
     assert record["flags"]["gb_ok"] is True
 
 
+def test_analyze_rejects_huge_redundant_n(capsys):
+    # n = 300 000 000 lies in <3, 5, 7>; the verdict must not need a table of n entries
+    assert cli.main(["analyze", "--seq", "3,5,7,300000000"]) == 1
+    assert "n is redundant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--seq", "5,7,9,11"],
+        ["sweep", "--max-m2", "12", "--max-n", "12"],
+        ["hilbert", "--seq", "5,7,9,11"],
+    ],
+    ids=["analyze", "sweep", "hilbert"],
+)
+def test_negative_truncate_rejected(argv, capsys):
+    assert cli.main(argv + ["--truncate", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--truncate must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_exit_two_on_doctored_failure(monkeypatch, capsys):
     report = analyze_sequence(5, 7, 9, 6)
     report.flags["gb_ok"] = False
@@ -217,7 +239,7 @@ def test_hilbert_corrupted_resolution_fails(monkeypatch, capsys):
     # identity must notice
     wrong_kernel = toric_kernel(validate_sequence(7, 8, 9, 12))
     wrong = minimalize(build_resolution(wrong_kernel.reduced_gb))
-    monkeypatch.setattr(cli, "_resolution_factory", lambda kernel: wrong)
+    monkeypatch.setattr(cli, "_resolve", lambda kernel: wrong)
     assert cli.main(["hilbert", "--seq", "5,7,9,11", "--truncate", "60"]) == 2
     out = capsys.readouterr().out
     assert "FAIL: first difference at degree" in out

@@ -132,6 +132,13 @@ def test_validate_sequence_rejections():
     assert excinfo.value.which == "n"
 
 
+def test_validate_sequence_huge_redundant_n():
+    # 300 000 000 lies in <3, 5, 7>; the check stays within the table bound 3 * 7
+    with pytest.raises(NotMinimal) as excinfo:
+        validate_sequence(3, 5, 7, 300_000_000)
+    assert excinfo.value.which == "n"
+
+
 def test_validate_sequence_rejects_garbage():
     from monocurve.semigroup import ValidationError
 
