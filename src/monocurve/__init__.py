@@ -34,7 +34,6 @@ from monocurve.groebner import (
     buchberger,
     is_groebner,
     toric_kernel,
-    toric_kernel_elimination,
 )
 from monocurve.poly import Poly, Ring, Vect, parse, render
 from monocurve.resolution import (
@@ -106,7 +105,6 @@ __all__ = [
     "schreyer_syzygies",
     "sweep",
     "toric_kernel",
-    "toric_kernel_elimination",
     "validate_sequence",
 ]
 

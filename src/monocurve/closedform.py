@@ -404,10 +404,14 @@ def _condition_holds(cond: str, params: CaseParameters) -> bool:
     return lhs == rhs if op == "==" else lhs != rhs
 
 
+def _load_data(name: str):
+    """Parsed JSON of one table shipped in ``monocurve.data``."""
+    return json.loads(resources.files("monocurve.data").joinpath(name).read_text())
+
+
 def _load_case_table() -> tuple:
-    text = resources.files("monocurve.data").joinpath("betti_cases.json").read_text()
     rows = []
-    for record in json.loads(text):
+    for record in _load_data("betti_cases.json"):
         rows.append(
             CaseId(
                 label=record["label"],
@@ -475,15 +479,7 @@ def _eval_shift(expr: str, env: dict) -> int:
     return walk(ast.parse(expr, mode="eval").body)
 
 
-_SHIFT_TABLE = None
-
-
-def _load_shift_table() -> dict:
-    global _SHIFT_TABLE
-    if _SHIFT_TABLE is None:
-        text = resources.files("monocurve.data").joinpath("shift_tables.json").read_text()
-        _SHIFT_TABLE = json.loads(text)
-    return _SHIFT_TABLE
+SHIFT_TABLE = _load_data("shift_tables.json")
 
 
 def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> tuple:
@@ -494,8 +490,7 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
     comparison against computed twists happens downstream, so table slips
     surface as discrepancy records instead of being silently corrected.
     """
-    table = _load_shift_table()
-    if case.label not in table:
+    if case.label not in SHIFT_TABLE:
         raise CaseUnmatched("no twist row for case %s" % case.label)
     env = {"m0": spec.m0, "m1": spec.m1, "m2": spec.m2, "n": spec.n}
     for field in (
@@ -503,7 +498,7 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
         "x2_plain", "x2_cross", "y_order", "y_split",
     ):
         env[field] = getattr(params, field)
-    row = table[case.label]
+    row = SHIFT_TABLE[case.label]
     lists = tuple([_eval_shift(e, env) for e in row[key]] for key in ("s", "p", "q"))
     # no length check against the Betti triple: one tabulated row carries a
     # surplus entry, and it is the comparison layer's job to report that

@@ -14,17 +14,11 @@ import heapq
 from dataclasses import dataclass, field
 
 from monocurve.poly import (
-    EliminationOrder,
     Poly,
     Ring,
-    Vect,
     coeff_div,
     divide,
     is_homogeneous,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
     s_polynomial,
 )
 from monocurve.semigroup import SequenceSpec
@@ -67,51 +61,26 @@ class GroebnerBasis:
         return True
 
 
-def _lead_data(element, order, module: bool):
-    lt = element.lead(order)
-    if lt is None:
-        raise ValueError("basis elements must be nonzero")
-    if module:
-        (pos, mono), coeff = lt
-        return pos, mono, coeff
-    mono, coeff = lt
-    return None, mono, coeff
-
-
-def _pair_priority(order, strategy, leads, i, j, counter):
-    if strategy == "fifo":
-        return (counter, i, j)
-    pos_i, mono_i, _ = leads[i]
-    _, mono_j, _ = leads[j]
-    lcm = mono_lcm(mono_i, mono_j)
-    key = order.key((pos_i, lcm)) if pos_i is not None else order.key(lcm)
-    return (key, i, j)
-
-
-def buchberger(gens, order, strategy: str = "normal", record: bool = True) -> GroebnerBasis:
+def buchberger(gens, order, record: bool = True) -> GroebnerBasis:
     """Complete gens to a Gröbner basis; the input is kept as a prefix.
 
-    strategy: "normal" picks the pair with the smallest lcm in the order,
-    "fifo" processes pairs in creation order.  Both yield a correct basis;
-    the default is fixed for reproducible transcripts.
+    Pairs are processed smallest lcm first in the order, which fixes the
+    transcripts; module pairs exist only between leads at the same position.
     """
-    if strategy not in ("normal", "fifo"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     elements = list(gens)
     if not elements:
         raise ValueError("need at least one generator")
-    module = isinstance(elements[0], Vect)
-    leads = [_lead_data(g, order, module) for g in elements]
+    leads = [g.lead(order) for g in elements]
+    if None in leads:
+        raise ValueError("basis elements must be nonzero")
+    kind = type(elements[0])
     heap: list = []
-    counter = 0
 
     def push_pairs(t: int):
-        nonlocal counter
         for i in range(t):
-            if module and leads[i][0] != leads[t][0]:
-                continue
-            counter += 1
-            heapq.heappush(heap, _pair_priority(order, strategy, leads, i, t, counter))
+            lcm = kind.key_lcm(leads[i][0], leads[t][0])
+            if lcm is not None:
+                heapq.heappush(heap, (order.key(lcm), i, t))
 
     for t in range(1, len(elements)):
         push_pairs(t)
@@ -120,14 +89,13 @@ def buchberger(gens, order, strategy: str = "normal", record: bool = True) -> Gr
     while heap:
         _, i, j = heapq.heappop(heap)
         gi, gj = elements[i], elements[j]
-        pos_i, mono_i, ci = leads[i]
-        _, mono_j, cj = leads[j]
-        if not module and mono_coprime(mono_i, mono_j):
+        (key_i, ci), (key_j, cj) = leads[i], leads[j]
+        if kind.key_coprime(key_i, key_j):
             # product criterion: reduction certified without division
             if record:
                 scale = coeff_div(1, ci * cj)
-                tail_i = gi - Poly(gi.ring, {mono_i: ci})
-                tail_j = gj - Poly(gj.ring, {mono_j: cj})
+                tail_i = gi - Poly(gi.ring, {key_i: ci})
+                tail_j = gj - Poly(gj.ring, {key_j: cj})
                 quots = {}
                 hi = tail_j * (-scale)
                 hj = tail_i * scale
@@ -135,28 +103,25 @@ def buchberger(gens, order, strategy: str = "normal", record: bool = True) -> Gr
                     quots[i] = hi
                 if not hj.is_zero:
                     quots[j] = hj
-                lcm = mono_lcm(mono_i, mono_j)
+                lcm = kind.key_lcm(key_i, key_j)
                 transcript.append(
                     PairRecord(
                         i,
                         j,
-                        gi.ring.monomial(mono_div(lcm, mono_i), coeff_div(1, ci)),
-                        gi.ring.monomial(mono_div(lcm, mono_j), coeff_div(1, cj)),
+                        gi.ring.monomial(kind.key_div(lcm, key_i), coeff_div(1, ci)),
+                        gi.ring.monomial(kind.key_div(lcm, key_j), coeff_div(1, cj)),
                         quots,
                         koszul=True,
                     )
                 )
             continue
-        spair = s_polynomial(gi, gj, order)
-        if spair is None:
-            continue
-        spoly, cof_i, cof_j = spair
+        spoly, cof_i, cof_j = s_polynomial(gi, gj, order)
         quotients, remainder = divide(spoly, elements, order)
         quots = {k: q for k, q in enumerate(quotients) if not q.is_zero}
         if not remainder.is_zero:
             t = len(elements)
             elements.append(remainder)
-            leads.append(_lead_data(remainder, order, module))
+            leads.append(remainder.lead(order))
             quots[t] = elements[0].ring.one()
             push_pairs(t)
         if record:
@@ -167,7 +132,6 @@ def buchberger(gens, order, strategy: str = "normal", record: bool = True) -> Gr
 def is_groebner(gens, order) -> bool:
     """Buchberger criterion by honest division (no product-criterion shortcut)."""
     gens = list(gens)
-    module = isinstance(gens[0], Vect)
     for j in range(1, len(gens)):
         for i in range(j):
             spair = s_polynomial(gens[i], gens[j], order)
@@ -179,25 +143,15 @@ def is_groebner(gens, order) -> bool:
     return True
 
 
-def _minimalize_elements(elements, order):
-    """Drop elements whose lead is divisible by another's lead."""
-    module = isinstance(elements[0], Vect)
-    indexed = sorted(range(len(elements)), key=lambda k: order.key(elements[k].lead(order)[0]))
+def lead_minimal(elements, order) -> list:
+    """Indices, in ascending lead order, of the elements whose lead is no
+    multiple of a kept element's lead (of equal leads the first is kept)."""
+    leads = [g.lead(order)[0] for g in elements]
+    divides = elements[0].key_divides
     kept: list = []
-    for k in indexed:
-        lead_k = elements[k].lead(order)[0]
-        redundant = False
-        for other in kept:
-            lead_o = other.lead(order)[0]
-            if module:
-                if lead_o[0] == lead_k[0] and mono_divides(lead_o[1], lead_k[1]):
-                    redundant = True
-                    break
-            elif mono_divides(lead_o, lead_k):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(elements[k])
+    for k in sorted(range(len(elements)), key=lambda k: order.key(leads[k])):
+        if not any(divides(leads[o], leads[k]) for o in kept):
+            kept.append(k)
     return kept
 
 
@@ -205,7 +159,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     """Reduced Gröbner basis: monic leads, fully tail-reduced, sorted by
     ascending leading monomial.  Unique for the given order."""
     order = gb.order
-    kept = _minimalize_elements(list(gb.elements), order)
+    kept = [gb.elements[k] for k in lead_minimal(gb.elements, order)]
     reduced = []
     for idx, g in enumerate(kept):
         others = [h for k, h in enumerate(kept) if k != idx]
@@ -265,40 +219,6 @@ class ToricIdeal:
 def _default_names(count: int):
     defaults = ("x", "y", "z", "w", "u", "v")
     return defaults[:count]
-
-
-def toric_kernel_elimination(weights, names=None):
-    """Kernel of k[names] -> k[t], x_i -> t^{w_i}, by elimination.
-
-    The textbook construction: append T, complete {x_i - T^{w_i}} under an
-    elimination order, keep the T-free part.  Cost grows steeply with the
-    weights (T-exponents reach lcm scale), so this serves as a reference to
-    cross-check the lattice construction on moderate inputs.
-
-    Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
-    under the ring's weighted grevlex order, with a fresh transcript.
-    """
-    weights = tuple(int(w) for w in weights)
-    if names is None:
-        names = _default_names(len(weights))
-    ring = Ring(tuple(names), weights)
-    ext = ring.extended("T", 1)
-    gens = []
-    for i, w in enumerate(weights):
-        mono = [0] * ext.nvars
-        mono[i] = 1
-        tpow = [0] * ext.nvars
-        tpow[-1] = w
-        gens.append(Poly(ext, {tuple(mono): 1, tuple(tpow): -1}))
-    gb = buchberger(gens, EliminationOrder(ext), record=False)
-    tfree = []
-    for p in gb.elements:
-        if all(m[-1] == 0 for m in p.terms):
-            tfree.append(Poly(ring, {m[:-1]: c for m, c in p.terms.items()}))
-    # T-free elements of an elimination basis are a basis for the intersection
-    # under the restricted order, which is exactly the ring's grevlex
-    reduced = reduce_basis(GroebnerBasis(tfree, ring.order()))
-    return ring, reduced
 
 
 def _extended_gcd(a: int, b: int):
@@ -383,7 +303,8 @@ def toric_kernel_generic(weights, names=None):
     kernel.  Everything runs in the target ring with small exponents, unlike
     elimination, whose auxiliary variable carries weight-sized powers.
 
-    Returns (ring, gb) as in toric_kernel_elimination.
+    Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
+    under the ring's weighted grevlex order, with a fresh transcript.
     """
     weights = tuple(int(w) for w in weights)
     if names is None:

@@ -2,14 +2,18 @@
 
 Polynomials live in a rational polynomial ring whose variables carry positive
 integer weights; the default order is the weighted graded reverse-lexicographic
-order.  Elements of free modules (used for syzygy computations) share the same
-term machinery with an extra basis-position component and induced orders
-(position-over-term, or the Schreyer order coming from a previous basis).
+order.  Elements of free modules (used for syzygy computations) are ordered by
+position-over-term or by the Schreyer order coming from a previous basis.
 
-Monomials are plain exponent tuples; module monomials are (position, exponent
-tuple) pairs.  Coefficients are Python ints wherever divisions stay exact and
-Fractions otherwise, which keeps the binomial-dominated workloads fast without
-ever leaving exact arithmetic.
+Both are one sparse term type: ``_Terms`` maps keys to coefficients and holds
+all the arithmetic; a ``Poly`` key is an exponent tuple, a ``Vect`` key a
+(position, exponent tuple) pair, and each subclass names its key arithmetic
+once.  So division, S-pairs and Buchberger run one code path, with one extra
+rule for vectors: positions must match.
+
+Coefficients are Python ints wherever divisions stay exact and Fractions
+otherwise, which keeps the binomial-dominated workloads fast without ever
+leaving exact arithmetic.
 """
 
 from __future__ import annotations
@@ -108,10 +112,6 @@ class Ring:
     def monomial(self, mono: tuple, coeff=1) -> "Poly":
         return Poly(self, {tuple(mono): coeff})
 
-    def extended(self, name: str = "T", weight: int = 1) -> "Ring":
-        """Ring with one auxiliary variable appended (used for elimination)."""
-        return Ring(self.names + (name,), self.weights + (weight,))
-
     def __eq__(self, other):
         return (
             isinstance(other, Ring)
@@ -149,29 +149,6 @@ class GrevlexOrder:
 
     def __repr__(self):
         return f"GrevlexOrder({self.ring!r})"
-
-
-class EliminationOrder:
-    """Any monomial containing the last variable beats any without it; ties
-    fall back to weighted grevlex on the remaining variables."""
-
-    __slots__ = ("ring",)
-
-    def __init__(self, ring: Ring):
-        if ring.nvars < 2:
-            raise ValueError("elimination order needs at least two variables")
-        self.ring = ring
-
-    def key(self, mono: tuple):
-        w = self.ring.weights
-        deg = 0
-        out = [mono[-1], 0]
-        for i in range(len(mono) - 1):
-            e = mono[i]
-            deg += e * w[i]
-            out.append(-e)
-        out[1] = deg
-        return tuple(out)
 
 
 class PositionOverTerm:
@@ -228,8 +205,13 @@ def compare(order, a, b) -> int:
     return EQ
 
 
-class Poly:
-    """Immutable sparse polynomial; terms map exponent tuples to coefficients."""
+class _Terms:
+    """Immutable sparse sum of terms: ``terms`` maps keys to coefficients.
+
+    All arithmetic lives here; a subclass names its keys' arithmetic once, as
+    static ``key_*`` attributes, and ``divide``, ``s_polynomial`` and the
+    Gröbner code read only those.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -237,94 +219,126 @@ class Poly:
         self.ring = ring
         clean = {}
         if terms:
-            for m, c in terms.items():
+            for k, c in terms.items():
                 c = _norm_coeff(c)
                 if c:
-                    clean[m] = c
+                    clean[k] = c
         self.terms = clean
+
+    def _like(self, terms):
+        """Element of the same space with the given terms."""
+        return type(self)(self.ring, terms)
+
+    def _scalar(self, c):
+        """A scalar as an element of this space; none by default."""
+        return None
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def lead(self, order=None):
-        """(monomial, coefficient) of the leading term, or None if zero."""
+        """(key, coefficient) of the leading term, or None if zero."""
         if not self.terms:
             return None
         if order is None:
             order = self.ring.order()
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        k = max(self.terms, key=order.key)
+        return k, self.terms[k]
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
-        if not isinstance(other, Poly):
+            other = self._scalar(other)
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
+        for k, c in other.terms.items():
+            v = out.get(k, 0) + c
             if v:
-                out[m] = v
+                out[k] = v
             else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+                out.pop(k, None)
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
-        if not isinstance(other, Poly):
+            other = self._scalar(other)
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) - c
+        for k, c in other.terms.items():
+            v = out.get(k, 0) - c
             if v:
-                out[m] = v
+                out[k] = v
             else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+                out.pop(k, None)
+        return self._like(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        """Scalar multiple, or product with a ring polynomial on either side."""
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly(self.ring, {})
-            return Poly(self.ring, {m: c * other for m, c in self.terms.items()})
-        if isinstance(other, Vect):
-            return other.__rmul__(self)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                v = out.get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return Poly(self.ring, out)
+                return self._like({})
+            return self._like({k: c * other for k, c in self.terms.items()})
+        if isinstance(self, Poly) and isinstance(other, _Terms):
+            return other._times(self)
+        if isinstance(other, Poly):
+            return self._times(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def mul_term(self, mono: tuple, coeff) -> "Poly":
-        """Fast product with a single term."""
+    def _times(self, f: "Poly"):
+        """f * self, with f's terms in the outer loop."""
+        key_mul = self.key_mul
+        out = {}
+        for m1, c1 in f.terms.items():
+            for k2, c2 in self.terms.items():
+                k = key_mul(k2, m1)
+                v = out.get(k, 0) + c1 * c2
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return self._like(out)
+
+    def mul_term(self, mono: tuple, coeff):
+        """Fast product with a single ring term."""
         if not coeff:
-            return Poly(self.ring, {})
-        return Poly(
-            self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
-        )
+            return self._like({})
+        key_mul = self.key_mul
+        return self._like({key_mul(k, mono): c * coeff for k, c in self.terms.items()})
+
+
+class Poly(_Terms):
+    """Ring polynomial; keys are exponent tuples."""
+
+    __slots__ = ()
+
+    key_mul = staticmethod(mono_mul)
+    key_divides = staticmethod(mono_divides)
+    key_div = staticmethod(mono_div)
+    key_lcm = staticmethod(mono_lcm)
+    key_coprime = staticmethod(mono_coprime)
+
+    @staticmethod
+    def key_degree(mono, weights, twists=None) -> int:
+        return sum(e * w for e, w in zip(mono, weights))
+
+    def _scalar(self, c):
+        return self.ring.constant(c)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
+            other = self._scalar(other)
         return (
             isinstance(other, Poly)
             and self.ring == other.ring
@@ -338,21 +352,51 @@ class Poly:
         return render(self)
 
 
-class Vect:
-    """Element of a free module R^rank; terms map (position, monomial) to coefficients."""
+class Vect(_Terms):
+    """Element of a free module R^rank; keys are (position, monomial) pairs.
 
-    __slots__ = ("ring", "rank", "terms")
+    Key arithmetic acts on the monomial and requires equal positions; the
+    product criterion never applies, since it holds only in the ring.
+    """
+
+    __slots__ = ("rank",)
 
     def __init__(self, ring: Ring, rank: int, terms=None):
-        self.ring = ring
         self.rank = rank
-        clean = {}
-        if terms:
-            for mm, c in terms.items():
-                c = _norm_coeff(c)
-                if c:
-                    clean[mm] = c
-        self.terms = clean
+        super().__init__(ring, terms)
+
+    def _like(self, terms):
+        return type(self)(self.ring, self.rank, terms)
+
+    @staticmethod
+    def key_mul(key, mono):
+        return key[0], mono_mul(key[1], mono)
+
+    @staticmethod
+    def key_divides(a, b) -> bool:
+        return a[0] == b[0] and mono_divides(a[1], b[1])
+
+    @staticmethod
+    def key_div(a, b) -> tuple:
+        return mono_div(a[1], b[1])
+
+    @staticmethod
+    def key_lcm(a, b):
+        """(position, lcm), or None when the positions differ."""
+        if a[0] != b[0]:
+            return None
+        return a[0], mono_lcm(a[1], b[1])
+
+    @staticmethod
+    def key_coprime(a, b) -> bool:
+        return False
+
+    @staticmethod
+    def key_degree(key, weights, twists=None) -> int:
+        """Weighted degree of the monomial plus the position's twist (if given)."""
+        pos, mono = key
+        d = Poly.key_degree(mono, weights)
+        return d if twists is None else d + twists[pos]
 
     @classmethod
     def unit(cls, ring: Ring, rank: int, pos: int) -> "Vect":
@@ -378,75 +422,6 @@ class Vect:
         for (p, m), c in self.terms.items():
             out[p][m] = c
         return [Poly(self.ring, d) for d in out]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def lead(self, order):
-        if not self.terms:
-            return None
-        mm = max(self.terms, key=order.key)
-        return mm, self.terms[mm]
-
-    def __add__(self, other):
-        if not isinstance(other, Vect):
-            return NotImplemented
-        out = dict(self.terms)
-        for mm, c in other.terms.items():
-            v = out.get(mm, 0) + c
-            if v:
-                out[mm] = v
-            else:
-                del out[mm]
-        return Vect(self.ring, self.rank, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Vect):
-            return NotImplemented
-        out = dict(self.terms)
-        for mm, c in other.terms.items():
-            v = out.get(mm, 0) - c
-            if v:
-                out[mm] = v
-            else:
-                del out[mm]
-        return Vect(self.ring, self.rank, out)
-
-    def __neg__(self):
-        return Vect(self.ring, self.rank, {mm: -c for mm, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        """Scalar or ring-polynomial multiple."""
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Vect(self.ring, self.rank, {})
-            return Vect(
-                self.ring, self.rank, {mm: c * other for mm, c in self.terms.items()}
-            )
-        if isinstance(other, Poly):
-            out = {}
-            for m1, c1 in other.terms.items():
-                for (pos, m2), c2 in self.terms.items():
-                    mm = (pos, mono_mul(m1, m2))
-                    v = out.get(mm, 0) + c1 * c2
-                    if v:
-                        out[mm] = v
-                    else:
-                        del out[mm]
-            return Vect(self.ring, self.rank, out)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def mul_term(self, mono: tuple, coeff) -> "Vect":
-        if not coeff:
-            return Vect(self.ring, self.rank, {})
-        return Vect(
-            self.ring,
-            self.rank,
-            {(p, mono_mul(m, mono)): c * coeff for (p, m), c in self.terms.items()},
-        )
 
     def __eq__(self, other):
         return (
@@ -474,7 +449,6 @@ def divide(f, divisors, order):
     the ring and module cases.
     """
     ring = f.ring
-    module = isinstance(f, Vect)
     leads = []
     for g in divisors:
         lt = g.lead(order)
@@ -483,6 +457,7 @@ def divide(f, divisors, order):
         leads.append(lt)
     # precedence: greatest lead first, then original index
     ranked = sorted(range(len(divisors)), key=lambda i: order.key(leads[i][0]), reverse=True)
+    divides = f.key_divides
     quotients = [ring.zero() for _ in divisors]
     remainder_terms = {}
     p = f
@@ -491,30 +466,21 @@ def divide(f, divisors, order):
         pc = p.terms[pm]
         hit = None
         for i in ranked:
-            dm = leads[i][0]
-            if module:
-                if dm[0] == pm[0] and mono_divides(dm[1], pm[1]):
-                    hit = i
-                    break
-            elif mono_divides(dm, pm):
+            if divides(leads[i][0], pm):
                 hit = i
                 break
         if hit is None:
             remainder_terms[pm] = pc
             rest = dict(p.terms)
             del rest[pm]
-            p = Vect(ring, f.rank, rest) if module else Poly(ring, rest)
+            p = f._like(rest)
             continue
         dm, dc = leads[hit]
-        t_mono = mono_div(pm[1], dm[1]) if module else mono_div(pm, dm)
+        t_mono = f.key_div(pm, dm)
         t_coeff = coeff_div(pc, dc)
         quotients[hit] = quotients[hit] + ring.monomial(t_mono, t_coeff)
         p = p - divisors[hit].mul_term(t_mono, t_coeff)
-    if module:
-        remainder = Vect(ring, f.rank, remainder_terms)
-    else:
-        remainder = Poly(ring, remainder_terms)
-    return quotients, remainder
+    return quotients, f._like(remainder_terms)
 
 
 def s_polynomial(f, g, order):
@@ -529,17 +495,12 @@ def s_polynomial(f, g, order):
     lg = g.lead(order)
     if lf is None or lg is None:
         raise ZeroDivisionError("s_polynomial of zero element")
-    if isinstance(f, Vect):
-        (pos_f, mf), cf = lf
-        (pos_g, mg), cg = lg
-        if pos_f != pos_g:
-            return None
-    else:
-        mf, cf = lf
-        mg, cg = lg
-    l = mono_lcm(mf, mg)
-    cof_f = ring.monomial(mono_div(l, mf), coeff_div(1, cf))
-    cof_g = ring.monomial(mono_div(l, mg), coeff_div(1, cg))
+    (kf, cf), (kg, cg) = lf, lg
+    l = f.key_lcm(kf, kg)
+    if l is None:
+        return None
+    cof_f = ring.monomial(f.key_div(l, kf), coeff_div(1, cf))
+    cof_g = ring.monomial(f.key_div(l, kg), coeff_div(1, cg))
     spoly = cof_f * f - cof_g * g
     return spoly, cof_f, cof_g
 
@@ -553,18 +514,8 @@ def is_homogeneous(f, ring_or_weights=None, twists=None):
     ring = f.ring if ring_or_weights is None else ring_or_weights
     weights = ring.weights if isinstance(ring, Ring) else tuple(ring)
     degree = None
-    if isinstance(f, Vect):
-        for (pos, m), _ in f.terms.items():
-            d = sum(e * w for e, w in zip(m, weights))
-            if twists is not None:
-                d += twists[pos]
-            if degree is None:
-                degree = d
-            elif degree != d:
-                return None
-        return degree
-    for m in f.terms:
-        d = sum(e * w for e, w in zip(m, weights))
+    for k in f.terms:
+        d = f.key_degree(k, weights, twists)
         if degree is None:
             degree = d
         elif degree != d:

@@ -24,9 +24,8 @@ from monocurve.poly import (
     SchreyerOrder,
     Vect,
     is_homogeneous,
-    mono_divides,
 )
-from monocurve.groebner import GroebnerBasis, buchberger
+from monocurve.groebner import GroebnerBasis, buchberger, lead_minimal
 
 
 class ShapeMismatch(ValueError):
@@ -85,25 +84,24 @@ class GradedMap:
 
     __slots__ = ("source", "target", "entries")
 
-    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, entries, check=True):
+    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, entries):
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise ShapeMismatch(
                 f"matrix {len(rows)}x{len(rows[0]) if rows else 0} does not map "
                 f"rank {source.rank} into rank {target.rank}"
             )
-        if check:
-            ring = source.ring
-            for i, row in enumerate(rows):
-                for j, p in enumerate(row):
-                    if p.is_zero:
-                        continue
-                    d = is_homogeneous(p, ring)
-                    want = source.twists[j] - target.twists[i]
-                    if d is None or d != want or d < 0:
-                        raise HomogeneityBroken(
-                            f"entry ({i},{j}) has degree {d}, twists demand {want}"
-                        )
+        ring = source.ring
+        for i, row in enumerate(rows):
+            for j, p in enumerate(row):
+                if p.is_zero:
+                    continue
+                d = is_homogeneous(p, ring)
+                want = source.twists[j] - target.twists[i]
+                if d is None or d != want or d < 0:
+                    raise HomogeneityBroken(
+                        f"entry ({i},{j}) has degree {d}, twists demand {want}"
+                    )
         self.source = source
         self.target = target
         self.entries = rows
@@ -183,10 +181,7 @@ def _element_degrees(gb: GroebnerBasis, twists):
     ring = gb.elements[0].ring
     degrees = []
     for g in gb.elements:
-        if isinstance(g, Vect):
-            d = is_homogeneous(g, ring, twists=twists)
-        else:
-            d = is_homogeneous(g, ring)
+        d = is_homogeneous(g, ring, twists=twists)
         if d is None:
             raise HomogeneityBroken("basis element is not weighted-homogeneous")
         degrees.append(d)
@@ -194,13 +189,9 @@ def _element_degrees(gb: GroebnerBasis, twists):
 
 
 def _pairs_exist(gb: GroebnerBasis) -> bool:
-    elements = gb.elements
-    if len(elements) < 2:
-        return False
-    if not isinstance(elements[0], Vect):
-        return True
-    positions = [g.lead(gb.order)[0][0] for g in elements]
-    return len(positions) != len(set(positions))
+    leads = [g.lead(gb.order)[0] for g in gb.elements]
+    key_lcm = gb.elements[0].key_lcm
+    return any(key_lcm(a, b) is not None for i, a in enumerate(leads) for b in leads[:i])
 
 
 def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
@@ -240,23 +231,6 @@ def _leads_for_schreyer(gb: GroebnerBasis):
     return leads
 
 
-def _essential_columns(vectors, order):
-    """Indices of a lead-minimal subset that is still a basis of the same
-    module: a column whose lead is a monomial multiple of another kept
-    column's lead is redundant and gets dropped (ties keep the first)."""
-    leads = [v.lead(order)[0] for v in vectors]
-    by_key = sorted(range(len(vectors)), key=lambda j: order.key(leads[j]))
-    kept = []
-    for j in by_key:
-        pos_j, mono_j = leads[j]
-        redundant = any(
-            leads[k][0] == pos_j and mono_divides(leads[k][1], mono_j) for k in kept
-        )
-        if not redundant:
-            kept.append(j)
-    return sorted(kept)
-
-
 def build_resolution(ideal_gens) -> FreeResolution:
     """Iterate transcripted completion and syzygy extraction until exhaustion.
 
@@ -293,7 +267,7 @@ def build_resolution(ideal_gens) -> FreeResolution:
         # drop pair columns made redundant by another column's lead, exactly
         # like the hand calculation strikes rows that are combinations of the
         # ones kept; the survivors are still a basis of the same syzygies
-        kept = _essential_columns(vectors, induced)
+        kept = sorted(lead_minimal(vectors, induced))
         vectors = [vectors[j] for j in kept]
         trimmed = GradedMap(
             GradedFreeModule(ring, tuple(syz.source.twists[j] for j in kept)),

@@ -10,7 +10,6 @@ from monocurve.poly import (
     EQ,
     GT,
     LT,
-    EliminationOrder,
     GrevlexOrder,
     Poly,
     PositionOverTerm,
@@ -25,6 +24,8 @@ from monocurve.poly import (
     render,
     s_polynomial,
 )
+
+from oracles import EliminationOrder, extended
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 
@@ -87,7 +88,7 @@ def test_degree_compatible(a, b):
 
 
 def test_elimination_order_blocks():
-    ext = R4.extended()
+    ext = extended(R4)
     order = EliminationOrder(ext)
     # any T beats no T, regardless of weighted degree
     assert compare(order, (0, 0, 0, 0, 1), (9, 9, 9, 9, 0)) == GT
@@ -147,23 +148,41 @@ def test_divide_reduction_with_cofactor():
     assert quots[0] == P("X0")
 
 
-@given(
-    st.lists(st.tuples(monos, st.integers(-4, 4)), min_size=1, max_size=5),
-    st.lists(st.tuples(monos, st.integers(-4, 4)), min_size=1, max_size=4),
-)
+def positioned_terms(max_size):
+    return st.lists(
+        st.tuples(st.integers(0, 1), monos, st.integers(-4, 4)), min_size=1, max_size=max_size
+    )
+
+
+@given(positioned_terms(5), positioned_terms(4), positioned_terms(4))
 @settings(max_examples=150, deadline=None)
-def test_divide_reconstructs(f_terms, g_terms):
-    f = Poly(R4, dict(f_terms))
-    g = Poly(R4, dict(g_terms))
-    if g.is_zero:
-        return
-    order = R4.order()
-    quots, rem = divide(f, [g], order)
-    assert quots[0] * g + rem == f
-    if not rem.is_zero:
+def test_divide_reconstructs(f_terms, g_terms, h_terms):
+    # ring elements: positions ignored, one divisor
+    f = Poly(R4, {m: c for _, m, c in f_terms})
+    g = Poly(R4, {m: c for _, m, c in g_terms})
+    if not g.is_zero:
+        order = R4.order()
+        quots, rem = divide(f, [g], order)
+        assert quots[0] * g + rem == f
         gm = g.lead(order)[0]
         for m in rem.terms:
             assert not all(x <= y for x, y in zip(gm, m))
+    # module elements of R^2: a lead divides only terms at its own position
+    order = PositionOverTerm(R4.order())
+    fv = Vect(R4, 2, {(p, m): c for p, m, c in f_terms})
+    divisors = [Vect(R4, 2, {(p, m): c for p, m, c in t}) for t in (g_terms, h_terms)]
+    divisors = [d for d in divisors if not d.is_zero]
+    if not divisors:
+        return
+    quots, rem = divide(fv, divisors, order)
+    total = rem
+    for q, d in zip(quots, divisors):
+        total = q * d + total
+    assert total == fv
+    leads = [d.lead(order)[0] for d in divisors]
+    for pos, m in rem.terms:
+        for lead_pos, lead_mono in leads:
+            assert not (lead_pos == pos and all(x <= y for x, y in zip(lead_mono, m)))
 
 
 def test_spair_reference():
@@ -245,6 +264,16 @@ def test_vect_arithmetic():
     assert (P("X2") * v).component(1) == P("-X0*X2")
     assert v - v == Vect(R4, 2, {})
     assert list((-v).to_polys()) == [P("-X1"), P("X0")]
+
+
+def test_mixed_sums_rejected():
+    v = Vect.from_polys([P("X1"), P("-X0")])
+    with pytest.raises(TypeError):
+        P("X2") + v
+    with pytest.raises(TypeError):
+        v - P("X2")
+    with pytest.raises(TypeError):
+        v + 1
 
 
 def test_module_divide_matches_positions():
