@@ -19,6 +19,9 @@ Discrepancy kinds:
                          multiset at one homological level
 * ``closed_form``        the instantiated template resolution disagrees
                          with the generic one
+* ``internal_error``     the pipeline raised while sweeping this tuple; the
+                         record carries the exception and where it was
+                         raised, and the sweep goes on with the next tuple
 
 Each record carries ``certified``: true when the computed side passed the
 series identity, which is what lets a mismatch indict the table instead of
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -320,7 +324,55 @@ def enumerate_box(max_m2: int, max_n: int):
 
 def _sweep_one(job) -> AnalysisReport:
     seq, verify_level, truncate = job
-    return analyze_sequence(*seq, verify_level=verify_level, truncate=truncate)
+    try:
+        return analyze_sequence(*seq, verify_level=verify_level, truncate=truncate)
+    except Exception as exc:  # one bad tuple must not sink the sweep
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return AnalysisReport(
+            seq=seq,
+            valid=True,
+            params=None,
+            case=None,
+            betti_lookup=None,
+            betti_computed=None,
+            graded_betti=[],
+            hilbert_numerator=[],
+            flags={},
+            discrepancies=[
+                {
+                    "kind": "internal_error",
+                    "reason": "%s: %s" % (type(exc).__name__, exc),
+                    "where": "%s:%d in %s"
+                    % (frame.filename.rsplit("/", 1)[-1], frame.lineno, frame.name),
+                    "certified": False,
+                }
+            ],
+            ms_elapsed=None,
+        )
+
+
+def sweep_specs(
+    specs,
+    verify_level: str = "full",
+    threads: int = 1,
+    truncate: int = DEFAULT_TRUNCATE,
+):
+    """Yield the report of each validated sequence in ``specs``, in order, as
+    soon as it and every earlier one are done.
+
+    A tuple whose analysis raises yields an uncertified ``internal_error``
+    record instead.  Thread count only distributes the per-tuple work; the
+    reports are identical for every value.
+    """
+    jobs = [(spec.weights, verify_level, truncate) for spec in specs]
+    if threads <= 1:
+        yield from map(_sweep_one, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        # reports come back a chunk at a time: small chunks keep progress
+        # and the last worker's share fine-grained
+        chunk = max(1, min(64, len(jobs) // (8 * threads)))
+        yield from pool.map(_sweep_one, jobs, chunksize=chunk)
 
 
 def sweep(
@@ -330,19 +382,8 @@ def sweep(
     threads: int = 1,
     truncate: int = DEFAULT_TRUNCATE,
 ) -> list:
-    """Analyze every valid tuple in the box, in enumeration order.
-
-    Thread count only distributes the per-tuple work; the result list (and
-    anything serialized from it) is identical for every value.
-    """
-    jobs = [
-        ((s.m0, s.m1, s.m2, s.n), verify_level, truncate) for s in enumerate_box(max_m2, max_n)
-    ]
-    if threads <= 1:
-        return [_sweep_one(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(jobs) // (8 * threads))
-        return list(pool.map(_sweep_one, jobs, chunksize=chunk))
+    """Analyze every valid tuple in the box, in enumeration order."""
+    return list(sweep_specs(enumerate_box(max_m2, max_n), verify_level, threads, truncate))
 
 
 def sweep_lines(reports) -> str:
@@ -366,10 +407,11 @@ def census_digest(records) -> dict:
         total += 1
         if not rec.get("valid"):
             continue
-        triple = tuple(rec["betti_computed"])
-        triples[triple] = triples.get(triple, 0) + 1
-        if triple not in ALLOWED_TRIPLES and triple not in foreign:
-            foreign.append(triple)
+        if rec["betti_computed"] is not None:  # None on an internal error
+            triple = tuple(rec["betti_computed"])
+            triples[triple] = triples.get(triple, 0) + 1
+            if triple not in ALLOWED_TRIPLES and triple not in foreign:
+                foreign.append(triple)
         label = rec["case"] if rec["case"] else "unclassified"
         cases[label] = cases.get(label, 0) + 1
         for disc in rec["discrepancies"]:

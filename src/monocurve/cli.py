@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .analysis import (
     DEFAULT_TRUNCATE,
     analyze_sequence,
     census_digest,
-    sweep,
+    enumerate_box,
     sweep_lines,
+    sweep_specs,
 )
 from .closedform import (
     CaseUnmatched,
@@ -37,6 +39,10 @@ from .resolution import (
     minimalize,
 )
 from .semigroup import ValidationError, gamma_series_truncation, validate_sequence
+
+#: least seconds between two sweep progress lines on stderr
+PROGRESS_INTERVAL = 1.0
+
 
 def _resolve(kernel):
     return minimalize(build_resolution(kernel.reduced_gb))
@@ -115,18 +121,51 @@ def cmd_analyze(args) -> int:
     return 0 if report.all_verified() else 2
 
 
+def _with_progress(reports, total: int, stream) -> list:
+    """Collect the reports, writing done/total, elapsed time and ETA to
+    ``stream`` at most once per PROGRESS_INTERVAL, then a final line.
+
+    Lines start one interval after the first report and the ETA
+    extrapolates the rate since then, so neither worker start-up nor the
+    burst of a first chunk skews it."""
+    started = time.monotonic()
+    first = None
+    done = []
+    for report in reports:
+        done.append(report)
+        now = time.monotonic()
+        if first is None:
+            first = last = now
+        elif now - last >= PROGRESS_INTERVAL and len(done) < total:
+            last = now
+            eta = (now - first) * (total - len(done)) / (len(done) - 1)
+            print(
+                "sweep %d/%d tuples, %.0f s elapsed, ETA %.0f s"
+                % (len(done), total, now - started, eta),
+                file=stream,
+                flush=True,
+            )
+    print(
+        "sweep %d/%d tuples done in %.0f s" % (len(done), total, time.monotonic() - started),
+        file=stream,
+        flush=True,
+    )
+    return done
+
+
 def cmd_sweep(args) -> int:
     try:
         _check_truncate(args.truncate)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    reports = sweep(
-        args.max_m2,
-        args.max_n,
-        verify_level=args.verify_level,
-        threads=args.threads,
-        truncate=args.truncate,
+    specs = list(enumerate_box(args.max_m2, args.max_n))
+    reports = _with_progress(
+        sweep_specs(
+            specs, verify_level=args.verify_level, threads=args.threads, truncate=args.truncate
+        ),
+        len(specs),
+        sys.stderr,
     )
     payload = sweep_lines(reports)
     if args.out:

@@ -6,12 +6,16 @@ syzygy module can be written down directly from the records.  Pairs with
 coprime leading monomials (polynomial case only) are not reduced explicitly;
 their certified reduction is the Koszul-style combination
 S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, recorded as such.
+
+The toric kernel saturates binomials stored as (lead, tail) exponent pairs
+and hands only its reduced basis to ``buchberger``, for the transcript.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import add, itemgetter, le, mul, neg, sub
 
 from monocurve.poly import (
     Poly,
@@ -279,16 +283,79 @@ def _kernel_lattice_basis(weights):
     return _size_reduce(basis)
 
 
-def _strip_variable(p: Poly, index: int) -> Poly:
-    low = min(m[index] for m in p.terms)
-    if low == 0:
-        return p
-    terms = {}
-    for mono, c in p.terms.items():
-        m = list(mono)
-        m[index] -= low
-        terms[tuple(m)] = c
-    return Poly(p.ring, terms)
+def _normal_form(mono, basis):
+    """Reduce x^mono by the (lead, tail, tail - lead) binomials of ``basis``
+    until no lead divides it: each step trades a lead for its tail."""
+    while True:
+        for lead, _, shift in basis:
+            if all(map(le, lead, mono)):
+                mono = tuple(map(add, mono, shift))
+                break
+        else:
+            return mono
+
+
+def _binomial(a, b, revlex):
+    """(lead, tail, tail - lead) of x^a - x^b, two monomials of one degree,
+    under the grevlex order that ``revlex`` picks the tie-break from."""
+    if revlex(a) > revlex(b):
+        a, b = b, a
+    return a, b, tuple(map(sub, b, a))
+
+
+def _reduced_binomial_basis(pairs, weights, perm):
+    """Reduced Gröbner basis, as (lead, tail) exponent pairs ascending by
+    lead, of the weighted-homogeneous binomials x^a - x^b given as exponent
+    pairs (a, b).
+
+    The order is weighted grevlex with ties broken by the variables in
+    ``perm`` order, smaller exponent winning, so ``perm[0]`` is cheapest.
+    The S-binomial of leads a and c is x^(L-c+d) - x^(L-a+b) with
+    L = lcm(a, c); its lead is reduced until no basis lead divides it,
+    re-oriented after each step.  Pairs go smallest lcm first and pairs
+    with coprime leads are skipped (product criterion).  The reduced basis
+    keeps the lead-minimal elements (of equal leads one) with their tails
+    in normal form.
+    """
+    revlex = itemgetter(*perm)
+
+    def key(m):
+        return sum(map(mul, m, weights)), tuple(map(neg, revlex(m)))
+
+    basis: list = []
+    heap: list = []
+
+    def add_binomial(a, b):
+        if a == b:
+            return
+        lead, tail, shift = _binomial(a, b, revlex)
+        while True:
+            reduced = _normal_form(lead, basis)
+            if reduced == lead:
+                break
+            if reduced == tail:
+                return
+            lead, tail, shift = _binomial(reduced, tail, revlex)
+        t = len(basis)
+        for i, (c, _, _) in enumerate(basis):
+            if any(map(min, c, lead)):
+                lcm = tuple(map(max, c, lead))
+                heapq.heappush(heap, (key(lcm), i, t))
+        basis.append((lead, tail, shift))
+
+    for a, b in pairs:
+        add_binomial(a, b)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        (a, _, shift_i), (c, _, shift_j) = basis[i], basis[j]
+        lcm = tuple(map(max, a, c))
+        add_binomial(tuple(map(add, lcm, shift_j)), tuple(map(add, lcm, shift_i)))
+
+    kept: list = []
+    for g in sorted(basis, key=lambda g: key(g[0])):
+        if not any(all(map(le, k[0], g[0])) for k in kept):
+            kept.append(g)
+    return [(lead, _normal_form(tail, kept)) for lead, tail, _ in kept]
 
 
 def toric_kernel_generic(weights, names=None):
@@ -303,41 +370,42 @@ def toric_kernel_generic(weights, names=None):
     kernel.  Everything runs in the target ring with small exponents, unlike
     elimination, whose auxiliary variable carries weight-sized powers.
 
+    Every element is a pure-difference binomial x^u - x^v, so the
+    completions run on (lead, tail) exponent pairs (Sturmfels, *Gröbner
+    Bases and Convex Polytopes*, ch. 12) and only the reduced basis becomes
+    polynomials, for the one completion that records a transcript.
+
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
-    under the ring's weighted grevlex order, with a fresh transcript.
+    under the ring's weighted grevlex order, ascending by lead, with a fresh
+    transcript.
     """
     weights = tuple(int(w) for w in weights)
     if names is None:
         names = _default_names(len(weights))
     ring = Ring(tuple(names), weights)
-    gens = []
-    for vec in _kernel_lattice_basis(weights):
-        plus = tuple(max(e, 0) for e in vec)
-        minus = tuple(max(-e, 0) for e in vec)
-        gens.append(ring.monomial(plus) - ring.monomial(minus))
-    for i in range(ring.nvars):
-        perm = (i,) + tuple(j for j in range(ring.nvars) if j != i)
-        sat_ring = Ring(
-            tuple(ring.names[j] for j in perm), tuple(ring.weights[j] for j in perm)
-        )
-        moved = [
-            Poly(sat_ring, {tuple(m[j] for j in perm): c for m, c in p.terms.items()})
-            for p in gens
-        ]
-        completed = buchberger(moved, sat_ring.order(), record=False)
-        gens = []
-        for p in completed.elements:
-            stripped = _strip_variable(p, 0)
-            back = {}
-            for mono, c in stripped.terms.items():
-                orig = [0] * ring.nvars
-                for k, j in enumerate(perm):
-                    orig[j] = mono[k]
-                back[tuple(orig)] = c
-            gens.append(Poly(ring, back))
-    completed = buchberger(gens, ring.order(), record=False)
-    reduced = reduce_basis(completed)
-    return ring, reduced
+    nvars = ring.nvars
+    pairs = [
+        (tuple(max(e, 0) for e in vec), tuple(max(-e, 0) for e in vec))
+        for vec in _kernel_lattice_basis(weights)
+    ]
+    for i in range(nvars):
+        perm = (i,) + tuple(j for j in range(nvars) if j != i)
+        saturated = []
+        for lead, tail in _reduced_binomial_basis(pairs, weights, perm):
+            low = min(lead[i], tail[i])
+            if low:
+                lead = lead[:i] + (lead[i] - low,) + lead[i + 1 :]
+                tail = tail[:i] + (tail[i] - low,) + tail[i + 1 :]
+            saturated.append((lead, tail))
+        pairs = saturated
+    reduced = [
+        Poly(ring, {lead: 1, tail: -1})
+        for lead, tail in _reduced_binomial_basis(pairs, weights, tuple(range(nvars)))
+    ]
+    gb = buchberger(reduced, ring.order())
+    if len(gb.elements) != len(reduced):  # pragma: no cover - safety net
+        raise AssertionError("binomial completion did not give a Gröbner basis")
+    return ring, gb
 
 
 def toric_kernel(spec: SequenceSpec) -> ToricIdeal:

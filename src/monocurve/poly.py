@@ -169,7 +169,8 @@ class SchreyerOrder:
     """Order induced by a list of leading monomials from the previous level:
     compare x^a e_i vs x^b e_j by the parent order applied to x^a * lead(i)
     vs x^b * lead(j); on ties the lexicographically smaller cofactor wins,
-    then the smaller position.
+    then the smaller position.  ``key_mul`` is the previous level's term
+    type's product of a lead key with a monomial.
 
     The cofactor tie-break is the same order one gets from the plain
     smaller-position rule after relabeling the previous level's elements in
@@ -177,20 +178,16 @@ class SchreyerOrder:
     and the iterated syzygy construction provably sheds one variable of its
     lead cofactors per level, so it stops within #variables steps."""
 
-    __slots__ = ("parent", "leads", "_module_parent")
+    __slots__ = ("parent", "leads", "key_mul")
 
-    def __init__(self, parent, leads):
+    def __init__(self, parent, leads, key_mul):
         self.parent = parent
         self.leads = tuple(leads)
-        self._module_parent = isinstance(parent, (PositionOverTerm, SchreyerOrder))
+        self.key_mul = key_mul
 
     def key(self, mm):
         pos, mono = mm
-        lead = self.leads[pos]
-        if self._module_parent:
-            shifted = (lead[0], mono_mul(mono, lead[1]))
-        else:
-            shifted = mono_mul(mono, lead)
+        shifted = self.key_mul(self.leads[pos], mono)
         return self.parent.key(shifted) + tuple(-e for e in mono) + (-pos,)
 
 

@@ -262,7 +262,9 @@ def build_resolution(ideal_gens) -> FreeResolution:
         syz = schreyer_syzygies(gb, twists=ambient_twists)
         if syz.source.rank == 0:
             return FreeResolution(maps)
-        induced = SchreyerOrder(gb.order, _leads_for_schreyer(gb))
+        induced = SchreyerOrder(
+            gb.order, _leads_for_schreyer(gb), type(gb.elements[0]).key_mul
+        )
         vectors = [syz.column(j) for j in range(syz.source.rank)]
         # drop pair columns made redundant by another column's lead, exactly
         # like the hand calculation strikes rows that are combinations of the

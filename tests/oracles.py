@@ -1,11 +1,23 @@
 """Reference constructions that only the tests use.
 
-The toric kernel by elimination is the textbook algorithm; the program
-computes the kernel by lattice saturation instead, and the tests require the
-two reduced bases to agree.
+The program computes the toric kernel by lattice saturation on binomials
+stored as exponent pairs.  Two references compute the same reduced basis
+another way, and the tests require them to agree with it:
+
+* ``toric_kernel_elimination``, the textbook algorithm, on the reduced
+  elements;
+* ``toric_kernel_saturation``, the same saturations run through generic
+  ``Poly`` arithmetic and ``reduce_basis``, on the reduced elements and on
+  every record of the completion transcript.
 """
 
-from monocurve.groebner import GroebnerBasis, _default_names, buchberger, reduce_basis
+from monocurve.groebner import (
+    GroebnerBasis,
+    _default_names,
+    _kernel_lattice_basis,
+    buchberger,
+    reduce_basis,
+)
 from monocurve.poly import Poly, Ring
 
 
@@ -69,3 +81,59 @@ def toric_kernel_elimination(weights, names=None):
     # under the restricted order, which is exactly the ring's grevlex
     reduced = reduce_basis(GroebnerBasis(tfree, ring.order()))
     return ring, reduced
+
+
+def _strip_variable(p: Poly, index: int) -> Poly:
+    low = min(m[index] for m in p.terms)
+    if low == 0:
+        return p
+    terms = {}
+    for mono, c in p.terms.items():
+        m = list(mono)
+        m[index] -= low
+        terms[tuple(m)] = c
+    return Poly(p.ring, terms)
+
+
+def toric_kernel_saturation(weights, names=None):
+    """Kernel of k[names] -> k[t], x_i -> t^{w_i}, by lattice saturation in
+    generic polynomial arithmetic.
+
+    The same saturations as ``toric_kernel_generic``: for each variable,
+    complete under grevlex with that variable cheapest (the ring permuted to
+    put it first) and divide each element by the variable's common power;
+    then complete under the ring's order and reduce.
+
+    Returns (ring, gb) like ``toric_kernel_generic``.
+    """
+    weights = tuple(int(w) for w in weights)
+    if names is None:
+        names = _default_names(len(weights))
+    ring = Ring(tuple(names), weights)
+    gens = []
+    for vec in _kernel_lattice_basis(weights):
+        plus = tuple(max(e, 0) for e in vec)
+        minus = tuple(max(-e, 0) for e in vec)
+        gens.append(ring.monomial(plus) - ring.monomial(minus))
+    for i in range(ring.nvars):
+        perm = (i,) + tuple(j for j in range(ring.nvars) if j != i)
+        sat_ring = Ring(
+            tuple(ring.names[j] for j in perm), tuple(ring.weights[j] for j in perm)
+        )
+        moved = [
+            Poly(sat_ring, {tuple(m[j] for j in perm): c for m, c in p.terms.items()})
+            for p in gens
+        ]
+        completed = buchberger(moved, sat_ring.order(), record=False)
+        gens = []
+        for p in completed.elements:
+            stripped = _strip_variable(p, 0)
+            back = {}
+            for mono, c in stripped.terms.items():
+                orig = [0] * ring.nvars
+                for k, j in enumerate(perm):
+                    orig[j] = mono[k]
+                back[tuple(orig)] = c
+            gens.append(Poly(ring, back))
+    completed = buchberger(gens, ring.order(), record=False)
+    return ring, reduce_basis(completed)

@@ -1,13 +1,14 @@
 """Command-line behavior: exit codes, JSON schema, determinism, negatives."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from monocurve import cli
-from monocurve.analysis import _case_sort_key, analyze_sequence
+from monocurve import analysis, cli
+from monocurve.analysis import _case_sort_key, analyze_sequence, census_digest, sweep, sweep_lines
 from monocurve.groebner import toric_kernel
 from monocurve.resolution import build_resolution, minimalize
 from monocurve.semigroup import validate_sequence
@@ -158,6 +159,50 @@ def test_sweep_empty_box(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     assert cli.main(["sweep", "--max-m2", "4", "--max-n", "1", "--out", str(empty)]) == 0
     assert empty.read_text() == ""
+
+
+def test_sweep_progress_on_stderr(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL", 0.0)
+    assert cli.main(["sweep", "--max-m2", "12", "--max-n", "12"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == sweep_lines(sweep(12, 12))
+    lines = captured.err.splitlines()
+    # every report but the first (no rate yet) and the last (final line)
+    assert len(lines) == 42
+    for done, line in enumerate(lines[:-1], 2):
+        assert re.fullmatch(r"sweep %d/43 tuples, \d+ s elapsed, ETA \d+ s" % done, line)
+    assert re.fullmatch(r"sweep 43/43 tuples done in \d+ s", lines[-1])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_survives_internal_error(threads, sweep_file, monkeypatch, capsys):
+    real = analysis.analyze_sequence
+
+    def flaky(*seq, **kwargs):
+        if seq == (5, 7, 9, 11):
+            raise RuntimeError("boom")
+        return real(*seq, **kwargs)
+
+    monkeypatch.setattr(analysis, "analyze_sequence", flaky)
+    code = cli.main(["sweep", "--max-m2", "12", "--max-n", "12", "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "1 of 43 records failed verification" in captured.err
+    clean = sweep_file.read_text().splitlines()
+    got = captured.out.splitlines()
+    assert len(got) == len(clean) == 43
+    [bad] = [k for k, line in enumerate(got) if line != clean[k]]
+    record = json.loads(got[bad])
+    assert record["seq"] == [5, 7, 9, 11]
+    assert record["valid"] and record["betti_computed"] is None
+    [disc] = record["discrepancies"]
+    assert disc["kind"] == "internal_error"
+    assert disc["reason"] == "RuntimeError: boom"
+    assert disc["where"].startswith("test_cli.py:")
+    assert disc["certified"] is False
+    digest = census_digest(json.loads(line) for line in got)
+    assert digest["discrepancy_kinds"]["internal_error"] == 1
+    assert digest["total"] == 43 and not digest["foreign"]
 
 
 def test_sweep_unwritable_path(capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from monocurve.groebner import (
     GroebnerBasis,
@@ -16,9 +18,9 @@ from monocurve.groebner import (
     vanishes_under_substitution,
 )
 from monocurve.poly import PositionOverTerm, Ring, Vect, is_homogeneous, parse
-from monocurve.semigroup import validate_sequence
+from monocurve.semigroup import ValidationError, validate_sequence
 
-from oracles import toric_kernel_elimination
+from oracles import toric_kernel_elimination, toric_kernel_saturation
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 
@@ -226,3 +228,38 @@ def test_elimination_and_lattice_kernels_agree(weights):
     assert ring_e.names == ring_l.names and ring_e.weights == ring_l.weights
     as_terms = lambda gb: [sorted(p.terms.items()) for p in gb.elements]
     assert as_terms(gb_e) == as_terms(gb_l)
+
+
+# the binomial kernel against the same saturations in generic arithmetic: a
+# reduced basis is unique, so elements and transcripts must match exactly
+
+ARITHMETIC_WEIGHTS = st.one_of(
+    # the box-60 family: m2 <= 60, n <= 60
+    st.tuples(st.integers(1, 58), st.integers(1, 29), st.integers(1, 60)).filter(
+        lambda t: t[0] + 2 * t[1] <= 60
+    ),
+    # beyond it
+    st.tuples(st.integers(61, 200), st.integers(1, 20), st.integers(1, 300)),
+).map(lambda t: (t[0], t[0] + t[1], t[0] + 2 * t[1], t[2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ARITHMETIC_WEIGHTS)
+@example((1, 2))
+@example((3, 4, 5))
+@example((5, 6, 7))
+@example((5, 7, 9, 11))
+def test_binomial_kernel_matches_poly_saturation(weights):
+    if len(weights) == 4:
+        try:
+            validate_sequence(*weights)
+        except ValidationError:
+            assume(False)
+    ring, gb = toric_kernel_generic(weights)
+    ring_o, gb_o = toric_kernel_saturation(weights)
+    assert ring == ring_o
+    assert gb.elements == gb_o.elements
+    records = lambda gb: [
+        (r.i, r.j, r.cofactor_i, r.cofactor_j, r.quotients, r.koszul) for r in gb.transcript
+    ]
+    assert records(gb) == records(gb_o)

@@ -213,7 +213,7 @@ def test_mono_lcm():
 
 def test_schreyer_order_uses_parent_leads():
     # leads X1^2 and X2^3: compare e_0, e_1 through their images
-    order = SchreyerOrder(R4.order(), [(0, 2, 0, 0), (0, 0, 3, 0)])
+    order = SchreyerOrder(R4.order(), [(0, 2, 0, 0), (0, 0, 3, 0)], Poly.key_mul)
     e0 = (0, (0, 0, 0, 0))
     e1 = (1, (0, 0, 0, 0))
     # images have degrees 14 and 27

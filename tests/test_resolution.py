@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monocurve.groebner import buchberger, is_groebner, toric_kernel
-from monocurve.poly import Ring, SchreyerOrder, Vect, parse
+from monocurve.poly import Poly, Ring, SchreyerOrder, Vect, parse
 from monocurve.resolution import (
     AddMultiple,
     BettiTable,
@@ -103,7 +103,7 @@ def test_columns_annihilated_and_groebner():
         [list(gb.elements)],
     )
     assert compose_zero(row, syz)
-    induced = SchreyerOrder(gb.order, _leads_for_schreyer(gb))
+    induced = SchreyerOrder(gb.order, _leads_for_schreyer(gb), Poly.key_mul)
     columns = [syz.column(j) for j in range(syz.source.rank)]
     assert is_groebner(columns, induced)
 
