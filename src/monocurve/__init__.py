@@ -44,7 +44,6 @@ from monocurve.resolution import (
     betti_table,
     build_resolution,
     hilbert_numerator,
-    hilbert_series_truncation,
     minimalize,
     schreyer_syzygies,
 )
@@ -54,8 +53,8 @@ from monocurve.semigroup import (
     ValidationError,
     apery_set,
     frobenius,
-    gamma_series_truncation,
     min_multiple_in,
+    series_numerator,
     validate_sequence,
 )
 
@@ -93,16 +92,15 @@ __all__ = [
     "enumerate_box",
     "extract_parameters",
     "frobenius",
-    "gamma_series_truncation",
     "graded_shifts",
     "hilbert_numerator",
-    "hilbert_series_truncation",
     "is_groebner",
     "minimalize",
     "min_multiple_in",
     "parse",
     "render",
     "schreyer_syzygies",
+    "series_numerator",
     "sweep",
     "toric_kernel",
     "validate_sequence",

@@ -35,7 +35,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .closedform import (
     CaseUnmatched,
@@ -44,7 +44,6 @@ from .closedform import (
     canonical_generators,
     case_id,
     closed_form_resolution,
-    curve_ring,
     extract_parameters,
     graded_shifts,
 )
@@ -55,10 +54,9 @@ from .resolution import (
     betti_table,
     build_resolution,
     hilbert_numerator,
-    hilbert_series_truncation,
     minimalize,
 )
-from .semigroup import ValidationError, gamma_series_truncation, validate_sequence
+from .semigroup import ValidationError, series_numerator, validate_sequence
 
 #: every minimal Betti triple the case table can produce
 ALLOWED_TRIPLES = frozenset(
@@ -78,8 +76,6 @@ def _case_sort_key(label: str) -> tuple:
     except ValueError:
         return (1, label)
 
-DEFAULT_TRUNCATE = 200
-
 VERIFY_LEVELS = ("fast", "full")
 
 
@@ -87,9 +83,8 @@ VERIFY_LEVELS = ("fast", "full")
 class AnalysisReport:
     """Everything one tuple's verification produced, JSON-shaped.
 
-    ``timings`` maps pipeline stages to seconds and stays out of the
-    serialized record; ``ms_elapsed`` is the wall-clock total, dropped from
-    sweep files so reruns are byte-identical.
+    ``ms_elapsed`` is the wall-clock total, dropped from sweep files so
+    reruns are byte-identical.
     """
 
     seq: tuple
@@ -103,7 +98,6 @@ class AnalysisReport:
     flags: dict
     discrepancies: list
     ms_elapsed: int | None
-    timings: dict = field(default_factory=dict)
 
     def all_verified(self) -> bool:
         """No flag explicitly false and every discrepancy certified.
@@ -139,7 +133,6 @@ def analyze_sequence(
     m2: int,
     n: int,
     verify_level: str = "full",
-    truncate: int = DEFAULT_TRUNCATE,
 ) -> AnalysisReport:
     """Run the whole pipeline on one sequence and report every outcome.
 
@@ -154,7 +147,6 @@ def analyze_sequence(
     seq = (m0, m1, m2, n)
     flags: dict = {}
     discrepancies: list = []
-    timings: dict = {}
 
     try:
         spec = validate_sequence(m0, m1, m2, n)
@@ -175,20 +167,16 @@ def analyze_sequence(
             ms_elapsed=round(1000 * (time.perf_counter() - started)),
         )
 
-    # census stage: the part every swept tuple must pay -- kernel,
-    # minimal resolution, Betti numbers, series identity
-    stage = time.perf_counter()
+    # the part every swept tuple must pay: kernel, minimal resolution,
+    # Betti numbers, and the series identity as one exact polynomial equation
     kernel = toric_kernel(spec)
     resolution = minimalize(build_resolution(kernel.reduced_gb))
     table = betti_table(resolution)
     betti_computed = table.totals()
     numerator = hilbert_numerator(resolution)
     graded = [(i, d, c) for (i, d), c in sorted(table.counts().items())]
-    series = hilbert_series_truncation(numerator, spec.weights, truncate)
-    flags["hilbert_ok"] = series == gamma_series_truncation(spec.semigroup(), truncate)
-    timings["census"] = time.perf_counter() - stage
+    flags["hilbert_ok"] = numerator == series_numerator(spec.weights)
 
-    stage = time.perf_counter()
     # validate() checks composition before minimality, so one pass sets both
     try:
         resolution.validate()
@@ -234,7 +222,8 @@ def analyze_sequence(
     if params is not None and case is not None:
         case_label = case.label
         betti_lookup = case.betti
-        flags["gb_ok"] = is_groebner(canonical_generators(params, spec), curve_ring(spec).order())
+        gens = canonical_generators(params, spec)
+        flags["gb_ok"] = is_groebner(gens, gens[0].ring.order())
         if betti_lookup != betti_computed:
             discrepancies.append(
                 {
@@ -266,7 +255,7 @@ def analyze_sequence(
         if verify_level == "full":
             agreement = True
             try:
-                closed = closed_form_resolution(params, spec)
+                closed = closed_form_resolution(params, gens)
                 closed.validate()
             except Exception as exc:  # any instantiation failure is a finding
                 agreement = False
@@ -291,7 +280,6 @@ def analyze_sequence(
                 )
         else:
             flags["closed_form_agrees"] = None
-    timings["verify"] = time.perf_counter() - stage
 
     return AnalysisReport(
         seq=seq,
@@ -305,7 +293,6 @@ def analyze_sequence(
         flags=flags,
         discrepancies=discrepancies,
         ms_elapsed=round(1000 * (time.perf_counter() - started)),
-        timings=timings,
     )
 
 
@@ -323,9 +310,9 @@ def enumerate_box(max_m2: int, max_n: int):
 
 
 def _sweep_one(job) -> AnalysisReport:
-    seq, verify_level, truncate = job
+    seq, verify_level = job
     try:
-        return analyze_sequence(*seq, verify_level=verify_level, truncate=truncate)
+        return analyze_sequence(*seq, verify_level=verify_level)
     except Exception as exc:  # one bad tuple must not sink the sweep
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return AnalysisReport(
@@ -351,12 +338,7 @@ def _sweep_one(job) -> AnalysisReport:
         )
 
 
-def sweep_specs(
-    specs,
-    verify_level: str = "full",
-    threads: int = 1,
-    truncate: int = DEFAULT_TRUNCATE,
-):
+def sweep_specs(specs, verify_level: str = "full", threads: int = 1):
     """Yield the report of each validated sequence in ``specs``, in order, as
     soon as it and every earlier one are done.
 
@@ -364,7 +346,7 @@ def sweep_specs(
     record instead.  Thread count only distributes the per-tuple work; the
     reports are identical for every value.
     """
-    jobs = [(spec.weights, verify_level, truncate) for spec in specs]
+    jobs = [(spec.weights, verify_level) for spec in specs]
     if threads <= 1:
         yield from map(_sweep_one, jobs)
         return
@@ -375,15 +357,9 @@ def sweep_specs(
         yield from pool.map(_sweep_one, jobs, chunksize=chunk)
 
 
-def sweep(
-    max_m2: int,
-    max_n: int,
-    verify_level: str = "full",
-    threads: int = 1,
-    truncate: int = DEFAULT_TRUNCATE,
-) -> list:
+def sweep(max_m2: int, max_n: int, verify_level: str = "full", threads: int = 1) -> list:
     """Analyze every valid tuple in the box, in enumeration order."""
-    return list(sweep_specs(enumerate_box(max_m2, max_n), verify_level, threads, truncate))
+    return list(sweep_specs(enumerate_box(max_m2, max_n), verify_level, threads))
 
 
 def sweep_lines(reports) -> str:

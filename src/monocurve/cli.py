@@ -15,7 +15,6 @@ import sys
 import time
 
 from .analysis import (
-    DEFAULT_TRUNCATE,
     analyze_sequence,
     census_digest,
     enumerate_box,
@@ -26,19 +25,15 @@ from .closedform import (
     CaseUnmatched,
     DegreeImbalance,
     TemplateMismatch,
+    canonical_generators,
     case_id,
     closed_form_resolution,
     extract_parameters,
 )
 from .groebner import toric_kernel
 from .poly import render
-from .resolution import (
-    build_resolution,
-    hilbert_numerator,
-    hilbert_series_truncation,
-    minimalize,
-)
-from .semigroup import ValidationError, gamma_series_truncation, validate_sequence
+from .resolution import build_resolution, hilbert_numerator, minimalize
+from .semigroup import ValidationError, series_numerator, validate_sequence
 
 #: least seconds between two sweep progress lines on stderr
 PROGRESS_INTERVAL = 1.0
@@ -53,11 +48,6 @@ def _parse_seq(text: str) -> tuple:
     if len(parts) != 4:
         raise ValueError("expected four comma-separated integers, got %r" % text)
     return tuple(int(p.strip()) for p in parts)
-
-
-def _check_truncate(truncate: int) -> None:
-    if truncate < 0:
-        raise ValueError("--truncate must be nonnegative, got %d" % truncate)
 
 
 def _numerator_text(numerator: dict) -> str:
@@ -103,13 +93,10 @@ def _print_report(report, stream) -> None:
 def cmd_analyze(args) -> int:
     try:
         seq = _parse_seq(args.seq)
-        _check_truncate(args.truncate)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    report = analyze_sequence(
-        *seq, verify_level=args.verify_level, truncate=args.truncate
-    )
+    report = analyze_sequence(*seq, verify_level=args.verify_level)
     if args.json:
         print(json.dumps(report.to_json()))
     elif not report.valid:
@@ -154,16 +141,9 @@ def _with_progress(reports, total: int, stream) -> list:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        _check_truncate(args.truncate)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     specs = list(enumerate_box(args.max_m2, args.max_n))
     reports = _with_progress(
-        sweep_specs(
-            specs, verify_level=args.verify_level, threads=args.threads, truncate=args.truncate
-        ),
+        sweep_specs(specs, verify_level=args.verify_level, threads=args.threads),
         len(specs),
         sys.stderr,
     )
@@ -223,7 +203,6 @@ def cmd_hilbert(args) -> int:
     try:
         seq = _parse_seq(args.seq)
         spec = validate_sequence(*seq)
-        _check_truncate(args.truncate)
     except (ValueError, ValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -231,14 +210,16 @@ def cmd_hilbert(args) -> int:
     resolution = _resolve(kernel)
     numerator = hilbert_numerator(resolution)
     print("K(z) = %s" % _numerator_text(numerator))
-    lhs = hilbert_series_truncation(numerator, spec.weights, args.truncate)
-    rhs = gamma_series_truncation(spec.semigroup(), args.truncate)
-    if lhs == rhs:
-        print("PASS: series agree through degree %d" % args.truncate)
+    expected = series_numerator(spec.weights)
+    if numerator == expected:
+        print("PASS: K(z) = Gamma(z) * prod (1 - z^w) exactly")
         return 0
-    first = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    first = min(
+        d for d in numerator.keys() | expected.keys() if numerator.get(d, 0) != expected.get(d, 0)
+    )
     print(
-        "FAIL: first difference at degree %d (%d vs %d)" % (first, lhs[first], rhs[first])
+        "FAIL: first difference at degree %d (%d vs %d)"
+        % (first, numerator.get(first, 0), expected.get(first, 0))
     )
     return 2
 
@@ -274,7 +255,7 @@ def cmd_matrices(args) -> int:
     _print_maps("generic", generic, sys.stdout)
     try:
         params = extract_parameters(kernel)
-        closed = closed_form_resolution(params, spec)
+        closed = closed_form_resolution(params, canonical_generators(params, spec))
     except (TemplateMismatch, DegreeImbalance, CaseUnmatched) as exc:
         print("no closed form for this tuple: %s" % exc)
         return 0
@@ -303,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--verify-level", choices=("fast", "full"), default="full", dest="verify_level"
     )
-    analyze.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE)
     analyze.set_defaults(func=cmd_analyze)
 
     swp = sub.add_parser("sweep", help="analyze every valid tuple in a box")
@@ -314,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--verify-level", choices=("fast", "full"), default="full", dest="verify_level"
     )
-    swp.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE)
     swp.set_defaults(func=cmd_sweep)
 
     census = sub.add_parser("census", help="digest a sweep file")
@@ -324,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     hilbert = sub.add_parser("hilbert", help="series identity for one sequence")
     hilbert.add_argument("--seq", required=True)
-    hilbert.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE)
     hilbert.set_defaults(func=cmd_hilbert)
 
     matrices = sub.add_parser("matrices", help="print both matrix sets")

@@ -666,15 +666,15 @@ def _assemble(ring, gens, b_cols, c_cols) -> FreeResolution:
     return FreeResolution(maps=(head, first, second))
 
 
-def closed_form_base(params: CaseParameters, spec: SequenceSpec) -> FreeResolution:
+def closed_form_base(params: CaseParameters, gens: list) -> FreeResolution:
     """The template resolution before any trimming.
 
-    Instantiates the family shape's generator row and both syzygy matrices
-    with the parameters substituted.  Degenerate parameter values leave
+    Instantiates the family shape's syzygy matrices with the parameters
+    substituted, over ``gens``, the generator row ``canonical_generators``
+    built from the same parameters.  Degenerate parameter values leave
     constant entries, so the output is in general non-minimal; its
     minimalization has closed-form entries throughout.
     """
-    gens = canonical_generators(params, spec)
     ring = gens[0].ring
     a, b = params.plain_offset, params.cross_offset
     if params.has_cross:
@@ -696,12 +696,13 @@ def closed_form_base(params: CaseParameters, spec: SequenceSpec) -> FreeResoluti
     return _assemble(ring, gens, b_cols, c_cols)
 
 
-def closed_form_resolution(params: CaseParameters, spec: SequenceSpec) -> FreeResolution:
+def closed_form_resolution(params: CaseParameters, gens: list) -> FreeResolution:
     """Minimal resolution with closed-form entries.
 
-    The base complex trimmed by the elementary-operation calculus; the
+    The base complex over ``gens`` (``canonical_generators`` of the same
+    parameters) trimmed by the elementary-operation calculus; the
     surviving ranks equal the case table's triple.  Raises CaseUnmatched for
     parameters no table row covers.
     """
     case_id(params)
-    return minimalize(closed_form_base(params, spec))
+    return minimalize(closed_form_base(params, gens))

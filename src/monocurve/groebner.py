@@ -65,7 +65,7 @@ class GroebnerBasis:
         return True
 
 
-def buchberger(gens, order, record: bool = True) -> GroebnerBasis:
+def buchberger(gens, order) -> GroebnerBasis:
     """Complete gens to a Gröbner basis; the input is kept as a prefix.
 
     Pairs are processed smallest lcm first in the order, which fixes the
@@ -96,28 +96,27 @@ def buchberger(gens, order, record: bool = True) -> GroebnerBasis:
         (key_i, ci), (key_j, cj) = leads[i], leads[j]
         if kind.key_coprime(key_i, key_j):
             # product criterion: reduction certified without division
-            if record:
-                scale = coeff_div(1, ci * cj)
-                tail_i = gi - Poly(gi.ring, {key_i: ci})
-                tail_j = gj - Poly(gj.ring, {key_j: cj})
-                quots = {}
-                hi = tail_j * (-scale)
-                hj = tail_i * scale
-                if not hi.is_zero:
-                    quots[i] = hi
-                if not hj.is_zero:
-                    quots[j] = hj
-                lcm = kind.key_lcm(key_i, key_j)
-                transcript.append(
-                    PairRecord(
-                        i,
-                        j,
-                        gi.ring.monomial(kind.key_div(lcm, key_i), coeff_div(1, ci)),
-                        gi.ring.monomial(kind.key_div(lcm, key_j), coeff_div(1, cj)),
-                        quots,
-                        koszul=True,
-                    )
+            scale = coeff_div(1, ci * cj)
+            tail_i = gi - Poly(gi.ring, {key_i: ci})
+            tail_j = gj - Poly(gj.ring, {key_j: cj})
+            quots = {}
+            hi = tail_j * (-scale)
+            hj = tail_i * scale
+            if not hi.is_zero:
+                quots[i] = hi
+            if not hj.is_zero:
+                quots[j] = hj
+            lcm = kind.key_lcm(key_i, key_j)
+            transcript.append(
+                PairRecord(
+                    i,
+                    j,
+                    gi.ring.monomial(kind.key_div(lcm, key_i), coeff_div(1, ci)),
+                    gi.ring.monomial(kind.key_div(lcm, key_j), coeff_div(1, cj)),
+                    quots,
+                    koszul=True,
                 )
+            )
             continue
         spoly, cof_i, cof_j = s_polynomial(gi, gj, order)
         quotients, remainder = divide(spoly, elements, order)
@@ -128,8 +127,7 @@ def buchberger(gens, order, record: bool = True) -> GroebnerBasis:
             leads.append(remainder.lead(order))
             quots[t] = elements[0].ring.one()
             push_pairs(t)
-        if record:
-            transcript.append(PairRecord(i, j, cof_i, cof_j, quots))
+        transcript.append(PairRecord(i, j, cof_i, cof_j, quots))
     return GroebnerBasis(elements, order, transcript)
 
 
@@ -157,25 +155,6 @@ def lead_minimal(elements, order) -> list:
         if not any(divides(leads[o], leads[k]) for o in kept):
             kept.append(k)
     return kept
-
-
-def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
-    """Reduced Gröbner basis: monic leads, fully tail-reduced, sorted by
-    ascending leading monomial.  Unique for the given order."""
-    order = gb.order
-    kept = [gb.elements[k] for k in lead_minimal(gb.elements, order)]
-    reduced = []
-    for idx, g in enumerate(kept):
-        others = [h for k, h in enumerate(kept) if k != idx]
-        if others:
-            _, g = divide(g, others, order)
-        _, coeff = g.lead(order)
-        reduced.append(g * coeff_div(1, coeff))
-    reduced.sort(key=lambda g: order.key(g.lead(order)[0]))
-    completed = buchberger(reduced, order)
-    if len(completed.elements) != len(reduced):  # pragma: no cover - safety net
-        raise AssertionError("reduce_basis input was not a Gröbner basis")
-    return completed
 
 
 def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:

@@ -203,7 +203,7 @@ def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
     """
     ring = gb.elements[0].ring
     if not gb.transcript and _pairs_exist(gb):
-        raise TranscriptIncomplete("run buchberger with record=True")
+        raise TranscriptIncomplete("S-pairs exist but the basis has no transcript records")
     degrees = _element_degrees(gb, twists)
     target = GradedFreeModule(ring, tuple(degrees))
     t = len(gb.elements)
@@ -537,15 +537,3 @@ def hilbert_numerator(res: FreeResolution) -> dict:
         for d in module.twists:
             coeffs[d] = coeffs.get(d, 0) + sign
     return {d: c for d, c in coeffs.items() if c}
-
-
-def hilbert_series_truncation(numerator: dict, weights, degree: int) -> list:
-    """Coefficients 0..degree of numerator / Π_w (1 - z^w), exact integers."""
-    coeffs = [0] * (degree + 1)
-    for d, c in numerator.items():
-        if 0 <= d <= degree:
-            coeffs[d] = c
-    for w in weights:
-        for i in range(w, degree + 1):
-            coeffs[i] += coeffs[i - w]
-    return coeffs

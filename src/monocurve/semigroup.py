@@ -4,11 +4,14 @@ A sequence (m0, m1, m2, n) is accepted when m0 < m1 < m2 is arithmetic, the
 four numbers are coprime as a whole, and each generator is genuinely needed.
 The semigroup Gamma = <m0, m1, m2, n> supplies the grading used by every
 other module; membership queries are answered by a small dynamic-programming
-table that is exact for all inputs.
+table that is exact for all inputs.  Apery sets, found by shortest paths
+over the residues, give the Frobenius number and the exact numerator of the
+semigroup's generating series.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -25,7 +28,7 @@ class GcdNotOne(ValidationError):
     """The generators have a common factor, so the semigroup has gaps forever."""
 
 
-class NotMinimal(ValidationError):
+class RedundantGenerator(ValidationError):
     """One generator already lies in the semigroup spanned by the others."""
 
     def __init__(self, which: str, message: str | None = None):
@@ -89,20 +92,27 @@ class SubSemigroup:
 def apery_set(semigroup: SubSemigroup, m: int) -> set[int]:
     """Smallest semigroup element in each residue class modulo m.
 
-    Defined only when the semigroup eventually meets every residue class,
-    i.e. when its generators are coprime as a whole.
+    Shortest paths over the residues mod m, one edge per generator.  Defined
+    only when the semigroup eventually meets every residue class, i.e. when
+    its generators are coprime as a whole.
     """
     if semigroup.gcd != 1:
         raise GcdNotOne("apery set undefined: generators share a common factor")
     if m <= 0 or not semigroup.contains(m):
         raise ValueError("apery base must be a positive element of the semigroup")
-    result = set()
-    for residue in range(m):
-        s = residue
-        while not semigroup.contains(s):
-            s += m
-        result.add(s)
-    return result
+    least = [0] + [None] * (m - 1)
+    heap = [(0, 0)]
+    while heap:
+        s, r = heapq.heappop(heap)
+        if s > least[r]:
+            continue
+        for g in semigroup.generators:
+            t = s + g
+            q = t % m
+            if least[q] is None or t < least[q]:
+                least[q] = t
+                heapq.heappush(heap, (t, q))
+    return set(least)
 
 
 def frobenius(semigroup: SubSemigroup) -> int:
@@ -123,11 +133,26 @@ def min_multiple_in(x: int, semigroup: SubSemigroup) -> int:
     return v
 
 
-def gamma_series_truncation(semigroup: SubSemigroup, degree: int) -> list[int]:
-    """Coefficients 0..degree of the indicator power series sum_{s in S} z^s."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return [1 if semigroup.contains(s) else 0 for s in range(degree + 1)]
+def series_numerator(weights) -> dict:
+    """Gamma(z) * prod_w (1 - z^w) as {degree: coefficient}, zeros dropped,
+    where Gamma(z) = sum_{s in Gamma} z^s for the semigroup the weights
+    generate (coprime as a whole).
+
+    With m the least weight, Gamma(z) * (1 - z^m) is the Apery polynomial
+    sum_{a in Ap(Gamma, m)} z^a, so the product is a polynomial, computed
+    exactly.
+    """
+    semigroup = SubSemigroup(weights)
+    m = semigroup.generators[0]
+    rest = list(weights)
+    rest.remove(m)
+    coeffs = dict.fromkeys(apery_set(semigroup, m), 1)
+    for w in rest:
+        product = dict(coeffs)
+        for d, c in coeffs.items():
+            product[d + w] = product.get(d + w, 0) - c
+        coeffs = product
+    return {d: c for d, c in coeffs.items() if c}
 
 
 @dataclass(frozen=True)
@@ -163,7 +188,7 @@ class SequenceSpec:
 def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
     """Check a candidate sequence and return its SequenceSpec.
 
-    Raises NotArithmetic, GcdNotOne or NotMinimal (in that order of
+    Raises NotArithmetic, GcdNotOne or RedundantGenerator (in that order of
     precedence; minimality is checked for n first, then m0, m1, m2).
     """
     values = (m0, m1, m2, n)
@@ -179,5 +204,5 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
     for name, index in order:
         rest = values[:index] + values[index + 1 :]
         if SubSemigroup(rest).contains(values[index]):
-            raise NotMinimal(name)
+            raise RedundantGenerator(name)
     return SequenceSpec(m0, m1, m2, n)

@@ -1,5 +1,16 @@
 """Reference constructions that only the tests use.
 
+The program checks the Hilbert identity as one exact polynomial equation
+built from the Apéry set, which it finds by shortest paths.  The references
+for that:
+
+* ``gamma_series_truncation`` and ``hilbert_series_truncation``, the two
+  sides of the identity as power series cut at a given degree;
+* ``apery_set_walk``, the Apéry set by walking each residue class upward
+  with membership queries.
+
+``reduce_basis`` makes a completed basis reduced by generic division.
+
 The program computes the toric kernel by lattice saturation on binomials
 stored as exponent pairs.  Two references compute the same reduced basis
 another way, and the tests require them to agree with it:
@@ -16,9 +27,60 @@ from monocurve.groebner import (
     _default_names,
     _kernel_lattice_basis,
     buchberger,
-    reduce_basis,
+    lead_minimal,
 )
-from monocurve.poly import Poly, Ring
+from monocurve.poly import Poly, Ring, coeff_div, divide
+from monocurve.semigroup import SubSemigroup
+
+
+def gamma_series_truncation(semigroup: SubSemigroup, degree: int) -> list:
+    """Coefficients 0..degree of the indicator power series sum_{s in S} z^s."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    return [1 if semigroup.contains(s) else 0 for s in range(degree + 1)]
+
+
+def hilbert_series_truncation(numerator: dict, weights, degree: int) -> list:
+    """Coefficients 0..degree of numerator / Π_w (1 - z^w), exact integers."""
+    coeffs = [0] * (degree + 1)
+    for d, c in numerator.items():
+        if 0 <= d <= degree:
+            coeffs[d] = c
+    for w in weights:
+        for i in range(w, degree + 1):
+            coeffs[i] += coeffs[i - w]
+    return coeffs
+
+
+def apery_set_walk(semigroup: SubSemigroup, m: int) -> set:
+    """Smallest element of each residue class mod m, found by stepping
+    r, r + m, r + 2m, ... until the semigroup contains it."""
+    result = set()
+    for residue in range(m):
+        s = residue
+        while not semigroup.contains(s):
+            s += m
+        result.add(s)
+    return result
+
+
+def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
+    """Reduced Gröbner basis: monic leads, fully tail-reduced, sorted by
+    ascending leading monomial.  Unique for the given order."""
+    order = gb.order
+    kept = [gb.elements[k] for k in lead_minimal(gb.elements, order)]
+    reduced = []
+    for idx, g in enumerate(kept):
+        others = [h for k, h in enumerate(kept) if k != idx]
+        if others:
+            _, g = divide(g, others, order)
+        _, coeff = g.lead(order)
+        reduced.append(g * coeff_div(1, coeff))
+    reduced.sort(key=lambda g: order.key(g.lead(order)[0]))
+    completed = buchberger(reduced, order)
+    if len(completed.elements) != len(reduced):
+        raise AssertionError("reduce_basis input was not a Gröbner basis")
+    return completed
 
 
 def extended(ring: Ring, name: str = "T", weight: int = 1) -> Ring:
@@ -72,7 +134,7 @@ def toric_kernel_elimination(weights, names=None):
         tpow = [0] * ext.nvars
         tpow[-1] = w
         gens.append(Poly(ext, {tuple(mono): 1, tuple(tpow): -1}))
-    gb = buchberger(gens, EliminationOrder(ext), record=False)
+    gb = buchberger(gens, EliminationOrder(ext))
     tfree = []
     for p in gb.elements:
         if all(m[-1] == 0 for m in p.terms):
@@ -124,7 +186,7 @@ def toric_kernel_saturation(weights, names=None):
             Poly(sat_ring, {tuple(m[j] for j in perm): c for m, c in p.terms.items()})
             for p in gens
         ]
-        completed = buchberger(moved, sat_ring.order(), record=False)
+        completed = buchberger(moved, sat_ring.order())
         gens = []
         for p in completed.elements:
             stripped = _strip_variable(p, 0)
@@ -135,5 +197,5 @@ def toric_kernel_saturation(weights, names=None):
                     orig[j] = mono[k]
                 back[tuple(orig)] = c
             gens.append(Poly(ring, back))
-    completed = buchberger(gens, ring.order(), record=False)
+    completed = buchberger(gens, ring.order())
     return ring, reduce_basis(completed)

@@ -28,11 +28,12 @@ from monocurve.poly import parse, render
 from monocurve.resolution import (
     build_resolution,
     hilbert_numerator,
-    hilbert_series_truncation,
     minimalize,
     schreyer_syzygies,
 )
-from monocurve.semigroup import SubSemigroup, frobenius, gamma_series_truncation, validate_sequence
+from monocurve.semigroup import SubSemigroup, frobenius, validate_sequence
+
+from oracles import gamma_series_truncation, hilbert_series_truncation
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -62,13 +63,15 @@ def box_reports():
 def test_criterion_01_betti_census(box_reports):
     triples = {tuple(r.betti_computed) for r in box_reports}
     stray = triples - ALLOWED_TRIPLES
-    census_seconds = sum(r.timings.get("census", 0.0) for r in box_reports)
-    ok = len(box_reports) == 25364 and not stray and census_seconds <= 600.0
+    # every stage of every tuple counts against the budget, the census stage
+    # (kernel, resolution, Betti numbers, series identity) included
+    analysis_seconds = sum(r.ms_elapsed for r in box_reports) / 1000.0
+    ok = len(box_reports) == 25364 and not stray and analysis_seconds <= 600.0
     _verdict(
         1,
         ok,
-        "%d tuples, %d distinct triples, stray=%s, census stage %.0f s (budget 600 s)"
-        % (len(box_reports), len(triples), sorted(stray), census_seconds),
+        "%d tuples, %d distinct triples, stray=%s, analysis %.0f s (budget 600 s)"
+        % (len(box_reports), len(triples), sorted(stray), analysis_seconds),
     )
 
 
@@ -294,7 +297,7 @@ def test_criterion_05_degenerate_entries_minimalize_away():
     ]:
         spec = validate_sequence(*seq)
         params = extract_parameters(toric_kernel(spec))
-        base = closed_form_base(params, spec)
+        base = closed_form_base(params, canonical_generators(params, spec))
         trimmed = minimalize(base)
         good = base.ranks == before and trimmed.ranks == after
         ok = ok and good

@@ -1,5 +1,6 @@
-"""How analyze_sequence maps the one FreeResolution.validate() pass onto the
-compose_ok and minimal_ok flags."""
+"""How analyze_sequence sets its flags: the one FreeResolution.validate()
+pass onto compose_ok and minimal_ok, and the exact series identity onto
+hilbert_ok."""
 
 from monocurve import analysis
 from monocurve.resolution import FreeResolution, GradedMap, _find_constant_entry, minimalize
@@ -33,3 +34,27 @@ def test_broken_composition_fails_both(monkeypatch):
         return FreeResolution(maps, minimal=True)
 
     assert _flags(monkeypatch, scaled_entry) == (False, False)
+
+
+def test_hilbert_ok_sees_a_difference_far_above_degree_200(monkeypatch):
+    # K(z) + z^300 - z^301 differs from Gamma(z) * prod (1 - z^w) only
+    # beyond any fixed comparison window of 200 degrees
+    original = analysis.hilbert_numerator
+
+    def corrupted(res):
+        numerator = dict(original(res))
+        numerator[300] = numerator.get(300, 0) + 1
+        numerator[301] = numerator.get(301, 0) - 1
+        return numerator
+
+    monkeypatch.setattr(analysis, "hilbert_numerator", corrupted)
+    report = analysis.analyze_sequence(*SEQ)
+    assert report.flags["hilbert_ok"] is False
+    assert not report.all_verified()
+
+
+def test_hilbert_ok_when_the_numerator_outruns_degree_200():
+    # deg K(z) is 15 143 here, so the identity is checked far past 200
+    report = analysis.analyze_sequence(301, 304, 307, 1000)
+    assert max(d for d, _ in report.hilbert_numerator) > 15000
+    assert report.flags["hilbert_ok"] is True

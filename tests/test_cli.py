@@ -101,22 +101,6 @@ def test_analyze_rejects_huge_redundant_n(capsys):
     assert "n is redundant" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "--seq", "5,7,9,11"],
-        ["sweep", "--max-m2", "12", "--max-n", "12"],
-        ["hilbert", "--seq", "5,7,9,11"],
-    ],
-    ids=["analyze", "sweep", "hilbert"],
-)
-def test_negative_truncate_rejected(argv, capsys):
-    assert cli.main(argv + ["--truncate", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert "--truncate must be nonnegative" in captured.err
-    assert captured.out == ""
-
-
 def test_analyze_exit_two_on_doctored_failure(monkeypatch, capsys):
     report = analyze_sequence(5, 7, 9, 6)
     report.flags["gb_ok"] = False
@@ -263,15 +247,10 @@ def test_census_unparseable_file(tmp_path, capsys):
 
 
 def test_hilbert_pass(capsys):
-    assert cli.main(["hilbert", "--seq", "5,7,9,11", "--truncate", "120"]) == 0
+    assert cli.main(["hilbert", "--seq", "5,7,9,11"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("K(z) = 1 ")
     assert "PASS" in out
-
-
-def test_hilbert_truncate_zero_trivially_passes(capsys):
-    assert cli.main(["hilbert", "--seq", "5,7,9,11", "--truncate", "0"]) == 0
-    assert "PASS" in capsys.readouterr().out
 
 
 def test_hilbert_invalid_sequence(capsys):
@@ -285,9 +264,24 @@ def test_hilbert_corrupted_resolution_fails(monkeypatch, capsys):
     wrong_kernel = toric_kernel(validate_sequence(7, 8, 9, 12))
     wrong = minimalize(build_resolution(wrong_kernel.reduced_gb))
     monkeypatch.setattr(cli, "_resolve", lambda kernel: wrong)
-    assert cli.main(["hilbert", "--seq", "5,7,9,11", "--truncate", "60"]) == 2
+    assert cli.main(["hilbert", "--seq", "5,7,9,11"]) == 2
     out = capsys.readouterr().out
     assert "FAIL: first difference at degree" in out
+
+
+def test_hilbert_fails_on_a_difference_far_above_degree_200(monkeypatch, capsys):
+    # K(z) + z^300 - z^301: a comparison cut at degree 200 would pass it
+    original = cli.hilbert_numerator
+
+    def corrupted(res):
+        numerator = dict(original(res))
+        numerator[300] = numerator.get(300, 0) + 1
+        numerator[301] = numerator.get(301, 0) - 1
+        return numerator
+
+    monkeypatch.setattr(cli, "hilbert_numerator", corrupted)
+    assert cli.main(["hilbert", "--seq", "5,7,9,11"]) == 2
+    assert "FAIL: first difference at degree 300 (1 vs 0)" in capsys.readouterr().out
 
 
 # matrices
@@ -321,7 +315,7 @@ def test_matrices_invalid_sequence(capsys):
 
 def test_module_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "monocurve.cli", "hilbert", "--seq", "5,7,9,6", "--truncate", "40"],
+        [sys.executable, "-m", "monocurve.cli", "hilbert", "--seq", "5,7,9,6"],
         capture_output=True,
         text=True,
     )

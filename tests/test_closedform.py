@@ -20,9 +20,11 @@ from monocurve.closedform import (
     graded_shifts,
     _eval_shift,
 )
-from monocurve.groebner import buchberger, is_groebner, reduce_basis, toric_kernel
+from monocurve.groebner import buchberger, is_groebner, toric_kernel
 from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
 from monocurve.semigroup import ValidationError, validate_sequence
+
+from oracles import reduce_basis
 
 # one sequence per reachable case, smallest found by sweeping
 FIXTURES = {
@@ -190,7 +192,7 @@ def test_unvalidatable_generators_raise():
 def test_closed_form_matches_generic(label):
     seq = FIXTURES[label]
     spec, kernel, params = pipeline(seq)
-    closed = closed_form_resolution(params, spec)
+    closed = closed_form_resolution(params, canonical_generators(params, spec))
     closed.validate()
     generic = minimalize(build_resolution(kernel.reduced_gb))
     assert closed.ranks == generic.ranks == (1,) + TRIPLES[label]
@@ -203,16 +205,18 @@ def test_base_complex_trims_degenerate_entries():
     """Degenerate parameter values leave unit entries in the base complex;
     minimalization removes exactly the tabulated amount."""
     spec, _, params = pipeline((7, 9, 11, 10))  # x0_pure = 0 here
-    base = closed_form_base(params, spec)
+    gens = canonical_generators(params, spec)
+    base = closed_form_base(params, gens)
     base.validate()
     assert base.ranks == (1, 5, 7, 3)
-    assert closed_form_resolution(params, spec).ranks == (1, 4, 6, 3)
+    assert closed_form_resolution(params, gens).ranks == (1, 4, 6, 3)
 
     spec, _, params = pipeline((10, 11, 12, 8))  # no cross family survives
-    base = closed_form_base(params, spec)
+    gens = canonical_generators(params, spec)
+    base = closed_form_base(params, gens)
     base.validate()
     assert base.ranks == (1, 4, 5, 2)
-    assert closed_form_resolution(params, spec).ranks == (1, 3, 3, 1)
+    assert closed_form_resolution(params, gens).ranks == (1, 3, 3, 1)
 
 
 def test_closed_form_requires_a_case():
@@ -224,8 +228,12 @@ def test_closed_form_requires_a_case():
         x2_plain=1, x2_cross=0, y_order=2, y_split=1, has_cross=True,
     )
     bogus.validate()
+    # no curve carries these parameters, so they have no generator row; the
+    # table check comes before the row is read
+    with pytest.raises(DegreeImbalance):
+        canonical_generators(bogus, spec)
     with pytest.raises(CaseUnmatched):
-        closed_form_resolution(bogus, spec)
+        closed_form_resolution(bogus, [])
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +245,8 @@ def shifts_and_computed(label):
     spec, kernel, params = pipeline(seq)
     case = case_id(params)
     tabulated = graded_shifts(case, params, spec)
-    computed = [
-        sorted(m.twists) for m in closed_form_resolution(params, spec).modules[1:]
-    ]
+    closed = closed_form_resolution(params, canonical_generators(params, spec))
+    computed = [sorted(m.twists) for m in closed.modules[1:]]
     return tabulated, computed
 
 

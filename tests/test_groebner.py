@@ -12,7 +12,6 @@ from monocurve.groebner import (
     ideal_member,
     is_groebner,
     is_pure_difference,
-    reduce_basis,
     toric_kernel,
     toric_kernel_generic,
     vanishes_under_substitution,
@@ -20,7 +19,7 @@ from monocurve.groebner import (
 from monocurve.poly import PositionOverTerm, Ring, Vect, is_homogeneous, parse
 from monocurve.semigroup import ValidationError, validate_sequence
 
-from oracles import toric_kernel_elimination, toric_kernel_saturation
+from oracles import reduce_basis, toric_kernel_elimination, toric_kernel_saturation
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 

@@ -4,7 +4,7 @@ elementary transforms, pruning, minimalization, Betti and Hilbert data."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocurve.groebner import buchberger, is_groebner, toric_kernel
+from monocurve.groebner import GroebnerBasis, buchberger, is_groebner, toric_kernel
 from monocurve.poly import Poly, Ring, SchreyerOrder, Vect, parse
 from monocurve.resolution import (
     AddMultiple,
@@ -24,14 +24,15 @@ from monocurve.resolution import (
     build_resolution,
     compose_zero,
     hilbert_numerator,
-    hilbert_series_truncation,
     minimalize,
     prune_unit,
     schreyer_syzygies,
     transform_complex,
     _leads_for_schreyer,
 )
-from monocurve.semigroup import gamma_series_truncation, validate_sequence
+from monocurve.semigroup import ValidationError, frobenius, series_numerator, validate_sequence
+
+from oracles import gamma_series_truncation, hilbert_series_truncation
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 R2 = Ring(("x", "y"), (5, 7))
@@ -86,7 +87,7 @@ def test_koszul_pair_column():
 
 
 def test_transcript_required():
-    gb = buchberger([P("x", R2), P("y", R2)], R2.order(), record=False)
+    gb = GroebnerBasis([P("x", R2), P("y", R2)], R2.order())  # no transcript
     with pytest.raises(TranscriptIncomplete):
         schreyer_syzygies(gb)
 
@@ -166,6 +167,29 @@ def test_hilbert_identity_more_curves(seq):
     assert num == hilbert_numerator(minimalize(res))
     series = hilbert_series_truncation(num, spec.weights, 70)
     assert series == gamma_series_truncation(spec.semigroup(), 70)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(61, 200), st.integers(1, 20), st.integers(1, 300))
+def test_exact_hilbert_identity_beyond_the_box(m0, d, n):
+    """K(z) equals the Apery numerator Gamma(z) * prod (1 - z^w) exactly, and
+    the truncated series agree through D = max(deg K, F + sum w), the degree
+    that bounds both polynomials."""
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        return
+    numerator = hilbert_numerator(curve_resolution(*spec.weights)[1])
+    assert numerator == series_numerator(spec.weights)
+    semigroup = spec.semigroup()
+    top = max(max(numerator), frobenius(semigroup) + sum(spec.weights))
+    series = hilbert_series_truncation(numerator, spec.weights, top)
+    assert series == gamma_series_truncation(semigroup, top)
+
+
+def test_series_numerator_of_a_small_curve():
+    # Ap(<3,4,5>, 3) = {0, 4, 5}; (1 + z^4 + z^5)(1 - z^4)(1 - z^5)
+    assert series_numerator((3, 4, 5)) == {0: 1, 8: -1, 9: -1, 10: -1, 13: 1, 14: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Semigroup arithmetic against a brute-force reachability oracle."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monocurve.semigroup import (
     GcdNotOne,
     NotArithmetic,
-    NotMinimal,
+    RedundantGenerator,
     SubSemigroup,
     apery_set,
     frobenius,
-    gamma_series_truncation,
     min_multiple_in,
     validate_sequence,
 )
+
+from oracles import apery_set_walk, gamma_series_truncation
 
 
 def naive_member(s, gens):
@@ -68,6 +69,22 @@ def test_apery_requires_coprime_and_member():
         apery_set(SubSemigroup((3, 4, 5)), 2)  # 2 is not an element
 
 
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.integers(1, 3),
+)
+@settings(max_examples=150)
+# residue 9 mod 10 is reached first as 19, later as 3 + 3 + 3
+@example([10, 3, 19], 1, 1)
+def test_apery_set_matches_residue_walk(gens, pick, times):
+    semi = SubSemigroup(gens)
+    if semi.gcd != 1:
+        return
+    m = semi.generators[pick % len(semi.generators)] * times
+    assert apery_set(semi, m) == apery_set_walk(semi, m)
+
+
 @given(st.lists(st.integers(2, 25), min_size=2, max_size=4))
 @settings(max_examples=100)
 def test_frobenius_is_the_last_gap(gens):
@@ -118,23 +135,23 @@ def test_validate_sequence_rejections():
         validate_sequence(3, 5, 8, 7)
     with pytest.raises(GcdNotOne):
         validate_sequence(4, 6, 8, 10)
-    with pytest.raises(NotMinimal) as excinfo:
+    with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(4, 6, 8, 5)
     assert excinfo.value.which == "m2"
-    with pytest.raises(NotMinimal) as excinfo:
+    with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(2, 4, 6, 3)
     assert excinfo.value.which == "m1"
-    with pytest.raises(NotMinimal) as excinfo:
+    with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(1, 2, 3, 5)
     assert excinfo.value.which == "n"
-    with pytest.raises(NotMinimal) as excinfo:
+    with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(5, 7, 9, 14)  # 14 = 5 + 9
     assert excinfo.value.which == "n"
 
 
 def test_validate_sequence_huge_redundant_n():
     # 300 000 000 lies in <3, 5, 7>; the check stays within the table bound 3 * 7
-    with pytest.raises(NotMinimal) as excinfo:
+    with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(3, 5, 7, 300_000_000)
     assert excinfo.value.which == "n"
 
