@@ -4,7 +4,7 @@ Five subcommands: ``analyze`` one tuple, ``sweep`` a bounded family into a
 JSONL census file, ``census`` to digest such a file, ``hilbert`` for the
 series identity alone, and ``matrices`` to print both matrix sets side by
 side.  Exit codes are uniform everywhere: 0 all checks passed, 1 the input
-was invalid, 2 something real failed verification.
+or the command line was invalid, 2 something real failed verification.
 """
 
 from __future__ import annotations
@@ -271,8 +271,16 @@ def cmd_matrices(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as invalid input does; argparse's 2 is taken."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monocurve",
         description="minimal graded free resolutions of monomial curves in A^4",
     )

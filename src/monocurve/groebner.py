@@ -1,14 +1,16 @@
-"""Buchberger's algorithm with reduction transcripts, plus toric kernels.
+"""Buchberger's algorithm on binomials with reduction transcripts, plus
+toric kernels.
 
 The transcript is the point: every processed S-pair (i, j) records its
 cofactors and the quotients of its reduction to zero, so that the first
 syzygy module can be written down directly from the records.  Pairs with
-coprime leading monomials (polynomial case only) are not reduced explicitly;
-their certified reduction is the Koszul-style combination
+coprime leading monomials are not reduced explicitly; their certified
+reduction is the Koszul-style combination
 S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, recorded as such.
 
-The toric kernel saturates binomials stored as (lead, tail) exponent pairs
-and hands only its reduced basis to ``buchberger``, for the transcript.
+Ideal elements are pure-difference binomials or unit monomials, up to sign,
+and run on (lead, tail) exponent pairs (Sturmfels, *Gröbner Bases and Convex
+Polytopes*, ch. 12); ``pair_records`` divides module syzygies generically.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from operator import add, itemgetter, le, mul, neg, sub
 from monocurve.poly import (
     Poly,
     Ring,
-    coeff_div,
     divide,
     is_homogeneous,
+    mono_coprime,
+    mono_div,
+    mono_lcm,
     s_polynomial,
 )
 from monocurve.semigroup import SequenceSpec
@@ -48,43 +52,86 @@ class GroebnerBasis:
     order: object
     transcript: list = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
+def _split(g, order):
+    """(lead, tail, sign) with g = sign * (x^lead - x^tail), tail None when
+    g = sign * x^lead; anything else is a ValueError."""
+    if type(g) is not Poly or sorted(g.terms.values()) not in ([-1], [1], [-1, 1]):
+        raise ValueError("not a unit monomial or pure-difference binomial: %r" % (g,))
+    lead, sign = g.lead(order)
+    tail = next((m for m in g.terms if m != lead), None)
+    return lead, tail, sign
 
-    def replay_ok(self) -> bool:
-        """Re-check every transcript record by exact arithmetic."""
-        for rec in self.transcript:
-            lhs = rec.cofactor_i * self.elements[rec.i] - rec.cofactor_j * self.elements[rec.j]
-            for k, h in rec.quotients.items():
-                lhs = lhs - h * self.elements[k]
-            if not lhs.is_zero:
-                return False
-        return True
+
+def _ranked(basis, order) -> list:
+    """Division precedence: greatest lead first, ties to the earlier index."""
+    return sorted(range(len(basis)), key=lambda k: order.key(basis[k][0]), reverse=True)
+
+
+def _s_binomial(gi, gj):
+    """lcm of the leads and the terms of cofactor_i * g_i - cofactor_j * g_j
+    = x^(lcm - lead_j + tail_j) - x^(lcm - lead_i + tail_i)."""
+    (a, ta, _), (c, tc, _) = gi, gj
+    lcm = mono_lcm(a, c)
+    terms: dict = {}
+    if tc is not None:
+        terms[tuple(map(add, lcm, map(sub, tc, c)))] = 1
+    if ta is not None:
+        m = tuple(map(add, lcm, map(sub, ta, a)))
+        if terms.pop(m, None) is None:
+            terms[m] = -1
+    return lcm, terms
+
+
+def _reduce_binomial(terms: dict, basis, ranked, key):
+    """``divide`` for ``terms`` (monomial -> coefficient, consumed), at most
+    two of opposite sign, by ``basis``, (lead, tail, sign) triples in
+    precedence ``ranked``: each step trades the greatest term's dividing lead
+    for its tail.  Returns (quotients, remainder) as {index: {monomial:
+    coefficient}}, where coefficients may cancel to zero, and {monomial:
+    coefficient}."""
+    quotients: dict = {}
+    remainder: dict = {}
+    while terms:
+        m = max(terms, key=key)
+        c = terms.pop(m)
+        for k in ranked:
+            lead, tail, sign = basis[k]
+            if all(map(le, lead, m)):
+                break
+        else:
+            remainder[m] = c
+            continue
+        q = tuple(map(sub, m, lead))
+        row = quotients.setdefault(k, {})
+        row[q] = row.get(q, 0) + c * sign
+        if tail is not None:
+            t = tuple(map(add, q, tail))
+            v = terms.pop(t, 0) + c
+            if v:
+                terms[t] = v
+    return quotients, remainder
 
 
 def buchberger(gens, order) -> GroebnerBasis:
-    """Complete gens to a Gröbner basis; the input is kept as a prefix.
+    """Complete unit monomials and pure-difference binomials to a Gröbner
+    basis; the input is kept as a prefix.
 
     Pairs are processed smallest lcm first in the order, which fixes the
-    transcripts; module pairs exist only between leads at the same position.
+    transcripts, and reduced by ``_reduce_binomial``; a nonzero remainder is
+    again such a binomial, appended with quotient 1.
     """
     elements = list(gens)
     if not elements:
         raise ValueError("need at least one generator")
-    leads = [g.lead(order) for g in elements]
-    if None in leads:
-        raise ValueError("basis elements must be nonzero")
-    kind = type(elements[0])
+    basis = [_split(g, order) for g in elements]
+    ranked = _ranked(basis, order)
+    ring = elements[0].ring
     heap: list = []
 
     def push_pairs(t: int):
         for i in range(t):
-            lcm = kind.key_lcm(leads[i][0], leads[t][0])
-            if lcm is not None:
-                heapq.heappush(heap, (order.key(lcm), i, t))
+            heapq.heappush(heap, (order.key(mono_lcm(basis[i][0], basis[t][0])), i, t))
 
     for t in range(1, len(elements)):
         push_pairs(t)
@@ -92,76 +139,57 @@ def buchberger(gens, order) -> GroebnerBasis:
     transcript = []
     while heap:
         _, i, j = heapq.heappop(heap)
-        gi, gj = elements[i], elements[j]
-        (key_i, ci), (key_j, cj) = leads[i], leads[j]
-        if kind.key_coprime(key_i, key_j):
+        (a, ta, si), (c, tc, sj) = basis[i], basis[j]
+        lcm, terms = _s_binomial(basis[i], basis[j])
+        cof_i = ring.monomial(mono_div(lcm, a), si)
+        cof_j = ring.monomial(mono_div(lcm, c), sj)
+        if mono_coprime(a, c):
             # product criterion: reduction certified without division
-            scale = coeff_div(1, ci * cj)
-            tail_i = gi - Poly(gi.ring, {key_i: ci})
-            tail_j = gj - Poly(gj.ring, {key_j: cj})
-            quots = {}
-            hi = tail_j * (-scale)
-            hj = tail_i * scale
-            if not hi.is_zero:
-                quots[i] = hi
-            if not hj.is_zero:
-                quots[j] = hj
-            lcm = kind.key_lcm(key_i, key_j)
-            transcript.append(
-                PairRecord(
-                    i,
-                    j,
-                    gi.ring.monomial(kind.key_div(lcm, key_i), coeff_div(1, ci)),
-                    gi.ring.monomial(kind.key_div(lcm, key_j), coeff_div(1, cj)),
-                    quots,
-                    koszul=True,
-                )
-            )
+            tails = ((i, tc, si), (j, ta, -sj))
+            quots = {k: ring.monomial(t, s) for k, t, s in tails if t is not None}
+            transcript.append(PairRecord(i, j, cof_i, cof_j, quots, koszul=True))
             continue
-        spoly, cof_i, cof_j = s_polynomial(gi, gj, order)
-        quotients, remainder = divide(spoly, elements, order)
-        quots = {k: q for k, q in enumerate(quotients) if not q.is_zero}
-        if not remainder.is_zero:
+        quotients, remainder = _reduce_binomial(terms, basis, ranked, order.key)
+        quots = {k: Poly(ring, q) for k, q in sorted(quotients.items()) if any(q.values())}
+        if remainder:
             t = len(elements)
-            elements.append(remainder)
-            leads.append(remainder.lead(order))
-            quots[t] = elements[0].ring.one()
+            elements.append(Poly(ring, remainder))
+            basis.append(_split(elements[t], order))
+            ranked = _ranked(basis, order)
+            quots[t] = ring.one()
             push_pairs(t)
         transcript.append(PairRecord(i, j, cof_i, cof_j, quots))
     return GroebnerBasis(elements, order, transcript)
 
 
 def is_groebner(gens, order) -> bool:
-    """Buchberger criterion by honest division (no product-criterion shortcut)."""
-    gens = list(gens)
-    for j in range(1, len(gens)):
+    """Buchberger criterion by honest division of every pair (no
+    product-criterion shortcut), for pure-difference binomials."""
+    basis = [_split(g, order) for g in gens]
+    if any(tail is None for _, tail, _ in basis):
+        raise ValueError("is_groebner takes pure-difference binomials only")
+    ranked = _ranked(basis, order)
+    for j in range(1, len(basis)):
         for i in range(j):
-            spair = s_polynomial(gens[i], gens[j], order)
-            if spair is None:
-                continue
-            _, remainder = divide(spair[0], gens, order)
-            if not remainder.is_zero:
+            _, terms = _s_binomial(basis[i], basis[j])
+            if _reduce_binomial(terms, basis, ranked, order.key)[1]:
                 return False
     return True
 
 
-def lead_minimal(elements, order) -> list:
-    """Indices, in ascending lead order, of the elements whose lead is no
-    multiple of a kept element's lead (of equal leads the first is kept)."""
-    leads = [g.lead(order)[0] for g in elements]
-    divides = elements[0].key_divides
-    kept: list = []
-    for k in sorted(range(len(elements)), key=lambda k: order.key(leads[k])):
-        if not any(divides(leads[o], leads[k]) for o in kept):
-            kept.append(k)
-    return kept
-
-
-def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
-    if f.is_zero:
-        return True
-    _, remainder = divide(f, gb.elements, gb.order)
-    return remainder.is_zero
+def pair_records(elements, order, pairs) -> list:
+    """The record of each pair (i, j) of ``elements``, a Gröbner basis in
+    ``order``: its S-element divided by ``elements``, which must leave
+    remainder zero."""
+    records = []
+    for i, j in pairs:
+        spoly, cof_i, cof_j = s_polynomial(elements[i], elements[j], order)
+        quotients, remainder = divide(spoly, elements, order)
+        if not remainder.is_zero:
+            raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
+        quots = {k: q for k, q in enumerate(quotients) if not q.is_zero}
+        records.append(PairRecord(i, j, cof_i, cof_j, quots))
+    return records
 
 
 def is_pure_difference(p: Poly) -> bool:
@@ -351,8 +379,8 @@ def toric_kernel_generic(weights, names=None):
 
     Every element is a pure-difference binomial x^u - x^v, so the
     completions run on (lead, tail) exponent pairs (Sturmfels, *Gröbner
-    Bases and Convex Polytopes*, ch. 12) and only the reduced basis becomes
-    polynomials, for the one completion that records a transcript.
+    Bases and Convex Polytopes*, ch. 12).  The reduced basis goes once through
+    ``buchberger`` here, for its transcript, so a stand-in serves that too.
 
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
     under the ring's weighted grevlex order, ascending by lead, with a fresh

@@ -178,17 +178,22 @@ class SchreyerOrder:
     and the iterated syzygy construction provably sheds one variable of its
     lead cofactors per level, so it stops within #variables steps."""
 
-    __slots__ = ("parent", "leads", "key_mul")
+    __slots__ = ("parent", "leads", "key_mul", "_keys")
 
     def __init__(self, parent, leads, key_mul):
         self.parent = parent
         self.leads = tuple(leads)
         self.key_mul = key_mul
+        self._keys = {}
 
     def key(self, mm):
-        pos, mono = mm
-        shifted = self.key_mul(self.leads[pos], mono)
-        return self.parent.key(shifted) + tuple(-e for e in mono) + (-pos,)
+        """Memoised here, on the per-level order, not on the ring's order."""
+        k = self._keys.get(mm)
+        if k is None:
+            pos, mono = mm
+            shifted = self.key_mul(self.leads[pos], mono)
+            k = self._keys[mm] = self.parent.key(shifted) + tuple(-e for e in mono) + (-pos,)
+        return k
 
 
 def compare(order, a, b) -> int:
@@ -210,10 +215,11 @@ class _Terms:
     Gröbner code read only those.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: Ring, terms=None):
         self.ring = ring
+        self._lead = None
         clean = {}
         if terms:
             for k, c in terms.items():
@@ -235,13 +241,15 @@ class _Terms:
         return not self.terms
 
     def lead(self, order=None):
-        """(key, coefficient) of the leading term, or None if zero."""
+        """(key, coefficient) of the leading term, or None if zero (kept per order)."""
         if not self.terms:
             return None
         if order is None:
             order = self.ring.order()
-        k = max(self.terms, key=order.key)
-        return k, self.terms[k]
+        if self._lead is None or self._lead[0] is not order:
+            k = max(self.terms, key=order.key)
+            self._lead = (order, (k, self.terms[k]))
+        return self._lead[1]
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -324,7 +332,6 @@ class Poly(_Terms):
     key_divides = staticmethod(mono_divides)
     key_div = staticmethod(mono_div)
     key_lcm = staticmethod(mono_lcm)
-    key_coprime = staticmethod(mono_coprime)
 
     @staticmethod
     def key_degree(mono, weights, twists=None) -> int:
@@ -352,8 +359,7 @@ class Poly(_Terms):
 class Vect(_Terms):
     """Element of a free module R^rank; keys are (position, monomial) pairs.
 
-    Key arithmetic acts on the monomial and requires equal positions; the
-    product criterion never applies, since it holds only in the ring.
+    Key arithmetic acts on the monomial and requires equal positions.
     """
 
     __slots__ = ("rank",)
@@ -383,10 +389,6 @@ class Vect(_Terms):
         if a[0] != b[0]:
             return None
         return a[0], mono_lcm(a[1], b[1])
-
-    @staticmethod
-    def key_coprime(a, b) -> bool:
-        return False
 
     @staticmethod
     def key_degree(key, weights, twists=None) -> int:
@@ -446,12 +448,9 @@ def divide(f, divisors, order):
     the ring and module cases.
     """
     ring = f.ring
-    leads = []
-    for g in divisors:
-        lt = g.lead(order)
-        if lt is None:
-            raise ZeroDivisionError("zero divisor in division")
-        leads.append(lt)
+    leads = [g.lead(order) for g in divisors]
+    if None in leads:
+        raise ZeroDivisionError("zero divisor in division")
     # precedence: greatest lead first, then original index
     ranked = sorted(range(len(divisors)), key=lambda i: order.key(leads[i][0]), reverse=True)
     divides = f.key_divides

@@ -25,7 +25,7 @@ from monocurve.poly import (
     Vect,
     is_homogeneous,
 )
-from monocurve.groebner import GroebnerBasis, buchberger, lead_minimal
+from monocurve.groebner import GroebnerBasis, buchberger, pair_records
 
 
 class ShapeMismatch(ValueError):
@@ -188,12 +188,6 @@ def _element_degrees(gb: GroebnerBasis, twists):
     return degrees
 
 
-def _pairs_exist(gb: GroebnerBasis) -> bool:
-    leads = [g.lead(gb.order)[0] for g in gb.elements]
-    key_lcm = gb.elements[0].key_lcm
-    return any(key_lcm(a, b) is not None for i, a in enumerate(leads) for b in leads[:i])
-
-
 def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
     """The map whose columns generate the syzygies of gb.elements.
 
@@ -202,7 +196,7 @@ def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
     are the ambient twists when the elements are module vectors.
     """
     ring = gb.elements[0].ring
-    if not gb.transcript and _pairs_exist(gb):
+    if not gb.transcript and len(gb.elements) > 1 and type(gb.elements[0]) is Poly:
         raise TranscriptIncomplete("S-pairs exist but the basis has no transcript records")
     degrees = _element_degrees(gb, twists)
     target = GradedFreeModule(ring, tuple(degrees))
@@ -223,21 +217,41 @@ def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
     return GradedMap(source, target, entries)
 
 
-def _leads_for_schreyer(gb: GroebnerBasis):
-    leads = []
-    for g in gb.elements:
-        lt, _coeff = g.lead(gb.order)
-        leads.append(lt)
-    return leads
+def _lead_frame(leads, kind, induced) -> list:
+    """The pairs (i, j), ascending, whose syzygies the resolution keeps.
+
+    ``leads`` are the basis leads, keys of ``kind``, and ``induced`` their
+    Schreyer order.  The syzygy of (i, j) has lead cofactor_i e_i or
+    cofactor_j e_j, whichever cofactor is lexicographically smaller (ties to
+    i): both map to the lcm of the two leads, every quotient term to less.
+    Kept are the pairs whose lead is no multiple of a kept lead, taken in
+    ascending order, of equal leads the first.
+    """
+    frame = []
+    for i, a in enumerate(leads):
+        for j in range(i + 1, len(leads)):
+            lcm = kind.key_lcm(a, leads[j])
+            if lcm is not None:
+                cof_i, cof_j = kind.key_div(lcm, a), kind.key_div(lcm, leads[j])
+                lead = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
+                frame.append((induced.key(lead), lead, (i, j)))
+    kept: list = []
+    for _, lead, pair in sorted(frame, key=lambda entry: entry[0]):
+        if not any(Vect.key_divides(other, lead) for other, _ in kept):
+            kept.append((lead, pair))
+    return sorted(pair for _, pair in kept)
 
 
 def build_resolution(ideal_gens) -> FreeResolution:
     """Iterate transcripted completion and syzygy extraction until exhaustion.
 
     The first level completes the input to a Gröbner basis (the input stays a
-    prefix; for our kernels it already is one).  By Schreyer's theorem each
-    syzygy level is already a basis in the induced order, so later levels must
-    not append anything — that is asserted, not assumed.
+    prefix; for our kernels it already is one).  Every level keeps only the
+    pairs of its ``_lead_frame`` (Schreyer's frame; La Scala and Stillman,
+    JSC 26, 1998) and reduces only those its transcript has no record of.
+    Each must reduce to zero, which is asserted: the kept pair syzygies
+    generate the syzygies of the leads, so by the generalised Buchberger
+    criterion this proves each level a Gröbner basis in the induced order.
     """
     if isinstance(ideal_gens, GroebnerBasis):
         # already completed with a full pair transcript -- no need to redo it
@@ -257,31 +271,22 @@ def build_resolution(ideal_gens) -> FreeResolution:
     base = GradedFreeModule(ring, (0,))
     first = GradedFreeModule(ring, tuple(_element_degrees(gb, None)))
     maps = [GradedMap(first, base, [list(gb.elements)])]
-    ambient_twists = None
+    elements, order, twists = gb.elements, gb.order, None
+    recorded = {(rec.i, rec.j): rec for rec in gb.transcript}
     while len(maps) <= ring.nvars:
-        syz = schreyer_syzygies(gb, twists=ambient_twists)
-        if syz.source.rank == 0:
+        kind = type(elements[0])
+        leads = [g.lead(order)[0] for g in elements]
+        induced = SchreyerOrder(order, leads, kind.key_mul)
+        pairs = _lead_frame(leads, kind, induced)
+        if not pairs:
             return FreeResolution(maps)
-        induced = SchreyerOrder(
-            gb.order, _leads_for_schreyer(gb), type(gb.elements[0]).key_mul
-        )
-        vectors = [syz.column(j) for j in range(syz.source.rank)]
-        # drop pair columns made redundant by another column's lead, exactly
-        # like the hand calculation strikes rows that are combinations of the
-        # ones kept; the survivors are still a basis of the same syzygies
-        kept = sorted(lead_minimal(vectors, induced))
-        vectors = [vectors[j] for j in kept]
-        trimmed = GradedMap(
-            GradedFreeModule(ring, tuple(syz.source.twists[j] for j in kept)),
-            syz.target,
-            [[row[j] for j in kept] for row in syz.entries],
-        )
-        next_gb = buchberger(vectors, induced)
-        if len(next_gb.elements) != len(vectors):
-            raise AssertionError("syzygy columns were not already a Gröbner basis")
-        maps.append(trimmed)
-        ambient_twists = trimmed.target.twists
-        gb = next_gb
+        missing = [pair for pair in pairs if pair not in recorded]
+        recorded.update(zip(missing, pair_records(elements, order, missing)))
+        level = GroebnerBasis(elements, order, [recorded[pair] for pair in pairs])
+        syz = schreyer_syzygies(level, twists)
+        maps.append(syz)
+        elements = [syz.column(j) for j in range(syz.source.rank)]
+        order, twists, recorded = induced, syz.target.twists, {}
     raise AssertionError("resolution exceeded the number of variables")
 
 

@@ -8,6 +8,7 @@ full verification level -- runs once and is shared by the checks that read
 the family census.
 """
 
+import hashlib
 import random
 import time
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SCOREBOARD
-from monocurve.analysis import ALLOWED_TRIPLES, enumerate_box, sweep
+from monocurve.analysis import ALLOWED_TRIPLES, enumerate_box, sweep, sweep_lines
 from monocurve.closedform import (
     canonical_generators,
     case_id,
@@ -33,7 +34,7 @@ from monocurve.resolution import (
 )
 from monocurve.semigroup import SubSemigroup, frobenius, validate_sequence
 
-from oracles import gamma_series_truncation, hilbert_series_truncation
+from oracles import gamma_series_truncation, graded_betti_numbers, hilbert_series_truncation
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -400,3 +401,25 @@ def test_criterion_10_euler_characteristic(box_reports):
         not bad,
         "alternating rank sum is 1 and length <= 3 on all %d minimal resolutions" % len(box_reports),
     )
+
+
+# the two checks below guard the census without a scoreboard line of their own
+
+#: sha256 of ``sweep --max-m2 60 --max-n 60`` output, which is ``sweep_lines``
+BOX60_SWEEP_SHA256 = "50a429e8c58364e07628e667981bb549f665d32194dc18965172e830e3f01b25"
+
+
+def test_box60_sweep_bytes_pinned(box_reports):
+    digest = hashlib.sha256(sweep_lines(box_reports).encode()).hexdigest()
+    assert digest == BOX60_SWEEP_SHA256
+
+
+def test_box60_graded_betti_match_homology_oracle(box_reports):
+    """Every graded Betti number of the census equals the reduced homology
+    of its semigroup complex, which no Gröbner code computes."""
+    wrong = [
+        r.seq
+        for r in box_reports
+        if [list(row) for row in r.graded_betti] != graded_betti_numbers(r.seq)
+    ]
+    assert not wrong, wrong[:10]

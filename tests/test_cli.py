@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monocurve import analysis, cli
 from monocurve.analysis import _case_sort_key, analyze_sequence, census_digest, sweep, sweep_lines
@@ -326,3 +327,27 @@ def test_module_entry_point_runs():
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--seq", "5,7,9,11", "--truncate", "200"],
+        ["analyze"],
+        ["analyze", "--seq", "-3,1,5,7"],
+    ],
+)
+def test_usage_error_exits_one(argv, capsys):
+    """A malformed command line is a usage error, exit 1; 2 stays reserved
+    for a failed certificate."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-5, 120), min_size=4, max_size=4))
+def test_analyze_any_small_sequence_exits_cleanly(entries):
+    seq = ",".join(map(str, entries))
+    assert cli.main(["analyze", "--seq=" + seq]) in (0, 1, 2)

@@ -2,9 +2,10 @@
 elementary transforms, pruning, minimalization, Betti and Hilbert data."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from monocurve.groebner import GroebnerBasis, buchberger, is_groebner, toric_kernel
+from monocurve import resolution
+from monocurve.groebner import GroebnerBasis, buchberger, toric_kernel
 from monocurve.poly import Poly, Ring, SchreyerOrder, Vect, parse
 from monocurve.resolution import (
     AddMultiple,
@@ -28,11 +29,16 @@ from monocurve.resolution import (
     prune_unit,
     schreyer_syzygies,
     transform_complex,
-    _leads_for_schreyer,
 )
 from monocurve.semigroup import ValidationError, frobenius, series_numerator, validate_sequence
 
-from oracles import gamma_series_truncation, hilbert_series_truncation
+from oracles import (
+    gamma_series_truncation,
+    graded_betti_numbers,
+    hilbert_series_truncation,
+    is_groebner,
+    resolution_all_pairs,
+)
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 R2 = Ring(("x", "y"), (5, 7))
@@ -104,7 +110,8 @@ def test_columns_annihilated_and_groebner():
         [list(gb.elements)],
     )
     assert compose_zero(row, syz)
-    induced = SchreyerOrder(gb.order, _leads_for_schreyer(gb), Poly.key_mul)
+    leads = [g.lead(gb.order)[0] for g in gb.elements]
+    induced = SchreyerOrder(gb.order, leads, Poly.key_mul)
     columns = [syz.column(j) for j in range(syz.source.rank)]
     assert is_groebner(columns, induced)
 
@@ -185,6 +192,81 @@ def test_exact_hilbert_identity_beyond_the_box(m0, d, n):
     top = max(max(numerator), frobenius(semigroup) + sum(spec.weights))
     series = hilbert_series_truncation(numerator, spec.weights, top)
     assert series == gamma_series_truncation(semigroup, top)
+
+
+# the lead frame against the generic path: every level completed by
+# buchberger, all pair syzygies written down, the lead-minimal ones kept
+
+CURVES = st.one_of(
+    # the box-60 family: m2 <= 60, n <= 60
+    st.tuples(st.integers(1, 58), st.integers(1, 29), st.integers(1, 60)).filter(
+        lambda t: t[0] + 2 * t[1] <= 60
+    ),
+    # beyond it
+    st.tuples(st.integers(61, 200), st.integers(1, 20), st.integers(1, 300)),
+)
+
+
+def _frame_resolution(gb):
+    """build_resolution(gb) and the records each of its maps is built from."""
+    levels = []
+    original = resolution.schreyer_syzygies
+
+    def spy(level, twists=None):
+        levels.append(list(level.transcript))
+        return original(level, twists)
+
+    resolution.schreyer_syzygies = spy
+    try:
+        return build_resolution(gb), levels
+    finally:
+        resolution.schreyer_syzygies = original
+
+
+@settings(max_examples=100, deadline=None)
+@given(CURVES)
+def test_lead_frame_matches_all_pairs_path(curve):
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    gb = toric_kernel(spec).reduced_gb
+    res, levels = _frame_resolution(gb)
+    expected, expected_levels = resolution_all_pairs(gb)
+    assert levels == expected_levels
+    assert [(m.source, m.target, m.entries) for m in res.maps] == [
+        (m.source, m.target, m.entries) for m in expected.maps
+    ]
+
+
+def test_lead_frame_on_monomial_ideals():
+    ring = Ring(("x", "y", "z"), (2, 3, 4))
+    gens = [ring.monomial(m) for m in [(1, 2, 2), (2, 1, 0), (2, 0, 1), (0, 3, 1)]]
+    gb = buchberger(gens, ring.order())
+    res, levels = _frame_resolution(gb)
+    expected, expected_levels = resolution_all_pairs(gb)
+    assert levels == expected_levels
+    assert [m.entries for m in res.maps] == [m.entries for m in expected.maps]
+
+
+def test_untranscripted_basis_has_its_kept_pairs_reduced():
+    gb = toric_kernel(validate_sequence(5, 7, 9, 11)).reduced_gb
+    bare = build_resolution(GroebnerBasis(gb.elements, gb.order))
+    bare.validate()
+    assert betti_table(minimalize(bare)) == betti_table(minimalize(build_resolution(gb)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(61, 200), st.integers(1, 20), st.integers(1, 300))
+def test_graded_betti_match_homology_oracle_beyond_the_box(m0, d, n):
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    table = betti_table(minimalize(build_resolution(toric_kernel(spec).reduced_gb)))
+    rows = [[i, deg, c] for (i, deg), c in sorted(table.counts().items())]
+    assert rows == graded_betti_numbers(spec.weights)
 
 
 def test_series_numerator_of_a_small_curve():
