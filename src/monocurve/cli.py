@@ -13,8 +13,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 from .analysis import (
+    AnalysisReport,
     analyze_sequence,
     census_digest,
     enumerate_box,
@@ -37,6 +39,9 @@ from .semigroup import ValidationError, series_numerator, validate_sequence
 
 #: least seconds between two sweep progress lines on stderr
 PROGRESS_INTERVAL = 1.0
+
+#: the keys every sweep record carries
+RECORD_KEYS = frozenset(field.name for field in fields(AnalysisReport))
 
 
 def _resolve(kernel):
@@ -170,13 +175,18 @@ def cmd_sweep(args) -> int:
 def cmd_census(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
+            lines = [(n, text) for n, text in enumerate(map(str.strip, handle), 1) if text]
+        records = [json.loads(line) for _, line in lines]
     except OSError as exc:
         print("cannot read %s: %s" % (args.infile, exc), file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print("unparseable record in %s: %s" % (args.infile, exc), file=sys.stderr)
         return 1
+    for (number, line), record in zip(lines, records):
+        if not (isinstance(record, dict) and RECORD_KEYS <= record.keys()):
+            print("not a sweep record at line %d: %s" % (number, line), file=sys.stderr)
+            return 1
     digest = census_digest(records)
     if args.json:
         print(json.dumps(digest))

@@ -700,7 +700,7 @@ def closed_form_resolution(params: CaseParameters, gens: list) -> FreeResolution
     """Minimal resolution with closed-form entries.
 
     The base complex over ``gens`` (``canonical_generators`` of the same
-    parameters) trimmed by the elementary-operation calculus; the
+    parameters) with its unit entries split off by ``minimalize``; the
     surviving ranks equal the case table's triple.  Raises CaseUnmatched for
     parameters no table row covers.
     """

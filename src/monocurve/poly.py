@@ -3,7 +3,9 @@
 Polynomials live in a rational polynomial ring whose variables carry positive
 integer weights; the default order is the weighted graded reverse-lexicographic
 order.  Elements of free modules (used for syzygy computations) are ordered by
-position-over-term or by the Schreyer order coming from a previous basis.
+the Schreyer order coming from a previous basis.  An order is anything with a
+``key`` method: a monomial (or module key) is greater than another iff its
+key is.
 
 Both are one sparse term type: ``_Terms`` maps keys to coefficients and holds
 all the arithmetic; a ``Poly`` key is an exponent tuple, a ``Vect`` key a
@@ -20,8 +22,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-LT, EQ, GT = -1, 0, 1
 
 
 def _norm_coeff(c):
@@ -151,20 +151,6 @@ class GrevlexOrder:
         return f"GrevlexOrder({self.ring!r})"
 
 
-class PositionOverTerm:
-    """Module order: smaller basis position always wins; within a position,
-    the underlying ring order decides."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base):
-        self.base = base
-
-    def key(self, mm):
-        pos, mono = mm
-        return (-pos,) + self.base.key(mono)
-
-
 class SchreyerOrder:
     """Order induced by a list of leading monomials from the previous level:
     compare x^a e_i vs x^b e_j by the parent order applied to x^a * lead(i)
@@ -194,17 +180,6 @@ class SchreyerOrder:
             shifted = self.key_mul(self.leads[pos], mono)
             k = self._keys[mm] = self.parent.key(shifted) + tuple(-e for e in mono) + (-pos,)
         return k
-
-
-def compare(order, a, b) -> int:
-    """Three-way comparison of two monomials under the given order."""
-    ka = order.key(a)
-    kb = order.key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
 
 
 class _Terms:

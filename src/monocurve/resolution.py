@@ -1,6 +1,7 @@
-"""Graded free modules and maps, syzygies from division transcripts, and the
-elementary-operation calculus that trims a free resolution down to a minimal
-one.
+"""Graded free modules and maps, syzygies from division transcripts, and
+minimalization: each constant entry of a free resolution is split off with
+its trivial summand, one Schur-complement step per unit, until the
+resolution is minimal.
 
 Conventions, fixed once:
 
@@ -16,13 +17,13 @@ Conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from monocurve.poly import (
     Poly,
     Ring,
     SchreyerOrder,
     Vect,
+    coeff_div,
     is_homogeneous,
 )
 from monocurve.groebner import GroebnerBasis, buchberger, pair_records
@@ -36,16 +37,12 @@ class TranscriptIncomplete(ValueError):
     """The Gröbner basis carries no reduction records to read syzygies from."""
 
 
-class NotElementary(TypeError):
-    """transform_complex accepts only the three elementary operation types."""
-
-
 class HomogeneityBroken(ValueError):
-    """An entry or operation is inconsistent with the graded twists."""
+    """An entry is inconsistent with the graded twists."""
 
 
 class PreconditionViolated(ValueError):
-    """prune_unit called on an entry that is not an isolated nonzero constant."""
+    """prune_unit called on an entry that is not a nonzero constant."""
 
 
 class NotMinimal(ValueError):
@@ -291,155 +288,47 @@ def build_resolution(ideal_gens) -> FreeResolution:
 
 
 # ---------------------------------------------------------------------------
-# elementary transforms (the invertible-matrix calculus, syntactic inverses)
-
-
-@dataclass(frozen=True)
-class AddMultiple:
-    """Basis change e_i += alpha * e_j ... as a matrix, E_{ij}(alpha): the
-    identity plus alpha in entry (i, j).  Acts on rows of the incoming map
-    (row i += alpha * row j) and columns of the outgoing one (col j -= alpha * col i)."""
-
-    i: int
-    j: int
-    alpha: Poly
-
-
-@dataclass(frozen=True)
-class SwapBasis:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class ScaleBasis:
-    """Multiply one basis vector by a nonzero rational constant."""
-
-    i: int
-    factor: object
-
-
-def _validate_op(op, twists):
-    rank = len(twists)
-    if isinstance(op, AddMultiple):
-        if op.i == op.j:
-            raise NotElementary("off-diagonal index pair required")
-        if not (0 <= op.i < rank and 0 <= op.j < rank):
-            raise NotElementary("index out of range")
-        if not isinstance(op.alpha, Poly):
-            raise NotElementary("coefficient must be a ring element")
-        if op.alpha.is_zero:
-            return
-        d = is_homogeneous(op.alpha, op.alpha.ring)
-        if d is None or d != twists[op.j] - twists[op.i]:
-            raise HomogeneityBroken(
-                f"E_({op.i},{op.j}) needs degree {twists[op.j] - twists[op.i]}, got {d}"
-            )
-    elif isinstance(op, SwapBasis):
-        if op.i == op.j or not (0 <= op.i < rank and 0 <= op.j < rank):
-            raise NotElementary("swap needs two distinct valid indices")
-    elif isinstance(op, ScaleBasis):
-        if not (0 <= op.i < rank):
-            raise NotElementary("index out of range")
-        if not isinstance(op.factor, (int, Fraction)) or op.factor == 0:
-            raise NotElementary("scale factor must be a nonzero constant")
-    else:
-        raise NotElementary(f"not an elementary operation: {op!r}")
-
-
-def _apply_to_rows(entries, op):
-    """P · M for the incoming map (rows indexed by the transformed module)."""
-    rows = [list(r) for r in entries]
-    if isinstance(op, AddMultiple):
-        if not op.alpha.is_zero:
-            rows[op.i] = [a + op.alpha * b for a, b in zip(rows[op.i], rows[op.j])]
-    elif isinstance(op, SwapBasis):
-        rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
-    else:
-        rows[op.i] = [p * op.factor for p in rows[op.i]]
-    return rows
-
-
-def _apply_to_columns(entries, op):
-    """M · P⁻¹ for the outgoing map (columns indexed by the transformed module)."""
-    rows = [list(r) for r in entries]
-    if isinstance(op, AddMultiple):
-        if not op.alpha.is_zero:
-            for r in rows:
-                r[op.j] = r[op.j] - op.alpha * r[op.i]
-    elif isinstance(op, SwapBasis):
-        for r in rows:
-            r[op.i], r[op.j] = r[op.j], r[op.i]
-    else:
-        inverse = Fraction(1, 1) / Fraction(op.factor)
-        inverse = int(inverse) if inverse.denominator == 1 else inverse
-        for r in rows:
-            r[op.i] = r[op.i] * inverse
-    return rows
-
-
-def transform_complex(res: FreeResolution, position: int, ops) -> FreeResolution:
-    """Change basis of F_position by a product of elementary operations.
-
-    `ops` is one operation or a sequence applied left to right; the incoming
-    map picks up P·M, the outgoing one M·P⁻¹, twists are permuted by swaps.
-    """
-    modules = res.modules
-    if not (0 <= position < len(modules)):
-        raise IndexError(f"no module at position {position}")
-    if isinstance(ops, (AddMultiple, SwapBasis, ScaleBasis)):
-        ops = [ops]
-    twists = list(modules[position].twists)
-    incoming = res.maps[position].entries if position < len(res.maps) else None
-    outgoing = res.maps[position - 1].entries if position >= 1 else None
-    for op in ops:
-        _validate_op(op, twists)
-        if incoming is not None:
-            incoming = _apply_to_rows(incoming, op)
-        if outgoing is not None:
-            outgoing = _apply_to_columns(outgoing, op)
-        if isinstance(op, SwapBasis):
-            twists[op.i], twists[op.j] = twists[op.j], twists[op.i]
-    new_module = GradedFreeModule(modules[position].ring, tuple(twists))
-    new_maps = list(res.maps)
-    if incoming is not None:
-        old = res.maps[position]
-        new_maps[position] = GradedMap(old.source, new_module, incoming)
-    if outgoing is not None:
-        old = res.maps[position - 1]
-        new_maps[position - 1] = GradedMap(new_module, old.target, outgoing)
-    return FreeResolution(new_maps, minimal=False)
+# minimalization by unit splitting
 
 
 def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolution:
-    """Split off an isolated constant entry of maps[step] and delete the two
-    basis vectors it pairs up (row in F_step, column in F_{step+1})."""
+    """Split off the constant entry u = D[row][col] of D = maps[step].
+
+    Basis vector ``col`` of F_{step+1} and ``row`` of F_step span a trivial
+    summand 0 -> R -> R -> 0 of the complex (Peeva, *Graded Syzygies*, 2011,
+    ch. 1).  What is left: D's Schur complement, D[i][j] - D[i][col]·D[row][j]/u
+    off row ``row`` and column ``col``; maps[step+1] without row ``col``; and
+    maps[step-1] without column ``row``.
+    """
     if not (0 <= step < len(res.maps)):
         raise IndexError(f"no map at step {step}")
-    entries = res.maps[step].entries
+    mid = res.maps[step]
+    entries = mid.entries
     if not (0 <= row < len(entries) and 0 <= col < len(entries[0])):
         raise IndexError("entry outside the matrix")
     pivot = _is_constant(entries[row][col])
     if pivot is None:
         raise PreconditionViolated("pivot entry is not a nonzero constant")
-    if any(not p.is_zero for j, p in enumerate(entries[row]) if j != col):
-        raise PreconditionViolated("pivot row carries other nonzero entries")
-    if any(not r[col].is_zero for i, r in enumerate(entries) if i != row):
-        raise PreconditionViolated("pivot column carries other nonzero entries")
+    inverse = coeff_div(1, pivot)
+    pivot_row = {j: p * inverse for j, p in enumerate(entries[row]) if j != col and not p.is_zero}
+    trimmed = []
+    for i, r in enumerate(entries):
+        if i == row:
+            continue
+        complement = list(r)
+        if not r[col].is_zero:
+            for j, scaled in pivot_row.items():
+                complement[j] = complement[j] - r[col] * scaled
+        del complement[col]
+        trimmed.append(complement)
 
     new_maps = list(res.maps)
-    mid = res.maps[step]
     small_target = GradedFreeModule(
         mid.target.ring, tuple(t for i, t in enumerate(mid.target.twists) if i != row)
     )
     small_source = GradedFreeModule(
         mid.source.ring, tuple(t for j, t in enumerate(mid.source.twists) if j != col)
     )
-    trimmed = [
-        [p for j, p in enumerate(r) if j != col]
-        for i, r in enumerate(entries)
-        if i != row
-    ]
     new_maps[step] = GradedMap(small_source, small_target, trimmed)
     if step >= 1:
         prev = res.maps[step - 1]
@@ -462,35 +351,11 @@ def _find_constant_entry(maps):
 
 
 def minimalize(res: FreeResolution) -> FreeResolution:
-    """Remove every constant entry by scale, clear, prune; first the column
-    operations that empty the pivot's row, then the row operations for its
-    column, then the deletion — each intermediate complex stays valid."""
+    """Split off every constant entry, one ``prune_unit`` each, then drop the
+    trailing modules of rank zero."""
     current = res
-    while True:
-        found = _find_constant_entry(current.maps)
-        if found is None:
-            break
-        step, row, col = found
-        pivot = _is_constant(current.maps[step].entries[row][col])
-        if pivot != 1:
-            current = transform_complex(current, step + 1, ScaleBasis(col, pivot))
-        entries = current.maps[step].entries
-        ops = [
-            AddMultiple(col, j, entries[row][j])
-            for j in range(len(entries[row]))
-            if j != col and not entries[row][j].is_zero
-        ]
-        if ops:
-            current = transform_complex(current, step + 1, ops)
-        entries = current.maps[step].entries
-        ops = [
-            AddMultiple(i, row, -entries[i][col])
-            for i in range(len(entries))
-            if i != row and not entries[i][col].is_zero
-        ]
-        if ops:
-            current = transform_complex(current, step, ops)
-        current = prune_unit(current, step, row, col)
+    while (found := _find_constant_entry(current.maps)) is not None:
+        current = prune_unit(current, *found)
     maps = list(current.maps)
     while maps and maps[-1].source.rank == 0:
         maps.pop()

@@ -16,6 +16,14 @@ and resolves on Schreyer's lead frame.  The generic paths it replaced, in
 ``ideal_member``, and ``resolution_all_pairs``, which completes every level
 with ``buchberger`` and keeps the ``lead_minimal`` columns.
 ``reduce_basis`` makes a completed basis reduced by generic division.
+``PositionOverTerm`` orders module elements for those generic paths.
+
+The program minimalizes a resolution by splitting off each unit entry in one
+Schur-complement step.  The elementary-operation calculus it replaced is the
+reference for that: ``transform_complex`` applies ``AddMultiple``,
+``SwapBasis`` and ``ScaleBasis`` basis changes, and
+``minimalize_by_operations`` scales each unit to 1, clears its row and
+column with them and deletes the isolated pair (``prune_isolated``).
 
 ``graded_betti_numbers`` reads the graded Betti numbers off the semigroup
 alone, as reduced homology of small simplicial complexes, with no Gröbner
@@ -34,6 +42,7 @@ another way, and the tests require them to agree with it:
 
 import functools
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 
 from monocurve.groebner import (
@@ -48,6 +57,7 @@ from monocurve.poly import (
     SchreyerOrder,
     coeff_div,
     divide,
+    is_homogeneous,
     mono_coprime,
     s_polynomial,
 )
@@ -55,7 +65,11 @@ from monocurve.resolution import (
     FreeResolution,
     GradedFreeModule,
     GradedMap,
+    HomogeneityBroken,
+    PreconditionViolated,
     _element_degrees,
+    _find_constant_entry,
+    _is_constant,
     schreyer_syzygies,
 )
 from monocurve.semigroup import SubSemigroup
@@ -208,6 +222,217 @@ def resolution_all_pairs(gb: GroebnerBasis):
         twists = trimmed.target.twists
         gb = next_gb
     raise AssertionError("resolution exceeded the number of variables")
+
+
+class PositionOverTerm:
+    """Module order: smaller basis position always wins; within a position,
+    the underlying ring order decides."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base):
+        self.base = base
+
+    def key(self, mm):
+        pos, mono = mm
+        return (-pos,) + self.base.key(mono)
+
+
+# ---------------------------------------------------------------------------
+# elementary transforms (the invertible-matrix calculus, syntactic inverses)
+
+
+class NotElementary(TypeError):
+    """transform_complex accepts only the three elementary operation types."""
+
+
+@dataclass(frozen=True)
+class AddMultiple:
+    """Basis change e_i += alpha * e_j ... as a matrix, E_{ij}(alpha): the
+    identity plus alpha in entry (i, j).  Acts on rows of the incoming map
+    (row i += alpha * row j) and columns of the outgoing one (col j -= alpha * col i)."""
+
+    i: int
+    j: int
+    alpha: Poly
+
+
+@dataclass(frozen=True)
+class SwapBasis:
+    i: int
+    j: int
+
+
+@dataclass(frozen=True)
+class ScaleBasis:
+    """Multiply one basis vector by a nonzero rational constant."""
+
+    i: int
+    factor: object
+
+
+def _validate_op(op, twists):
+    rank = len(twists)
+    if isinstance(op, AddMultiple):
+        if op.i == op.j:
+            raise NotElementary("off-diagonal index pair required")
+        if not (0 <= op.i < rank and 0 <= op.j < rank):
+            raise NotElementary("index out of range")
+        if not isinstance(op.alpha, Poly):
+            raise NotElementary("coefficient must be a ring element")
+        if op.alpha.is_zero:
+            return
+        d = is_homogeneous(op.alpha, op.alpha.ring)
+        if d is None or d != twists[op.j] - twists[op.i]:
+            raise HomogeneityBroken(
+                f"E_({op.i},{op.j}) needs degree {twists[op.j] - twists[op.i]}, got {d}"
+            )
+    elif isinstance(op, SwapBasis):
+        if op.i == op.j or not (0 <= op.i < rank and 0 <= op.j < rank):
+            raise NotElementary("swap needs two distinct valid indices")
+    elif isinstance(op, ScaleBasis):
+        if not (0 <= op.i < rank):
+            raise NotElementary("index out of range")
+        if not isinstance(op.factor, (int, Fraction)) or op.factor == 0:
+            raise NotElementary("scale factor must be a nonzero constant")
+    else:
+        raise NotElementary(f"not an elementary operation: {op!r}")
+
+
+def _apply_to_rows(entries, op):
+    """P · M for the incoming map (rows indexed by the transformed module)."""
+    rows = [list(r) for r in entries]
+    if isinstance(op, AddMultiple):
+        if not op.alpha.is_zero:
+            rows[op.i] = [a + op.alpha * b for a, b in zip(rows[op.i], rows[op.j])]
+    elif isinstance(op, SwapBasis):
+        rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
+    else:
+        rows[op.i] = [p * op.factor for p in rows[op.i]]
+    return rows
+
+
+def _apply_to_columns(entries, op):
+    """M · P⁻¹ for the outgoing map (columns indexed by the transformed module)."""
+    rows = [list(r) for r in entries]
+    if isinstance(op, AddMultiple):
+        if not op.alpha.is_zero:
+            for r in rows:
+                r[op.j] = r[op.j] - op.alpha * r[op.i]
+    elif isinstance(op, SwapBasis):
+        for r in rows:
+            r[op.i], r[op.j] = r[op.j], r[op.i]
+    else:
+        inverse = Fraction(1, 1) / Fraction(op.factor)
+        inverse = int(inverse) if inverse.denominator == 1 else inverse
+        for r in rows:
+            r[op.i] = r[op.i] * inverse
+    return rows
+
+
+def transform_complex(res: FreeResolution, position: int, ops) -> FreeResolution:
+    """Change basis of F_position by a product of elementary operations.
+
+    `ops` is one operation or a sequence applied left to right; the incoming
+    map picks up P·M, the outgoing one M·P⁻¹, twists are permuted by swaps.
+    """
+    modules = res.modules
+    if not (0 <= position < len(modules)):
+        raise IndexError(f"no module at position {position}")
+    if isinstance(ops, (AddMultiple, SwapBasis, ScaleBasis)):
+        ops = [ops]
+    twists = list(modules[position].twists)
+    incoming = res.maps[position].entries if position < len(res.maps) else None
+    outgoing = res.maps[position - 1].entries if position >= 1 else None
+    for op in ops:
+        _validate_op(op, twists)
+        if incoming is not None:
+            incoming = _apply_to_rows(incoming, op)
+        if outgoing is not None:
+            outgoing = _apply_to_columns(outgoing, op)
+        if isinstance(op, SwapBasis):
+            twists[op.i], twists[op.j] = twists[op.j], twists[op.i]
+    new_module = GradedFreeModule(modules[position].ring, tuple(twists))
+    new_maps = list(res.maps)
+    if incoming is not None:
+        old = res.maps[position]
+        new_maps[position] = GradedMap(old.source, new_module, incoming)
+    if outgoing is not None:
+        old = res.maps[position - 1]
+        new_maps[position - 1] = GradedMap(new_module, old.target, outgoing)
+    return FreeResolution(new_maps, minimal=False)
+
+
+def prune_isolated(res: FreeResolution, step: int, row: int, col: int) -> FreeResolution:
+    """Delete an isolated constant entry of maps[step] and the two basis
+    vectors it pairs up (row in F_step, column in F_{step+1})."""
+    entries = res.maps[step].entries
+    if _is_constant(entries[row][col]) is None:
+        raise PreconditionViolated("pivot entry is not a nonzero constant")
+    if any(not p.is_zero for j, p in enumerate(entries[row]) if j != col):
+        raise PreconditionViolated("pivot row carries other nonzero entries")
+    if any(not r[col].is_zero for i, r in enumerate(entries) if i != row):
+        raise PreconditionViolated("pivot column carries other nonzero entries")
+
+    new_maps = list(res.maps)
+    mid = res.maps[step]
+    small_target = GradedFreeModule(
+        mid.target.ring, tuple(t for i, t in enumerate(mid.target.twists) if i != row)
+    )
+    small_source = GradedFreeModule(
+        mid.source.ring, tuple(t for j, t in enumerate(mid.source.twists) if j != col)
+    )
+    trimmed = [
+        [p for j, p in enumerate(r) if j != col]
+        for i, r in enumerate(entries)
+        if i != row
+    ]
+    new_maps[step] = GradedMap(small_source, small_target, trimmed)
+    if step >= 1:
+        prev = res.maps[step - 1]
+        kept = [[p for j, p in enumerate(r) if j != row] for r in prev.entries]
+        new_maps[step - 1] = GradedMap(small_target, prev.target, kept)
+    if step + 1 < len(res.maps):
+        nxt = res.maps[step + 1]
+        kept = [r for i, r in enumerate(nxt.entries) if i != col]
+        new_maps[step + 1] = GradedMap(nxt.source, small_source, kept)
+    return FreeResolution(new_maps, minimal=False)
+
+
+def minimalize_by_operations(res: FreeResolution) -> FreeResolution:
+    """Remove every constant entry by scale, clear, prune; first the column
+    operations that empty the pivot's row, then the row operations for its
+    column, then the deletion -- each intermediate complex stays valid."""
+    current = res
+    while True:
+        found = _find_constant_entry(current.maps)
+        if found is None:
+            break
+        step, row, col = found
+        pivot = _is_constant(current.maps[step].entries[row][col])
+        if pivot != 1:
+            current = transform_complex(current, step + 1, ScaleBasis(col, pivot))
+        entries = current.maps[step].entries
+        ops = [
+            AddMultiple(col, j, entries[row][j])
+            for j in range(len(entries[row]))
+            if j != col and not entries[row][j].is_zero
+        ]
+        if ops:
+            current = transform_complex(current, step + 1, ops)
+        entries = current.maps[step].entries
+        ops = [
+            AddMultiple(i, row, -entries[i][col])
+            for i in range(len(entries))
+            if i != row and not entries[i][col].is_zero
+        ]
+        if ops:
+            current = transform_complex(current, step, ops)
+        current = prune_isolated(current, step, row, col)
+    maps = list(current.maps)
+    while maps and maps[-1].source.rank == 0:
+        maps.pop()
+    return FreeResolution(maps, minimal=True)
 
 
 @functools.lru_cache(maxsize=None)

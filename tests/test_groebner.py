@@ -21,10 +21,11 @@ from monocurve.closedform import (
     canonical_generators,
     extract_parameters,
 )
-from monocurve.poly import PositionOverTerm, Ring, Vect, is_homogeneous, parse
+from monocurve.poly import Ring, Vect, is_homogeneous, parse
 from monocurve.semigroup import ValidationError, validate_sequence
 
 from oracles import (
+    PositionOverTerm,
     buchberger as generic_buchberger,
     ideal_member,
     is_groebner as generic_is_groebner,

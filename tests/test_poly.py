@@ -7,16 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocurve.poly import (
-    EQ,
-    GT,
-    LT,
     GrevlexOrder,
     Poly,
-    PositionOverTerm,
     Ring,
     SchreyerOrder,
     Vect,
-    compare,
     divide,
     is_homogeneous,
     mono_lcm,
@@ -25,7 +20,7 @@ from monocurve.poly import (
     s_polynomial,
 )
 
-from oracles import EliminationOrder, extended
+from oracles import EliminationOrder, PositionOverTerm, extended
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 
@@ -40,12 +35,12 @@ monos = st.tuples(*(st.integers(0, 6) for _ in range(4)))
 def test_compare_reference_pairs():
     order = R4.order()
     # equal weighted degree 14; first differing exponent is X0 (0 vs 1)
-    assert compare(order, (0, 2, 0, 0), (1, 0, 1, 0)) == GT
+    assert order.key((0, 2, 0, 0)) > order.key((1, 0, 1, 0))
     # equal weighted degree 45; X0 exponent 9 vs 0, smaller wins
-    assert compare(order, (9, 0, 0, 0), (0, 1, 3, 1)) == LT
-    assert compare(order, (2, 1, 0, 3), (2, 1, 0, 3)) == EQ
+    assert order.key((9, 0, 0, 0)) < order.key((0, 1, 3, 1))
+    assert order.key((2, 1, 0, 3)) == order.key((2, 1, 0, 3))
     # pure degree comparison
-    assert compare(order, (0, 0, 0, 1), (1, 0, 0, 0)) == GT
+    assert order.key((0, 0, 0, 1)) > order.key((1, 0, 0, 0))
 
 
 def test_weighted_degree():
@@ -58,10 +53,9 @@ def test_weighted_degree():
 @settings(max_examples=300)
 def test_order_total(a, b):
     order = R4.order()
-    c = compare(order, a, b)
-    assert c in (LT, EQ, GT)
-    assert (c == EQ) == (a == b)
-    assert compare(order, b, a) == -c
+    ka, kb = order.key(a), order.key(b)
+    assert [ka < kb, ka == kb, ka > kb].count(True) == 1
+    assert (ka == kb) == (a == b)
 
 
 @given(monos, monos, monos)
@@ -70,13 +64,15 @@ def test_order_multiplicative(a, b, c):
     order = R4.order()
     shifted_a = tuple(x + y for x, y in zip(a, c))
     shifted_b = tuple(x + y for x, y in zip(b, c))
-    assert compare(order, a, b) == compare(order, shifted_a, shifted_b)
+    ka, kb = order.key(a), order.key(b)
+    shifted_ka, shifted_kb = order.key(shifted_a), order.key(shifted_b)
+    assert (ka < kb, ka > kb) == (shifted_ka < shifted_kb, shifted_ka > shifted_kb)
 
 
 @given(monos)
 def test_order_one_minimal(a):
     order = R4.order()
-    assert compare(order, a, (0, 0, 0, 0)) in (EQ, GT)
+    assert order.key(a) >= order.key((0, 0, 0, 0))
 
 
 @given(monos, monos)
@@ -84,16 +80,16 @@ def test_order_one_minimal(a):
 def test_degree_compatible(a, b):
     order = R4.order()
     if R4.degree(a) > R4.degree(b):
-        assert compare(order, a, b) == GT
+        assert order.key(a) > order.key(b)
 
 
 def test_elimination_order_blocks():
     ext = extended(R4)
     order = EliminationOrder(ext)
     # any T beats no T, regardless of weighted degree
-    assert compare(order, (0, 0, 0, 0, 1), (9, 9, 9, 9, 0)) == GT
+    assert order.key((0, 0, 0, 0, 1)) > order.key((9, 9, 9, 9, 0))
     # T-free comparisons agree with plain grevlex
-    assert compare(order, (0, 2, 0, 0, 0), (1, 0, 1, 0, 0)) == GT
+    assert order.key((0, 2, 0, 0, 0)) > order.key((1, 0, 1, 0, 0))
 
 
 def test_arithmetic_identities():
@@ -217,11 +213,11 @@ def test_schreyer_order_uses_parent_leads():
     e0 = (0, (0, 0, 0, 0))
     e1 = (1, (0, 0, 0, 0))
     # images have degrees 14 and 27
-    assert compare(order, e1, e0) == GT
+    assert order.key(e1) > order.key(e0)
     # equal images: X2^3*e0 vs X1^2*e1 map to X1^2*X2^3 both; smaller position wins
     a = (0, (0, 0, 3, 0))
     b = (1, (0, 2, 0, 0))
-    assert compare(order, a, b) == GT
+    assert order.key(a) > order.key(b)
 
 
 def test_render_parse_round_trip():

@@ -1,25 +1,31 @@
 """Resolution layer: syzygy columns from transcripts, iterated construction,
-elementary transforms, pruning, minimalization, Betti and Hilbert data."""
+unit splitting and minimalization (against the elementary-operation
+calculus), Betti and Hilbert data."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from monocurve import resolution
+from monocurve.closedform import (
+    CaseUnmatched,
+    DegreeImbalance,
+    TemplateMismatch,
+    canonical_generators,
+    case_id,
+    closed_form_base,
+    extract_parameters,
+)
 from monocurve.groebner import GroebnerBasis, buchberger, toric_kernel
 from monocurve.poly import Poly, Ring, SchreyerOrder, Vect, parse
 from monocurve.resolution import (
-    AddMultiple,
     BettiTable,
     FreeResolution,
     GradedFreeModule,
     GradedMap,
     HomogeneityBroken,
-    NotElementary,
     NotMinimal,
     PreconditionViolated,
-    ScaleBasis,
     ShapeMismatch,
-    SwapBasis,
     TranscriptIncomplete,
     betti_table,
     build_resolution,
@@ -28,17 +34,23 @@ from monocurve.resolution import (
     minimalize,
     prune_unit,
     schreyer_syzygies,
-    transform_complex,
 )
 from monocurve.semigroup import ValidationError, frobenius, series_numerator, validate_sequence
 
 from oracles import (
+    AddMultiple,
+    NotElementary,
+    ScaleBasis,
+    SwapBasis,
     gamma_series_truncation,
     graded_betti_numbers,
     hilbert_series_truncation,
     is_groebner,
+    minimalize_by_operations,
     resolution_all_pairs,
+    transform_complex,
 )
+from test_closedform import FIXTURES
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 R2 = Ring(("x", "y"), (5, 7))
@@ -275,7 +287,7 @@ def test_series_numerator_of_a_small_curve():
 
 
 # ---------------------------------------------------------------------------
-# transforms and pruning
+# transforms, unit splitting and minimalization
 
 
 def _toy_complex():
@@ -320,18 +332,68 @@ def test_transform_preserves_validity():
     moved.validate()
 
 
-def test_prune_unit_requires_isolation():
+def test_prune_unit_splits_a_non_isolated_unit():
     res = _toy_complex()
-    # entry (2,0) of maps[1] is the constant from the duplicated generator,
-    # but its row/column are not cleared yet
-    found = None
-    for (i, row) in enumerate(res.maps[1].entries):
-        for j, p in enumerate(row):
-            if not p.is_zero and len(p.terms) == 1 and not any(next(iter(p.terms))):
-                found = (i, j)
+    # the first constant of maps[1] comes from the duplicated generator, and
+    # its column carries another nonzero entry
+    found = resolution._find_constant_entry(res.maps)
     assert found is not None
+    step, row, col = found
+    entries = res.maps[step].entries
+    assert any(not r[col].is_zero for i, r in enumerate(entries) if i != row)
+    pruned = prune_unit(res, *found)
+    pruned.validate()
+    assert hilbert_numerator(pruned) == hilbert_numerator(res)
+    assert pruned.ranks == (1, 2, 1)
     with pytest.raises(PreconditionViolated):
-        prune_unit(res, 1, *found)
+        prune_unit(res, 0, 0, 0)  # the generator x is no constant
+    with pytest.raises(IndexError):
+        prune_unit(res, step, len(entries), col)
+    with pytest.raises(IndexError):
+        prune_unit(res, len(res.maps), 0, 0)
+
+
+def _same_minimalization(res):
+    ours = minimalize(res)
+    reference = minimalize_by_operations(res)
+    assert [(m.source.twists, m.target.twists, m.entries) for m in ours.maps] == [
+        (m.source.twists, m.target.twists, m.entries) for m in reference.maps
+    ]
+
+
+def _closed_form_base(spec, kernel):
+    """The closed-form base complex of a curve that matches a case, else None."""
+    try:
+        params = extract_parameters(kernel)
+        case_id(params)
+    except (TemplateMismatch, DegreeImbalance, CaseUnmatched):
+        return None
+    return closed_form_base(params, canonical_generators(params, spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(CURVES)
+def test_minimalize_matches_elementary_operations(curve):
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    kernel = toric_kernel(spec)
+    _same_minimalization(build_resolution(kernel.reduced_gb))
+    base = _closed_form_base(spec, kernel)
+    if base is not None:
+        _same_minimalization(base)
+
+
+@pytest.mark.parametrize("label", sorted(FIXTURES))
+def test_minimalize_matches_elementary_operations_on_fixtures(label):
+    spec = validate_sequence(*FIXTURES[label])
+    kernel = toric_kernel(spec)
+    _same_minimalization(build_resolution(kernel.reduced_gb))
+    base = _closed_form_base(spec, kernel)
+    assert base is not None
+    _same_minimalization(base)
 
 
 def test_minimalize_removes_duplicate_generator():
