@@ -172,6 +172,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _is_sweep_record(record) -> bool:
+    """Does ``record`` carry every sweep-record key, with the types
+    ``census_digest`` reads on a valid record?"""
+    if not (isinstance(record, dict) and RECORD_KEYS <= record.keys()):
+        return False
+    if type(record["valid"]) is not bool:
+        return False
+    if not record["valid"]:
+        return True
+    betti, case, discrepancies = record["betti_computed"], record["case"], record["discrepancies"]
+    return (
+        (betti is None or (type(betti) is list and all(type(b) is int for b in betti)))
+        and (case is None or type(case) is str)
+        and type(discrepancies) is list
+        and all(type(d) is dict and type(d.get("kind")) is str for d in discrepancies)
+    )
+
+
 def cmd_census(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
@@ -184,7 +202,7 @@ def cmd_census(args) -> int:
         print("unparseable record in %s: %s" % (args.infile, exc), file=sys.stderr)
         return 1
     for (number, line), record in zip(lines, records):
-        if not (isinstance(record, dict) and RECORD_KEYS <= record.keys()):
+        if not _is_sweep_record(record):
             print("not a sweep record at line %d: %s" % (number, line), file=sys.stderr)
             return 1
     digest = census_digest(records)

@@ -22,7 +22,9 @@ fails to fit the templates.
 from __future__ import annotations
 
 import ast
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -109,6 +111,13 @@ class CaseParameters:
 
     def x2_gap(self) -> int:
         return self.x2_plain - self.x2_cross
+
+
+#: the integer fields of CaseParameters
+_PARAM_FIELDS = (
+    "plain_offset", "cross_offset", "x0_plain", "x0_pure", "x0_cross",
+    "x2_plain", "x2_cross", "y_order", "y_split",
+)
 
 
 def _variable_monomial(**powers) -> tuple:
@@ -365,6 +374,7 @@ class CaseId:
         return self.label
 
 
+#: fields a case condition may compare; ``x2_gap`` is x2_plain - x2_cross
 _COMPARABLE = {
     "plain_offset",
     "cross_offset",
@@ -377,31 +387,30 @@ _COMPARABLE = {
 }
 
 
-def _condition_holds(cond: str, params: CaseParameters) -> bool:
-    """Evaluate one table condition: `has_cross`, `no_cross`, or
-    `<field> ==|!= <integer or field>` with `x2_gap` meaning
-    x2_plain - x2_cross."""
+def _parse_condition(cond: str) -> tuple:
+    """One table condition as (field, op, field or int): `has_cross`,
+    `no_cross`, or `<field> ==|!= <integer or field>`.  Raises ValueError on
+    anything else."""
     cond = cond.strip()
     if cond == "has_cross":
-        return params.has_cross
+        return "has_cross", operator.eq, True
     if cond == "no_cross":
-        return not params.has_cross
-    for op in ("==", "!="):
-        if op in cond:
-            left, right = (s.strip() for s in cond.split(op))
+        return "has_cross", operator.eq, False
+    for text, op in (("==", operator.eq), ("!=", operator.ne)):
+        if text in cond:
             break
     else:
         raise ValueError("unreadable condition %r" % cond)
-
-    def value(token):
-        if token in _COMPARABLE:
-            if token == "x2_gap":
-                return params.x2_gap()
-            return getattr(params, token)
-        return int(token)
-
-    lhs, rhs = value(left), value(right)
-    return lhs == rhs if op == "==" else lhs != rhs
+    parts = [s.strip() for s in cond.split(text)]
+    if len(parts) != 2 or parts[0] not in _COMPARABLE:
+        raise ValueError("unreadable condition %r" % cond)
+    left, right = parts
+    if right not in _COMPARABLE:
+        try:
+            right = int(right)
+        except ValueError:
+            raise ValueError("unreadable condition %r" % cond) from None
+    return left, op, right
 
 
 def _load_data(name: str):
@@ -427,14 +436,24 @@ def _load_case_table() -> tuple:
 
 CASE_TABLE = _load_case_table()
 
+#: each row of CASE_TABLE with its conditions parsed once
+_CASE_TESTS = tuple(
+    (row, tuple(_parse_condition(c) for c in row.conditions)) for row in CASE_TABLE
+)
+
 
 def case_id(params: CaseParameters) -> CaseId:
     """The unique table row whose conditions the parameters satisfy."""
     params.validate()
+    values = {field: getattr(params, field) for field in _PARAM_FIELDS}
+    values.update(x2_gap=params.x2_gap(), has_cross=params.has_cross)
     matches = [
         row
-        for row in CASE_TABLE
-        if all(_condition_holds(c, params) for c in row.conditions)
+        for row, tests in _CASE_TESTS
+        if all(
+            op(values[left], values[right] if type(right) is str else right)
+            for left, op, right in tests
+        )
     ]
     if not matches:
         raise CaseUnmatched("no table row covers %s" % (params,))
@@ -454,32 +473,68 @@ def betti_lookup(params: CaseParameters) -> tuple:
 # tabulated twist lists
 
 
+#: the names a twist expression may use: the sequence and the parameters
+_SHIFT_NAMES = ("m0", "m1", "m2", "n") + _PARAM_FIELDS
+
+
+def _shift_tree(expr: str, names) -> ast.expr:
+    """The checked syntax tree of one twist expression: +, -, * and unary -
+    over ``names`` and integers only.  Raises ValueError on anything else."""
+
+    def check(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            check(node.left)
+            check(node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            check(node.operand)
+        elif isinstance(node, ast.Name):
+            if node.id not in names:
+                raise ValueError("unknown name %r in twist expression" % node.id)
+        elif not (isinstance(node, ast.Constant) and type(node.value) is int):
+            raise ValueError("disallowed syntax in twist expression %r" % expr)
+
+    try:
+        body = ast.parse(expr, mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError("unparseable twist expression %r: %s" % (expr, exc.msg)) from None
+    check(body)
+    return body
+
+
+#: the location of a node built here; parsed expressions carry their own
+_NOWHERE = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
+
+
+def _compile(body: ast.expr):
+    return compile(ast.Expression(body), "<twists>", "eval")
+
+
 def _eval_shift(expr: str, env: dict) -> int:
     """Evaluate one twist expression: +, -, * over names and integers only."""
-
-    def walk(node):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            return left * right
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -walk(node.operand)
-        if isinstance(node, ast.Name):
-            try:
-                return env[node.id]
-            except KeyError:
-                raise ValueError("unknown name %r in twist expression" % node.id)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        raise ValueError("disallowed syntax in twist expression %r" % expr)
-
-    return walk(ast.parse(expr, mode="eval").body)
+    return eval(_compile(_shift_tree(expr, env)), {"__builtins__": {}}, env)
 
 
+def _shift_row(row: dict) -> list:
+    """One twist row ({"s": [...], "p": [...], "q": [...]}) as three lists
+    of trees, each expression checked by ``_shift_tree``."""
+    return [
+        ast.List([_shift_tree(expr, _SHIFT_NAMES) for expr in row[key]], ast.Load(), **_NOWHERE)
+        for key in ("s", "p", "q")
+    ]
+
+
+#: case label -> its twist expressions, every one checked at load; the
+#: trees (about 0.6 MB) are not kept, ``_shift_code`` parses a row again
 SHIFT_TABLE = _load_data("shift_tables.json")
+for _row in SHIFT_TABLE.values():
+    _shift_row(_row)
+
+
+@functools.cache
+def _shift_code(label: str):
+    """``SHIFT_TABLE[label]`` as one code object that evaluates to its three
+    lists, compiled on first use."""
+    return _compile(ast.Tuple(_shift_row(SHIFT_TABLE[label]), ast.Load(), **_NOWHERE))
 
 
 def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> tuple:
@@ -492,14 +547,9 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
     """
     if case.label not in SHIFT_TABLE:
         raise CaseUnmatched("no twist row for case %s" % case.label)
-    env = {"m0": spec.m0, "m1": spec.m1, "m2": spec.m2, "n": spec.n}
-    for field in (
-        "plain_offset", "cross_offset", "x0_plain", "x0_pure", "x0_cross",
-        "x2_plain", "x2_cross", "y_order", "y_split",
-    ):
-        env[field] = getattr(params, field)
-    row = SHIFT_TABLE[case.label]
-    lists = tuple([_eval_shift(e, env) for e in row[key]] for key in ("s", "p", "q"))
+    env = {field: getattr(params, field) for field in _PARAM_FIELDS}
+    env.update(m0=spec.m0, m1=spec.m1, m2=spec.m2, n=spec.n)
+    lists = eval(_shift_code(case.label), {"__builtins__": {}}, env)
     # no length check against the Betti triple: one tabulated row carries a
     # surplus entry, and it is the comparison layer's job to report that
     for part in lists:

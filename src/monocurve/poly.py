@@ -16,6 +16,12 @@ rule for vectors: positions must match.
 Coefficients are Python ints wherever divisions stay exact and Fractions
 otherwise, which keeps the binomial-dominated workloads fast without ever
 leaving exact arithmetic.
+
+Normalisation happens once, at the public constructors ``Poly(ring, terms)``
+and ``Vect(ring, rank, terms)``: zero coefficients are dropped and integral
+Fractions become ints.  Arithmetic results skip it.  Every operation already
+drops the zeros it makes, so its result is built by ``_like``, which stores
+the dict as it is and only collapses integral Fractions.
 """
 
 from __future__ import annotations
@@ -26,9 +32,15 @@ from fractions import Fraction
 
 def _norm_coeff(c):
     """Collapse integral Fractions to plain int."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _is_scalar(x) -> bool:
+    """Is x an int or a Fraction?  The exact type tests come first, since
+    ``isinstance`` with ``Fraction`` goes through ``ABCMeta.__instancecheck__``."""
+    return type(x) is int or type(x) is Fraction or isinstance(x, (int, Fraction))
 
 
 def coeff_div(a, b):
@@ -204,8 +216,17 @@ class _Terms:
         self.terms = clean
 
     def _like(self, terms):
-        """Element of the same space with the given terms."""
-        return type(self)(self.ring, terms)
+        """Element of the same space with the given terms, which the caller
+        has already cleared of zero coefficients; only integral Fractions
+        are collapsed, in place."""
+        out = object.__new__(type(self))
+        out.ring = self.ring
+        out._lead = None
+        for k, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[k] = c.numerator
+        out.terms = terms
+        return out
 
     def _scalar(self, c):
         """A scalar as an element of this space; none by default."""
@@ -226,10 +247,19 @@ class _Terms:
             self._lead = (order, (k, self.terms[k]))
         return self._lead[1]
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _same_space(self, other):
+        """``other`` (an element or a scalar) as an element of this space, or None."""
+        if type(other) is type(self):
+            return other
+        if _is_scalar(other):
             other = self._scalar(other)
-        if type(other) is not type(self):
+            if type(other) is type(self):
+                return other
+        return None
+
+    def __add__(self, other):
+        other = self._same_space(other)
+        if other is None:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -246,9 +276,8 @@ class _Terms:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._scalar(other)
-        if type(other) is not type(self):
+        other = self._same_space(other)
+        if other is None:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -264,14 +293,16 @@ class _Terms:
 
     def __mul__(self, other):
         """Scalar multiple, or product with a ring polynomial on either side."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _Terms):
+            if type(self) is Poly:
+                return other._times(self)
+            if type(other) is Poly:
+                return self._times(other)
+            return NotImplemented
+        if _is_scalar(other):
             if not other:
                 return self._like({})
             return self._like({k: c * other for k, c in self.terms.items()})
-        if isinstance(self, Poly) and isinstance(other, _Terms):
-            return other._times(self)
-        if isinstance(other, Poly):
-            return self._times(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -316,13 +347,8 @@ class Poly(_Terms):
         return self.ring.constant(c)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._scalar(other)
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        other = self._same_space(other)
+        return other is not None and self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -344,7 +370,9 @@ class Vect(_Terms):
         super().__init__(ring, terms)
 
     def _like(self, terms):
-        return type(self)(self.ring, self.rank, terms)
+        out = super()._like(terms)
+        out.rank = self.rank
+        return out
 
     @staticmethod
     def key_mul(key, mono):

@@ -25,6 +25,10 @@ reference for that: ``transform_complex`` applies ``AddMultiple``,
 ``minimalize_by_operations`` scales each unit to 1, clears its row and
 column with them and deletes the isolated pair (``prune_isolated``).
 
+The program certifies d∘d = 0 in exponent arithmetic on the entries' term
+dicts.  ``compose_zero_generic``, the same test in generic ``Poly`` products
+and sums, entry by entry, is the reference for that.
+
 ``graded_betti_numbers`` reads the graded Betti numbers off the semigroup
 alone, as reduced homology of small simplicial complexes, with no Gröbner
 code at all.
@@ -67,12 +71,32 @@ from monocurve.resolution import (
     GradedMap,
     HomogeneityBroken,
     PreconditionViolated,
+    ShapeMismatch,
     _element_degrees,
     _find_constant_entry,
     _is_constant,
     schreyer_syzygies,
 )
 from monocurve.semigroup import SubSemigroup
+
+
+def compose_zero_generic(a: GradedMap, b: GradedMap) -> bool:
+    """True iff the matrix product a∘b is zero (a: F->G, b: E->F)."""
+    if a.source != b.target:
+        raise ShapeMismatch("inner modules differ")
+    ring = a.source.ring
+    for i in range(a.target.rank):
+        for j in range(b.source.rank):
+            acc = ring.zero()
+            for k in range(a.source.rank):
+                left = a.entries[i][k]
+                right = b.entries[k][j]
+                if left.is_zero or right.is_zero:
+                    continue
+                acc = acc + left * right
+            if not acc.is_zero:
+                return False
+    return True
 
 
 def buchberger(gens, order) -> GroebnerBasis:

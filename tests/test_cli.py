@@ -244,10 +244,16 @@ def test_census_unparseable_file(tmp_path, capsys):
     assert "unparseable" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["[1, 2]", '{"valid": true}'])
+@pytest.mark.parametrize(
+    "line",
+    # a literal line, or the overrides that make a real record's field mistyped
+    ["[1, 2]", '{"valid": true}', {"discrepancies": [1]}, {"betti_computed": 5}],
+)
 def test_census_rejects_a_foreign_record(sweep_file, tmp_path, line, capsys):
     mixed = tmp_path / "mixed.jsonl"
     first = sweep_file.read_text().splitlines()[0]
+    if isinstance(line, dict):
+        line = json.dumps({**json.loads(first), **line})
     mixed.write_text(first + "\n\n" + line + "\n")
     assert cli.main(["census", "--in", str(mixed)]) == 1
     assert capsys.readouterr().err == "not a sweep record at line 3: %s\n" % line

@@ -18,7 +18,9 @@ from monocurve.closedform import (
     curve_ring,
     extract_parameters,
     graded_shifts,
+    _shift_row,
     _eval_shift,
+    _parse_condition,
 )
 from monocurve.groebner import buchberger, is_groebner, toric_kernel
 from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
@@ -313,6 +315,32 @@ def test_shift_expression_walker_is_strict():
         _eval_shift("__import__('os')", {})
     with pytest.raises(ValueError):
         _eval_shift("unknown + 1", {})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["m0 ** 2", "unknown + 1", "x0_plain * has_cross", "__import__('os')", "2 *", "m0 / 2"],
+)
+def test_shift_rows_are_checked_at_load(bad):
+    row = {"s": ["2*m1"], "p": ["x0_plain*m0 + 1"], "q": [bad]}
+    with pytest.raises(ValueError):
+        _shift_row(row)
+    row["q"] = ["-(y_order - y_split)*n + 3*m2"]
+    _shift_row(row)
+
+
+@pytest.mark.parametrize(
+    "bad", ["x0_pure < 1", "x0_pure", "x0_pure == 1 == 2", "3 == x0_pure", "y_order != 2", "x2_gap == one"]
+)
+def test_case_conditions_are_checked_at_load(bad):
+    with pytest.raises(ValueError):
+        _parse_condition(bad)
+
+
+def test_case_conditions_parse_to_field_op_operand():
+    assert _parse_condition(" x2_gap != 1 ")[::2] == ("x2_gap", 1)
+    assert _parse_condition("x2_plain==x2_cross")[::2] == ("x2_plain", "x2_cross")
+    assert _parse_condition("no_cross")[::2] == ("has_cross", False)
 
 
 # ---------------------------------------------------------------------------

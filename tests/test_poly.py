@@ -272,6 +272,35 @@ def test_mixed_sums_rejected():
         v + 1
 
 
+def test_arithmetic_results_stay_normalised():
+    x = P("X0")
+    half = x * Fraction(1, 2)
+    whole = half + half
+    assert whole.terms == {(1, 0, 0, 0): 1}
+    assert type(whole.terms[(1, 0, 0, 0)]) is int
+    assert (x - x).terms == {}
+    assert (x * 0).terms == {} and (half - half).terms == {}
+    doubled = Poly(R4, {(0, 1, 0, 0): Fraction(3, 2)}) * half * 4
+    assert doubled.terms == {(1, 1, 0, 0): 3} and type(doubled.terms[(1, 1, 0, 0)]) is int
+    # the public constructor still normalises what it is given
+    assert Poly(R4, {(1, 0, 0, 0): Fraction(4, 2), (0, 1, 0, 0): 0}).terms == {(1, 0, 0, 0): 2}
+
+    v = Vect.from_polys([P("X1"), P("-X0"), P("0")])
+    w = Vect.unit(R4, 3, 2)
+    results = [
+        v + w,
+        v - v,
+        v * Fraction(2, 3),
+        Fraction(3, 2) * (v * Fraction(2, 3)),
+        v._times(P("X2 - X1")),
+        v.mul_term((0, 0, 1, 0), 2),
+        v.mul_term((0, 0, 1, 0), 0),
+    ]
+    assert all(type(r) is Vect and r.rank == 3 for r in results)
+    assert results[1].terms == {}
+    assert results[3] == v and all(type(c) is int for c in results[3].terms.values())
+
+
 def test_module_divide_matches_positions():
     order = PositionOverTerm(R4.order())
     f = Vect.from_polys([P("X0*X1"), P("X2")])

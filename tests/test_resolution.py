@@ -2,6 +2,9 @@
 unit splitting and minimalization (against the elementary-operation
 calculus), Betti and Hilbert data."""
 
+import functools
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -42,6 +45,7 @@ from oracles import (
     NotElementary,
     ScaleBasis,
     SwapBasis,
+    compose_zero_generic,
     gamma_series_truncation,
     graded_betti_numbers,
     hilbert_series_truncation,
@@ -446,3 +450,112 @@ def test_monomial_ideal_hilbert_oracle(monos):
             if d <= bound and not any(a >= m[0] and b >= m[1] for m in monos):
                 counts[d] += 1
     assert series == counts
+
+
+# ---------------------------------------------------------------------------
+# the composition certificate against the generic oracle
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials_of_degree(d):
+    """Every exponent tuple of R4 of weighted degree d."""
+    w0, w1, w2, w3 = R4.weights
+    out = []
+    for e0 in range(d // w0 + 1):
+        for e1 in range((d - e0 * w0) // w1 + 1):
+            for e2 in range((d - e0 * w0 - e1 * w1) // w2 + 1):
+                rest = d - e0 * w0 - e1 * w1 - e2 * w2
+                if rest % w3 == 0:
+                    out.append((e0, e1, e2, rest // w3))
+    return tuple(out)
+
+
+COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)])
+
+
+@st.composite
+def composable_maps(draw):
+    """Small sparse maps a: F -> G and b: E -> F over R4 with Fraction
+    coefficients.  With ``twin`` drawn, a = [U | U] and b = [V; -V], so a∘b
+    vanishes by cancellation of every product term."""
+
+    def module(low, high):
+        rank = draw(st.integers(1, 3))
+        return sorted(draw(st.lists(st.integers(low, high), min_size=rank, max_size=rank)))
+
+    def matrix(source, target):
+        rows = []
+        for t in target:
+            row = []
+            for s in source:
+                monos = _monomials_of_degree(s - t) if s >= t else ()
+                picked = draw(st.lists(st.sampled_from(monos), max_size=3)) if monos else []
+                row.append(Poly(R4, {m: draw(COEFFS) for m in picked}))
+            rows.append(row)
+        return rows
+
+    G, F, E = module(0, 9), module(14, 32), module(28, 55)
+    U, V = matrix(F, G), matrix(E, F)
+    twin = draw(st.booleans())
+    if twin:
+        F = F + F
+        U = [row + row for row in U]
+        V = V + [[-p for p in row] for row in V]
+    G, F, E = (GradedFreeModule(R4, tuple(t)) for t in (G, F, E))
+    return GradedMap(F, G, U), GradedMap(E, F, V), twin
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable_maps())
+def test_compose_zero_matches_generic_oracle_on_random_maps(maps):
+    a, b, twin = maps
+    assert compose_zero(a, b) == compose_zero_generic(a, b)
+    if twin:
+        assert compose_zero(a, b)
+
+
+def _scaled_term(gmap: GradedMap, k: int, j: int, mono) -> GradedMap:
+    """``gmap`` with the coefficient of ``mono`` in entry (k, j) doubled."""
+    entries = [list(row) for row in gmap.entries]
+    terms = dict(entries[k][j].terms)
+    terms[mono] *= 2
+    entries[k][j] = Poly(entries[k][j].ring, terms)
+    return GradedMap(gmap.source, gmap.target, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CURVES, st.data())
+def test_compose_zero_matches_generic_oracle_on_curves(curve, data):
+    """Every consecutive pair of the generic and closed-form complexes, before
+    and after minimalization, composes to zero on both sides; doubling one
+    term of one entry (k, j) of the right map, where column k of the left map
+    is nonzero, adds that term times the column to column j of the product,
+    so both sides must then say False."""
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    kernel = toric_kernel(spec)
+    schreyer = build_resolution(kernel.reduced_gb)
+    complexes = [schreyer, minimalize(schreyer)]
+    try:
+        params = extract_parameters(kernel)
+        base = closed_form_base(params, canonical_generators(params, spec))
+        complexes += [base, minimalize(base)]
+    except (TemplateMismatch, DegreeImbalance):
+        pass
+    for res in complexes:
+        for left, right in zip(res.maps, res.maps[1:]):
+            assert compose_zero(left, right) and compose_zero_generic(left, right)
+            spots = [
+                (k, j)
+                for k, row in enumerate(right.entries)
+                for j, p in enumerate(row)
+                if p.terms and any(r[k].terms for r in left.entries)
+            ]
+            k, j = data.draw(st.sampled_from(spots))
+            mono = data.draw(st.sampled_from(sorted(right.entries[k][j].terms)))
+            broken = _scaled_term(right, k, j, mono)
+            assert not compose_zero(left, broken)
+            assert not compose_zero_generic(left, broken)
