@@ -11,13 +11,25 @@ S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, recorded as such.
 Ideal elements are pure-difference binomials or unit monomials, up to sign,
 and run on (lead, tail) exponent pairs (Sturmfels, *Gröbner Bases and Convex
 Polytopes*, ch. 12); ``pair_records`` divides module syzygies generically.
+
+The toric kernel needs no completion: its reduced basis is read off the
+Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
+mod w_0 that also picks the order-least monomial of each Apéry degree
+(``_standard_table``).  The leads are the minimal monomials outside that
+set of standard monomials, each with the standard monomial of its degree
+as tail.  It is certified in three independent steps: ``ToricIdeal.
+validate`` puts every element in the kernel, the one ``buchberger`` pass
+(run for the transcript) appends nothing, so the elements are a Gröbner
+basis, and the Hilbert identity, checked from ``semigroup``'s own Apéry
+set, makes the ideal they generate the whole kernel.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from operator import add, itemgetter, le, mul, neg, sub
+from operator import add, le, mul, neg, sub
 
 from monocurve.poly import (
     Poly,
@@ -232,155 +244,55 @@ def _default_names(count: int):
     return defaults[:count]
 
 
-def _extended_gcd(a: int, b: int):
-    """(g, s, t) with s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
+def _standard_table(w) -> list:
+    """Per residue r mod w[0], for weights w coprime as a whole: the label
+    (a_r, -e_1, .., -e_k) of the order-least monomial x^(0, e_1, .., e_k)
+    of least degree a_r in that residue, so that a_r runs over
+    Ap(<w>, w[0]).
 
-
-def _size_reduce(vectors):
-    """Pairwise integer size-reduction; unimodular, so the lattice is kept."""
-    vecs = [list(v) for v in vectors]
-    for _ in range(32):
-        changed = False
-        for i in range(len(vecs)):
-            for j in range(len(vecs)):
-                if i == j:
-                    continue
-                denom = sum(e * e for e in vecs[j])
-                if denom == 0:
-                    continue
-                num = sum(a * b for a, b in zip(vecs[i], vecs[j]))
-                k = round(num / denom)
-                if k:
-                    cand = [a - k * b for a, b in zip(vecs[i], vecs[j])]
-                    if sum(e * e for e in cand) < sum(e * e for e in vecs[i]):
-                        vecs[i] = cand
-                        changed = True
-        if not changed:
-            break
-    return [tuple(v) for v in vecs]
-
-
-def _kernel_lattice_basis(weights):
-    """Basis of the full integer kernel lattice of the weight row.
-
-    Sequential gcd elimination: keep a certificate c with c·w[:i] = g; each
-    new weight contributes one kernel vector, and the certificate absorbs it.
+    Shortest paths over the residues, one edge per weight after the first,
+    with labels compared lexicographically: least degree, then most x_1,
+    then most x_2, and so on, which is the ring order's cheapest monomial.
     """
-    k = len(weights)
-    basis = []
-    g = weights[0]
-    cert = [1] + [0] * (k - 1)
-    for i in range(1, k):
-        g2, s, t = _extended_gcd(g, weights[i])
-        vec = [weights[i] // g2 * c for c in cert]
-        vec[i] -= g // g2
-        basis.append(vec)
-        cert = [s * c for c in cert]
-        cert[i] += t
-        g = g2
-    return _size_reduce(basis)
-
-
-def _normal_form(mono, basis):
-    """Reduce x^mono by the (lead, tail, tail - lead) binomials of ``basis``
-    until no lead divides it: each step trades a lead for its tail."""
-    while True:
-        for lead, _, shift in basis:
-            if all(map(le, lead, mono)):
-                mono = tuple(map(add, mono, shift))
-                break
-        else:
-            return mono
-
-
-def _binomial(a, b, revlex):
-    """(lead, tail, tail - lead) of x^a - x^b, two monomials of one degree,
-    under the grevlex order that ``revlex`` picks the tie-break from."""
-    if revlex(a) > revlex(b):
-        a, b = b, a
-    return a, b, tuple(map(sub, b, a))
-
-
-def _reduced_binomial_basis(pairs, weights, perm):
-    """Reduced Gröbner basis, as (lead, tail) exponent pairs ascending by
-    lead, of the weighted-homogeneous binomials x^a - x^b given as exponent
-    pairs (a, b).
-
-    The order is weighted grevlex with ties broken by the variables in
-    ``perm`` order, smaller exponent winning, so ``perm[0]`` is cheapest.
-    The S-binomial of leads a and c is x^(L-c+d) - x^(L-a+b) with
-    L = lcm(a, c); its lead is reduced until no basis lead divides it,
-    re-oriented after each step.  Pairs go smallest lcm first and pairs
-    with coprime leads are skipped (product criterion).  The reduced basis
-    keeps the lead-minimal elements (of equal leads one) with their tails
-    in normal form.
-    """
-    revlex = itemgetter(*perm)
-
-    def key(m):
-        return sum(map(mul, m, weights)), tuple(map(neg, revlex(m)))
-
-    basis: list = []
-    heap: list = []
-
-    def add_binomial(a, b):
-        if a == b:
-            return
-        lead, tail, shift = _binomial(a, b, revlex)
-        while True:
-            reduced = _normal_form(lead, basis)
-            if reduced == lead:
-                break
-            if reduced == tail:
-                return
-            lead, tail, shift = _binomial(reduced, tail, revlex)
-        t = len(basis)
-        for i, (c, _, _) in enumerate(basis):
-            if any(map(min, c, lead)):
-                lcm = tuple(map(max, c, lead))
-                heapq.heappush(heap, (key(lcm), i, t))
-        basis.append((lead, tail, shift))
-
-    for a, b in pairs:
-        add_binomial(a, b)
+    m = w[0]
+    steps = [(v,) + tuple(-(i == j) for i in range(1, len(w))) for j, v in enumerate(w) if j]
+    least = [None] * m
+    least[0] = (0,) * len(w)
+    heap = [(least[0], 0)]
     while heap:
-        _, i, j = heapq.heappop(heap)
-        (a, _, shift_i), (c, _, shift_j) = basis[i], basis[j]
-        lcm = tuple(map(max, a, c))
-        add_binomial(tuple(map(add, lcm, shift_j)), tuple(map(add, lcm, shift_i)))
-
-    kept: list = []
-    for g in sorted(basis, key=lambda g: key(g[0])):
-        if not any(all(map(le, k[0], g[0])) for k in kept):
-            kept.append(g)
-    return [(lead, _normal_form(tail, kept)) for lead, tail, _ in kept]
+        label, r = heapq.heappop(heap)
+        if label > least[r]:
+            continue
+        for step in steps:
+            t = tuple(map(add, label, step))
+            q = t[0] % m
+            if least[q] is None or t < least[q]:
+                least[q] = t
+                heapq.heappush(heap, (t, q))
+    return least
 
 
 def toric_kernel_generic(weights, names=None):
-    """Kernel of k[names] -> k[t], x_i -> t^{w_i}, via the relation lattice.
+    """Kernel of k[names] -> k[t], x_i -> t^{w_i}, read off the Apéry set.
 
-    Start from binomials of a kernel-lattice basis of the weights, then
-    saturate one variable at a time: complete under grevlex with that
-    variable cheapest and divide each element by the variable's common
-    power.  (A weighted-homogeneous element whose lead the cheapest variable
-    divides is divisible by it throughout, which is exactly why the division
-    yields the saturation.)  After all variables the ideal is the full
-    kernel.  Everything runs in the target ring with small exponents, unlike
-    elimination, whose auxiliary variable carries weight-sized powers.
+    The kernel is spanned by the binomials x^u - x^v with w·u = w·v, and
+    its reduced Gröbner basis is fixed by the standard monomials, the
+    order-least monomial of each degree of the semigroup (Sturmfels,
+    *Gröbner Bases and Convex Polytopes*, ch. 4 and 12).  x_0 is cheapest
+    in the order's reverse tie-break and regular on k[Γ], so no lead
+    involves it (Bayer and Stillman, *Invent. Math.* 87, 1987), and the
+    standard monomial of degree s is x_0^((s - a_r)/w_0) · std_r, with
+    (a_r, std_r) from ``_standard_table`` for r = s mod w_0 (after dividing
+    out the gcd of the weights).  The leads are the monomials outside
+    S = {std_r} whose every divisor by one variable lies in S, and each
+    lead's tail is the standard monomial of its degree.
 
-    Every element is a pure-difference binomial x^u - x^v, so the
-    completions run on (lead, tail) exponent pairs (Sturmfels, *Gröbner
-    Bases and Convex Polytopes*, ch. 12).  The reduced basis goes once through
-    ``buchberger`` here, for its transcript, so a stand-in serves that too.
+    The basis then goes once through ``buchberger``, for its transcript;
+    that nothing is appended certifies it a Gröbner basis.  With
+    ``ToricIdeal.validate`` (each element is in the kernel) and the Hilbert
+    identity that ``series_numerator`` checks from its own Apéry set, that
+    makes it the kernel's basis; so the Hilbert check must not read this
+    table.
 
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
     under the ring's weighted grevlex order, ascending by lead, with a fresh
@@ -390,28 +302,29 @@ def toric_kernel_generic(weights, names=None):
     if names is None:
         names = _default_names(len(weights))
     ring = Ring(tuple(names), weights)
-    nvars = ring.nvars
-    pairs = [
-        (tuple(max(e, 0) for e in vec), tuple(max(-e, 0) for e in vec))
-        for vec in _kernel_lattice_basis(weights)
-    ]
-    for i in range(nvars):
-        perm = (i,) + tuple(j for j in range(nvars) if j != i)
-        saturated = []
-        for lead, tail in _reduced_binomial_basis(pairs, weights, perm):
-            low = min(lead[i], tail[i])
-            if low:
-                lead = lead[:i] + (lead[i] - low,) + lead[i + 1 :]
-                tail = tail[:i] + (tail[i] - low,) + tail[i + 1 :]
-            saturated.append((lead, tail))
-        pairs = saturated
-    reduced = [
-        Poly(ring, {lead: 1, tail: -1})
-        for lead, tail in _reduced_binomial_basis(pairs, weights, tuple(range(nvars)))
-    ]
-    gb = buchberger(reduced, ring.order())
-    if len(gb.elements) != len(reduced):  # pragma: no cover - safety net
-        raise AssertionError("binomial completion did not give a Gröbner basis")
+    g = math.gcd(*weights)
+    w = tuple(v // g for v in weights)
+    table = _standard_table(w)
+    standard = {(0,) + tuple(map(neg, label[1:])) for label in table}
+    unit = [tuple(int(i == j) for i in range(len(w))) for j in range(len(w))]
+    leads = set()
+    for s in standard:
+        for j in range(1, len(w)):
+            c = tuple(map(add, s, unit[j]))
+            if c not in standard and all(
+                tuple(map(sub, c, unit[i])) in standard for i in range(1, len(w)) if c[i]
+            ):
+                leads.add(c)
+    order = ring.order()
+    reduced = []
+    for lead in sorted(leads, key=order.key):
+        degree = sum(map(mul, lead, w))
+        a, *rest = table[degree % w[0]]
+        tail = ((degree - a) // w[0],) + tuple(map(neg, rest))
+        reduced.append(Poly(ring, {lead: 1, tail: -1}))
+    gb = buchberger(reduced, order)
+    if len(gb.elements) != len(reduced):  # the Gröbner-basis certificate
+        raise AssertionError("the Apéry-set basis is not a Gröbner basis")
     return ring, gb
 
 

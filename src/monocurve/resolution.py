@@ -354,21 +354,33 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     return FreeResolution(new_maps, minimal=False)
 
 
-def _find_constant_entry(maps):
-    for step, gm in enumerate(maps):
-        for i, r in enumerate(gm.entries):
-            for j, p in enumerate(r):
+def _find_constant_entry(maps, step: int = 0, row: int = 0):
+    """(step, i, j) of the first nonzero constant entry in row-major order,
+    starting at row ``row`` of map ``step``, or None."""
+    for s in range(step, len(maps)):
+        entries = maps[s].entries
+        for i in range(row if s == step else 0, len(entries)):
+            for j, p in enumerate(entries[i]):
                 if not p.is_zero and _is_constant(p) is not None:
-                    return step, i, j
+                    return s, i, j
     return None
 
 
 def minimalize(res: FreeResolution) -> FreeResolution:
     """Split off every constant entry, one ``prune_unit`` each, then drop the
-    trailing modules of rank zero."""
+    trailing modules of rank zero.
+
+    The scan for the next unit resumes at the pruned (step, row): no earlier
+    entry was a nonzero constant, the neighbouring maps only lose a row or a
+    column, and above ``row`` the Schur complement changes (i, j) only by
+    D[i][col]·D[row][j]/u with D[i][col] of positive degree, so by
+    homogeneity no constant appears there.
+    """
     current = res
-    while (found := _find_constant_entry(current.maps)) is not None:
+    found = _find_constant_entry(current.maps)
+    while found is not None:
         current = prune_unit(current, *found)
+        found = _find_constant_entry(current.maps, found[0], found[1])
     maps = list(current.maps)
     while maps and maps[-1].source.rank == 0:
         maps.pop()

@@ -5,8 +5,9 @@ four numbers are coprime as a whole, and each generator is genuinely needed.
 The semigroup Gamma = <m0, m1, m2, n> supplies the grading used by every
 other module; membership queries are answered by a small dynamic-programming
 table that is exact for all inputs.  Apery sets, found by shortest paths
-over the residues, give the Frobenius number and the exact numerator of the
-semigroup's generating series.
+over the residues, give the Frobenius number, the exact numerator of the
+semigroup's generating series and the least multiple of a number that the
+semigroup contains.
 """
 
 from __future__ import annotations
@@ -89,30 +90,36 @@ class SubSemigroup:
         return f"SubSemigroup{self.generators}"
 
 
-def apery_set(semigroup: SubSemigroup, m: int) -> set[int]:
-    """Smallest semigroup element in each residue class modulo m.
-
-    Shortest paths over the residues mod m, one edge per generator.  Defined
-    only when the semigroup eventually meets every residue class, i.e. when
-    its generators are coprime as a whole.
-    """
-    if semigroup.gcd != 1:
-        raise GcdNotOne("apery set undefined: generators share a common factor")
-    if m <= 0 or not semigroup.contains(m):
-        raise ValueError("apery base must be a positive element of the semigroup")
+def _least_per_residue(generators, m: int) -> list:
+    """Smallest sum of ``generators`` in each residue class modulo m, by
+    shortest paths over the residues, one edge per generator; None for a
+    class no sum reaches."""
     least = [0] + [None] * (m - 1)
     heap = [(0, 0)]
     while heap:
         s, r = heapq.heappop(heap)
         if s > least[r]:
             continue
-        for g in semigroup.generators:
+        for g in generators:
             t = s + g
             q = t % m
             if least[q] is None or t < least[q]:
                 least[q] = t
                 heapq.heappush(heap, (t, q))
-    return set(least)
+    return least
+
+
+def apery_set(semigroup: SubSemigroup, m: int) -> set[int]:
+    """Smallest semigroup element in each residue class modulo m.
+
+    Defined only when the semigroup eventually meets every residue class,
+    i.e. when its generators are coprime as a whole.
+    """
+    if semigroup.gcd != 1:
+        raise GcdNotOne("apery set undefined: generators share a common factor")
+    if m <= 0 or not semigroup.contains(m):
+        raise ValueError("apery base must be a positive element of the semigroup")
+    return set(_least_per_residue(semigroup.generators, m))
 
 
 def frobenius(semigroup: SubSemigroup) -> int:
@@ -124,13 +131,25 @@ def frobenius(semigroup: SubSemigroup) -> int:
 
 
 def min_multiple_in(x: int, semigroup: SubSemigroup) -> int:
-    """Least v >= 1 such that v*x lies in the semigroup."""
+    """Least v >= 1 such that v*x lies in the semigroup.
+
+    With g the gcd of the generators, v*x lies in it exactly when g divides
+    v*x and s = v*x/g >= Ap[s mod m], where Ap holds the least element of
+    each residue class of the semigroup divided by g, modulo its least
+    generator m.  So only multiples of g/gcd(g, x) are tried, against one
+    table of m entries.
+    """
     if x <= 0:
         raise ValueError("x must be positive")
-    v = 1
-    while not semigroup.contains(v * x):
-        v += 1
-    return v
+    g = semigroup.gcd
+    reduced = tuple(a // g for a in semigroup.generators)
+    m = reduced[0]
+    least = _least_per_residue(reduced, m)
+    step = x // math.gcd(g, x)
+    s = step
+    while s < least[s % m]:
+        s += step
+    return s * g // x
 
 
 def series_numerator(weights) -> dict:

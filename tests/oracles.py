@@ -33,15 +33,16 @@ and sums, entry by entry, is the reference for that.
 alone, as reduced homology of small simplicial complexes, with no Gröbner
 code at all.
 
-The program computes the toric kernel by lattice saturation on binomials
-stored as exponent pairs.  Two references compute the same reduced basis
-another way, and the tests require them to agree with it:
+The program reads the toric kernel's reduced basis off the Apéry set, one
+shortest-path pass with no S-pair.  Two references compute the same reduced
+basis another way, and the tests require them to agree with it:
 
 * ``toric_kernel_elimination``, the textbook algorithm, on the reduced
   elements;
-* ``toric_kernel_saturation``, the same saturations run through generic
-  ``Poly`` arithmetic and ``reduce_basis``, on the reduced elements and on
-  every record of the completion transcript.
+* ``toric_kernel_saturation``, lattice saturation (a kernel-lattice basis
+  from ``_kernel_lattice_basis``, then one saturation per variable) run
+  through generic ``Poly`` arithmetic and ``reduce_basis``, on the reduced
+  elements and on every record of the transcript.
 """
 
 import functools
@@ -53,7 +54,6 @@ from monocurve.groebner import (
     GroebnerBasis,
     PairRecord,
     _default_names,
-    _kernel_lattice_basis,
 )
 from monocurve.poly import (
     Poly,
@@ -638,6 +638,64 @@ def toric_kernel_elimination(weights, names=None):
     return ring, reduced
 
 
+def _extended_gcd(a: int, b: int):
+    """(g, s, t) with s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    return old_r, old_s, old_t
+
+
+def _size_reduce(vectors):
+    """Pairwise integer size-reduction; unimodular, so the lattice is kept."""
+    vecs = [list(v) for v in vectors]
+    for _ in range(32):
+        changed = False
+        for i in range(len(vecs)):
+            for j in range(len(vecs)):
+                if i == j:
+                    continue
+                denom = sum(e * e for e in vecs[j])
+                if denom == 0:
+                    continue
+                num = sum(a * b for a, b in zip(vecs[i], vecs[j]))
+                k = round(num / denom)
+                if k:
+                    cand = [a - k * b for a, b in zip(vecs[i], vecs[j])]
+                    if sum(e * e for e in cand) < sum(e * e for e in vecs[i]):
+                        vecs[i] = cand
+                        changed = True
+        if not changed:
+            break
+    return [tuple(v) for v in vecs]
+
+
+def _kernel_lattice_basis(weights):
+    """Basis of the full integer kernel lattice of the weight row.
+
+    Sequential gcd elimination: keep a certificate c with c·w[:i] = g; each
+    new weight contributes one kernel vector, and the certificate absorbs it.
+    """
+    k = len(weights)
+    basis = []
+    g = weights[0]
+    cert = [1] + [0] * (k - 1)
+    for i in range(1, k):
+        g2, s, t = _extended_gcd(g, weights[i])
+        vec = [weights[i] // g2 * c for c in cert]
+        vec[i] -= g // g2
+        basis.append(vec)
+        cert = [s * c for c in cert]
+        cert[i] += t
+        g = g2
+    return _size_reduce(basis)
+
+
 def _strip_variable(p: Poly, index: int) -> Poly:
     low = min(m[index] for m in p.terms)
     if low == 0:
@@ -654,10 +712,14 @@ def toric_kernel_saturation(weights, names=None):
     """Kernel of k[names] -> k[t], x_i -> t^{w_i}, by lattice saturation in
     generic polynomial arithmetic.
 
-    The same saturations as ``toric_kernel_generic``: for each variable,
-    complete under grevlex with that variable cheapest (the ring permuted to
-    put it first) and divide each element by the variable's common power;
-    then complete under the ring's order and reduce.
+    Start from the binomials of a kernel-lattice basis of the weights, then
+    saturate one variable at a time: complete under grevlex with that
+    variable cheapest (the ring permuted to put it first) and divide each
+    element by the variable's common power.  (A weighted-homogeneous
+    element whose lead the cheapest variable divides is divisible by it
+    throughout, which is why the division yields the saturation.)  After
+    all variables the ideal is the full kernel; complete it under the
+    ring's order and reduce.
 
     Returns (ring, gb) like ``toric_kernel_generic``.
     """

@@ -1,6 +1,10 @@
 """How analyze_sequence sets its flags: the one FreeResolution.validate()
 pass onto compose_ok and minimal_ok, and the exact series identity onto
-hilbert_ok."""
+hilbert_ok; and how long it takes on large generators."""
+
+import time
+
+import pytest
 
 from monocurve import analysis
 from monocurve.resolution import FreeResolution, GradedMap, _find_constant_entry, minimalize
@@ -58,3 +62,19 @@ def test_hilbert_ok_when_the_numerator_outruns_degree_200():
     report = analysis.analyze_sequence(301, 304, 307, 1000)
     assert max(d for d, _ in report.hilbert_numerator) > 15000
     assert report.flags["hilbert_ok"] is True
+
+
+# Large m0 stresses the kernel (Apéry set of m0 residues) and the closed
+# form's least multiple of n in <m0, m1, m2>.  Measured single-threaded on a
+# 2-vCPU host, Python 3.11.7: 0.19 s and 0.09 s; the budget is ten times that.
+@pytest.mark.parametrize(
+    "seq, budget_s",
+    [((10007, 10008, 10009, 123457), 2.0), ((4001, 4002, 4003, 49999), 1.0)],
+)
+def test_large_m0_is_analysed_within_budget(seq, budget_s):
+    started = time.perf_counter()
+    report = analysis.analyze_sequence(*seq)
+    elapsed = time.perf_counter() - started
+    assert report.valid and all(report.flags.values()), report.flags
+    assert len(report.flags) == 5
+    assert elapsed < budget_s, f"{seq} took {elapsed:.2f} s, budget {budget_s} s"

@@ -1,5 +1,6 @@
 """Gröbner machinery against small hand-checkable oracles."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from monocurve.groebner import (
     GroebnerBasis,
+    _standard_table,
     buchberger,
     is_groebner,
     is_pure_difference,
@@ -22,10 +24,11 @@ from monocurve.closedform import (
     extract_parameters,
 )
 from monocurve.poly import Ring, Vect, is_homogeneous, parse
-from monocurve.semigroup import ValidationError, validate_sequence
+from monocurve.semigroup import SubSemigroup, ValidationError, apery_set, validate_sequence
 
 from oracles import (
     PositionOverTerm,
+    apery_set_walk,
     buchberger as generic_buchberger,
     ideal_member,
     is_groebner as generic_is_groebner,
@@ -243,8 +246,17 @@ def test_elimination_and_lattice_kernels_agree(weights):
     assert as_terms(gb_e) == as_terms(gb_l)
 
 
-# the binomial kernel against the same saturations in generic arithmetic: a
+# the Apéry-set kernel against lattice saturation in generic arithmetic: a
 # reduced basis is unique, so elements and transcripts must match exactly
+
+
+def _valid(weights):
+    try:
+        validate_sequence(*weights)
+    except ValidationError:
+        return False
+    return True
+
 
 ARITHMETIC_WEIGHTS = st.one_of(
     # the box-60 family: m2 <= 60, n <= 60
@@ -257,17 +269,21 @@ ARITHMETIC_WEIGHTS = st.one_of(
 
 
 @settings(max_examples=80, deadline=None)
-@given(ARITHMETIC_WEIGHTS)
+@given(ARITHMETIC_WEIGHTS.filter(_valid))
 @example((1, 2))
 @example((3, 4, 5))
 @example((5, 6, 7))
 @example((5, 7, 9, 11))
+# common factors of some or all weights
+@example((6, 10, 15))
+@example((2, 4, 6, 7))
+@example((4, 6, 10))
+# a weight the others generate
+@example((1, 5, 17))
+# w0 not the least weight, and a repeated weight
+@example((36, 26, 26))
+@example((5, 7, 9, 13, 17))
 def test_binomial_kernel_matches_poly_saturation(weights):
-    if len(weights) == 4:
-        try:
-            validate_sequence(*weights)
-        except ValidationError:
-            assume(False)
     ring, gb = toric_kernel_generic(weights)
     ring_o, gb_o = toric_kernel_saturation(weights)
     assert ring == ring_o
@@ -276,6 +292,38 @@ def test_binomial_kernel_matches_poly_saturation(weights):
         (r.i, r.j, r.cofactor_i, r.cofactor_j, r.quotients, r.koszul) for r in gb.transcript
     ]
     assert records(gb) == records(gb_o)
+
+
+def _least_labels(w, top):
+    """Per value t <= top, the lexicographically least (t, -e_1, .., -e_k)
+    over all ways to write t as a sum of w[1:], else None: the last summand
+    is one of w[1:], so dynamic programming over t settles it."""
+    best = [(0,) * len(w)] + [None] * top
+    for t in range(1, top + 1):
+        for j in range(1, len(w)):
+            if w[j] <= t and best[t - w[j]] is not None:
+                e = list(best[t - w[j]])
+                e[0], e[j] = t, e[j] - 1
+                if best[t] is None or tuple(e) < best[t]:
+                    best[t] = tuple(e)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=5))
+@example([36, 26, 26])
+@example([6, 10, 15])
+@example([5, 7, 9, 13, 17])
+def test_kernel_table_is_the_apery_set_with_least_monomials(weights):
+    g = math.gcd(*weights)
+    w = tuple(v // g for v in weights)
+    table = _standard_table(w)
+    least = [label[0] for label in table]
+    assert [a % w[0] for a in least] == list(range(w[0]))
+    semigroup = SubSemigroup(w)
+    assert set(least) == apery_set(semigroup, w[0]) == apery_set_walk(semigroup, w[0])
+    best = _least_labels(w, max(least))
+    assert table == [best[a] for a in least]
 
 
 # the binomial completion and Gröbner check against the generic ones, on the

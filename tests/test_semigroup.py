@@ -113,6 +113,28 @@ def test_min_multiple_is_minimal(x, gens):
     assert all(not semi.contains(k * x) for k in range(1, v))
 
 
+@given(
+    st.lists(st.integers(1, 25), min_size=1, max_size=4),
+    st.integers(1, 6),
+    st.integers(1, 60),
+    st.booleans(),
+)
+@settings(max_examples=200)
+# gcd 6; x = 4 shares the factor 2 with it
+@example([2, 3], 3, 4, False)
+def test_min_multiple_in_matches_dense_table(gens, factor, x, share):
+    """The Apéry-table answer against stepping v upward through the
+    semigroup's dense membership table, on generator sets whose gcd is
+    ``factor`` (times their own) and an x that shares it when ``share``."""
+    semi = SubSemigroup([g * factor for g in gens])
+    if share:
+        x *= semi.gcd
+    v = 1
+    while not semi.contains(v * x):
+        v += 1
+    assert min_multiple_in(x, semi) == v
+
+
 def test_gamma_series_truncation_is_indicator():
     semi = SubSemigroup((5, 7, 9, 11))
     series = gamma_series_truncation(semi, 40)
