@@ -10,7 +10,8 @@ S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, recorded as such.
 
 Ideal elements are pure-difference binomials or unit monomials, up to sign,
 and run on (lead, tail) exponent pairs (Sturmfels, *Gröbner Bases and Convex
-Polytopes*, ch. 12); ``pair_records`` divides module syzygies generically.
+Polytopes*, ch. 12).  ``pair_records`` reduces the pairs of a syzygy level,
+by ``divide``'s rule, each in one {(position, exponent): coefficient} dict.
 
 The toric kernel needs no completion: its reduced basis is read off the
 Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
@@ -34,13 +35,16 @@ from operator import add, le, mul, neg, sub
 from monocurve.poly import (
     Poly,
     Ring,
-    divide,
+    coeff_div,
     is_homogeneous,
     mono_coprime,
     mono_div,
     mono_lcm,
-    s_polynomial,
 )
+
+# divide and s_polynomial are not called here; they stay importable as
+# groebner.divide and groebner.s_polynomial
+from monocurve.poly import divide, s_polynomial  # noqa: F401
 from monocurve.semigroup import SequenceSpec
 
 VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
@@ -60,9 +64,13 @@ class PairRecord:
 
 @dataclass
 class GroebnerBasis:
+    """``degrees`` are the elements' degrees when the caller already knows
+    them (a resolution level knows them from the columns it was built from)."""
+
     elements: list
     order: object
     transcript: list = field(default_factory=list)
+    degrees: tuple | None = None
 
 
 def _split(g, order):
@@ -189,18 +197,71 @@ def is_groebner(gens, order) -> bool:
     return True
 
 
-def pair_records(elements, order, pairs) -> list:
+def _subtract(terms: dict, items, shift: tuple, scale) -> None:
+    """terms -= scale · x^shift · items, for (position, exponent) keys, in
+    place, dropping the coefficients that cancel."""
+    for (p, m), c in items:
+        t = (p, tuple(map(add, m, shift)))
+        v = terms.get(t, 0) - c * scale
+        if v:
+            terms[t] = v
+        else:
+            del terms[t]
+
+
+def pair_records(elements, order, pairs, leads) -> list:
     """The record of each pair (i, j) of ``elements``, a Gröbner basis in
-    ``order``: its S-element divided by ``elements``, which must leave
-    remainder zero."""
+    ``order`` whose leads i and j share their position: its S-element
+    divided by ``elements``, which must leave remainder zero.  ``leads`` are
+    the elements' (key, coefficient) leads in ``order``.
+
+    ``divide``'s rule, run in one {(position, exponent): coefficient} dict
+    (a ring polynomial counts as a vector at position 0): the greatest term
+    goes to the dividing lead that is greatest in ``order``, ties to the
+    earlier index, and only that divisor's tail is subtracted, since its
+    lead cancels the term.  A term no lead divides would stay in the
+    remainder, so the first one fails the pair.
+    """
+    ring = elements[0].ring
+    key = order.key
+    if type(elements[0]) is Poly:
+        leads = [((0, m), c) for m, c in leads]
+        terms_of = [{(0, m): c for m, c in g.terms.items()} for g in elements]
+        key = lambda pm, key=key: key(pm[1])  # noqa: E731
+    else:
+        terms_of = [g.terms for g in elements]
+    divisors: dict = {}  # position -> [(index, lead exponent, lead coefficient)], by precedence
+    for k in sorted(range(len(leads)), key=lambda k: key(leads[k][0]), reverse=True):
+        (pos, mono), c = leads[k]
+        divisors.setdefault(pos, []).append((k, mono, c))
+    tails = [[(t, c) for t, c in terms.items() if t != lead] for terms, (lead, _) in zip(terms_of, leads)]
     records = []
     for i, j in pairs:
-        spoly, cof_i, cof_j = s_polynomial(elements[i], elements[j], order)
-        quotients, remainder = divide(spoly, elements, order)
-        if not remainder.is_zero:
-            raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
-        quots = {k: q for k, q in enumerate(quotients) if not q.is_zero}
-        records.append(PairRecord(i, j, cof_i, cof_j, quots))
+        ((pos, a), ca), ((_, b), cb) = leads[i], leads[j]
+        lcm = tuple(map(max, a, b))
+        cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
+        scale_i, scale_j = coeff_div(1, ca), coeff_div(1, cb)
+        terms: dict = {}
+        _subtract(terms, tails[i], cof_i, -scale_i)
+        _subtract(terms, tails[j], cof_j, scale_j)
+        quotients: dict = {}
+        while terms:
+            top = max(terms, key=key)
+            c = terms.pop(top)
+            pos, mono = top
+            for k, lead, lead_c in divisors.get(pos, ()):
+                if all(map(le, lead, mono)):
+                    break
+            else:
+                raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
+            q = tuple(map(sub, mono, lead))
+            c = coeff_div(c, lead_c)
+            row = quotients.setdefault(k, {})
+            row[q] = row.get(q, 0) + c
+            _subtract(terms, tails[k], q, c)
+        quots = {k: Poly(ring, quotients[k]) for k in sorted(quotients)}
+        cofactor_i, cofactor_j = ring.monomial(cof_i, scale_i), ring.monomial(cof_j, scale_j)
+        records.append(PairRecord(i, j, cofactor_i, cofactor_j, {k: h for k, h in quots.items() if h.terms}))
     return records
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, le, mul, neg, sub
 
 
 def _norm_coeff(c):
@@ -54,21 +55,21 @@ def coeff_div(a, b):
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
     """Exponent vector of x^a / x^b (caller guarantees divisibility)."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: tuple, b: tuple) -> bool:
@@ -150,14 +151,7 @@ class GrevlexOrder:
         self.ring = ring
 
     def key(self, mono: tuple):
-        w = self.ring.weights
-        deg = 0
-        out = [0]
-        for i, e in enumerate(mono):
-            deg += e * w[i]
-            out.append(-e)
-        out[0] = deg
-        return tuple(out)
+        return (sum(map(mul, mono, self.ring.weights)),) + tuple(map(neg, mono))
 
     def __repr__(self):
         return f"GrevlexOrder({self.ring!r})"
@@ -190,7 +184,7 @@ class SchreyerOrder:
         if k is None:
             pos, mono = mm
             shifted = self.key_mul(self.leads[pos], mono)
-            k = self._keys[mm] = self.parent.key(shifted) + tuple(-e for e in mono) + (-pos,)
+            k = self._keys[mm] = self.parent.key(shifted) + tuple(map(neg, mono)) + (-pos,)
         return k
 
 
@@ -341,7 +335,7 @@ class Poly(_Terms):
 
     @staticmethod
     def key_degree(mono, weights, twists=None) -> int:
-        return sum(e * w for e, w in zip(mono, weights))
+        return sum(map(mul, mono, weights))
 
     def _scalar(self, c):
         return self.ring.constant(c)

@@ -5,6 +5,12 @@ resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
 ``compose_zero``, which sums each row of a product in exponent arithmetic
 on the entries' term dicts and builds no intermediate polynomial.
 
+The syzygy levels run on term dicts too: ``pair_records`` reduces each kept
+pair in one {(position, exponent): coefficient} dict, ``schreyer_syzygies``
+sums each column from the records' terms, and the next level's leads and
+their coefficients are read off the lead frame and the records, not found
+again by a maximum over terms.
+
 Conventions, fixed once:
 
 * A free module is a list of twists; twist d stands for R(-d), so a generator
@@ -106,6 +112,17 @@ class GradedMap:
         self.target = target
         self.entries = rows
 
+    @classmethod
+    def _trimmed(cls, source: GradedFreeModule, target: GradedFreeModule, rows):
+        """A checked map with rows or columns deleted (and ``source`` and
+        ``target`` trimmed to match): every entry keeps its degree and its
+        twists, so neither shape nor homogeneity is checked again."""
+        out = object.__new__(cls)
+        out.source = source
+        out.target = target
+        out.entries = tuple(tuple(row) for row in rows)
+        return out
+
     def column(self, j: int) -> Vect:
         return Vect.from_polys([self.entries[i][j] for i in range(self.target.rank)])
 
@@ -202,33 +219,47 @@ def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
     """The map whose columns generate the syzygies of gb.elements.
 
     One column per reduction record (i, j), sorted by (i, j): the quotient
-    vector minus cofactor_i at slot i plus cofactor_j at slot j.  `twists`
-    are the ambient twists when the elements are module vectors.
+    vector minus cofactor_i at slot i plus cofactor_j at slot j, summed on
+    the records' term dicts.  `twists` are the ambient twists when the
+    elements are module vectors; they are only read when ``gb.degrees`` is
+    not given.
     """
     ring = gb.elements[0].ring
     if not gb.transcript and len(gb.elements) > 1 and type(gb.elements[0]) is Poly:
         raise TranscriptIncomplete("S-pairs exist but the basis has no transcript records")
-    degrees = _element_degrees(gb, twists)
+    degrees = gb.degrees if gb.degrees is not None else _element_degrees(gb, twists)
     target = GradedFreeModule(ring, tuple(degrees))
-    t = len(gb.elements)
-    columns = []
+    records = sorted(gb.transcript, key=lambda r: (r.i, r.j))
+    zero = ring.zero()
+    entries = [[zero] * len(records) for _ in gb.elements]
     column_twists = []
-    for rec in sorted(gb.transcript, key=lambda r: (r.i, r.j)):
-        col = [ring.zero()] * t
-        for k, h in rec.quotients.items():
-            col[k] = col[k] + h
-        col[rec.i] = col[rec.i] - rec.cofactor_i
-        col[rec.j] = col[rec.j] + rec.cofactor_j
-        columns.append(col)
-        (mono, _coeff), = rec.cofactor_i.terms.items()
+    for c, rec in enumerate(records):
+        column = {k: dict(h.terms) for k, h in rec.quotients.items()}
+        (mono, coeff), = rec.cofactor_i.terms.items()
+        _add_term(column, rec.i, mono, -coeff)
         column_twists.append(ring.degree(mono) + degrees[rec.i])
+        (mono, coeff), = rec.cofactor_j.terms.items()
+        _add_term(column, rec.j, mono, coeff)
+        for k, terms in column.items():
+            if terms:
+                entries[k][c] = zero._like(terms)
     source = GradedFreeModule(ring, tuple(column_twists))
-    entries = [[columns[c][i] for c in range(len(columns))] for i in range(t)]
     return GradedMap(source, target, entries)
 
 
+def _add_term(column: dict, k: int, mono: tuple, coeff) -> None:
+    """Add coeff·x^mono to entry ``k`` of a column of term dicts."""
+    terms = column.setdefault(k, {})
+    v = terms.get(mono, 0) + coeff
+    if v:
+        terms[mono] = v
+    else:
+        del terms[mono]
+
+
 def _lead_frame(leads, kind, induced) -> list:
-    """The pairs (i, j), ascending, whose syzygies the resolution keeps.
+    """The pairs (i, j) whose syzygies the resolution keeps, ascending, each
+    with the lead of its syzygy.
 
     ``leads`` are the basis leads, keys of ``kind``, and ``induced`` their
     Schreyer order.  The syzygy of (i, j) has lead cofactor_i e_i or
@@ -249,7 +280,16 @@ def _lead_frame(leads, kind, induced) -> list:
     for _, lead, pair in sorted(frame, key=lambda entry: entry[0]):
         if not any(Vect.key_divides(other, lead) for other, _ in kept):
             kept.append((lead, pair))
-    return sorted(pair for _, pair in kept)
+    return sorted((pair, lead) for lead, pair in kept)
+
+
+def _column_lead(rec, lead) -> tuple:
+    """(key, coefficient) of the lead ``lead`` of the syzygy column of
+    ``rec``: -cofactor_i at slot i, or cofactor_j at slot j."""
+    pos, mono = lead
+    if pos == rec.i:
+        return lead, -rec.cofactor_i.terms[mono]
+    return lead, rec.cofactor_j.terms[mono]
 
 
 def build_resolution(ideal_gens) -> FreeResolution:
@@ -262,6 +302,8 @@ def build_resolution(ideal_gens) -> FreeResolution:
     Each must reduce to zero, which is asserted: the kept pair syzygies
     generate the syzygies of the leads, so by the generalised Buchberger
     criterion this proves each level a Gröbner basis in the induced order.
+    The next level's leads are the frame's, with their coefficients read off
+    the records, and its degrees are the columns' twists.
     """
     if isinstance(ideal_gens, GroebnerBasis):
         # already completed with a full pair transcript -- no need to redo it
@@ -279,24 +321,26 @@ def build_resolution(ideal_gens) -> FreeResolution:
                 raise HomogeneityBroken("ideal generators must be weighted-homogeneous")
         gb = buchberger(gens, ring.order())
     base = GradedFreeModule(ring, (0,))
-    first = GradedFreeModule(ring, tuple(_element_degrees(gb, None)))
-    maps = [GradedMap(first, base, [list(gb.elements)])]
+    degrees = tuple(_element_degrees(gb, None))
+    maps = [GradedMap(GradedFreeModule(ring, degrees), base, [list(gb.elements)])]
     elements, order, twists = gb.elements, gb.order, None
+    leads = [g.lead(order) for g in elements]
     recorded = {(rec.i, rec.j): rec for rec in gb.transcript}
     while len(maps) <= ring.nvars:
         kind = type(elements[0])
-        leads = [g.lead(order)[0] for g in elements]
-        induced = SchreyerOrder(order, leads, kind.key_mul)
-        pairs = _lead_frame(leads, kind, induced)
-        if not pairs:
+        keys = [key for key, _ in leads]
+        induced = SchreyerOrder(order, keys, kind.key_mul)
+        frame = _lead_frame(keys, kind, induced)
+        if not frame:
             return FreeResolution(maps)
-        missing = [pair for pair in pairs if pair not in recorded]
-        recorded.update(zip(missing, pair_records(elements, order, missing)))
-        level = GroebnerBasis(elements, order, [recorded[pair] for pair in pairs])
-        syz = schreyer_syzygies(level, twists)
+        missing = [pair for pair, _ in frame if pair not in recorded]
+        recorded.update(zip(missing, pair_records(elements, order, missing, leads)))
+        records = [recorded[pair] for pair, _ in frame]
+        syz = schreyer_syzygies(GroebnerBasis(elements, order, records, degrees), twists)
         maps.append(syz)
         elements = [syz.column(j) for j in range(syz.source.rank)]
-        order, twists, recorded = induced, syz.target.twists, {}
+        leads = [_column_lead(rec, lead) for rec, (_, lead) in zip(records, frame)]
+        order, twists, degrees, recorded = induced, syz.target.twists, syz.source.twists, {}
     raise AssertionError("resolution exceeded the number of variables")
 
 
@@ -346,11 +390,11 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     if step >= 1:
         prev = res.maps[step - 1]
         kept = [[p for j, p in enumerate(r) if j != row] for r in prev.entries]
-        new_maps[step - 1] = GradedMap(small_target, prev.target, kept)
+        new_maps[step - 1] = GradedMap._trimmed(small_target, prev.target, kept)
     if step + 1 < len(res.maps):
         nxt = res.maps[step + 1]
         kept = [r for i, r in enumerate(nxt.entries) if i != col]
-        new_maps[step + 1] = GradedMap(nxt.source, small_source, kept)
+        new_maps[step + 1] = GradedMap._trimmed(nxt.source, small_source, kept)
     return FreeResolution(new_maps, minimal=False)
 
 

@@ -3,16 +3,15 @@
 A sequence (m0, m1, m2, n) is accepted when m0 < m1 < m2 is arithmetic, the
 four numbers are coprime as a whole, and each generator is genuinely needed.
 The semigroup Gamma = <m0, m1, m2, n> supplies the grading used by every
-other module; membership queries are answered by a small dynamic-programming
-table that is exact for all inputs.  Apery sets, found by shortest paths
-over the residues, give the Frobenius number, the exact numerator of the
-semigroup's generating series and the least multiple of a number that the
-semigroup contains.
+other module.  Apery sets, found by one round-robin pass over the residues,
+answer membership (s is in the semigroup iff it is at least the Apery
+element of its residue class) and give the Frobenius number, the exact
+numerator of the semigroup's generating series and the least multiple of a
+number that the semigroup contains.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -40,13 +39,14 @@ class RedundantGenerator(ValidationError):
 class SubSemigroup:
     """Additive submonoid of the nonnegative integers with finitely many generators.
 
-    Membership is decided exactly: after dividing out the gcd g of the
-    generators, every multiple of g at least min(gens)*max(gens) belongs to
-    the semigroup, so a boolean table up to that bound settles all queries.
-    The table grows on demand, only as far as the largest query below it.
+    Membership is decided exactly by one Apéry table: with g the gcd of the
+    generators and m the least of them divided by g, s belongs to the
+    semigroup iff g divides s and s/g is at least the least element of its
+    residue class mod m in the semigroup of the generators divided by g.
+    The table has m entries and is built at the first query.
     """
 
-    __slots__ = ("generators", "gcd", "_reduced", "_table", "_bound")
+    __slots__ = ("generators", "gcd", "_reduced", "_apery")
 
     def __init__(self, generators):
         gens = tuple(sorted(set(int(g) for g in generators)))
@@ -55,33 +55,23 @@ class SubSemigroup:
         self.generators = gens
         self.gcd = math.gcd(*gens)
         self._reduced = tuple(a // self.gcd for a in gens)
-        # Everything >= min*max (in the reduced scale) is representable; the
-        # Frobenius number of a coprime set a_1 < ... < a_k is < a_1 * a_k.
-        self._bound = self._reduced[0] * self._reduced[-1] + 1
-        self._table = [True]
+        self._apery = None
 
-    def _grow(self, upto: int) -> None:
-        table = self._table
-        start = len(table)
-        table.extend([False] * (upto + 1 - start))
-        reduced = self._reduced
-        for s in range(start, upto + 1):
-            for a in reduced:
-                if a <= s and table[s - a]:
-                    table[s] = True
-                    break
+    def _least(self) -> list:
+        """Least element of each residue class mod the least reduced
+        generator, in the semigroup of the reduced generators."""
+        if self._apery is None:
+            self._apery = _least_per_residue(self._reduced, self._reduced[0])
+        return self._apery
 
     def contains(self, s: int) -> bool:
-        if s < 0:
+        if s < 0 or s % self.gcd:
             return False
-        if s % self.gcd:
-            return False
-        reduced = s // self.gcd
-        if reduced >= self._bound:
-            return True
-        if reduced >= len(self._table):
-            self._grow(reduced)
-        return self._table[reduced]
+        s //= self.gcd
+        m = self._reduced[0]
+        if s < m:  # every Apéry element but 0 is at least m
+            return s == 0
+        return s >= self._least()[s % m]
 
     def __contains__(self, s: int) -> bool:
         return self.contains(s)
@@ -91,21 +81,32 @@ class SubSemigroup:
 
 
 def _least_per_residue(generators, m: int) -> list:
-    """Smallest sum of ``generators`` in each residue class modulo m, by
-    shortest paths over the residues, one edge per generator; None for a
-    class no sum reaches."""
+    """Smallest sum of ``generators`` in each residue class modulo m; None
+    for a class no sum reaches.
+
+    Round robin over the generators (Böcker and Lipták, *Algorithmica* 48,
+    2007): adding generator g joins the residues into cycles r, r + g, ...
+    mod m; each cycle is walked once from its least entry, which g cannot
+    improve, keeping the lesser of the entry and the predecessor plus g.
+    """
     least = [0] + [None] * (m - 1)
-    heap = [(0, 0)]
-    while heap:
-        s, r = heapq.heappop(heap)
-        if s > least[r]:
+    for g in generators:
+        d = math.gcd(g, m)
+        if d == m:
             continue
-        for g in generators:
-            t = s + g
-            q = t % m
-            if least[q] is None or t < least[q]:
-                least[q] = t
-                heapq.heappush(heap, (t, q))
+        for start in range(d):
+            known = [v for v in least[start::d] if v is not None]
+            if not known:
+                continue
+            s = min(known)
+            for _ in range(m // d - 1):
+                s += g
+                r = s % m
+                v = least[r]
+                if v is not None and v <= s:
+                    s = v
+                else:
+                    least[r] = s
     return least
 
 
@@ -119,6 +120,8 @@ def apery_set(semigroup: SubSemigroup, m: int) -> set[int]:
         raise GcdNotOne("apery set undefined: generators share a common factor")
     if m <= 0 or not semigroup.contains(m):
         raise ValueError("apery base must be a positive element of the semigroup")
+    if m == semigroup.generators[0]:
+        return set(semigroup._least())
     return set(_least_per_residue(semigroup.generators, m))
 
 
@@ -142,9 +145,8 @@ def min_multiple_in(x: int, semigroup: SubSemigroup) -> int:
     if x <= 0:
         raise ValueError("x must be positive")
     g = semigroup.gcd
-    reduced = tuple(a // g for a in semigroup.generators)
-    m = reduced[0]
-    least = _least_per_residue(reduced, m)
+    least = semigroup._least()
+    m = len(least)
     step = x // math.gcd(g, x)
     s = step
     while s < least[s % m]:

@@ -9,12 +9,18 @@ for that:
 * ``apery_set_walk``, the Apéry set by walking each residue class upward
   with membership queries.
 
+Both answer membership from ``DenseSemigroup``, a boolean table of every
+value up to the query, not from ``SubSemigroup``, which the program answers
+from the same Apéry table that the Hilbert identity is built on.
+
 The program completes and checks bases in (lead, tail) exponent arithmetic
 and resolves on Schreyer's lead frame.  The generic paths it replaced, in
 ``Poly``/``Vect`` arithmetic, are the references for that: ``buchberger``
 (every pair reduced by ``divide``), ``is_groebner``, ``replay_ok``,
 ``ideal_member``, and ``resolution_all_pairs``, which completes every level
 with ``buchberger`` and keeps the ``lead_minimal`` columns.
+``pair_records_generic`` forms and divides each kept pair with
+``s_polynomial`` and ``divide``; the program does the same in one term dict.
 ``reduce_basis`` makes a completed basis reduced by generic division.
 ``PositionOverTerm`` orders module elements for those generic paths.
 
@@ -47,6 +53,7 @@ basis another way, and the tests require them to agree with it:
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,6 +85,32 @@ from monocurve.resolution import (
     schreyer_syzygies,
 )
 from monocurve.semigroup import SubSemigroup
+
+
+class DenseSemigroup:
+    """Membership in the semigroup of ``generators`` from a boolean table of
+    every value up to the largest query.  After dividing out the gcd g, every
+    multiple of g from min·max of the reduced generators on belongs to it
+    (the Frobenius number of a coprime a_1 < ... < a_k is below a_1·a_k), so
+    the table never grows past that bound."""
+
+    def __init__(self, generators):
+        gens = tuple(sorted(set(int(g) for g in generators)))
+        self.gcd = math.gcd(*gens)
+        self.reduced = tuple(a // self.gcd for a in gens)
+        self.bound = self.reduced[0] * self.reduced[-1] + 1
+        self.table = [True]
+
+    def contains(self, s: int) -> bool:
+        if s < 0 or s % self.gcd:
+            return False
+        s //= self.gcd
+        if s >= self.bound:
+            return True
+        table = self.table
+        for t in range(len(table), s + 1):
+            table.append(any(a <= t and table[t - a] for a in self.reduced))
+        return table[s]
 
 
 def compose_zero_generic(a: GradedMap, b: GradedMap) -> bool:
@@ -178,6 +211,21 @@ def is_groebner(gens, order) -> bool:
             if not remainder.is_zero:
                 return False
     return True
+
+
+def pair_records_generic(elements, order, pairs) -> list:
+    """The record of each pair (i, j) of ``elements``, a Gröbner basis in
+    ``order``: its S-element from ``s_polynomial`` divided by ``elements``
+    with ``divide``, which must leave remainder zero."""
+    records = []
+    for i, j in pairs:
+        spoly, cof_i, cof_j = s_polynomial(elements[i], elements[j], order)
+        quotients, remainder = divide(spoly, elements, order)
+        if not remainder.is_zero:
+            raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
+        quots = {k: q for k, q in enumerate(quotients) if not q.is_zero}
+        records.append(PairRecord(i, j, cof_i, cof_j, quots))
+    return records
 
 
 def replay_ok(gb: GroebnerBasis) -> bool:
@@ -515,7 +563,8 @@ def graded_betti_numbers(weights) -> list:
     apery = apery_set_walk(semigroup, weights[0])
     sums = [sum(w for j, w in enumerate(weights) if f >> j & 1) for f in range(1 << count)]
     top = max(apery) + sum(weights)
-    member = [semigroup.contains(x) for x in range(top + 1)]
+    dense = DenseSemigroup(weights)
+    member = [dense.contains(x) for x in range(top + 1)]
     degrees = {a + sums[f] for a in apery for f in range(0, 1 << count, 2)}
     rows = []
     for s in sorted(degrees):
@@ -530,7 +579,8 @@ def gamma_series_truncation(semigroup: SubSemigroup, degree: int) -> list:
     """Coefficients 0..degree of the indicator power series sum_{s in S} z^s."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return [1 if semigroup.contains(s) else 0 for s in range(degree + 1)]
+    dense = DenseSemigroup(semigroup.generators)
+    return [1 if dense.contains(s) else 0 for s in range(degree + 1)]
 
 
 def hilbert_series_truncation(numerator: dict, weights, degree: int) -> list:
@@ -548,10 +598,11 @@ def hilbert_series_truncation(numerator: dict, weights, degree: int) -> list:
 def apery_set_walk(semigroup: SubSemigroup, m: int) -> set:
     """Smallest element of each residue class mod m, found by stepping
     r, r + m, r + 2m, ... until the semigroup contains it."""
+    dense = DenseSemigroup(semigroup.generators)
     result = set()
     for residue in range(m):
         s = residue
-        while not semigroup.contains(s):
+        while not dense.contains(s):
             s += m
         result.add(s)
     return result

@@ -18,7 +18,7 @@ from monocurve.closedform import (
     closed_form_base,
     extract_parameters,
 )
-from monocurve.groebner import GroebnerBasis, buchberger, toric_kernel
+from monocurve.groebner import GroebnerBasis, buchberger, pair_records, toric_kernel
 from monocurve.poly import Poly, Ring, SchreyerOrder, Vect, parse
 from monocurve.resolution import (
     BettiTable,
@@ -51,6 +51,7 @@ from oracles import (
     hilbert_series_truncation,
     is_groebner,
     minimalize_by_operations,
+    pair_records_generic,
     resolution_all_pairs,
     transform_complex,
 )
@@ -264,6 +265,64 @@ def test_lead_frame_on_monomial_ideals():
     expected, expected_levels = resolution_all_pairs(gb)
     assert levels == expected_levels
     assert [m.entries for m in res.maps] == [m.entries for m in expected.maps]
+
+
+def _pair_record_calls(gb):
+    """The (elements, order, pairs, leads) of every ``pair_records`` call of
+    build_resolution(gb)."""
+    calls = []
+    original = resolution.pair_records
+
+    def spy(elements, order, pairs, leads):
+        calls.append((elements, order, pairs, leads))
+        return original(elements, order, pairs, leads)
+
+    resolution.pair_records = spy
+    try:
+        build_resolution(gb)
+    finally:
+        resolution.pair_records = original
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(CURVES)
+def test_pair_records_match_generic_division(curve):
+    """Record for record at every level, the kernel's reduced basis without
+    its transcript included so that its pairs are reduced too: the same
+    cofactors, the same quotient indices in the same order, the same
+    quotients.  And the leads each level is handed, read off the frame and
+    the records, are the greatest terms in the level's order."""
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    gb = toric_kernel(spec).reduced_gb
+    calls = _pair_record_calls(GroebnerBasis(gb.elements, gb.order))
+    assert type(calls[0][0][0]) is Poly and all(type(c[0][0]) is Vect for c in calls[1:])
+    for elements, order, pairs, leads in calls:
+        expected = pair_records_generic(elements, order, pairs)
+        records = pair_records(elements, order, pairs, leads)
+        assert records == expected
+        assert [list(r.quotients) for r in records] == [list(r.quotients) for r in expected]
+        for g, (key, coeff) in zip(elements, leads):
+            top = max(g.terms, key=order.key)
+            assert (key, coeff) == (top, g.terms[top])
+
+
+def test_pair_records_raise_on_a_remainder():
+    """Without X2^2 - X1*Y the reference basis is no Gröbner basis, so some
+    pair leaves a remainder, as ring polynomials and as rank-one vectors."""
+    gens = [P(t) for t in ["X1^2 - X0*X2", "X1*X2 - X0*Y", "X2*Y - X0^4", "Y^2 - X0^3*X1"]]
+    vectors = [Vect.from_polys([g]) for g in gens]
+    rank_one = SchreyerOrder(R4.order(), [R4.zero_mono()], Poly.key_mul)
+    pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
+    for elements, order in ((gens, R4.order()), (vectors, rank_one)):
+        with pytest.raises(AssertionError, match="nonzero remainder"):
+            pair_records(elements, order, pairs, [g.lead(order) for g in elements])
+        with pytest.raises(AssertionError, match="nonzero remainder"):
+            pair_records_generic(elements, order, pairs)
 
 
 def test_untranscripted_basis_has_its_kept_pairs_reduced():

@@ -15,7 +15,7 @@ from monocurve.semigroup import (
     validate_sequence,
 )
 
-from oracles import apery_set_walk, gamma_series_truncation
+from oracles import DenseSemigroup, apery_set_walk, gamma_series_truncation
 
 
 def naive_member(s, gens):
@@ -46,6 +46,27 @@ def test_membership_small_cases():
 def test_membership_matches_bruteforce(gens, s):
     semi = SubSemigroup(gens)
     assert semi.contains(s) == naive_member(s, gens)
+
+
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    st.integers(1, 6),
+    st.integers(0, 40),
+)
+@settings(max_examples=200)
+# gcd 4; 28 = 7 * 4 is the last multiple of 4 outside <12, 20>
+@example([3, 5], 4, 0)
+@example([10, 3, 19], 1, 0)
+def test_contains_matches_dense_table(gens, factor, past):
+    """The Apéry-table answer against the dense table, for every value up to
+    ``past`` beyond the dense table's bound, on generator sets whose gcd is
+    ``factor`` times their own."""
+    gens = [g * factor for g in gens]
+    semi, dense = SubSemigroup(gens), DenseSemigroup(gens)
+    top = dense.bound * dense.gcd + past
+    assert [s for s in range(-2, top) if semi.contains(s)] == [
+        s for s in range(-2, top) if dense.contains(s)
+    ]
 
 
 def test_apery_and_frobenius_known_values():
@@ -127,10 +148,11 @@ def test_min_multiple_in_matches_dense_table(gens, factor, x, share):
     semigroup's dense membership table, on generator sets whose gcd is
     ``factor`` (times their own) and an x that shares it when ``share``."""
     semi = SubSemigroup([g * factor for g in gens])
+    dense = DenseSemigroup(semi.generators)
     if share:
         x *= semi.gcd
     v = 1
-    while not semi.contains(v * x):
+    while not dense.contains(v * x):
         v += 1
     assert min_multiple_in(x, semi) == v
 
@@ -172,7 +194,7 @@ def test_validate_sequence_rejections():
 
 
 def test_validate_sequence_huge_redundant_n():
-    # 300 000 000 lies in <3, 5, 7>; the check stays within the table bound 3 * 7
+    # 300 000 000 lies in <3, 5, 7>; the check reads one Apéry table of 3 entries
     with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(3, 5, 7, 300_000_000)
     assert excinfo.value.which == "n"
