@@ -35,7 +35,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .closedform import (
     CaseUnmatched,
@@ -89,15 +89,15 @@ class AnalysisReport:
 
     seq: tuple
     valid: bool
-    params: dict | None
-    case: str | None
-    betti_lookup: tuple | None
-    betti_computed: tuple | None
-    graded_betti: list
-    hilbert_numerator: list
-    flags: dict
     discrepancies: list
     ms_elapsed: int | None
+    params: dict | None = None
+    case: str | None = None
+    betti_lookup: tuple | None = None
+    betti_computed: tuple | None = None
+    graded_betti: list = field(default_factory=list)
+    hilbert_numerator: list = field(default_factory=list)
+    flags: dict = field(default_factory=dict)
 
     def all_verified(self) -> bool:
         """No flag explicitly false and every discrepancy certified.
@@ -154,13 +154,6 @@ def analyze_sequence(
         return AnalysisReport(
             seq=seq,
             valid=False,
-            params=None,
-            case=None,
-            betti_lookup=None,
-            betti_computed=None,
-            graded_betti=[],
-            hilbert_numerator=[],
-            flags={},
             discrepancies=[
                 {"kind": "invalid_sequence", "reason": "%s: %s" % (type(exc).__name__, exc)}
             ],
@@ -318,13 +311,6 @@ def _sweep_one(job) -> AnalysisReport:
         return AnalysisReport(
             seq=seq,
             valid=True,
-            params=None,
-            case=None,
-            betti_lookup=None,
-            betti_computed=None,
-            graded_betti=[],
-            hilbert_numerator=[],
-            flags={},
             discrepancies=[
                 {
                     "kind": "internal_error",

@@ -18,11 +18,15 @@ Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
 mod w_0 that also picks the order-least monomial of each Apéry degree
 (``_standard_table``).  The leads are the minimal monomials outside that
 set of standard monomials, each with the standard monomial of its degree
-as tail.  It is certified in three independent steps: ``ToricIdeal.
-validate`` puts every element in the kernel, the one ``buchberger`` pass
-(run for the transcript) appends nothing, so the elements are a Gröbner
-basis, and the Hilbert identity, checked from ``semigroup``'s own Apéry
-set, makes the ideal they generate the whole kernel.
+as tail.  Monomials there are int labels, the degree and then each exponent
+in a fixed-width field, exact since no Apéry element exceeds (w_0 - 1)·
+max(w); one is standard iff its label is the table's at its degree mod
+w_0, so the lead search is table lookups.  The basis is certified in three
+independent steps: ``ToricIdeal.validate`` puts every element in the
+kernel, the one ``buchberger`` pass (run for the transcript) appends
+nothing, so the elements are a Gröbner basis, and the Hilbert identity,
+checked from ``semigroup``'s own Apéry set, makes the ideal they generate
+the whole kernel; so the kernel's table shares no code with ``semigroup``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from operator import add, le, mul, neg, sub
+from operator import add, le, neg, sub
 
 from monocurve.poly import (
     Poly,
@@ -305,32 +309,44 @@ def _default_names(count: int):
     return defaults[:count]
 
 
-def _standard_table(w) -> list:
-    """Per residue r mod w[0], for weights w coprime as a whole: the label
-    (a_r, -e_1, .., -e_k) of the order-least monomial x^(0, e_1, .., e_k)
-    of least degree a_r in that residue, so that a_r runs over
-    Ap(<w>, w[0]).
+def _decode(label: int, k: int, width: int) -> tuple:
+    """(a, -e_1, .., -e_k) of the int label of x^(0, e_1, .., e_k)."""
+    full = (1 << width) - 1
+    return (label >> k * width,) + tuple((label >> i * width & full) - full for i in reversed(range(k)))
 
-    Shortest paths over the residues, one edge per weight after the first,
-    with labels compared lexicographically: least degree, then most x_1,
-    then most x_2, and so on, which is the ring order's cheapest monomial.
+
+def _standard_table(w) -> tuple:
+    """(table, width, steps): per residue r mod w[0], for weights w coprime
+    as a whole, the int label of the order-least monomial x^(0, e_1, .., e_k)
+    of least degree a_r in that residue, so that a_r runs over Ap(<w>, w[0]).
+
+    The label is a_r, then E - e_1, .., E - e_k in fields of ``width`` bits
+    (E = 2^width - 1), so ints compare as (a, -e_1, .., -e_k): least degree,
+    then most x_1, and so on, the ring order.  x_i adds (step, residue step,
+    field offset) = steps[i - 1].  Exact while e_i <= E: a least-degree path
+    visits no residue twice, so a_r <= top = (w_0 - 1)·max(w), hence
+    e_i <= top // w_i, one more in a neighbour, and E > top // min(w).
+    Shortest paths over the residues, one edge per weight after the first.
     """
-    m = w[0]
-    steps = [(v,) + tuple(-(i == j) for i in range(1, len(w))) for j, v in enumerate(w) if j]
-    least = [None] * m
-    least[0] = (0,) * len(w)
-    heap = [(least[0], 0)]
+    m, top = w[0], (w[0] - 1) * max(w)
+    width = (top // min(w) + 1).bit_length()
+    shift = (len(w) - 1) * width
+    steps = [((v << shift) - (1 << o), v % m, o) for v, o in zip(w[1:], range(shift - width, -1, -width))]
+    heap = [(1 << shift) - 1]  # the label of 1
+    least = heap + [None] * (m - 1)
     while heap:
-        label, r = heapq.heappop(heap)
-        if label > least[r]:
+        label = heapq.heappop(heap)
+        r = (label >> shift) % m
+        if label != least[r]:
             continue
-        for step in steps:
-            t = tuple(map(add, label, step))
-            q = t[0] % m
+        for step, v, _ in steps:
+            t, q = label + step, r + v - m if r + v >= m else r + v
             if least[q] is None or t < least[q]:
                 least[q] = t
-                heapq.heappush(heap, (t, q))
-    return least
+                heapq.heappush(heap, t)
+    if max(least) >> shift > top:
+        raise AssertionError("an Apéry element exceeds the packing bound")
+    return least, width, steps
 
 
 def toric_kernel_generic(weights, names=None):
@@ -346,14 +362,17 @@ def toric_kernel_generic(weights, names=None):
     (a_r, std_r) from ``_standard_table`` for r = s mod w_0 (after dividing
     out the gcd of the weights).  The leads are the monomials outside
     S = {std_r} whose every divisor by one variable lies in S, and each
-    lead's tail is the standard monomial of its degree.
+    lead's tail is the standard monomial of its degree.  Monomials stay
+    int labels (exact by the bound ``_standard_table`` asserts), x^(0, e)
+    of degree d is in S iff its label is table[d mod w_0], and each lead c
+    is reached once, from c/x_j for its first variable x_j.
 
     The basis then goes once through ``buchberger``, for its transcript;
     that nothing is appended certifies it a Gröbner basis.  With
     ``ToricIdeal.validate`` (each element is in the kernel) and the Hilbert
     identity that ``series_numerator`` checks from its own Apéry set, that
     makes it the kernel's basis; so the Hilbert check must not read this
-    table.
+    table, and the table's code shares nothing with ``semigroup``.
 
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
     under the ring's weighted grevlex order, ascending by lead, with a fresh
@@ -365,25 +384,25 @@ def toric_kernel_generic(weights, names=None):
     ring = Ring(tuple(names), weights)
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)
-    table = _standard_table(w)
-    standard = {(0,) + tuple(map(neg, label[1:])) for label in table}
-    unit = [tuple(int(i == j) for i in range(len(w))) for j in range(len(w))]
-    leads = set()
-    for s in standard:
-        for j in range(1, len(w)):
-            c = tuple(map(add, s, unit[j]))
-            if c not in standard and all(
-                tuple(map(sub, c, unit[i])) in standard for i in range(1, len(w)) if c[i]
+    m, k = w[0], len(w) - 1
+    table, width, steps = _standard_table(w)
+    full = (1 << width) - 1
+    leads = []
+    for r, s in enumerate(table):
+        for j, (step, v, o) in enumerate(steps):
+            c, q = s + step, (r + v) % m
+            if table[q] != c and all(
+                table[(q - u) % m] == c - down for down, u, o_i in steps[j + 1 :] if s >> o_i & full != full
             ):
-                leads.add(c)
-    order = ring.order()
+                leads.append(c)
+            if s >> o & full != full:  # s has x_j: no later variable is c's first
+                break
     reduced = []
-    for lead in sorted(leads, key=order.key):
-        degree = sum(map(mul, lead, w))
-        a, *rest = table[degree % w[0]]
-        tail = ((degree - a) // w[0],) + tuple(map(neg, rest))
-        reduced.append(Poly(ring, {lead: 1, tail: -1}))
-    gb = buchberger(reduced, order)
+    for label in sorted(leads):  # the ring order, as no lead has x_0
+        degree, *lead = _decode(label, k, width)
+        a, *tail = _decode(table[degree % m], k, width)
+        reduced.append(Poly(ring, {(0, *map(neg, lead)): 1, ((degree - a) // m, *map(neg, tail)): -1}))
+    gb = buchberger(reduced, ring.order())
     if len(gb.elements) != len(reduced):  # the Gröbner-basis certificate
         raise AssertionError("the Apéry-set basis is not a Gröbner basis")
     return ring, gb

@@ -75,16 +75,6 @@ class GradedFreeModule:
         return f"GradedFreeModule({list(self.twists)})"
 
 
-def _is_constant(p: Poly):
-    """The value of a nonzero constant polynomial, else None."""
-    if len(p.terms) != 1:
-        return None
-    (mono, coeff), = p.terms.items()
-    if any(mono):
-        return None
-    return coeff
-
-
 class GradedMap:
     """Homogeneous degree-zero map between graded free modules."""
 
@@ -114,9 +104,9 @@ class GradedMap:
 
     @classmethod
     def _trimmed(cls, source: GradedFreeModule, target: GradedFreeModule, rows):
-        """A checked map with rows or columns deleted (and ``source`` and
-        ``target`` trimmed to match): every entry keeps its degree and its
-        twists, so neither shape nor homogeneity is checked again."""
+        """A map whose entries are known to have the degrees its twists
+        demand (a checked map with rows or columns deleted, or elements of
+        those degrees), so neither shape nor homogeneity is checked again."""
         out = object.__new__(cls)
         out.source = source
         out.target = target
@@ -322,7 +312,7 @@ def build_resolution(ideal_gens) -> FreeResolution:
         gb = buchberger(gens, ring.order())
     base = GradedFreeModule(ring, (0,))
     degrees = tuple(_element_degrees(gb, None))
-    maps = [GradedMap(GradedFreeModule(ring, degrees), base, [list(gb.elements)])]
+    maps = [GradedMap._trimmed(GradedFreeModule(ring, degrees), base, [gb.elements])]
     elements, order, twists = gb.elements, gb.order, None
     leads = [g.lead(order) for g in elements]
     recorded = {(rec.i, rec.j): rec for rec in gb.transcript}
@@ -363,9 +353,9 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     entries = mid.entries
     if not (0 <= row < len(entries) and 0 <= col < len(entries[0])):
         raise IndexError("entry outside the matrix")
-    pivot = _is_constant(entries[row][col])
-    if pivot is None:
+    if entries[row][col].is_zero or mid.source.twists[col] != mid.target.twists[row]:
         raise PreconditionViolated("pivot entry is not a nonzero constant")
+    (pivot,) = entries[row][col].terms.values()
     inverse = coeff_div(1, pivot)
     pivot_row = {j: p * inverse for j, p in enumerate(entries[row]) if j != col and not p.is_zero}
     trimmed = []
@@ -400,12 +390,17 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
 
 def _find_constant_entry(maps, step: int = 0, row: int = 0):
     """(step, i, j) of the first nonzero constant entry in row-major order,
-    starting at row ``row`` of map ``step``, or None."""
+    starting at row ``row`` of map ``step``, or None.  With positive weights
+    a nonzero entry is constant iff its row and column twists are equal, so
+    only those positions are looked at."""
     for s in range(step, len(maps)):
-        entries = maps[s].entries
-        for i in range(row if s == step else 0, len(entries)):
-            for j, p in enumerate(entries[i]):
-                if not p.is_zero and _is_constant(p) is not None:
+        gmap = maps[s]
+        columns: dict = {}
+        for j, t in enumerate(gmap.source.twists):
+            columns.setdefault(t, []).append(j)
+        for i in range(row if s == step else 0, gmap.target.rank):
+            for j in columns.get(gmap.target.twists[i], ()):
+                if not gmap.entries[i][j].is_zero:
                     return s, i, j
     return None
 

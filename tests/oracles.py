@@ -29,7 +29,10 @@ Schur-complement step.  The elementary-operation calculus it replaced is the
 reference for that: ``transform_complex`` applies ``AddMultiple``,
 ``SwapBasis`` and ``ScaleBasis`` basis changes, and
 ``minimalize_by_operations`` scales each unit to 1, clears its row and
-column with them and deletes the isolated pair (``prune_isolated``).
+column with them and deletes the isolated pair (``prune_isolated``).  The
+program finds units from the twists, looking only where a row and a column
+twist are equal; ``constant_entry_scan`` looks at every entry with
+``is_constant``, and finds them for ``minimalize_by_operations``.
 
 The program certifies d∘d = 0 in exponent arithmetic on the entries' term
 dicts.  ``compose_zero_generic``, the same test in generic ``Poly`` products
@@ -49,6 +52,16 @@ basis another way, and the tests require them to agree with it:
   from ``_kernel_lattice_basis``, then one saturation per variable) run
   through generic ``Poly`` arithmetic and ``reduce_basis``, on the reduced
   elements and on every record of the transcript.
+
+The program runs that pass on int labels, each monomial's degree and
+exponents packed into one int, exact by a proven bound on the Apéry set,
+and tests whether a monomial is standard by one lookup in the table at its
+degree.  ``toric_kernel_by_sets`` is the version it replaced, kept as the
+reference for it: ``standard_table_tuples`` builds a (degree, -e_1, ..,
+-e_k) tuple per residue, and the lead search builds every neighbour and its
+divisors as exponent tuples and looks them up in a set of the standard
+ones.  Like the program's table, it never calls ``semigroup``, whose Apéry
+set is what the Hilbert identity reads.
 """
 
 import functools
@@ -56,11 +69,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg, sub
 
 from monocurve.groebner import (
     GroebnerBasis,
     PairRecord,
     _default_names,
+    buchberger as binomial_buchberger,
 )
 from monocurve.poly import (
     Poly,
@@ -80,8 +95,6 @@ from monocurve.resolution import (
     PreconditionViolated,
     ShapeMismatch,
     _element_degrees,
-    _find_constant_entry,
-    _is_constant,
     schreyer_syzygies,
 )
 from monocurve.semigroup import SubSemigroup
@@ -435,11 +448,33 @@ def transform_complex(res: FreeResolution, position: int, ops) -> FreeResolution
     return FreeResolution(new_maps, minimal=False)
 
 
+def is_constant(p: Poly):
+    """The value of a nonzero constant polynomial, else None."""
+    if len(p.terms) != 1:
+        return None
+    (mono, coeff), = p.terms.items()
+    if any(mono):
+        return None
+    return coeff
+
+
+def constant_entry_scan(maps, step: int = 0, row: int = 0):
+    """(step, i, j) of the first nonzero constant entry in row-major order,
+    starting at row ``row`` of map ``step``, or None: every entry looked at."""
+    for s in range(step, len(maps)):
+        entries = maps[s].entries
+        for i in range(row if s == step else 0, len(entries)):
+            for j, p in enumerate(entries[i]):
+                if not p.is_zero and is_constant(p) is not None:
+                    return s, i, j
+    return None
+
+
 def prune_isolated(res: FreeResolution, step: int, row: int, col: int) -> FreeResolution:
     """Delete an isolated constant entry of maps[step] and the two basis
     vectors it pairs up (row in F_step, column in F_{step+1})."""
     entries = res.maps[step].entries
-    if _is_constant(entries[row][col]) is None:
+    if is_constant(entries[row][col]) is None:
         raise PreconditionViolated("pivot entry is not a nonzero constant")
     if any(not p.is_zero for j, p in enumerate(entries[row]) if j != col):
         raise PreconditionViolated("pivot row carries other nonzero entries")
@@ -477,11 +512,11 @@ def minimalize_by_operations(res: FreeResolution) -> FreeResolution:
     column, then the deletion -- each intermediate complex stays valid."""
     current = res
     while True:
-        found = _find_constant_entry(current.maps)
+        found = constant_entry_scan(current.maps)
         if found is None:
             break
         step, row, col = found
-        pivot = _is_constant(current.maps[step].entries[row][col])
+        pivot = is_constant(current.maps[step].entries[row][col])
         if pivot != 1:
             current = transform_complex(current, step + 1, ScaleBasis(col, pivot))
         entries = current.maps[step].entries
@@ -805,3 +840,68 @@ def toric_kernel_saturation(weights, names=None):
             gens.append(Poly(ring, back))
     completed = buchberger(gens, ring.order())
     return ring, reduce_basis(completed)
+
+
+def standard_table_tuples(w) -> list:
+    """Per residue r mod w[0], for weights w coprime as a whole: the label
+    (a_r, -e_1, .., -e_k) of the order-least monomial x^(0, e_1, .., e_k)
+    of least degree a_r in that residue, so that a_r runs over
+    Ap(<w>, w[0]).
+
+    Shortest paths over the residues, one edge per weight after the first,
+    with labels compared lexicographically: least degree, then most x_1,
+    then most x_2, and so on, which is the ring order's cheapest monomial.
+    """
+    m = w[0]
+    steps = [(v,) + tuple(-(i == j) for i in range(1, len(w))) for j, v in enumerate(w) if j]
+    least = [None] * m
+    least[0] = (0,) * len(w)
+    heap = [(least[0], 0)]
+    while heap:
+        label, r = heapq.heappop(heap)
+        if label > least[r]:
+            continue
+        for step in steps:
+            t = tuple(map(add, label, step))
+            q = t[0] % m
+            if least[q] is None or t < least[q]:
+                least[q] = t
+                heapq.heappush(heap, (t, q))
+    return least
+
+
+def toric_kernel_by_sets(weights, names=None):
+    """``toric_kernel_generic`` as it was before labels were packed into
+    ints: the table of (a_r, -e_1, .., -e_k) tuples from
+    ``standard_table_tuples``, a set of the standard exponent tuples, and
+    each neighbour s + e_j and its divisors c - e_i built as tuples and
+    looked up in that set.  Returns (ring, gb) like ``toric_kernel_generic``.
+    """
+    weights = tuple(int(w) for w in weights)
+    if names is None:
+        names = _default_names(len(weights))
+    ring = Ring(tuple(names), weights)
+    g = math.gcd(*weights)
+    w = tuple(v // g for v in weights)
+    table = standard_table_tuples(w)
+    standard = {(0,) + tuple(map(neg, label[1:])) for label in table}
+    unit = [tuple(int(i == j) for i in range(len(w))) for j in range(len(w))]
+    leads = set()
+    for s in standard:
+        for j in range(1, len(w)):
+            c = tuple(map(add, s, unit[j]))
+            if c not in standard and all(
+                tuple(map(sub, c, unit[i])) in standard for i in range(1, len(w)) if c[i]
+            ):
+                leads.add(c)
+    order = ring.order()
+    reduced = []
+    for lead in sorted(leads, key=order.key):
+        degree = sum(map(mul, lead, w))
+        a, *rest = table[degree % w[0]]
+        tail = ((degree - a) // w[0],) + tuple(map(neg, rest))
+        reduced.append(Poly(ring, {lead: 1, tail: -1}))
+    gb = binomial_buchberger(reduced, order)
+    if len(gb.elements) != len(reduced):  # the Gröbner-basis certificate
+        raise AssertionError("the Apéry-set basis is not a Gröbner basis")
+    return ring, gb

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from monocurve.groebner import (
     GroebnerBasis,
+    _decode,
     _standard_table,
     buchberger,
     is_groebner,
@@ -34,6 +35,7 @@ from oracles import (
     is_groebner as generic_is_groebner,
     reduce_basis,
     replay_ok,
+    toric_kernel_by_sets,
     toric_kernel_elimination,
     toric_kernel_saturation,
 )
@@ -294,6 +296,35 @@ def test_binomial_kernel_matches_poly_saturation(weights):
     assert records(gb) == records(gb_o)
 
 
+# the int-label kernel against the tuple-and-set version it replaced: the
+# same elements in the same order, and the same transcript
+
+
+def _kernel_outcome(kernel, weights):
+    try:
+        ring, gb = kernel(weights)
+    except ValueError as exc:  # a single weight leaves nothing to complete
+        return type(exc), str(exc)
+    return ring, gb.elements, gb.transcript
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ARITHMETIC_WEIGHTS, st.lists(st.integers(1, 30), min_size=1, max_size=5).map(tuple)))
+@example((1, 2))
+@example((3, 5, 7))
+@example((4, 6, 9))
+# common factors of some or all weights
+@example((6, 10, 15))
+@example((2, 4, 6, 7))
+# a repeated weight, and w0 not the least weight
+@example((36, 26, 26))
+@example((5, 7, 9, 13, 17))
+@example((5, 7, 11, 13, 17))
+def test_kernel_matches_set_based_reference(weights):
+    outcome = _kernel_outcome(toric_kernel_generic, weights)
+    assert outcome == _kernel_outcome(toric_kernel_by_sets, weights)
+
+
 def _least_labels(w, top):
     """Per value t <= top, the lexicographically least (t, -e_1, .., -e_k)
     over all ways to write t as a sum of w[1:], else None: the last summand
@@ -317,7 +348,11 @@ def _least_labels(w, top):
 def test_kernel_table_is_the_apery_set_with_least_monomials(weights):
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)
-    table = _standard_table(w)
+    packed, width, _ = _standard_table(w)
+    table = [_decode(label, len(w) - 1, width) for label in packed]
+    # the ints compare as the (degree, -e_1, .., -e_k) tuples they pack
+    by_int = sorted(range(w[0]), key=packed.__getitem__)
+    assert by_int == sorted(range(w[0]), key=table.__getitem__)
     least = [label[0] for label in table]
     assert [a % w[0] for a in least] == list(range(w[0]))
     semigroup = SubSemigroup(w)

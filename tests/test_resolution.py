@@ -46,6 +46,7 @@ from oracles import (
     ScaleBasis,
     SwapBasis,
     compose_zero_generic,
+    constant_entry_scan,
     gamma_series_truncation,
     graded_betti_numbers,
     hilbert_series_truncation,
@@ -457,6 +458,51 @@ def test_minimalize_matches_elementary_operations_on_fixtures(label):
     base = _closed_form_base(spec, kernel)
     assert base is not None
     _same_minimalization(base)
+
+
+def _same_unit_scans(res):
+    """The twist-based unit search against the scan of every entry, from
+    every starting row: on ``res``, on each complex that splitting off its
+    units one at a time passes through, and on ``minimalize(res)``."""
+    complexes = [minimalize(res)]
+    while res is not None:
+        complexes.append(res)
+        found = constant_entry_scan(res.maps)
+        res = prune_unit(res, *found) if found else None
+    for maps in (c.maps for c in complexes):
+        for step, gmap in enumerate(maps):
+            for row in range(gmap.target.rank + 1):
+                assert resolution._find_constant_entry(maps, step, row) == constant_entry_scan(maps, step, row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CURVES)
+def test_unit_search_by_twists_matches_full_scan(curve):
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    kernel = toric_kernel(spec)
+    _same_unit_scans(build_resolution(kernel.reduced_gb))
+    base = _closed_form_base(spec, kernel)
+    if base is not None:
+        _same_unit_scans(base)
+
+
+@pytest.mark.parametrize("label", sorted(FIXTURES))
+def test_unit_search_by_twists_matches_full_scan_on_fixtures(label):
+    spec = validate_sequence(*FIXTURES[label])
+    kernel = toric_kernel(spec)
+    _same_unit_scans(build_resolution(kernel.reduced_gb))
+    _same_unit_scans(_closed_form_base(spec, kernel))
+
+
+def test_unit_search_by_twists_matches_full_scan_on_toy_complexes():
+    _same_unit_scans(_toy_complex())
+    # x listed three times: rows whose first equal-twist column holds a zero
+    # and a later one a unit
+    _same_unit_scans(build_resolution([P("x", R2), P("y", R2), P("x", R2), P("x", R2)]))
 
 
 def test_minimalize_removes_duplicate_generator():
