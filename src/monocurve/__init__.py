@@ -35,7 +35,7 @@ from monocurve.groebner import (
     is_groebner,
     toric_kernel,
 )
-from monocurve.poly import Poly, Ring, Vect, parse, render
+from monocurve.poly import Poly, Ring, parse, render
 from monocurve.resolution import (
     BettiTable,
     FreeResolution,
@@ -77,7 +77,6 @@ __all__ = [
     "TemplateMismatch",
     "ToricIdeal",
     "ValidationError",
-    "Vect",
     "analyze_sequence",
     "apery_set",
     "betti_lookup",

@@ -11,7 +11,10 @@ S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, recorded as such.
 Ideal elements are pure-difference binomials or unit monomials, up to sign,
 and run on (lead, tail) exponent pairs (Sturmfels, *Gröbner Bases and Convex
 Polytopes*, ch. 12).  ``pair_records`` reduces the pairs of a syzygy level,
-by ``divide``'s rule, each in one {(position, exponent): coefficient} dict.
+by ``divide``'s rule, each in one {(position, exponent): coefficient} dict,
+and returns each pair's syzygy as such a dict too: a level's elements are
+its columns, with the ideal's generators at position 0 of the rank-one
+module F_0 = R.
 
 The toric kernel needs no completion: its reduced basis is read off the
 Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
@@ -68,13 +71,9 @@ class PairRecord:
 
 @dataclass
 class GroebnerBasis:
-    """``degrees`` are the elements' degrees when the caller already knows
-    them (a resolution level knows them from the columns it was built from)."""
-
     elements: list
     order: object
     transcript: list = field(default_factory=list)
-    degrees: tuple | None = None
 
 
 def _split(g, order):
@@ -213,42 +212,44 @@ def _subtract(terms: dict, items, shift: tuple, scale) -> None:
             del terms[t]
 
 
-def pair_records(elements, order, pairs, leads) -> list:
-    """The record of each pair (i, j) of ``elements``, a Gröbner basis in
-    ``order`` whose leads i and j share their position: its S-element
-    divided by ``elements``, which must leave remainder zero.  ``leads`` are
-    the elements' (key, coefficient) leads in ``order``.
-
-    ``divide``'s rule, run in one {(position, exponent): coefficient} dict
-    (a ring polynomial counts as a vector at position 0): the greatest term
-    goes to the dividing lead that is greatest in ``order``, ties to the
-    earlier index, and only that divisor's tail is subtracted, since its
-    lead cancels the term.  A term no lead divides would stay in the
-    remainder, so the first one fails the pair.
-    """
-    ring = elements[0].ring
-    key = order.key
-    if type(elements[0]) is Poly:
-        leads = [((0, m), c) for m, c in leads]
-        terms_of = [{(0, m): c for m, c in g.terms.items()} for g in elements]
-        key = lambda pm, key=key: key(pm[1])  # noqa: E731
+def add_term(terms: dict, key, c) -> None:
+    """terms[key] += c, dropping the key if the coefficient cancels."""
+    v = terms.get(key, 0) + c
+    if v:
+        terms[key] = v
     else:
-        terms_of = [g.terms for g in elements]
+        del terms[key]
+
+
+def pair_records(columns, key, pairs, leads) -> list:
+    """The syzygy of each pair (i, j) of ``columns``, {(position, exponent):
+    coefficient} dicts that form a Gröbner basis in the order ``key``, with
+    ``leads`` their lead keys, of which i's and j's share their position.
+
+    The S-element cofactor_i·columns[i] - cofactor_j·columns[j] is divided
+    by ``columns``, which must leave remainder zero, by ``divide``'s rule in
+    one dict: the greatest term goes to the dividing lead that is greatest
+    in ``key``, ties to the earlier index, and only that divisor's tail is
+    subtracted, since its lead cancels the term.  A term no lead divides
+    would stay in the remainder, so the first one fails the pair.  The
+    syzygy is the quotients, minus cofactor_i at slot i, plus cofactor_j at
+    slot j, again one {(slot, exponent): coefficient} dict.
+    """
     divisors: dict = {}  # position -> [(index, lead exponent, lead coefficient)], by precedence
-    for k in sorted(range(len(leads)), key=lambda k: key(leads[k][0]), reverse=True):
-        (pos, mono), c = leads[k]
-        divisors.setdefault(pos, []).append((k, mono, c))
-    tails = [[(t, c) for t, c in terms.items() if t != lead] for terms, (lead, _) in zip(terms_of, leads)]
-    records = []
+    for k in sorted(range(len(leads)), key=lambda k: key(leads[k]), reverse=True):
+        pos, mono = leads[k]
+        divisors.setdefault(pos, []).append((k, mono, columns[k][leads[k]]))
+    tails = [[(t, c) for t, c in terms.items() if t != lead] for terms, lead in zip(columns, leads)]
+    syzygies = []
     for i, j in pairs:
-        ((pos, a), ca), ((_, b), cb) = leads[i], leads[j]
+        (pos, a), (_, b) = leads[i], leads[j]
         lcm = tuple(map(max, a, b))
         cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
-        scale_i, scale_j = coeff_div(1, ca), coeff_div(1, cb)
+        scale_i, scale_j = coeff_div(1, columns[i][leads[i]]), coeff_div(1, columns[j][leads[j]])
         terms: dict = {}
         _subtract(terms, tails[i], cof_i, -scale_i)
         _subtract(terms, tails[j], cof_j, scale_j)
-        quotients: dict = {}
+        syzygy = {(i, cof_i): -scale_i, (j, cof_j): scale_j}
         while terms:
             top = max(terms, key=key)
             c = terms.pop(top)
@@ -260,13 +261,10 @@ def pair_records(elements, order, pairs, leads) -> list:
                 raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
             q = tuple(map(sub, mono, lead))
             c = coeff_div(c, lead_c)
-            row = quotients.setdefault(k, {})
-            row[q] = row.get(q, 0) + c
+            add_term(syzygy, (k, q), c)
             _subtract(terms, tails[k], q, c)
-        quots = {k: Poly(ring, quotients[k]) for k in sorted(quotients)}
-        cofactor_i, cofactor_j = ring.monomial(cof_i, scale_i), ring.monomial(cof_j, scale_j)
-        records.append(PairRecord(i, j, cofactor_i, cofactor_j, {k: h for k, h in quots.items() if h.terms}))
-    return records
+        syzygies.append(syzygy)
+    return syzygies
 
 
 def is_pure_difference(p: Poly) -> bool:

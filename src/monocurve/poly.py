@@ -2,26 +2,28 @@
 
 Polynomials live in a rational polynomial ring whose variables carry positive
 integer weights; the default order is the weighted graded reverse-lexicographic
-order.  Elements of free modules (used for syzygy computations) are ordered by
-the Schreyer order coming from a previous basis.  An order is anything with a
-``key`` method: a monomial (or module key) is greater than another iff its
-key is.
+order.  An order is anything with a ``key`` method: a monomial is greater
+than another iff its key is.
 
-Both are one sparse term type: ``_Terms`` maps keys to coefficients and holds
-all the arithmetic; a ``Poly`` key is an exponent tuple, a ``Vect`` key a
-(position, exponent tuple) pair, and each subclass names its key arithmetic
-once.  So division, S-pairs and Buchberger run one code path, with one extra
-rule for vectors: positions must match.
+Syzygies need no vector type.  A resolution level's elements are
+{(position, exponent): coefficient} dicts, with F_0 = R the rank-one module
+(every key at position 0), and ``SchreyerOrder`` orders such keys level by
+level from the previous level's key and leads.
+
+``_Terms`` maps keys to coefficients and holds all the arithmetic; a
+subclass names its key arithmetic once, as static ``key_*`` attributes, and
+``divide`` and ``s_polynomial`` read only those.  ``Poly`` is the one
+subclass here: its keys are exponent tuples.
 
 Coefficients are Python ints wherever divisions stay exact and Fractions
 otherwise, which keeps the binomial-dominated workloads fast without ever
 leaving exact arithmetic.
 
-Normalisation happens once, at the public constructors ``Poly(ring, terms)``
-and ``Vect(ring, rank, terms)``: zero coefficients are dropped and integral
-Fractions become ints.  Arithmetic results skip it.  Every operation already
-drops the zeros it makes, so its result is built by ``_like``, which stores
-the dict as it is and only collapses integral Fractions.
+Normalisation happens once, at the public constructor ``Poly(ring, terms)``:
+zero coefficients are dropped and integral Fractions become ints.
+Arithmetic results skip it.  Every operation already drops the zeros it
+makes, so its result is built by ``_like``, which stores the dict as it is
+and only collapses integral Fractions.
 """
 
 from __future__ import annotations
@@ -158,11 +160,11 @@ class GrevlexOrder:
 
 
 class SchreyerOrder:
-    """Order induced by a list of leading monomials from the previous level:
-    compare x^a e_i vs x^b e_j by the parent order applied to x^a * lead(i)
-    vs x^b * lead(j); on ties the lexicographically smaller cofactor wins,
-    then the smaller position.  ``key_mul`` is the previous level's term
-    type's product of a lead key with a monomial.
+    """Order on one level's (position, exponent) keys induced by the previous
+    level's key ``parent`` and its (position, exponent) leads: x^a e_i is
+    compared as lead(i) times x^a, at lead(i)'s position, in the parent
+    order; on ties the lexicographically smaller cofactor wins, then the
+    smaller position.
 
     The cofactor tie-break is the same order one gets from the plain
     smaller-position rule after relabeling the previous level's elements in
@@ -170,12 +172,11 @@ class SchreyerOrder:
     and the iterated syzygy construction provably sheds one variable of its
     lead cofactors per level, so it stops within #variables steps."""
 
-    __slots__ = ("parent", "leads", "key_mul", "_keys")
+    __slots__ = ("parent", "leads", "_keys")
 
-    def __init__(self, parent, leads, key_mul):
+    def __init__(self, parent, leads):
         self.parent = parent
         self.leads = tuple(leads)
-        self.key_mul = key_mul
         self._keys = {}
 
     def key(self, mm):
@@ -183,8 +184,9 @@ class SchreyerOrder:
         k = self._keys.get(mm)
         if k is None:
             pos, mono = mm
-            shifted = self.key_mul(self.leads[pos], mono)
-            k = self._keys[mm] = self.parent.key(shifted) + tuple(map(neg, mono)) + (-pos,)
+            lead_pos, lead = self.leads[pos]
+            shifted = lead_pos, tuple(map(add, lead, mono))
+            k = self._keys[mm] = self.parent(shifted) + tuple(map(neg, mono)) + (-pos,)
         return k
 
 
@@ -333,10 +335,6 @@ class Poly(_Terms):
     key_div = staticmethod(mono_div)
     key_lcm = staticmethod(mono_lcm)
 
-    @staticmethod
-    def key_degree(mono, weights, twists=None) -> int:
-        return sum(map(mul, mono, weights))
-
     def _scalar(self, c):
         return self.ring.constant(c)
 
@@ -349,90 +347,6 @@ class Poly(_Terms):
 
     def __repr__(self):
         return render(self)
-
-
-class Vect(_Terms):
-    """Element of a free module R^rank; keys are (position, monomial) pairs.
-
-    Key arithmetic acts on the monomial and requires equal positions.
-    """
-
-    __slots__ = ("rank",)
-
-    def __init__(self, ring: Ring, rank: int, terms=None):
-        self.rank = rank
-        super().__init__(ring, terms)
-
-    def _like(self, terms):
-        out = super()._like(terms)
-        out.rank = self.rank
-        return out
-
-    @staticmethod
-    def key_mul(key, mono):
-        return key[0], mono_mul(key[1], mono)
-
-    @staticmethod
-    def key_divides(a, b) -> bool:
-        return a[0] == b[0] and mono_divides(a[1], b[1])
-
-    @staticmethod
-    def key_div(a, b) -> tuple:
-        return mono_div(a[1], b[1])
-
-    @staticmethod
-    def key_lcm(a, b):
-        """(position, lcm), or None when the positions differ."""
-        if a[0] != b[0]:
-            return None
-        return a[0], mono_lcm(a[1], b[1])
-
-    @staticmethod
-    def key_degree(key, weights, twists=None) -> int:
-        """Weighted degree of the monomial plus the position's twist (if given)."""
-        pos, mono = key
-        d = Poly.key_degree(mono, weights)
-        return d if twists is None else d + twists[pos]
-
-    @classmethod
-    def unit(cls, ring: Ring, rank: int, pos: int) -> "Vect":
-        return cls(ring, rank, {(pos, ring.zero_mono()): 1})
-
-    @classmethod
-    def from_polys(cls, polys) -> "Vect":
-        polys = list(polys)
-        ring = polys[0].ring
-        terms = {}
-        for pos, p in enumerate(polys):
-            for m, c in p.terms.items():
-                terms[(pos, m)] = c
-        return cls(ring, len(polys), terms)
-
-    def component(self, pos: int) -> Poly:
-        return Poly(
-            self.ring, {m: c for (p, m), c in self.terms.items() if p == pos}
-        )
-
-    def to_polys(self) -> list:
-        out = [dict() for _ in range(self.rank)]
-        for (p, m), c in self.terms.items():
-            out[p][m] = c
-        return [Poly(self.ring, d) for d in out]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vect)
-            and self.ring == other.ring
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.rank, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        comps = ", ".join(render(p) for p in self.to_polys())
-        return f"({comps})"
 
 
 def divide(f, divisors, order):
@@ -498,22 +412,12 @@ def s_polynomial(f, g, order):
     return spoly, cof_f, cof_g
 
 
-def is_homogeneous(f, ring_or_weights=None, twists=None):
-    """Common weighted degree of all terms, or None if degrees differ.
-
-    For module elements the ambient twists (one per basis position) shift the
-    degree of each component; omitted twists count as zero.
-    """
+def is_homogeneous(f: Poly, ring_or_weights=None):
+    """Common weighted degree of all terms, or None if degrees differ."""
     ring = f.ring if ring_or_weights is None else ring_or_weights
     weights = ring.weights if isinstance(ring, Ring) else tuple(ring)
-    degree = None
-    for k in f.terms:
-        d = f.key_degree(k, weights, twists)
-        if degree is None:
-            degree = d
-        elif degree != d:
-            return None
-    return degree
+    degrees = {sum(map(mul, mono, weights)) for mono in f.terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
 ``compose_zero``, which sums each row of a product in exponent arithmetic
 on the entries' term dicts and builds no intermediate polynomial.
 
-The syzygy levels run on term dicts too: ``pair_records`` reduces each kept
-pair in one {(position, exponent): coefficient} dict, ``schreyer_syzygies``
-sums each column from the records' terms, and the next level's leads and
-their coefficients are read off the lead frame and the records, not found
-again by a maximum over terms.
+The syzygy levels have one form: F_0 = R is the rank-one module, and every
+level's elements are {(position, exponent): coefficient} dicts, the ideal's
+generators at position 0.  ``pair_records`` reduces each kept pair in such a
+dict and returns its syzygy as one; that dict is both a column of the
+level's map, which ``schreyer_syzygies`` builds, and an element of the next
+level, whose leads are read off the lead frame, not found again by a
+maximum over terms.  The kernel's transcript records become columns by
+``record_column``.
 
 Conventions, fixed once:
 
@@ -25,25 +28,14 @@ Conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, le, sub
 
-from monocurve.poly import (
-    Poly,
-    Ring,
-    SchreyerOrder,
-    Vect,
-    coeff_div,
-    is_homogeneous,
-)
-from monocurve.groebner import GroebnerBasis, buchberger, pair_records
+from monocurve.poly import Ring, SchreyerOrder, coeff_div, is_homogeneous
+from monocurve.groebner import GroebnerBasis, add_term, buchberger, pair_records
 
 
 class ShapeMismatch(ValueError):
     """Matrix shapes or module ranks do not line up."""
-
-
-class TranscriptIncomplete(ValueError):
-    """The Gröbner basis carries no reduction records to read syzygies from."""
 
 
 class HomogeneityBroken(ValueError):
@@ -113,18 +105,6 @@ class GradedMap:
         out.entries = tuple(tuple(row) for row in rows)
         return out
 
-    def column(self, j: int) -> Vect:
-        return Vect.from_polys([self.entries[i][j] for i in range(self.target.rank)])
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.entries == other.entries
-        )
-
     def __repr__(self):
         return f"GradedMap({self.target.rank}x{self.source.rank})"
 
@@ -191,146 +171,120 @@ class FreeResolution:
 
 
 # ---------------------------------------------------------------------------
-# syzygies from transcripts
+# syzygies, one (position, exponent) dict per column
 
 
-def _element_degrees(gb: GroebnerBasis, twists):
-    ring = gb.elements[0].ring
+def _element_degrees(elements):
     degrees = []
-    for g in gb.elements:
-        d = is_homogeneous(g, ring, twists=twists)
+    for g in elements:
+        d = is_homogeneous(g)
         if d is None:
             raise HomogeneityBroken("basis element is not weighted-homogeneous")
         degrees.append(d)
-    return degrees
+    return tuple(degrees)
 
 
-def schreyer_syzygies(gb: GroebnerBasis, twists=None) -> GradedMap:
-    """The map whose columns generate the syzygies of gb.elements.
+def record_column(rec) -> dict:
+    """The syzygy of a transcript record as one {(slot, exponent):
+    coefficient} dict: its quotients, minus cofactor_i at slot i, plus
+    cofactor_j at slot j."""
+    column = {(k, m): c for k, h in rec.quotients.items() for m, c in h.terms.items()}
+    (mono, coeff), = rec.cofactor_i.terms.items()
+    add_term(column, (rec.i, mono), -coeff)
+    (mono, coeff), = rec.cofactor_j.terms.items()
+    add_term(column, (rec.j, mono), coeff)
+    return column
 
-    One column per reduction record (i, j), sorted by (i, j): the quotient
-    vector minus cofactor_i at slot i plus cofactor_j at slot j, summed on
-    the records' term dicts.  `twists` are the ambient twists when the
-    elements are module vectors; they are only read when ``gb.degrees`` is
-    not given.
-    """
-    ring = gb.elements[0].ring
-    if not gb.transcript and len(gb.elements) > 1 and type(gb.elements[0]) is Poly:
-        raise TranscriptIncomplete("S-pairs exist but the basis has no transcript records")
-    degrees = gb.degrees if gb.degrees is not None else _element_degrees(gb, twists)
-    target = GradedFreeModule(ring, tuple(degrees))
-    records = sorted(gb.transcript, key=lambda r: (r.i, r.j))
+
+def schreyer_syzygies(target: GradedFreeModule, columns) -> GradedMap:
+    """The map into ``target`` with the given columns, {(slot, exponent):
+    coefficient} dicts; each column's twist is the degree of its terms."""
+    ring = target.ring
     zero = ring.zero()
-    entries = [[zero] * len(records) for _ in gb.elements]
+    entries = [[zero] * len(columns) for _ in target.twists]
     column_twists = []
-    for c, rec in enumerate(records):
-        column = {k: dict(h.terms) for k, h in rec.quotients.items()}
-        (mono, coeff), = rec.cofactor_i.terms.items()
-        _add_term(column, rec.i, mono, -coeff)
-        column_twists.append(ring.degree(mono) + degrees[rec.i])
-        (mono, coeff), = rec.cofactor_j.terms.items()
-        _add_term(column, rec.j, mono, coeff)
-        for k, terms in column.items():
-            if terms:
-                entries[k][c] = zero._like(terms)
-    source = GradedFreeModule(ring, tuple(column_twists))
-    return GradedMap(source, target, entries)
+    for c, column in enumerate(columns):
+        rows: dict = {}
+        for (k, mono), coeff in column.items():
+            rows.setdefault(k, {})[mono] = coeff
+        column_twists.append(ring.degree(mono) + target.twists[k])  # GradedMap checks the rest
+        for k, terms in rows.items():
+            entries[k][c] = zero._like(terms)
+    return GradedMap(GradedFreeModule(ring, tuple(column_twists)), target, entries)
 
 
-def _add_term(column: dict, k: int, mono: tuple, coeff) -> None:
-    """Add coeff·x^mono to entry ``k`` of a column of term dicts."""
-    terms = column.setdefault(k, {})
-    v = terms.get(mono, 0) + coeff
-    if v:
-        terms[mono] = v
-    else:
-        del terms[mono]
-
-
-def _lead_frame(leads, kind, induced) -> list:
+def _lead_frame(leads, induced) -> list:
     """The pairs (i, j) whose syzygies the resolution keeps, ascending, each
     with the lead of its syzygy.
 
-    ``leads`` are the basis leads, keys of ``kind``, and ``induced`` their
-    Schreyer order.  The syzygy of (i, j) has lead cofactor_i e_i or
-    cofactor_j e_j, whichever cofactor is lexicographically smaller (ties to
-    i): both map to the lcm of the two leads, every quotient term to less.
-    Kept are the pairs whose lead is no multiple of a kept lead, taken in
-    ascending order, of equal leads the first.
+    ``leads`` are the basis's (position, exponent) leads and ``induced``
+    their Schreyer order.  The syzygy of (i, j), leads at one position, has
+    lead cofactor_i e_i or cofactor_j e_j, whichever cofactor is
+    lexicographically smaller (ties to i): both map to the lcm of the two
+    leads, every quotient term to less.  Kept are the pairs whose lead is no
+    multiple of a kept lead, taken in ascending order, of equal leads the
+    first.
     """
     frame = []
-    for i, a in enumerate(leads):
+    for i, (pos, a) in enumerate(leads):
         for j in range(i + 1, len(leads)):
-            lcm = kind.key_lcm(a, leads[j])
-            if lcm is not None:
-                cof_i, cof_j = kind.key_div(lcm, a), kind.key_div(lcm, leads[j])
+            other, b = leads[j]
+            if other == pos:
+                lcm = tuple(map(max, a, b))
+                cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
                 lead = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
                 frame.append((induced.key(lead), lead, (i, j)))
     kept: list = []
-    for _, lead, pair in sorted(frame, key=lambda entry: entry[0]):
-        if not any(Vect.key_divides(other, lead) for other, _ in kept):
-            kept.append((lead, pair))
+    for _, (slot, cof), pair in sorted(frame, key=lambda entry: entry[0]):
+        if not any(slot == p and all(map(le, c, cof)) for (p, c), _ in kept):
+            kept.append(((slot, cof), pair))
     return sorted((pair, lead) for lead, pair in kept)
-
-
-def _column_lead(rec, lead) -> tuple:
-    """(key, coefficient) of the lead ``lead`` of the syzygy column of
-    ``rec``: -cofactor_i at slot i, or cofactor_j at slot j."""
-    pos, mono = lead
-    if pos == rec.i:
-        return lead, -rec.cofactor_i.terms[mono]
-    return lead, rec.cofactor_j.terms[mono]
 
 
 def build_resolution(ideal_gens) -> FreeResolution:
     """Iterate transcripted completion and syzygy extraction until exhaustion.
 
     The first level completes the input to a Gröbner basis (the input stays a
-    prefix; for our kernels it already is one).  Every level keeps only the
-    pairs of its ``_lead_frame`` (Schreyer's frame; La Scala and Stillman,
-    JSC 26, 1998) and reduces only those its transcript has no record of.
-    Each must reduce to zero, which is asserted: the kept pair syzygies
-    generate the syzygies of the leads, so by the generalised Buchberger
-    criterion this proves each level a Gröbner basis in the induced order.
-    The next level's leads are the frame's, with their coefficients read off
-    the records, and its degrees are the columns' twists.
+    prefix; for our kernels it already is one) and sees its elements as
+    position-0 dicts of F_0 = R.  Every level keeps only the pairs of its
+    ``_lead_frame`` (Schreyer's frame; La Scala and Stillman, JSC 26, 1998)
+    and reduces only those its transcript has no record of.  Each must
+    reduce to zero, which is asserted: the kept pair syzygies generate the
+    syzygies of the leads, so by the generalised Buchberger criterion this
+    proves each level a Gröbner basis in the induced order.  The columns of
+    each level's map are the next level's elements and the frame's leads
+    their leads.
     """
     if isinstance(ideal_gens, GroebnerBasis):
         # already completed with a full pair transcript -- no need to redo it
         gb = ideal_gens
         if not gb.elements:
             raise ValueError("need at least one generator")
-        ring = gb.elements[0].ring
     else:
         gens = list(ideal_gens)
         if not gens:
             raise ValueError("need at least one generator")
-        ring = gens[0].ring
-        for g in gens:
-            if is_homogeneous(g, ring) is None:
-                raise HomogeneityBroken("ideal generators must be weighted-homogeneous")
-        gb = buchberger(gens, ring.order())
-    base = GradedFreeModule(ring, (0,))
-    degrees = tuple(_element_degrees(gb, None))
-    maps = [GradedMap._trimmed(GradedFreeModule(ring, degrees), base, [gb.elements])]
-    elements, order, twists = gb.elements, gb.order, None
-    leads = [g.lead(order) for g in elements]
+        _element_degrees(gens)  # HomogeneityBroken before completion
+        gb = buchberger(gens, gens[0].ring.order())
+    ring = gb.elements[0].ring
+    module = GradedFreeModule(ring, _element_degrees(gb.elements))
+    maps = [GradedMap._trimmed(module, GradedFreeModule(ring, (0,)), [gb.elements])]
+    ring_key = gb.order.key
+    key = lambda pm: ring_key(pm[1])  # noqa: E731  (F_0 = R: position 0 only)
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in gb.elements]
+    leads = [(0, g.lead(gb.order)[0]) for g in gb.elements]
     recorded = {(rec.i, rec.j): rec for rec in gb.transcript}
     while len(maps) <= ring.nvars:
-        kind = type(elements[0])
-        keys = [key for key, _ in leads]
-        induced = SchreyerOrder(order, keys, kind.key_mul)
-        frame = _lead_frame(keys, kind, induced)
+        induced = SchreyerOrder(key, leads)
+        frame = _lead_frame(leads, induced)
         if not frame:
             return FreeResolution(maps)
         missing = [pair for pair, _ in frame if pair not in recorded]
-        recorded.update(zip(missing, pair_records(elements, order, missing, leads)))
-        records = [recorded[pair] for pair, _ in frame]
-        syz = schreyer_syzygies(GroebnerBasis(elements, order, records, degrees), twists)
-        maps.append(syz)
-        elements = [syz.column(j) for j in range(syz.source.rank)]
-        leads = [_column_lead(rec, lead) for rec, (_, lead) in zip(records, frame)]
-        order, twists, degrees, recorded = induced, syz.target.twists, syz.source.twists, {}
+        reduced = dict(zip(missing, pair_records(columns, key, missing, leads)))
+        columns = [reduced[pair] if pair in reduced else record_column(recorded[pair]) for pair, _ in frame]
+        maps.append(schreyer_syzygies(maps[-1].source, columns))
+        leads = [lead for _, lead in frame]
+        key, recorded = induced.key, {}
     raise AssertionError("resolution exceeded the number of variables")
 
 

@@ -8,6 +8,10 @@ answer membership (s is in the semigroup iff it is at least the Apery
 element of its residue class) and give the Frobenius number, the exact
 numerator of the semigroup's generating series and the least multiple of a
 number that the semigroup contains.
+
+Every table the program builds, here and in the toric kernel, has at most
+m0 entries, so ``validate_sequence`` refuses m0 above ``M0_BUDGET`` before
+it builds any.
 """
 
 from __future__ import annotations
@@ -16,8 +20,17 @@ import math
 from dataclasses import dataclass
 
 
+#: the largest m0 accepted: a whole analysis at m0 = 1 000 003 peaks at
+#: 262 MB and takes 10 s, so one at the budget stays near 1 GB
+M0_BUDGET = 4_000_000
+
+
 class ValidationError(ValueError):
     """Base class for rejected generating sequences."""
+
+
+class OverBudget(ValidationError):
+    """m0 exceeds M0_BUDGET, the size of the largest table built."""
 
 
 class NotArithmetic(ValidationError):
@@ -209,8 +222,9 @@ class SequenceSpec:
 def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
     """Check a candidate sequence and return its SequenceSpec.
 
-    Raises NotArithmetic, GcdNotOne or RedundantGenerator (in that order of
-    precedence; minimality is checked for n first, then m0, m1, m2).
+    Raises NotArithmetic, GcdNotOne, OverBudget or RedundantGenerator (in
+    that order of precedence; minimality is checked for n first, then m0,
+    m1, m2).
     """
     values = (m0, m1, m2, n)
     if any(not isinstance(v, int) or v <= 0 for v in values):
@@ -221,6 +235,8 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
         )
     if math.gcd(m0, m1, m2, n) != 1:
         raise GcdNotOne(f"gcd{values} is not 1")
+    if m0 > M0_BUDGET:
+        raise OverBudget(f"m0 = {m0} exceeds M0_BUDGET = {M0_BUDGET}, the largest table of m0 entries built")
     order = (("n", 3), ("m0", 0), ("m1", 1), ("m2", 2))
     for name, index in order:
         rest = values[:index] + values[index + 1 :]

@@ -14,15 +14,23 @@ value up to the query, not from ``SubSemigroup``, which the program answers
 from the same Apéry table that the Hilbert identity is built on.
 
 The program completes and checks bases in (lead, tail) exponent arithmetic
-and resolves on Schreyer's lead frame.  The generic paths it replaced, in
-``Poly``/``Vect`` arithmetic, are the references for that: ``buchberger``
-(every pair reduced by ``divide``), ``is_groebner``, ``replay_ok``,
-``ideal_member``, and ``resolution_all_pairs``, which completes every level
-with ``buchberger`` and keeps the ``lead_minimal`` columns.
-``pair_records_generic`` forms and divides each kept pair with
-``s_polynomial`` and ``divide``; the program does the same in one term dict.
-``reduce_basis`` makes a completed basis reduced by generic division.
-``PositionOverTerm`` orders module elements for those generic paths.
+and resolves on Schreyer's lead frame in one form per level: F_0 = R is the
+rank-one module (``rank_one_key`` orders it), and every level's elements
+are {(position, exponent): coefficient} dicts, the columns of the map
+before.  The generic paths it replaced are the references for that.  They
+run in ``Poly`` and ``Vect`` arithmetic, ``Vect`` being the free-module
+element type, a ``_Terms`` subclass keyed by (position, monomial) pairs
+that lives here since the program needs none: ``buchberger`` (every pair
+reduced by ``divide``), ``is_groebner``, ``replay_ok``, ``ideal_member``,
+and ``resolution_all_pairs``, which completes every level with
+``buchberger``, writes each record's syzygy as a vector (``record_vector``)
+and keeps the ``lead_minimal`` ones.  ``pair_records_generic`` forms and
+divides each kept pair with ``s_polynomial`` and ``divide``; the program
+does the same in one term dict.  ``reduce_basis`` makes a completed basis
+reduced by generic division.  ``PositionOverTerm`` orders module elements
+for those generic paths.  ``transcript_syzygies`` is the program's map of
+every record of a transcript, for the tests that read every pair's syzygy,
+and ``map_columns`` reads a map's columns back as vectors.
 
 The program minimalizes a resolution by splitting off each unit entry in one
 Schur-complement step.  The elementary-operation calculus it replaced is the
@@ -81,10 +89,16 @@ from monocurve.poly import (
     Poly,
     Ring,
     SchreyerOrder,
+    _Terms,
     coeff_div,
     divide,
     is_homogeneous,
     mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    render,
     s_polynomial,
 )
 from monocurve.resolution import (
@@ -95,9 +109,87 @@ from monocurve.resolution import (
     PreconditionViolated,
     ShapeMismatch,
     _element_degrees,
+    record_column,
     schreyer_syzygies,
 )
 from monocurve.semigroup import SubSemigroup
+
+
+class Vect(_Terms):
+    """Element of a free module R^rank; keys are (position, monomial) pairs.
+
+    Key arithmetic acts on the monomial and requires equal positions.
+    """
+
+    __slots__ = ("rank",)
+
+    def __init__(self, ring: Ring, rank: int, terms=None):
+        self.rank = rank
+        super().__init__(ring, terms)
+
+    def _like(self, terms):
+        out = super()._like(terms)
+        out.rank = self.rank
+        return out
+
+    @staticmethod
+    def key_mul(key, mono):
+        return key[0], mono_mul(key[1], mono)
+
+    @staticmethod
+    def key_divides(a, b) -> bool:
+        return a[0] == b[0] and mono_divides(a[1], b[1])
+
+    @staticmethod
+    def key_div(a, b) -> tuple:
+        return mono_div(a[1], b[1])
+
+    @staticmethod
+    def key_lcm(a, b):
+        """(position, lcm), or None when the positions differ."""
+        if a[0] != b[0]:
+            return None
+        return a[0], mono_lcm(a[1], b[1])
+
+    @classmethod
+    def unit(cls, ring: Ring, rank: int, pos: int) -> "Vect":
+        return cls(ring, rank, {(pos, ring.zero_mono()): 1})
+
+    @classmethod
+    def from_polys(cls, polys) -> "Vect":
+        polys = list(polys)
+        ring = polys[0].ring
+        terms = {}
+        for pos, p in enumerate(polys):
+            for m, c in p.terms.items():
+                terms[(pos, m)] = c
+        return cls(ring, len(polys), terms)
+
+    def component(self, pos: int) -> Poly:
+        return Poly(
+            self.ring, {m: c for (p, m), c in self.terms.items() if p == pos}
+        )
+
+    def to_polys(self) -> list:
+        out = [dict() for _ in range(self.rank)]
+        for (p, m), c in self.terms.items():
+            out[p][m] = c
+        return [Poly(self.ring, d) for d in out]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Vect)
+            and self.ring == other.ring
+            and self.rank == other.rank
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.rank, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        comps = ", ".join(render(p) for p in self.to_polys())
+        return f"({comps})"
 
 
 class DenseSemigroup:
@@ -271,41 +363,75 @@ def lead_minimal(elements, order) -> list:
     return kept
 
 
+def record_vector(rec, ring: Ring, rank: int) -> Vect:
+    """The syzygy of a transcript record in ``Vect`` arithmetic: the
+    quotient vector, minus cofactor_i e_i, plus cofactor_j e_j."""
+    quotients = Vect(ring, rank, {(k, m): c for k, h in rec.quotients.items() for m, c in h.terms.items()})
+    return (
+        quotients
+        - rec.cofactor_i * Vect.unit(ring, rank, rec.i)
+        + rec.cofactor_j * Vect.unit(ring, rank, rec.j)
+    )
+
+
+def vector_map(vectors, target: GradedFreeModule) -> GradedMap:
+    """The checked map into ``target`` whose columns are ``vectors``."""
+    ring = target.ring
+    twists = []
+    for v in vectors:
+        pos, mono = next(iter(v.terms))
+        twists.append(ring.degree(mono) + target.twists[pos])
+    entries = [[v.component(k) for v in vectors] for k in range(target.rank)]
+    return GradedMap(GradedFreeModule(ring, tuple(twists)), target, entries)
+
+
+def map_columns(gmap: GradedMap) -> list:
+    """The columns of a map as vectors."""
+    rows = range(gmap.target.rank)
+    return [Vect.from_polys([gmap.entries[i][j] for i in rows]) for j in range(gmap.source.rank)]
+
+
+def transcript_syzygies(gb: GroebnerBasis) -> GradedMap:
+    """The program's map whose columns are the syzygies of every record of
+    gb's transcript, sorted by (i, j)."""
+    target = GradedFreeModule(gb.elements[0].ring, _element_degrees(gb.elements))
+    records = sorted(gb.transcript, key=lambda r: (r.i, r.j))
+    return schreyer_syzygies(target, [record_column(r) for r in records])
+
+
+def rank_one_key(order):
+    """The key of F_0 = R as the rank-one module: (0, m) ordered as m."""
+    return lambda pm: order.key(pm[1])
+
+
 def resolution_all_pairs(gb: GroebnerBasis):
     """The resolution of a completed, transcripted basis the generic way:
     every level completed by ``buchberger``, all of its pair syzygies
-    written down, the ``lead_minimal`` ones kept.
+    written down by ``record_vector``, the ``lead_minimal`` ones kept.
 
-    Returns (resolution, levels) with levels[k] the records of the pairs
-    kept at map k + 1, in column order.
+    Returns (resolution, levels) with levels[k] the kept syzygies of map
+    k + 1, in column order, as {(slot, exponent): coefficient} dicts.
     """
     ring = gb.elements[0].ring
     base = GradedFreeModule(ring, (0,))
-    first = GradedFreeModule(ring, tuple(_element_degrees(gb, None)))
+    first = GradedFreeModule(ring, _element_degrees(gb.elements))
     maps = [GradedMap(first, base, [list(gb.elements)])]
     levels = []
-    twists = None
+    key = rank_one_key(gb.order)
+    leads = [(0, g.lead(gb.order)[0]) for g in gb.elements]
     while len(maps) <= ring.nvars:
-        syz = schreyer_syzygies(gb, twists=twists)
-        if syz.source.rank == 0:
-            return FreeResolution(maps), levels
-        leads = [g.lead(gb.order)[0] for g in gb.elements]
-        induced = SchreyerOrder(gb.order, leads, type(gb.elements[0]).key_mul)
-        vectors = [syz.column(j) for j in range(syz.source.rank)]
-        kept = sorted(lead_minimal(vectors, induced))
         records = sorted(gb.transcript, key=lambda r: (r.i, r.j))
-        levels.append([records[j] for j in kept])
-        trimmed = GradedMap(
-            GradedFreeModule(ring, tuple(syz.source.twists[j] for j in kept)),
-            syz.target,
-            [[row[j] for j in kept] for row in syz.entries],
-        )
-        next_gb = buchberger([vectors[j] for j in kept], induced)
-        if len(next_gb.elements) != len(kept):
+        if not records:
+            return FreeResolution(maps), levels
+        induced = SchreyerOrder(key, leads)
+        vectors = [record_vector(r, ring, len(leads)) for r in records]
+        kept = [vectors[j] for j in sorted(lead_minimal(vectors, induced))]
+        levels.append([v.terms for v in kept])
+        maps.append(vector_map(kept, maps[-1].source))
+        gb = buchberger(kept, induced)
+        if len(gb.elements) != len(kept):
             raise AssertionError("syzygy columns were not already a Gröbner basis")
-        maps.append(trimmed)
-        twists = trimmed.target.twists
-        gb = next_gb
+        key, leads = induced.key, [v.lead(induced)[0] for v in kept]
     raise AssertionError("resolution exceeded the number of variables")
 
 

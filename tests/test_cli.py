@@ -2,6 +2,7 @@
 
 import json
 import re
+import resource
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from monocurve import analysis, cli
 from monocurve.analysis import _case_sort_key, analyze_sequence, census_digest, sweep, sweep_lines
 from monocurve.groebner import toric_kernel
 from monocurve.resolution import build_resolution, minimalize
-from monocurve.semigroup import validate_sequence
+from monocurve.semigroup import M0_BUDGET, validate_sequence
 
 SCHEMA_KEYS = [
     "seq",
@@ -100,6 +101,27 @@ def test_analyze_rejects_huge_redundant_n(capsys):
     # n = 300 000 000 lies in <3, 5, 7>; the verdict must not need a table of n entries
     assert cli.main(["analyze", "--seq", "3,5,7,300000000"]) == 1
     assert "n is redundant" in capsys.readouterr().err
+
+
+def _address_space_cap():
+    cap = 2_000_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("command", ["analyze", "hilbert", "matrices"])
+def test_m0_past_the_budget_refused_cleanly(command):
+    """m0 about 10^8 is past M0_BUDGET: exit 1 with a message naming the
+    budget, before any table is built, so also under a 2 GB address cap."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "monocurve.cli", command, "--seq", "100000007,100000008,100000009,1234567891"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_address_space_cap,
+    )
+    assert proc.returncode == 1
+    assert "exceeds M0_BUDGET = %d" % M0_BUDGET in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_exit_two_on_doctored_failure(monkeypatch, capsys):

@@ -24,11 +24,12 @@ from monocurve.closedform import (
     canonical_generators,
     extract_parameters,
 )
-from monocurve.poly import Ring, Vect, is_homogeneous, parse
+from monocurve.poly import Ring, is_homogeneous, parse
 from monocurve.semigroup import SubSemigroup, ValidationError, apery_set, validate_sequence
 
 from oracles import (
     PositionOverTerm,
+    Vect,
     apery_set_walk,
     buchberger as generic_buchberger,
     ideal_member,

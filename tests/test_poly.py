@@ -11,7 +11,6 @@ from monocurve.poly import (
     Poly,
     Ring,
     SchreyerOrder,
-    Vect,
     divide,
     is_homogeneous,
     mono_lcm,
@@ -20,7 +19,7 @@ from monocurve.poly import (
     s_polynomial,
 )
 
-from oracles import EliminationOrder, PositionOverTerm, extended
+from oracles import EliminationOrder, PositionOverTerm, Vect, extended, rank_one_key
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 
@@ -116,9 +115,7 @@ def test_is_homogeneous():
     assert is_homogeneous(P("X1^2 - X0*X2"), R4) == 14
     assert is_homogeneous(P("X0 + X1"), R4) is None
     assert is_homogeneous(P("Y^2 - X0^3*X1"), R4) == 22
-    v = Vect.from_polys([P("X1"), P("X0")])
-    assert is_homogeneous(v, R4, twists=(5, 7)) == 12
-    assert is_homogeneous(v, R4, twists=(5, 5)) is None
+    assert is_homogeneous(R4.zero(), R4) is None
 
 
 def test_divide_single_step():
@@ -208,16 +205,23 @@ def test_mono_lcm():
 
 
 def test_schreyer_order_uses_parent_leads():
-    # leads X1^2 and X2^3: compare e_0, e_1 through their images
-    order = SchreyerOrder(R4.order(), [(0, 2, 0, 0), (0, 0, 3, 0)], Poly.key_mul)
+    # leads X1^2 and X2^3 in F_0 = R: compare e_0, e_1 through their images
+    order = SchreyerOrder(rank_one_key(R4.order()), [(0, (0, 2, 0, 0)), (0, (0, 0, 3, 0))])
     e0 = (0, (0, 0, 0, 0))
     e1 = (1, (0, 0, 0, 0))
     # images have degrees 14 and 27
     assert order.key(e1) > order.key(e0)
-    # equal images: X2^3*e0 vs X1^2*e1 map to X1^2*X2^3 both; smaller position wins
+    # equal images: X2^3*e0 vs X1^2*e1 map to X1^2*X2^3 both; the
+    # lexicographically smaller cofactor wins
     a = (0, (0, 0, 3, 0))
     b = (1, (0, 2, 0, 0))
     assert order.key(a) > order.key(b)
+    # a level above, leads are (position, exponent) keys shifted at their
+    # position; two equal leads tie on image and cofactor, and the smaller
+    # position wins
+    above = SchreyerOrder(order.key, [(1, (1, 0, 0, 0)), (0, (0, 0, 1, 0)), (0, (0, 0, 1, 0))])
+    assert above.key((0, (0, 0, 0, 0))) > above.key((1, (0, 0, 0, 0)))
+    assert above.key((1, (1, 0, 0, 0))) > above.key((2, (1, 0, 0, 0)))
 
 
 def test_render_parse_round_trip():

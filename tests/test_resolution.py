@@ -4,6 +4,7 @@ calculus), Betti and Hilbert data."""
 
 import functools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +20,7 @@ from monocurve.closedform import (
     extract_parameters,
 )
 from monocurve.groebner import GroebnerBasis, buchberger, pair_records, toric_kernel
-from monocurve.poly import Poly, Ring, SchreyerOrder, Vect, parse
+from monocurve.poly import Poly, Ring, SchreyerOrder, parse
 from monocurve.resolution import (
     BettiTable,
     FreeResolution,
@@ -29,20 +30,20 @@ from monocurve.resolution import (
     NotMinimal,
     PreconditionViolated,
     ShapeMismatch,
-    TranscriptIncomplete,
+    _lead_frame,
     betti_table,
     build_resolution,
     compose_zero,
     hilbert_numerator,
     minimalize,
     prune_unit,
-    schreyer_syzygies,
 )
 from monocurve.semigroup import ValidationError, frobenius, series_numerator, validate_sequence
 
 from oracles import (
     AddMultiple,
     NotElementary,
+    PositionOverTerm,
     ScaleBasis,
     SwapBasis,
     compose_zero_generic,
@@ -51,10 +52,15 @@ from oracles import (
     graded_betti_numbers,
     hilbert_series_truncation,
     is_groebner,
+    map_columns,
     minimalize_by_operations,
     pair_records_generic,
+    rank_one_key,
+    record_vector,
     resolution_all_pairs,
+    transcript_syzygies,
     transform_complex,
+    Vect,
 )
 from test_closedform import FIXTURES
 
@@ -104,22 +110,16 @@ def test_compose_zero_shape_mismatch():
 
 def test_koszul_pair_column():
     gb = buchberger([P("x", R2), P("y", R2)], R2.order())
-    syz = schreyer_syzygies(gb)
+    syz = transcript_syzygies(gb)
     assert syz.source.twists == (12,)
     assert syz.target.twists == (5, 7)
     assert [str(p) for col in zip(*syz.entries) for p in col] == ["-y", "x"]
 
 
-def test_transcript_required():
-    gb = GroebnerBasis([P("x", R2), P("y", R2)], R2.order())  # no transcript
-    with pytest.raises(TranscriptIncomplete):
-        schreyer_syzygies(gb)
-
-
 def test_columns_annihilated_and_groebner():
     ideal = toric_kernel(validate_sequence(5, 7, 9, 11))
     gb = ideal.reduced_gb
-    syz = schreyer_syzygies(gb)
+    syz = transcript_syzygies(gb)
     # ten S-pairs of five generators
     assert syz.source.rank == 10
     row = GradedMap(
@@ -128,17 +128,16 @@ def test_columns_annihilated_and_groebner():
         [list(gb.elements)],
     )
     assert compose_zero(row, syz)
-    leads = [g.lead(gb.order)[0] for g in gb.elements]
-    induced = SchreyerOrder(gb.order, leads, Poly.key_mul)
-    columns = [syz.column(j) for j in range(syz.source.rank)]
-    assert is_groebner(columns, induced)
+    leads = [(0, g.lead(gb.order)[0]) for g in gb.elements]
+    induced = SchreyerOrder(rank_one_key(gb.order), leads)
+    assert is_groebner(map_columns(syz), induced)
 
 
 def test_column_signs_match_hand_syzygy():
     # for the reference curve, the pair (X1^2 - X0*X2, X1*X2 - X0*Y) yields
     # the relation -X2*g0 + X1*g1 - X0*g2 = 0 against g2 = X2^2 - X1*Y
     ideal = toric_kernel(validate_sequence(5, 7, 9, 11))
-    syz = schreyer_syzygies(ideal.reduced_gb)
+    syz = transcript_syzygies(ideal.reduced_gb)
     first = [str(row[0]) for row in syz.entries]
     assert first == ["-X2", "X1", "-X0", "0", "0"]
 
@@ -226,13 +225,13 @@ CURVES = st.one_of(
 
 
 def _frame_resolution(gb):
-    """build_resolution(gb) and the records each of its maps is built from."""
+    """build_resolution(gb) and the columns each of its maps is built from."""
     levels = []
     original = resolution.schreyer_syzygies
 
-    def spy(level, twists=None):
-        levels.append(list(level.transcript))
-        return original(level, twists)
+    def spy(target, columns):
+        levels.append(list(columns))
+        return original(target, columns)
 
     resolution.schreyer_syzygies = spy
     try:
@@ -269,14 +268,14 @@ def test_lead_frame_on_monomial_ideals():
 
 
 def _pair_record_calls(gb):
-    """The (elements, order, pairs, leads) of every ``pair_records`` call of
+    """The (columns, key, pairs, leads) of every ``pair_records`` call of
     build_resolution(gb)."""
     calls = []
     original = resolution.pair_records
 
-    def spy(elements, order, pairs, leads):
-        calls.append((elements, order, pairs, leads))
-        return original(elements, order, pairs, leads)
+    def spy(columns, key, pairs, leads):
+        calls.append((columns, key, pairs, leads))
+        return original(columns, key, pairs, leads)
 
     resolution.pair_records = spy
     try:
@@ -289,48 +288,75 @@ def _pair_record_calls(gb):
 @settings(max_examples=100, deadline=None)
 @given(CURVES)
 def test_pair_records_match_generic_division(curve):
-    """Record for record at every level, the kernel's reduced basis without
-    its transcript included so that its pairs are reduced too: the same
-    cofactors, the same quotient indices in the same order, the same
-    quotients.  And the leads each level is handed, read off the frame and
-    the records, are the greatest terms in the level's order."""
+    """Syzygy for syzygy at every level, the kernel's reduced basis without
+    its transcript included so that its pairs are reduced too: each column
+    is the generic record's syzygy, ``s_polynomial`` and ``divide`` run on
+    the level's elements as vectors.  The first level is F_0 = R, every key
+    at position 0, and the leads each level is handed, read off the frame,
+    are the greatest terms in the level's order."""
     m0, d, n = curve
     try:
         spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
     except ValidationError:
         assume(False)
     gb = toric_kernel(spec).reduced_gb
+    ring = gb.elements[0].ring
     calls = _pair_record_calls(GroebnerBasis(gb.elements, gb.order))
-    assert type(calls[0][0][0]) is Poly and all(type(c[0][0]) is Vect for c in calls[1:])
-    for elements, order, pairs, leads in calls:
-        expected = pair_records_generic(elements, order, pairs)
-        records = pair_records(elements, order, pairs, leads)
-        assert records == expected
-        assert [list(r.quotients) for r in records] == [list(r.quotients) for r in expected]
-        for g, (key, coeff) in zip(elements, leads):
-            top = max(g.terms, key=order.key)
-            assert (key, coeff) == (top, g.terms[top])
+    assert {pos for column in calls[0][0] for pos, _ in column} == {0}
+    for columns, key, pairs, leads in calls:
+        rank = 1 + max(pos for column in columns for pos, _ in column)
+        elements = [Vect(ring, rank, column) for column in columns]
+        records = pair_records_generic(elements, SimpleNamespace(key=key), pairs)
+        expected = [record_vector(rec, ring, len(columns)).terms for rec in records]
+        assert pair_records(columns, key, pairs, leads) == expected
+        for column, lead in zip(columns, leads):
+            assert lead == max(column, key=key)
 
 
 def test_pair_records_raise_on_a_remainder():
     """Without X2^2 - X1*Y the reference basis is no Gröbner basis, so some
-    pair leaves a remainder, as ring polynomials and as rank-one vectors."""
+    pair leaves a remainder: in the program's position-0 dicts, and in the
+    generic division of ring polynomials and of rank-one vectors."""
     gens = [P(t) for t in ["X1^2 - X0*X2", "X1*X2 - X0*Y", "X2*Y - X0^4", "Y^2 - X0^3*X1"]]
-    vectors = [Vect.from_polys([g]) for g in gens]
-    rank_one = SchreyerOrder(R4.order(), [R4.zero_mono()], Poly.key_mul)
+    order = R4.order()
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in gens]
+    leads = [(0, g.lead(order)[0]) for g in gens]
     pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
-    for elements, order in ((gens, R4.order()), (vectors, rank_one)):
+    with pytest.raises(AssertionError, match="nonzero remainder"):
+        pair_records(columns, rank_one_key(order), pairs, leads)
+    vectors = [Vect.from_polys([g]) for g in gens]
+    for elements, generic_order in ((gens, order), (vectors, PositionOverTerm(order))):
         with pytest.raises(AssertionError, match="nonzero remainder"):
-            pair_records(elements, order, pairs, [g.lead(order) for g in elements])
-        with pytest.raises(AssertionError, match="nonzero remainder"):
-            pair_records_generic(elements, order, pairs)
+            pair_records_generic(elements, generic_order, pairs)
 
 
-def test_untranscripted_basis_has_its_kept_pairs_reduced():
-    gb = toric_kernel(validate_sequence(5, 7, 9, 11)).reduced_gb
+@settings(max_examples=60, deadline=None)
+@given(CURVES)
+def test_untranscripted_basis_has_its_kept_pairs_reduced(curve):
+    """Level 1 from the kernel's transcript (``record_column``) and from
+    ``pair_records`` on the bare basis: every map has the same source and
+    target, and every column of the first syzygy map whose record divided
+    its pair agrees entry for entry.  A product-criterion record holds the
+    Koszul syzygy where division may find another, so those columns, and
+    the maps after them, need only agree in twists, compose to zero and
+    minimalize to the same Betti table."""
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    gb = toric_kernel(spec).reduced_gb
+    recorded = build_resolution(gb)
     bare = build_resolution(GroebnerBasis(gb.elements, gb.order))
+    assert [(m.source, m.target) for m in bare.maps] == [(m.source, m.target) for m in recorded.maps]
+    leads = [(0, g.lead(gb.order)[0]) for g in gb.elements]
+    frame = _lead_frame(leads, SchreyerOrder(rank_one_key(gb.order), leads))
+    koszul = {(rec.i, rec.j) for rec in gb.transcript if rec.koszul}
+    for c, (pair, _) in enumerate(frame):
+        if pair not in koszul:
+            assert [row[c] for row in bare.maps[1].entries] == [row[c] for row in recorded.maps[1].entries]
     bare.validate()
-    assert betti_table(minimalize(bare)) == betti_table(minimalize(build_resolution(gb)))
+    assert betti_table(minimalize(bare)) == betti_table(minimalize(recorded))
 
 
 @settings(max_examples=20, deadline=None)

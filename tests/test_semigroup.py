@@ -5,8 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monocurve.semigroup import (
+    M0_BUDGET,
     GcdNotOne,
     NotArithmetic,
+    OverBudget,
     RedundantGenerator,
     SubSemigroup,
     apery_set,
@@ -198,6 +200,19 @@ def test_validate_sequence_huge_redundant_n():
     with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(3, 5, 7, 300_000_000)
     assert excinfo.value.which == "n"
+
+
+def test_validate_sequence_refuses_m0_past_the_budget(monkeypatch):
+    # refused before any table is built: no SubSemigroup is made
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(SubSemigroup, "__init__", no_tables)
+    m0 = M0_BUDGET + 1
+    with pytest.raises(OverBudget, match="M0_BUDGET = %d" % M0_BUDGET):
+        validate_sequence(m0, m0 + 1, m0 + 2, 7)
+    with pytest.raises(NotArithmetic):
+        validate_sequence(m0, m0 + 1, m0 + 3, 7)
 
 
 def test_validate_sequence_rejects_garbage():
