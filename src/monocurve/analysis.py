@@ -31,6 +31,7 @@ the computation.
 from __future__ import annotations
 
 import json
+import os
 import time
 import traceback
 from collections import Counter
@@ -330,16 +331,19 @@ def sweep_specs(specs, verify_level: str = "full", threads: int = 1):
 
     A tuple whose analysis raises yields an uncertified ``internal_error``
     record instead.  Thread count only distributes the per-tuple work; the
-    reports are identical for every value.
+    reports are identical for every value.  At most one worker process per
+    job and per CPU is started, since a fork pool starts all of them at
+    the first submit.
     """
     jobs = [(spec.weights, verify_level) for spec in specs]
-    if threads <= 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(_sweep_one, jobs)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # reports come back a chunk at a time: small chunks keep progress
         # and the last worker's share fine-grained
-        chunk = max(1, min(64, len(jobs) // (8 * threads)))
+        chunk = max(1, min(64, len(jobs) // (8 * workers)))
         yield from pool.map(_sweep_one, jobs, chunksize=chunk)
 
 

@@ -1,20 +1,19 @@
-"""Buchberger's algorithm on binomials with reduction transcripts, plus
-toric kernels.
-
-The transcript is the point: every processed S-pair (i, j) records its
-cofactors and the quotients of its reduction to zero, so that the first
-syzygy module can be written down directly from the records.  Pairs with
-coprime leading monomials are not reduced explicitly; their certified
-reduction is the Koszul-style combination
-S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, recorded as such.
+"""Binomial Gröbner bases certified on Schreyer's lead frame, plus toric
+kernels.
 
 Ideal elements are pure-difference binomials or unit monomials, up to sign,
 and run on (lead, tail) exponent pairs (Sturmfels, *Gröbner Bases and Convex
-Polytopes*, ch. 12).  ``pair_records`` reduces the pairs of a syzygy level,
-by ``divide``'s rule, each in one {(position, exponent): coefficient} dict,
-and returns each pair's syzygy as such a dict too: a level's elements are
-its columns, with the ideal's generators at position 0 of the rank-one
-module F_0 = R.
+Polytopes*, ch. 12).  ``buchberger`` certifies a basis on its lead frame
+(``_lead_frame``, the pairs whose syzygy leads are minimal; La Scala and
+Stillman, JSC 26, 1998): a pair with coprime leads has the Koszul syzygy
+S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, every other pair is
+reduced by ``divide``'s rule and must leave remainder zero.  Each frame
+pair's syzygy is kept as a column of the first syzygy map, so the
+certificate is also level 1 of the resolution.  ``pair_records`` does the
+same for every later syzygy level, by ``divide``'s rule, each pair in one
+{(position, exponent): coefficient} dict, and returns each pair's syzygy as
+such a dict too: a level's elements are its columns, with the ideal's
+generators at position 0 of the rank-one module F_0 = R.
 
 The toric kernel needs no completion: its reduced basis is read off the
 Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
@@ -26,22 +25,23 @@ in a fixed-width field, exact since no Apéry element exceeds (w_0 - 1)·
 max(w); one is standard iff its label is the table's at its degree mod
 w_0, so the lead search is table lookups.  The basis is certified in three
 independent steps: ``ToricIdeal.validate`` puts every element in the
-kernel, the one ``buchberger`` pass (run for the transcript) appends
-nothing, so the elements are a Gröbner basis, and the Hilbert identity,
-checked from ``semigroup``'s own Apéry set, makes the ideal they generate
-the whole kernel; so the kernel's table shares no code with ``semigroup``.
+kernel, the one ``buchberger`` pass reduces every frame pair to zero, so
+the elements are a Gröbner basis, and the Hilbert identity, checked from
+``semigroup``'s own Apéry set, makes the ideal they generate the whole
+kernel; so the kernel's table shares no code with ``semigroup``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, le, neg, sub
 
 from monocurve.poly import (
     Poly,
     Ring,
+    SchreyerOrder,
     coeff_div,
     is_homogeneous,
     mono_coprime,
@@ -57,23 +57,15 @@ from monocurve.semigroup import SequenceSpec
 VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One processed S-pair: cofactor_i * g_i - cofactor_j * g_j = sum quotients[k] * g_k."""
-
-    i: int
-    j: int
-    cofactor_i: Poly
-    cofactor_j: Poly
-    quotients: dict
-    koszul: bool = False
-
-
 @dataclass
 class GroebnerBasis:
+    """A Gröbner basis with its certificate: for each pair of its lead
+    frame, ((i, j), lead of the pair's syzygy, the syzygy as one {(slot,
+    exponent): coefficient} dict), a column of the first syzygy map."""
+
     elements: list
     order: object
-    transcript: list = field(default_factory=list)
+    frame: list
 
 
 def _split(g, order):
@@ -136,53 +128,68 @@ def _reduce_binomial(terms: dict, basis, ranked, key):
     return quotients, remainder
 
 
-def buchberger(gens, order) -> GroebnerBasis:
-    """Complete unit monomials and pure-difference binomials to a Gröbner
-    basis; the input is kept as a prefix.
+def _lead_frame(leads, induced) -> list:
+    """The pairs (i, j) whose syzygies the resolution keeps, ascending, each
+    with the lead of its syzygy.
 
-    Pairs are processed smallest lcm first in the order, which fixes the
-    transcripts, and reduced by ``_reduce_binomial``; a nonzero remainder is
-    again such a binomial, appended with quotient 1.
+    ``leads`` are the basis's (position, exponent) leads and ``induced``
+    their Schreyer order.  The syzygy of (i, j), leads at one position, has
+    lead cofactor_i e_i or cofactor_j e_j, whichever cofactor is
+    lexicographically smaller (ties to i): both map to the lcm of the two
+    leads, every quotient term to less.  Kept are the pairs whose lead is no
+    multiple of a kept lead, taken in ascending order, of equal leads the
+    first.
     """
-    elements = list(gens)
+    frame = []
+    for i, (pos, a) in enumerate(leads):
+        for j in range(i + 1, len(leads)):
+            other, b = leads[j]
+            if other == pos:
+                lcm = tuple(map(max, a, b))
+                cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
+                lead = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
+                frame.append((induced.key(lead), lead, (i, j)))
+    kept: list = []
+    for _, (slot, cof), pair in sorted(frame, key=lambda entry: entry[0]):
+        if not any(slot == p and all(map(le, c, cof)) for (p, c), _ in kept):
+            kept.append(((slot, cof), pair))
+    return sorted((pair, lead) for lead, pair in kept)
+
+
+def buchberger(elements, order) -> GroebnerBasis:
+    """Certify unit monomials and pure-difference binomials as a Gröbner
+    basis by Buchberger's criterion over the lead frame, writing down the
+    syzygy of each frame pair.
+
+    A pair with coprime leads has the Koszul syzygy (product criterion).
+    Every other pair's S-binomial is reduced by ``_reduce_binomial`` and
+    must leave remainder zero, else an AssertionError names the pair.  The
+    kept pair syzygies generate the syzygies of the leads, so zero
+    remainders on them prove the criterion.  A pair's syzygy is its
+    quotients, minus cofactor_i at slot i, plus cofactor_j at slot j.
+    """
+    elements = list(elements)
     if not elements:
         raise ValueError("need at least one generator")
     basis = [_split(g, order) for g in elements]
     ranked = _ranked(basis, order)
-    ring = elements[0].ring
-    heap: list = []
-
-    def push_pairs(t: int):
-        for i in range(t):
-            heapq.heappush(heap, (order.key(mono_lcm(basis[i][0], basis[t][0])), i, t))
-
-    for t in range(1, len(elements)):
-        push_pairs(t)
-
-    transcript = []
-    while heap:
-        _, i, j = heapq.heappop(heap)
+    leads = [(0, lead) for lead, _, _ in basis]
+    frame = []
+    for (i, j), lead in _lead_frame(leads, SchreyerOrder(lambda pm: order.key(pm[1]), leads)):
         (a, ta, si), (c, tc, sj) = basis[i], basis[j]
         lcm, terms = _s_binomial(basis[i], basis[j])
-        cof_i = ring.monomial(mono_div(lcm, a), si)
-        cof_j = ring.monomial(mono_div(lcm, c), sj)
         if mono_coprime(a, c):
             # product criterion: reduction certified without division
-            tails = ((i, tc, si), (j, ta, -sj))
-            quots = {k: ring.monomial(t, s) for k, t, s in tails if t is not None}
-            transcript.append(PairRecord(i, j, cof_i, cof_j, quots, koszul=True))
-            continue
-        quotients, remainder = _reduce_binomial(terms, basis, ranked, order.key)
-        quots = {k: Poly(ring, q) for k, q in sorted(quotients.items()) if any(q.values())}
-        if remainder:
-            t = len(elements)
-            elements.append(Poly(ring, remainder))
-            basis.append(_split(elements[t], order))
-            ranked = _ranked(basis, order)
-            quots[t] = ring.one()
-            push_pairs(t)
-        transcript.append(PairRecord(i, j, cof_i, cof_j, quots))
-    return GroebnerBasis(elements, order, transcript)
+            column = {(k, t): s for k, t, s in ((i, tc, si), (j, ta, -sj)) if t is not None}
+        else:
+            quotients, remainder = _reduce_binomial(terms, basis, ranked, order.key)
+            if remainder:
+                raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
+            column = {(k, q): v for k, row in sorted(quotients.items()) for q, v in row.items() if v}
+        add_term(column, (i, mono_div(lcm, a)), -si)
+        add_term(column, (j, mono_div(lcm, c)), sj)
+        frame.append(((i, j), lead, column))
+    return GroebnerBasis(elements, order, frame)
 
 
 def is_groebner(gens, order) -> bool:
@@ -365,16 +372,16 @@ def toric_kernel_generic(weights, names=None):
     of degree d is in S iff its label is table[d mod w_0], and each lead c
     is reached once, from c/x_j for its first variable x_j.
 
-    The basis then goes once through ``buchberger``, for its transcript;
-    that nothing is appended certifies it a Gröbner basis.  With
+    The basis then goes once through ``buchberger``, whose frame pairs
+    all reduce to zero: that certifies it a Gröbner basis.  With
     ``ToricIdeal.validate`` (each element is in the kernel) and the Hilbert
     identity that ``series_numerator`` checks from its own Apéry set, that
     makes it the kernel's basis; so the Hilbert check must not read this
     table, and the table's code shares nothing with ``semigroup``.
 
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
-    under the ring's weighted grevlex order, ascending by lead, with a fresh
-    transcript.
+    under the ring's weighted grevlex order, ascending by lead, with its
+    frame of first syzygies.
     """
     weights = tuple(int(w) for w in weights)
     if names is None:
@@ -400,10 +407,7 @@ def toric_kernel_generic(weights, names=None):
         degree, *lead = _decode(label, k, width)
         a, *tail = _decode(table[degree % m], k, width)
         reduced.append(Poly(ring, {(0, *map(neg, lead)): 1, ((degree - a) // m, *map(neg, tail)): -1}))
-    gb = buchberger(reduced, ring.order())
-    if len(gb.elements) != len(reduced):  # the Gröbner-basis certificate
-        raise AssertionError("the Apéry-set basis is not a Gröbner basis")
-    return ring, gb
+    return ring, buchberger(reduced, ring.order())
 
 
 def toric_kernel(spec: SequenceSpec) -> ToricIdeal:

@@ -1,4 +1,4 @@
-"""Graded free modules and maps, syzygies from division transcripts, and
+"""Graded free modules and maps, Schreyer syzygies on the lead frame, and
 minimalization: each constant entry of a free resolution is split off with
 its trivial summand, one Schur-complement step per unit, until the
 resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
@@ -7,12 +7,12 @@ on the entries' term dicts and builds no intermediate polynomial.
 
 The syzygy levels have one form: F_0 = R is the rank-one module, and every
 level's elements are {(position, exponent): coefficient} dicts, the ideal's
-generators at position 0.  ``pair_records`` reduces each kept pair in such a
-dict and returns its syzygy as one; that dict is both a column of the
-level's map, which ``schreyer_syzygies`` builds, and an element of the next
-level, whose leads are read off the lead frame, not found again by a
-maximum over terms.  The kernel's transcript records become columns by
-``record_column``.
+generators at position 0.  Each level keeps one syzygy per pair of its lead
+frame, as such a dict: level 1's are the columns ``buchberger`` certified
+the basis with (``GroebnerBasis.frame``), every later level's come from
+``pair_records``.  That dict is both a column of the level's map, which
+``schreyer_syzygies`` builds, and an element of the next level, whose leads
+are read off the lead frame, not found again by a maximum over terms.
 
 Conventions, fixed once:
 
@@ -28,10 +28,13 @@ Conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import add
 
 from monocurve.poly import Ring, SchreyerOrder, coeff_div, is_homogeneous
-from monocurve.groebner import GroebnerBasis, add_term, buchberger, pair_records
+from monocurve.groebner import GroebnerBasis, _lead_frame, pair_records
+
+# buchberger is not called here; it stays importable as resolution.buchberger
+from monocurve.groebner import buchberger  # noqa: F401
 
 
 class ShapeMismatch(ValueError):
@@ -184,18 +187,6 @@ def _element_degrees(elements):
     return tuple(degrees)
 
 
-def record_column(rec) -> dict:
-    """The syzygy of a transcript record as one {(slot, exponent):
-    coefficient} dict: its quotients, minus cofactor_i at slot i, plus
-    cofactor_j at slot j."""
-    column = {(k, m): c for k, h in rec.quotients.items() for m, c in h.terms.items()}
-    (mono, coeff), = rec.cofactor_i.terms.items()
-    add_term(column, (rec.i, mono), -coeff)
-    (mono, coeff), = rec.cofactor_j.terms.items()
-    add_term(column, (rec.j, mono), coeff)
-    return column
-
-
 def schreyer_syzygies(target: GradedFreeModule, columns) -> GradedMap:
     """The map into ``target`` with the given columns, {(slot, exponent):
     coefficient} dicts; each column's twist is the degree of its terms."""
@@ -213,79 +204,35 @@ def schreyer_syzygies(target: GradedFreeModule, columns) -> GradedMap:
     return GradedMap(GradedFreeModule(ring, tuple(column_twists)), target, entries)
 
 
-def _lead_frame(leads, induced) -> list:
-    """The pairs (i, j) whose syzygies the resolution keeps, ascending, each
-    with the lead of its syzygy.
+def build_resolution(gb: GroebnerBasis) -> FreeResolution:
+    """The Schreyer resolution of a certified basis, one level per pass.
 
-    ``leads`` are the basis's (position, exponent) leads and ``induced``
-    their Schreyer order.  The syzygy of (i, j), leads at one position, has
-    lead cofactor_i e_i or cofactor_j e_j, whichever cofactor is
-    lexicographically smaller (ties to i): both map to the lcm of the two
-    leads, every quotient term to less.  Kept are the pairs whose lead is no
-    multiple of a kept lead, taken in ascending order, of equal leads the
-    first.
+    F_0 = R, and the generators are position-0 dicts of it.  Every level
+    keeps only the pairs of its lead frame (Schreyer's frame; La Scala and
+    Stillman, JSC 26, 1998), one column each: level 1 takes the columns of
+    ``gb.frame``, the certificate ``buchberger`` made, and each later level
+    reduces its pairs with ``pair_records``, which asserts each remainder
+    zero.  The kept pair syzygies generate the syzygies of the leads, so
+    by the generalised Buchberger criterion this proves each level a
+    Gröbner basis in the induced order.  The columns of each level's map
+    are the next level's elements and the frame's leads their leads.
     """
-    frame = []
-    for i, (pos, a) in enumerate(leads):
-        for j in range(i + 1, len(leads)):
-            other, b = leads[j]
-            if other == pos:
-                lcm = tuple(map(max, a, b))
-                cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
-                lead = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
-                frame.append((induced.key(lead), lead, (i, j)))
-    kept: list = []
-    for _, (slot, cof), pair in sorted(frame, key=lambda entry: entry[0]):
-        if not any(slot == p and all(map(le, c, cof)) for (p, c), _ in kept):
-            kept.append(((slot, cof), pair))
-    return sorted((pair, lead) for lead, pair in kept)
-
-
-def build_resolution(ideal_gens) -> FreeResolution:
-    """Iterate transcripted completion and syzygy extraction until exhaustion.
-
-    The first level completes the input to a Gröbner basis (the input stays a
-    prefix; for our kernels it already is one) and sees its elements as
-    position-0 dicts of F_0 = R.  Every level keeps only the pairs of its
-    ``_lead_frame`` (Schreyer's frame; La Scala and Stillman, JSC 26, 1998)
-    and reduces only those its transcript has no record of.  Each must
-    reduce to zero, which is asserted: the kept pair syzygies generate the
-    syzygies of the leads, so by the generalised Buchberger criterion this
-    proves each level a Gröbner basis in the induced order.  The columns of
-    each level's map are the next level's elements and the frame's leads
-    their leads.
-    """
-    if isinstance(ideal_gens, GroebnerBasis):
-        # already completed with a full pair transcript -- no need to redo it
-        gb = ideal_gens
-        if not gb.elements:
-            raise ValueError("need at least one generator")
-    else:
-        gens = list(ideal_gens)
-        if not gens:
-            raise ValueError("need at least one generator")
-        _element_degrees(gens)  # HomogeneityBroken before completion
-        gb = buchberger(gens, gens[0].ring.order())
     ring = gb.elements[0].ring
     module = GradedFreeModule(ring, _element_degrees(gb.elements))
     maps = [GradedMap._trimmed(module, GradedFreeModule(ring, (0,)), [gb.elements])]
-    ring_key = gb.order.key
-    key = lambda pm: ring_key(pm[1])  # noqa: E731  (F_0 = R: position 0 only)
-    columns = [{(0, m): c for m, c in g.terms.items()} for g in gb.elements]
-    leads = [(0, g.lead(gb.order)[0]) for g in gb.elements]
-    recorded = {(rec.i, rec.j): rec for rec in gb.transcript}
-    while len(maps) <= ring.nvars:
-        induced = SchreyerOrder(key, leads)
-        frame = _lead_frame(leads, induced)
-        if not frame:
-            return FreeResolution(maps)
-        missing = [pair for pair, _ in frame if pair not in recorded]
-        reduced = dict(zip(missing, pair_records(columns, key, missing, leads)))
-        columns = [reduced[pair] if pair in reduced else record_column(recorded[pair]) for pair, _ in frame]
+    induced = SchreyerOrder(lambda pm: gb.order.key(pm[1]), [(0, g.lead(gb.order)[0]) for g in gb.elements])
+    frame = gb.frame
+    while frame:
+        if len(maps) == ring.nvars:
+            raise AssertionError("resolution exceeded the number of variables")
+        columns = [column for _, _, column in frame]
         maps.append(schreyer_syzygies(maps[-1].source, columns))
-        leads = [lead for _, lead in frame]
-        key, recorded = induced.key, {}
-    raise AssertionError("resolution exceeded the number of variables")
+        leads = [lead for _, lead, _ in frame]
+        key, induced = induced.key, SchreyerOrder(induced.key, leads)
+        kept = _lead_frame(leads, induced)
+        syzygies = pair_records(columns, key, [pair for pair, _ in kept], leads)
+        frame = [(pair, lead, column) for (pair, lead), column in zip(kept, syzygies)]
+    return FreeResolution(maps)
 
 
 # ---------------------------------------------------------------------------

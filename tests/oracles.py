@@ -13,24 +13,29 @@ Both answer membership from ``DenseSemigroup``, a boolean table of every
 value up to the query, not from ``SubSemigroup``, which the program answers
 from the same Apéry table that the Hilbert identity is built on.
 
-The program completes and checks bases in (lead, tail) exponent arithmetic
+The program certifies and checks bases in (lead, tail) exponent arithmetic
 and resolves on Schreyer's lead frame in one form per level: F_0 = R is the
 rank-one module (``rank_one_key`` orders it), and every level's elements
 are {(position, exponent): coefficient} dicts, the columns of the map
-before.  The generic paths it replaced are the references for that.  They
-run in ``Poly`` and ``Vect`` arithmetic, ``Vect`` being the free-module
-element type, a ``_Terms`` subclass keyed by (position, monomial) pairs
-that lives here since the program needs none: ``buchberger`` (every pair
-reduced by ``divide``), ``is_groebner``, ``replay_ok``, ``ideal_member``,
-and ``resolution_all_pairs``, which completes every level with
-``buchberger``, writes each record's syzygy as a vector (``record_vector``)
-and keeps the ``lead_minimal`` ones.  ``pair_records_generic`` forms and
-divides each kept pair with ``s_polynomial`` and ``divide``; the program
-does the same in one term dict.  ``reduce_basis`` makes a completed basis
-reduced by generic division.  ``PositionOverTerm`` orders module elements
-for those generic paths.  ``transcript_syzygies`` is the program's map of
-every record of a transcript, for the tests that read every pair's syzygy,
-and ``map_columns`` reads a map's columns back as vectors.
+before.  Its ``buchberger`` completes nothing: it reduces only the lead
+frame's pairs, refuses a set that is no basis, and keeps each pair's
+syzygy as a column.  The generic paths it replaced are the references for
+that.  They run in ``Poly`` and ``Vect`` arithmetic, ``Vect`` being the
+free-module element type, a ``_Terms`` subclass keyed by (position,
+monomial) pairs that lives here since the program needs none:
+``buchberger``, which completes any set and reduces every pair by
+``divide``, writing a ``PairRecord`` per pair into the ``Completion``'s
+transcript; ``is_groebner``, ``replay_ok``, ``ideal_member``, and
+``resolution_all_pairs``, which completes every level with ``buchberger``,
+writes each record's syzygy as a vector (``record_vector``) and keeps the
+``lead_minimal`` ones.  ``frame_matches`` holds each of the program's
+frame columns to the generic record of its pair.  ``pair_records_generic``
+forms and divides each kept pair with ``s_polynomial`` and ``divide``; the
+program does the same in one term dict.  ``reduce_basis`` makes a
+completed basis reduced by generic division.  ``PositionOverTerm`` orders
+module elements for those generic paths.  ``transcript_syzygies`` is the
+map of every record of a transcript, for the tests that read every pair's
+syzygy, and ``map_columns`` reads a map's columns back as vectors.
 
 The program minimalizes a resolution by splitting off each unit entry in one
 Schur-complement step.  The elementary-operation calculus it replaced is the
@@ -59,7 +64,7 @@ basis another way, and the tests require them to agree with it:
 * ``toric_kernel_saturation``, lattice saturation (a kernel-lattice basis
   from ``_kernel_lattice_basis``, then one saturation per variable) run
   through generic ``Poly`` arithmetic and ``reduce_basis``, on the reduced
-  elements and on every record of the transcript.
+  elements and, through ``frame_matches``, on every frame column.
 
 The program runs that pass on int labels, each monomial's degree and
 exponents packed into one int, exact by a proven bound on the Apéry set,
@@ -75,16 +80,11 @@ set is what the Hilbert identity reads.
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
-from monocurve.groebner import (
-    GroebnerBasis,
-    PairRecord,
-    _default_names,
-    buchberger as binomial_buchberger,
-)
+from monocurve.groebner import _default_names, buchberger as binomial_buchberger
 from monocurve.poly import (
     Poly,
     Ring,
@@ -109,8 +109,6 @@ from monocurve.resolution import (
     PreconditionViolated,
     ShapeMismatch,
     _element_degrees,
-    record_column,
-    schreyer_syzygies,
 )
 from monocurve.semigroup import SubSemigroup
 
@@ -237,7 +235,29 @@ def compose_zero_generic(a: GradedMap, b: GradedMap) -> bool:
     return True
 
 
-def buchberger(gens, order) -> GroebnerBasis:
+@dataclass(frozen=True)
+class PairRecord:
+    """One processed S-pair: cofactor_i * g_i - cofactor_j * g_j = sum quotients[k] * g_k."""
+
+    i: int
+    j: int
+    cofactor_i: Poly
+    cofactor_j: Poly
+    quotients: dict
+    koszul: bool = False
+
+
+@dataclass
+class Completion:
+    """A basis completed by the generic ``buchberger``, with the record of
+    every pair it processed."""
+
+    elements: list
+    order: object
+    transcript: list = field(default_factory=list)
+
+
+def buchberger(gens, order) -> Completion:
     """Complete gens to a Gröbner basis in generic arithmetic; the input is
     kept as a prefix.
 
@@ -301,7 +321,7 @@ def buchberger(gens, order) -> GroebnerBasis:
             quots[t] = elements[0].ring.one()
             push_pairs(t)
         transcript.append(PairRecord(i, j, cof_i, cof_j, quots))
-    return GroebnerBasis(elements, order, transcript)
+    return Completion(elements, order, transcript)
 
 
 def is_groebner(gens, order) -> bool:
@@ -333,7 +353,7 @@ def pair_records_generic(elements, order, pairs) -> list:
     return records
 
 
-def replay_ok(gb: GroebnerBasis) -> bool:
+def replay_ok(gb: Completion) -> bool:
     """Re-check every transcript record by exact arithmetic."""
     for rec in gb.transcript:
         lhs = rec.cofactor_i * gb.elements[rec.i] - rec.cofactor_j * gb.elements[rec.j]
@@ -344,7 +364,7 @@ def replay_ok(gb: GroebnerBasis) -> bool:
     return True
 
 
-def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
+def ideal_member(f: Poly, gb) -> bool:
     if f.is_zero:
         return True
     _, remainder = divide(f, gb.elements, gb.order)
@@ -391,12 +411,24 @@ def map_columns(gmap: GradedMap) -> list:
     return [Vect.from_polys([gmap.entries[i][j] for i in rows]) for j in range(gmap.source.rank)]
 
 
-def transcript_syzygies(gb: GroebnerBasis) -> GradedMap:
-    """The program's map whose columns are the syzygies of every record of
-    gb's transcript, sorted by (i, j)."""
-    target = GradedFreeModule(gb.elements[0].ring, _element_degrees(gb.elements))
+def transcript_syzygies(gb: Completion) -> GradedMap:
+    """The map whose columns are the syzygies of every record of gb's
+    transcript, sorted by (i, j)."""
+    ring = gb.elements[0].ring
+    target = GradedFreeModule(ring, _element_degrees(gb.elements))
     records = sorted(gb.transcript, key=lambda r: (r.i, r.j))
-    return schreyer_syzygies(target, [record_column(r) for r in records])
+    return vector_map([record_vector(r, ring, len(gb.elements)) for r in records], target)
+
+
+def frame_matches(gb, completed: Completion) -> bool:
+    """Whether ``completed``, the generic completion of the elements of
+    ``gb``, a basis the program certified, appended nothing, and each of
+    gb's frame columns is the syzygy of completed's record of its pair."""
+    ring, rank = gb.elements[0].ring, len(gb.elements)
+    records = {(r.i, r.j): r for r in completed.transcript}
+    return completed.elements == gb.elements and all(
+        column == record_vector(records[pair], ring, rank).terms for pair, _, column in gb.frame
+    )
 
 
 def rank_one_key(order):
@@ -404,34 +436,36 @@ def rank_one_key(order):
     return lambda pm: order.key(pm[1])
 
 
-def resolution_all_pairs(gb: GroebnerBasis):
-    """The resolution of a completed, transcripted basis the generic way:
-    every level completed by ``buchberger``, all of its pair syzygies
-    written down by ``record_vector``, the ``lead_minimal`` ones kept.
+def resolution_all_pairs(gb):
+    """The resolution of a Gröbner basis (``elements`` in ``order``) the
+    generic way: every level completed by ``buchberger``, which must append
+    nothing, all of its pair syzygies written down by ``record_vector``,
+    the ``lead_minimal`` ones kept.
 
     Returns (resolution, levels) with levels[k] the kept syzygies of map
     k + 1, in column order, as {(slot, exponent): coefficient} dicts.
     """
-    ring = gb.elements[0].ring
+    elements, order = list(gb.elements), gb.order
+    ring = elements[0].ring
     base = GradedFreeModule(ring, (0,))
-    first = GradedFreeModule(ring, _element_degrees(gb.elements))
-    maps = [GradedMap(first, base, [list(gb.elements)])]
+    first = GradedFreeModule(ring, _element_degrees(elements))
+    maps = [GradedMap(first, base, [elements])]
     levels = []
-    key = rank_one_key(gb.order)
-    leads = [(0, g.lead(gb.order)[0]) for g in gb.elements]
+    key = rank_one_key(order)
+    leads = [(0, g.lead(order)[0]) for g in elements]
     while len(maps) <= ring.nvars:
-        records = sorted(gb.transcript, key=lambda r: (r.i, r.j))
+        completed = buchberger(elements, order)
+        if len(completed.elements) != len(elements):
+            raise AssertionError("a level was not already a Gröbner basis")
+        records = sorted(completed.transcript, key=lambda r: (r.i, r.j))
         if not records:
             return FreeResolution(maps), levels
         induced = SchreyerOrder(key, leads)
         vectors = [record_vector(r, ring, len(leads)) for r in records]
-        kept = [vectors[j] for j in sorted(lead_minimal(vectors, induced))]
-        levels.append([v.terms for v in kept])
-        maps.append(vector_map(kept, maps[-1].source))
-        gb = buchberger(kept, induced)
-        if len(gb.elements) != len(kept):
-            raise AssertionError("syzygy columns were not already a Gröbner basis")
-        key, leads = induced.key, [v.lead(induced)[0] for v in kept]
+        elements = [vectors[j] for j in sorted(lead_minimal(vectors, induced))]
+        levels.append([v.terms for v in elements])
+        maps.append(vector_map(elements, maps[-1].source))
+        order, key, leads = induced, induced.key, [v.lead(induced)[0] for v in elements]
     raise AssertionError("resolution exceeded the number of variables")
 
 
@@ -769,7 +803,7 @@ def apery_set_walk(semigroup: SubSemigroup, m: int) -> set:
     return result
 
 
-def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
+def reduce_basis(gb) -> Completion:
     """Reduced Gröbner basis: monic leads, fully tail-reduced, sorted by
     ascending leading monomial.  Unique for the given order."""
     order = gb.order
@@ -846,7 +880,7 @@ def toric_kernel_elimination(weights, names=None):
             tfree.append(Poly(ring, {m[:-1]: c for m, c in p.terms.items()}))
     # T-free elements of an elimination basis are a basis for the intersection
     # under the restricted order, which is exactly the ring's grevlex
-    reduced = reduce_basis(GroebnerBasis(tfree, ring.order()))
+    reduced = reduce_basis(Completion(tfree, ring.order()))
     return ring, reduced
 
 
@@ -1027,7 +1061,4 @@ def toric_kernel_by_sets(weights, names=None):
         a, *rest = table[degree % w[0]]
         tail = ((degree - a) // w[0],) + tuple(map(neg, rest))
         reduced.append(Poly(ring, {lead: 1, tail: -1}))
-    gb = binomial_buchberger(reduced, order)
-    if len(gb.elements) != len(reduced):  # the Gröbner-basis certificate
-        raise AssertionError("the Apéry-set basis is not a Gröbner basis")
-    return ring, gb
+    return ring, binomial_buchberger(reduced, order)

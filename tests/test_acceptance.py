@@ -30,6 +30,7 @@ from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
 from monocurve.semigroup import SubSemigroup, frobenius, validate_sequence
 
 from oracles import (
+    buchberger as generic_buchberger,
     gamma_series_truncation,
     graded_betti_numbers,
     hilbert_series_truncation,
@@ -271,8 +272,9 @@ def test_criterion_04_syzygy_rows_match_tabulated_lists():
         assert case_id(params).label == label
         gens = canonical_generators(params, spec)
         order = curve_ring(spec).order()
-        gb = buchberger(gens, order)
+        gb = generic_buchberger(gens, order)
         assert gb.elements == gens, "completion appended to the template set"
+        buchberger(gens, order)  # the program's certificate refuses a set that is no basis
         syz = transcript_syzygies(gb)
         computed = [
             _signed_render(tuple(syz.entries[i][c] for i in range(len(gens))), order)

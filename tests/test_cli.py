@@ -162,6 +162,35 @@ def test_sweep_thread_count_invariant(sweep_file, tmp_path):
     assert threaded.read_bytes() == sweep_file.read_bytes()
 
 
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 64])
+def test_sweep_caps_workers_at_jobs_and_cpus(cpus, monkeypatch):
+    """A huge --threads asks for one worker per job and per CPU at most; a
+    stand-in pool records the count and runs the jobs here, so no process
+    is started."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+    specs = list(analysis.enumerate_box(12, 12))
+    reports = list(analysis.sweep_specs(specs, threads=100000))
+    workers = min(len(specs), cpus or 1)
+    assert asked == ([workers] if workers > 1 else [])
+    assert sweep_lines(reports) == sweep_lines(sweep(12, 12))
+
+
 def test_sweep_empty_box(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     assert cli.main(["sweep", "--max-m2", "4", "--max-n", "1", "--out", str(empty)]) == 0

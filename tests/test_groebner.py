@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monocurve.groebner import (
-    GroebnerBasis,
     _decode,
     _standard_table,
     buchberger,
@@ -24,7 +23,7 @@ from monocurve.closedform import (
     canonical_generators,
     extract_parameters,
 )
-from monocurve.poly import Ring, is_homogeneous, parse
+from monocurve.poly import Ring, SchreyerOrder, is_homogeneous, parse
 from monocurve.semigroup import SubSemigroup, ValidationError, apery_set, validate_sequence
 
 from oracles import (
@@ -32,8 +31,12 @@ from oracles import (
     Vect,
     apery_set_walk,
     buchberger as generic_buchberger,
+    frame_matches,
     ideal_member,
     is_groebner as generic_is_groebner,
+    lead_minimal,
+    rank_one_key,
+    record_vector,
     reduce_basis,
     replay_ok,
     toric_kernel_by_sets,
@@ -63,31 +66,42 @@ REFERENCE_BASIS = [
 def test_buchberger_singleton():
     gb = buchberger([P("X1^2 - X0*X2")], R4.order())
     assert len(gb.elements) == 1
-    assert gb.transcript == []
+    assert gb.frame == []
 
 
 def test_buchberger_keeps_input_prefix():
     gens = [P("X0^2"), P("X0*X1")]
     gb = buchberger(gens, R4.order())
-    assert gb.elements[:2] == gens
+    assert gb.elements == gens
     assert generic_is_groebner(gb.elements, R4.order())
-    assert replay_ok(gb)
+    assert frame_matches(gb, generic_buchberger(gens, R4.order()))
 
 
 def test_reference_basis_is_groebner():
     gens = [P(t) for t in REFERENCE_BASIS]
     assert is_groebner(gens, R4.order())
     gb = buchberger(gens, R4.order())
-    assert len(gb.elements) == len(gens)  # nothing appended
-    assert replay_ok(gb)
+    assert gb.elements == gens
+    assert frame_matches(gb, generic_buchberger(gens, R4.order()))
 
 
 def test_transcript_covers_all_pairs():
+    """The generic completion records every pair; the certificate keeps the
+    pairs whose syzygies are lead-minimal, each with its syzygy's lead."""
     gens = [P(t) for t in REFERENCE_BASIS]
-    gb = buchberger(gens, R4.order())
-    seen = {(rec.i, rec.j) for rec in gb.transcript}
+    order = R4.order()
+    generic = generic_buchberger(gens, order)
+    records = sorted(generic.transcript, key=lambda r: (r.i, r.j))
     t = len(gens)
-    assert seen == {(i, j) for j in range(t) for i in range(j)}
+    assert [(r.i, r.j) for r in records] == [(i, j) for i in range(t) for j in range(i + 1, t)]
+    leads = [(0, g.lead(order)[0]) for g in gens]
+    induced = SchreyerOrder(rank_one_key(order), leads)
+    vectors = [record_vector(r, R4, t) for r in records]
+    kept = sorted(lead_minimal(vectors, induced))
+    gb = buchberger(gens, order)
+    assert [(pair, lead) for pair, lead, _ in gb.frame] == [
+        ((records[k].i, records[k].j), vectors[k].lead(induced)[0]) for k in kept
+    ]
 
 
 def test_koszul_records_replay():
@@ -95,20 +109,28 @@ def test_koszul_records_replay():
     # so the pair is closed by the product-criterion record instead of division
     gens = [P("X0^2 - X1"), P("X2*Y - X1^2")]
     gb = buchberger(gens, R4.order())
-    assert len(gb.elements) == 2
-    assert gb.transcript[0].koszul
-    assert replay_ok(gb)
+    generic = generic_buchberger(gens, R4.order())
+    assert [pair for pair, _, _ in gb.frame] == [(0, 1)]
+    assert generic.transcript[0].koszul
+    assert replay_ok(generic)
+    assert frame_matches(gb, generic)
 
 
 def test_completion_appends():
     # x, y alone are a GB; x+y^2, y is not reduced but already a GB; use a real
-    # completion case: leads X1^2 and X1*Y hide the S-pair remainder
+    # completion case: leads X1^2 and X1*Y hide the S-pair remainder.  The
+    # generic completion appends it, the certificate refuses the set, and
+    # certifies the completed one.
     gens = [P("X1^2 - X0*X2"), P("X1*Y - X0^3")]
-    gb = buchberger(gens, R4.order())
-    assert gb.elements[: len(gens)] == gens
-    assert len(gb.elements) > len(gens)
-    assert is_groebner(gb.elements, R4.order())
-    assert replay_ok(gb)
+    generic = generic_buchberger(gens, R4.order())
+    assert generic.elements[: len(gens)] == gens
+    assert len(generic.elements) > len(gens)
+    assert is_groebner(generic.elements, R4.order())
+    assert replay_ok(generic)
+    with pytest.raises(AssertionError, match="nonzero remainder"):
+        buchberger(gens, R4.order())
+    gb = buchberger(generic.elements, R4.order())
+    assert frame_matches(gb, generic_buchberger(generic.elements, R4.order()))
 
 
 def test_is_groebner_detects_failure():
@@ -168,7 +190,7 @@ def test_toric_kernel_reference_tuple():
     texts = {str(g) for g in ideal.generators}
     assert texts == set(REFERENCE_BASIS)
     assert is_groebner(ideal.generators, R4.order())
-    assert replay_ok(ideal.reduced_gb)
+    assert frame_matches(ideal.reduced_gb, generic_buchberger(ideal.generators, R4.order()))
 
 
 def test_toric_ideal_invariants():
@@ -202,9 +224,9 @@ def test_binomial_membership_matches_degree_oracle():
 
 
 def test_buchberger_idempotent_up_to_reduction():
+    # not a basis: the generic completion first, then the certificate
     gens = [P("X1^2 - X0*X2"), P("X1*Y - X0^3"), P("X2^3 - X0*X1*Y")]
-    gb = buchberger(gens, R4.order())
-    r1 = reduce_basis(gb)
+    r1 = reduce_basis(generic_buchberger(gens, R4.order()))
     r2 = reduce_basis(buchberger(r1.elements, R4.order()))
     assert r1.elements == r2.elements
 
@@ -250,7 +272,8 @@ def test_elimination_and_lattice_kernels_agree(weights):
 
 
 # the Apéry-set kernel against lattice saturation in generic arithmetic: a
-# reduced basis is unique, so elements and transcripts must match exactly
+# reduced basis is unique, so the elements must match exactly, and each
+# frame column the syzygy of the generic record of its pair
 
 
 def _valid(weights):
@@ -291,14 +314,11 @@ def test_binomial_kernel_matches_poly_saturation(weights):
     ring_o, gb_o = toric_kernel_saturation(weights)
     assert ring == ring_o
     assert gb.elements == gb_o.elements
-    records = lambda gb: [
-        (r.i, r.j, r.cofactor_i, r.cofactor_j, r.quotients, r.koszul) for r in gb.transcript
-    ]
-    assert records(gb) == records(gb_o)
+    assert frame_matches(gb, gb_o)
 
 
 # the int-label kernel against the tuple-and-set version it replaced: the
-# same elements in the same order, and the same transcript
+# same elements in the same order, and the same frame
 
 
 def _kernel_outcome(kernel, weights):
@@ -306,7 +326,7 @@ def _kernel_outcome(kernel, weights):
         ring, gb = kernel(weights)
     except ValueError as exc:  # a single weight leaves nothing to complete
         return type(exc), str(exc)
-    return ring, gb.elements, gb.transcript
+    return ring, gb.elements, gb.frame
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,9 +382,9 @@ def test_kernel_table_is_the_apery_set_with_least_monomials(weights):
     assert table == [best[a] for a in least]
 
 
-# the binomial completion and Gröbner check against the generic ones, on the
+# the binomial certificate and Gröbner check against the generic ones, on the
 # template generating sets of curves and on the same sets with one generator
-# dropped (often no longer a basis)
+# dropped (often no longer a basis, which the certificate must refuse)
 
 
 def _template_set(weights):
@@ -384,9 +404,12 @@ def test_binomial_routines_match_generic(weights, drop):
         gens = gens[:drop] + gens[drop + 1 :]
     order = gens[0].ring.order()
     assert is_groebner(gens, order) == generic_is_groebner(gens, order)
-    gb, expected = buchberger(gens, order), generic_buchberger(gens, order)
-    assert gb.elements == expected.elements
-    assert gb.transcript == expected.transcript
+    expected = generic_buchberger(gens, order)
+    if len(expected.elements) > len(gens):
+        with pytest.raises(AssertionError, match="nonzero remainder"):
+            buchberger(gens, order)
+    else:
+        assert frame_matches(buchberger(gens, order), expected)
 
 
 def test_is_groebner_sees_a_dropped_generator():

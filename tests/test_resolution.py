@@ -1,4 +1,4 @@
-"""Resolution layer: syzygy columns from transcripts, iterated construction,
+"""Resolution layer: syzygy columns from the lead frame, iterated construction,
 unit splitting and minimalization (against the elementary-operation
 calculus), Betti and Hilbert data."""
 
@@ -19,8 +19,8 @@ from monocurve.closedform import (
     closed_form_base,
     extract_parameters,
 )
-from monocurve.groebner import GroebnerBasis, buchberger, pair_records, toric_kernel
-from monocurve.poly import Poly, Ring, SchreyerOrder, parse
+from monocurve.groebner import buchberger, pair_records, toric_kernel
+from monocurve.poly import Poly, Ring, SchreyerOrder, mono_coprime, parse
 from monocurve.resolution import (
     BettiTable,
     FreeResolution,
@@ -30,7 +30,6 @@ from monocurve.resolution import (
     NotMinimal,
     PreconditionViolated,
     ShapeMismatch,
-    _lead_frame,
     betti_table,
     build_resolution,
     compose_zero,
@@ -58,7 +57,6 @@ from oracles import (
     rank_one_key,
     record_vector,
     resolution_all_pairs,
-    transcript_syzygies,
     transform_complex,
     Vect,
 )
@@ -74,7 +72,12 @@ def P(text, ring=R4):
 
 def curve_resolution(m0, m1, m2, n):
     spec = validate_sequence(m0, m1, m2, n)
-    return spec, build_resolution(toric_kernel(spec).generators)
+    return spec, build_resolution(toric_kernel(spec).reduced_gb)
+
+
+def certified(gens, ring=R4):
+    """The program's certificate of ``gens``, a Gröbner basis already."""
+    return buchberger(gens, ring.order())
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +112,7 @@ def test_compose_zero_shape_mismatch():
 
 
 def test_koszul_pair_column():
-    gb = buchberger([P("x", R2), P("y", R2)], R2.order())
-    syz = transcript_syzygies(gb)
+    syz = build_resolution(certified([P("x", R2), P("y", R2)], R2)).maps[1]
     assert syz.source.twists == (12,)
     assert syz.target.twists == (5, 7)
     assert [str(p) for col in zip(*syz.entries) for p in col] == ["-y", "x"]
@@ -119,9 +121,9 @@ def test_koszul_pair_column():
 def test_columns_annihilated_and_groebner():
     ideal = toric_kernel(validate_sequence(5, 7, 9, 11))
     gb = ideal.reduced_gb
-    syz = transcript_syzygies(gb)
-    # ten S-pairs of five generators
-    assert syz.source.rank == 10
+    syz = build_resolution(gb).maps[1]
+    # six of the ten S-pairs of five generators are in the lead frame
+    assert syz.source.rank == len(gb.frame) == 6
     row = GradedMap(
         GradedFreeModule(R4, syz.target.twists),
         GradedFreeModule(R4, (0,)),
@@ -137,7 +139,7 @@ def test_column_signs_match_hand_syzygy():
     # for the reference curve, the pair (X1^2 - X0*X2, X1*X2 - X0*Y) yields
     # the relation -X2*g0 + X1*g1 - X0*g2 = 0 against g2 = X2^2 - X1*Y
     ideal = toric_kernel(validate_sequence(5, 7, 9, 11))
-    syz = transcript_syzygies(ideal.reduced_gb)
+    syz = build_resolution(ideal.reduced_gb).maps[1]
     first = [str(row[0]) for row in syz.entries]
     assert first == ["-X2", "X1", "-X0", "0", "0"]
 
@@ -147,13 +149,13 @@ def test_column_signs_match_hand_syzygy():
 
 
 def test_principal_ideal():
-    res = build_resolution([P("X0")])
+    res = build_resolution(certified([P("X0")]))
     assert res.ranks == (1, 1)
     assert hilbert_numerator(res) == {0: 1, 5: -1}
 
 
 def test_koszul_complex():
-    res = build_resolution([P("x", R2), P("y", R2)])
+    res = build_resolution(certified([P("x", R2), P("y", R2)], R2))
     assert res.ranks == (1, 2, 1)
     res.validate()
     mini = minimalize(res)
@@ -165,7 +167,7 @@ def test_koszul_complex():
 
 def test_inhomogeneous_rejected():
     with pytest.raises(HomogeneityBroken):
-        build_resolution([P("X0 + X1^2")])
+        build_resolution(certified([P("X0 - X1^2")]))
 
 
 def test_reference_curve_resolution():
@@ -285,15 +287,20 @@ def _pair_record_calls(gb):
     return calls
 
 
+def _rank_one(gb):
+    """gb's elements as position-0 dicts of F_0 = R, and their leads."""
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in gb.elements]
+    return columns, [(0, g.lead(gb.order)[0]) for g in gb.elements]
+
+
 @settings(max_examples=100, deadline=None)
 @given(CURVES)
 def test_pair_records_match_generic_division(curve):
-    """Syzygy for syzygy at every level, the kernel's reduced basis without
-    its transcript included so that its pairs are reduced too: each column
-    is the generic record's syzygy, ``s_polynomial`` and ``divide`` run on
-    the level's elements as vectors.  The first level is F_0 = R, every key
-    at position 0, and the leads each level is handed, read off the frame,
-    are the greatest terms in the level's order."""
+    """Syzygy for syzygy at every level, the kernel's reduced basis included
+    as position-0 dicts of F_0 = R with its frame pairs: each column is the
+    generic record's syzygy, ``s_polynomial`` and ``divide`` run on the
+    level's elements as vectors, and the leads each level is handed, read
+    off the frame, are the greatest terms in the level's order."""
     m0, d, n = curve
     try:
         spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
@@ -301,8 +308,9 @@ def test_pair_records_match_generic_division(curve):
         assume(False)
     gb = toric_kernel(spec).reduced_gb
     ring = gb.elements[0].ring
-    calls = _pair_record_calls(GroebnerBasis(gb.elements, gb.order))
-    assert {pos for column in calls[0][0] for pos, _ in column} == {0}
+    columns, leads = _rank_one(gb)
+    first = (columns, rank_one_key(gb.order), [pair for pair, _, _ in gb.frame], leads)
+    calls = [first] + _pair_record_calls(gb)
     for columns, key, pairs, leads in calls:
         rank = 1 + max(pos for column in columns for pos, _ in column)
         elements = [Vect(ring, rank, column) for column in columns]
@@ -315,8 +323,9 @@ def test_pair_records_match_generic_division(curve):
 
 def test_pair_records_raise_on_a_remainder():
     """Without X2^2 - X1*Y the reference basis is no Gröbner basis, so some
-    pair leaves a remainder: in the program's position-0 dicts, and in the
-    generic division of ring polynomials and of rank-one vectors."""
+    pair leaves a remainder: in the program's position-0 dicts, in its
+    certificate on the lead frame, and in the generic division of ring
+    polynomials and of rank-one vectors."""
     gens = [P(t) for t in ["X1^2 - X0*X2", "X1*X2 - X0*Y", "X2*Y - X0^4", "Y^2 - X0^3*X1"]]
     order = R4.order()
     columns = [{(0, m): c for m, c in g.terms.items()} for g in gens]
@@ -324,6 +333,8 @@ def test_pair_records_raise_on_a_remainder():
     pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
     with pytest.raises(AssertionError, match="nonzero remainder"):
         pair_records(columns, rank_one_key(order), pairs, leads)
+    with pytest.raises(AssertionError, match="nonzero remainder"):
+        buchberger(gens, order)
     vectors = [Vect.from_polys([g]) for g in gens]
     for elements, generic_order in ((gens, order), (vectors, PositionOverTerm(order))):
         with pytest.raises(AssertionError, match="nonzero remainder"):
@@ -332,31 +343,24 @@ def test_pair_records_raise_on_a_remainder():
 
 @settings(max_examples=60, deadline=None)
 @given(CURVES)
-def test_untranscripted_basis_has_its_kept_pairs_reduced(curve):
-    """Level 1 from the kernel's transcript (``record_column``) and from
-    ``pair_records`` on the bare basis: every map has the same source and
-    target, and every column of the first syzygy map whose record divided
-    its pair agrees entry for entry.  A product-criterion record holds the
-    Koszul syzygy where division may find another, so those columns, and
-    the maps after them, need only agree in twists, compose to zero and
-    minimalize to the same Betti table."""
+def test_frame_columns_match_pair_records_at_rank_one(curve):
+    """The certificate's columns against ``pair_records`` on the kernel's
+    basis as position-0 dicts of F_0 = R: a frame pair whose leads are not
+    coprime is divided by the same rule in both, so its column agrees term
+    for term.  A coprime pair holds the Koszul syzygy, where division may
+    find another."""
     m0, d, n = curve
     try:
         spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
     except ValidationError:
         assume(False)
     gb = toric_kernel(spec).reduced_gb
-    recorded = build_resolution(gb)
-    bare = build_resolution(GroebnerBasis(gb.elements, gb.order))
-    assert [(m.source, m.target) for m in bare.maps] == [(m.source, m.target) for m in recorded.maps]
-    leads = [(0, g.lead(gb.order)[0]) for g in gb.elements]
-    frame = _lead_frame(leads, SchreyerOrder(rank_one_key(gb.order), leads))
-    koszul = {(rec.i, rec.j) for rec in gb.transcript if rec.koszul}
-    for c, (pair, _) in enumerate(frame):
-        if pair not in koszul:
-            assert [row[c] for row in bare.maps[1].entries] == [row[c] for row in recorded.maps[1].entries]
-    bare.validate()
-    assert betti_table(minimalize(bare)) == betti_table(minimalize(recorded))
+    columns, leads = _rank_one(gb)
+    divided = [
+        (pair, column) for pair, _, column in gb.frame if not mono_coprime(leads[pair[0]][1], leads[pair[1]][1])
+    ]
+    pairs = [pair for pair, _ in divided]
+    assert pair_records(columns, rank_one_key(gb.order), pairs, leads) == [column for _, column in divided]
 
 
 @settings(max_examples=20, deadline=None)
@@ -383,7 +387,7 @@ def test_series_numerator_of_a_small_curve():
 def _toy_complex():
     """R <- F1 <- F2 with a removable constant: generators (x, y) listed twice."""
     gens = [P("x", R2), P("y", R2), P("x", R2)]
-    return build_resolution(gens)
+    return build_resolution(certified(gens, R2))
 
 
 def test_transform_identity_roundtrip():
@@ -528,7 +532,7 @@ def test_unit_search_by_twists_matches_full_scan_on_toy_complexes():
     _same_unit_scans(_toy_complex())
     # x listed three times: rows whose first equal-twist column holds a zero
     # and a later one a unit
-    _same_unit_scans(build_resolution([P("x", R2), P("y", R2), P("x", R2), P("x", R2)]))
+    _same_unit_scans(build_resolution(certified([P("x", R2), P("y", R2), P("x", R2), P("x", R2)], R2)))
 
 
 def test_minimalize_removes_duplicate_generator():
@@ -570,7 +574,7 @@ def test_monomial_ideal_hilbert_oracle(monos):
     counted directly; the resolution must reproduce it exactly."""
     ring = Ring(("x", "y"), (2, 3))
     gens = [ring.monomial(m) for m in sorted(monos)]
-    res = build_resolution(gens)
+    res = build_resolution(certified(gens, ring))
     res.validate()
     bound = 24
     series = hilbert_series_truncation(hilbert_numerator(res), ring.weights, bound)
