@@ -36,7 +36,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .closedform import (
     CaseUnmatched,
@@ -198,7 +198,7 @@ def analyze_sequence(
             }
         )
     else:
-        params_json = asdict(params)
+        params_json = {f.name: getattr(params, f.name) for f in fields(params)}
         try:
             case = case_id(params)
         except CaseUnmatched as exc:

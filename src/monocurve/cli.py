@@ -254,8 +254,7 @@ def cmd_hilbert(args) -> int:
 
 def _print_maps(tag: str, resolution, stream) -> None:
     for index, gmap in enumerate(resolution.maps):
-        rows = [[render(gmap.entries[i][j]) for j in range(gmap.source.rank)]
-                for i in range(gmap.target.rank)]
+        rows = [[render(p) for p in row] for row in gmap.entries]
         widths = [
             max(len(rows[i][j]) for i in range(len(rows))) if rows else 0
             for j in range(gmap.source.rank)

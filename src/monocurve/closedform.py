@@ -339,7 +339,7 @@ def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
     if len(elements) != expected:
         raise TemplateMismatch("basis has %d elements, templates give %d" % (len(elements), expected))
 
-    if v != min_multiple_in(spec.n, spec.arithmetic_part()):
+    if v != min_multiple_in(spec.n, spec.arithmetic_part):
         raise TemplateMismatch("pure Y exponent disagrees with the semigroup")
 
     params = CaseParameters(
@@ -694,25 +694,16 @@ def _syzygies_koszul(m, z, gens, p):
 
 
 def _assemble(ring, gens, b_cols, c_cols) -> FreeResolution:
-    """Chain the generator row with the two syzygy matrices, twists included."""
-    f0 = GradedFreeModule(ring, (0,))
-    t1 = tuple(is_homogeneous(g, ring) for g in gens)
-    f1 = GradedFreeModule(ring, t1)
-    head = GradedMap(f1, f0, [list(gens)])
+    """Chain the generator row with the two syzygy matrices, given by their
+    columns of ``Poly`` entries; each column's twist is read off its first
+    term and every term is checked once."""
 
-    def column_twists(cols, twists):
-        out = []
-        for col in cols:
-            k = next(i for i, p in enumerate(col) if not p.is_zero)
-            out.append(is_homogeneous(col[k], ring) + twists[k])
-        return tuple(out)
+    def columns(cols):
+        return [{(i, m): c for i, p in enumerate(col) for m, c in p.terms.items()} for col in cols]
 
-    t2 = column_twists(b_cols, t1)
-    f2 = GradedFreeModule(ring, t2)
-    first = GradedMap(f2, f1, [[col[i] for col in b_cols] for i in range(len(gens))])
-    t3 = column_twists(c_cols, t2)
-    f3 = GradedFreeModule(ring, t3)
-    second = GradedMap(f3, f2, [[col[k] for col in c_cols] for k in range(len(b_cols))])
+    head = GradedMap.from_columns(GradedFreeModule(ring, (0,)), columns([g] for g in gens))
+    first = GradedMap.from_columns(head.source, columns(b_cols))
+    second = GradedMap.from_columns(first.source, columns(c_cols))
     return FreeResolution(maps=(head, first, second))
 
 

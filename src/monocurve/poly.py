@@ -284,9 +284,6 @@ class _Terms:
                 out.pop(k, None)
         return self._like(out)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         """Scalar multiple, or product with a ring polynomial on either side."""
         if isinstance(other, _Terms):

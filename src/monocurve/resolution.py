@@ -2,8 +2,8 @@
 minimalization: each constant entry of a free resolution is split off with
 its trivial summand, one Schur-complement step per unit, until the
 resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
-``compose_zero``, which sums each row of a product in exponent arithmetic
-on the entries' term dicts and builds no intermediate polynomial.
+``compose_zero``, which sums each column of a product in exponent
+arithmetic on the maps' column dicts and builds no polynomial.
 
 The syzygy levels have one form: F_0 = R is the rank-one module, and every
 level's elements are {(position, exponent): coefficient} dicts, the ideal's
@@ -11,26 +11,29 @@ generators at position 0.  Each level keeps one syzygy per pair of its lead
 frame, as such a dict: level 1's are the columns ``buchberger`` certified
 the basis with (``GroebnerBasis.frame``), every later level's come from
 ``pair_records``.  That dict is both a column of the level's map, which
-``schreyer_syzygies`` builds, and an element of the next level, whose leads
-are read off the lead frame, not found again by a maximum over terms.
+``schreyer_syzygies`` takes as it is, and an element of the next level,
+whose leads are read off the lead frame, not found again by a maximum over
+terms.
 
 Conventions, fixed once:
 
 * A free module is a list of twists; twist d stands for R(-d), so a generator
   of weighted degree d sits in a summand with twist d.
-* A map F -> G is stored as a matrix with rank(G) rows and rank(F) columns;
-  column j is the image of the j-th basis vector of the source.  Every nonzero
-  entry (i, j) must be homogeneous of degree source.twists[j] - target.twists[i].
+* A map F -> G is stored as its columns, one per basis vector of F: column j,
+  the image of the j-th basis vector, is a {(row, exponent): coefficient}
+  dict with rows indexing G's basis.  Every term of column j in row i has
+  degree source.twists[j] - target.twists[i] >= 0; ``entries`` shows the
+  map as a matrix of ``Poly`` entries, rank(G) rows by rank(F) columns.
 * A resolution keeps maps[k]: F_{k+1} -> F_k with F_0 = R at twist 0, so
-  maps[0] is the one-row matrix of ideal generators.
+  maps[0] has one row, the ideal generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, lshift, mul
 
-from monocurve.poly import Ring, SchreyerOrder, coeff_div, is_homogeneous
+from monocurve.poly import Ring, SchreyerOrder, coeff_div
 from monocurve.groebner import GroebnerBasis, _lead_frame, pair_records
 
 # buchberger is not called here; it stays importable as resolution.buchberger
@@ -70,43 +73,82 @@ class GradedFreeModule:
         return f"GradedFreeModule({list(self.twists)})"
 
 
-class GradedMap:
-    """Homogeneous degree-zero map between graded free modules."""
+def _column_twists(target: GradedFreeModule, columns, twists=None) -> tuple:
+    """The twist of each column, ``twists[j]`` or else read off its first
+    term, after one check of every term: its row is one of ``target``'s
+    (else ShapeMismatch) and its degree is the column's twist minus the
+    row's, at least 0 (else HomogeneityBroken)."""
+    weights, rows = target.ring.weights, target.twists
+    rank = len(rows)
+    out = []
+    for j, column in enumerate(columns):
+        want = None if twists is None else twists[j]
+        for i, mono in column:
+            if not 0 <= i < rank:
+                raise ShapeMismatch(f"column {j} has a term in row {i} of rank {rank}")
+            d = sum(map(mul, mono, weights))
+            t = d + rows[i]
+            if want is None:
+                want = t
+            if t != want or d < 0:
+                raise HomogeneityBroken(f"entry ({i},{j}) has degree {d}, twists demand {want - rows[i]}")
+        if want is None:
+            raise ShapeMismatch(f"column {j} is zero, so it has no twist")
+        out.append(want)
+    return tuple(out)
 
-    __slots__ = ("source", "target", "entries")
+
+class GradedMap:
+    """Homogeneous degree-zero map between graded free modules, kept as its
+    columns: one {(row, exponent): coefficient} dict per source basis
+    vector, never changed once the map is built."""
+
+    __slots__ = ("source", "target", "columns")
 
     def __init__(self, source: GradedFreeModule, target: GradedFreeModule, entries):
+        """The map with the given matrix of ``Poly`` entries, each term checked."""
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise ShapeMismatch(
                 f"matrix {len(rows)}x{len(rows[0]) if rows else 0} does not map "
                 f"rank {source.rank} into rank {target.rank}"
             )
-        ring = source.ring
+        columns = tuple({} for _ in source.twists)
         for i, row in enumerate(rows):
-            for j, p in enumerate(row):
-                if p.is_zero:
-                    continue
-                d = is_homogeneous(p, ring)
-                want = source.twists[j] - target.twists[i]
-                if d is None or d != want or d < 0:
-                    raise HomogeneityBroken(
-                        f"entry ({i},{j}) has degree {d}, twists demand {want}"
-                    )
+            for column, p in zip(columns, row):
+                for mono, c in p.terms.items():
+                    column[i, mono] = c
+        _column_twists(target, columns, source.twists)
         self.source = source
         self.target = target
-        self.entries = rows
+        self.columns = columns
 
     @classmethod
-    def _trimmed(cls, source: GradedFreeModule, target: GradedFreeModule, rows):
-        """A map whose entries are known to have the degrees its twists
-        demand (a checked map with rows or columns deleted, or elements of
-        those degrees), so neither shape nor homogeneity is checked again."""
+    def from_columns(cls, target: GradedFreeModule, columns) -> "GradedMap":
+        """The map into ``target`` with the given nonzero columns, each
+        column's twist read off its first term and every term checked once."""
+        return cls._trimmed(GradedFreeModule(target.ring, _column_twists(target, columns)), target, columns)
+
+    @classmethod
+    def _trimmed(cls, source: GradedFreeModule, target: GradedFreeModule, columns):
+        """A map whose columns are known to fit its twists (checked columns,
+        or a checked map with rows or columns deleted), checked no more."""
         out = object.__new__(cls)
         out.source = source
         out.target = target
-        out.entries = tuple(tuple(row) for row in rows)
+        out.columns = tuple(columns)
         return out
+
+    @property
+    def entries(self) -> tuple:
+        """The matrix, rank(target) rows of rank(source) ``Poly`` entries,
+        built anew from the columns at each call."""
+        rows = [[{} for _ in self.columns] for _ in self.target.twists]
+        for j, column in enumerate(self.columns):
+            for (i, mono), c in column.items():
+                rows[i][j][mono] = c
+        zero = self.target.ring.zero()
+        return tuple(tuple(zero._like(terms) for terms in row) for row in rows)
 
     def __repr__(self):
         return f"GradedMap({self.target.rank}x{self.source.rank})"
@@ -115,28 +157,34 @@ class GradedMap:
 def compose_zero(a: GradedMap, b: GradedMap) -> bool:
     """True iff the matrix product a∘b is zero (a: F->G, b: E->F).
 
-    Exact, in exponent arithmetic on the entries' term dicts: each row of a∘b
-    is one accumulator keyed by (column, exponent tuple), entries that cancel
-    leave it at once, and the first row that ends non-empty answers False.
+    Exact, on the column dicts: column j of a∘b is one accumulator keyed by
+    (row, exponent), to which each term c·x^m of b's column j in row k adds
+    a's column k shifted by x^m and scaled by c, and the first column left
+    with a nonzero coefficient answers False.  The keys are packed into one
+    int, the row above one field per variable: a term of a, b or a∘b has
+    degree at most B, the largest twist of E and F minus the smallest of F
+    and G, so with positive integer weights no exponent exceeds B, and
+    fields of B.bit_length() + 1 bits never carry.
     """
     if a.source != b.target:
         raise ShapeMismatch("inner modules differ")
-    b_rows = [[(j, p.terms) for j, p in enumerate(row) if p.terms] for row in b.entries]
-    for row in a.entries:
+    inner = a.source.twists
+    top = max(b.source.twists + inner, default=0) - min(inner + a.target.twists, default=0)
+    width = top.bit_length() + 1
+    shifts = range(0, width * a.target.ring.nvars, width)
+    row_shift = width * len(shifts)
+    left = [
+        [((i << row_shift) + sum(map(lshift, m, shifts)), c) for (i, m), c in column.items()]
+        for column in a.columns
+    ]
+    for column in b.columns:
         acc = {}
-        for left, right in zip(row, b_rows):
-            if not right:
-                continue
-            for m1, c1 in left.terms.items():
-                for j, terms in right:
-                    for m2, c2 in terms.items():
-                        k = (j, tuple(map(add, m1, m2)))
-                        v = acc.get(k, 0) + c1 * c2
-                        if v:
-                            acc[k] = v
-                        else:
-                            del acc[k]
-        if acc:
+        for (k, m), c2 in column.items():
+            shift = sum(map(lshift, m, shifts))
+            for key, c1 in left[k]:
+                key += shift
+                acc[key] = acc.get(key, 0) + c1 * c2
+        if any(acc.values()):
             return False
     return True
 
@@ -177,49 +225,31 @@ class FreeResolution:
 # syzygies, one (position, exponent) dict per column
 
 
-def _element_degrees(elements):
-    degrees = []
-    for g in elements:
-        d = is_homogeneous(g)
-        if d is None:
-            raise HomogeneityBroken("basis element is not weighted-homogeneous")
-        degrees.append(d)
-    return tuple(degrees)
-
-
 def schreyer_syzygies(target: GradedFreeModule, columns) -> GradedMap:
     """The map into ``target`` with the given columns, {(slot, exponent):
-    coefficient} dicts; each column's twist is the degree of its terms."""
-    ring = target.ring
-    zero = ring.zero()
-    entries = [[zero] * len(columns) for _ in target.twists]
-    column_twists = []
-    for c, column in enumerate(columns):
-        rows: dict = {}
-        for (k, mono), coeff in column.items():
-            rows.setdefault(k, {})[mono] = coeff
-        column_twists.append(ring.degree(mono) + target.twists[k])  # GradedMap checks the rest
-        for k, terms in rows.items():
-            entries[k][c] = zero._like(terms)
-    return GradedMap(GradedFreeModule(ring, tuple(column_twists)), target, entries)
+    coefficient} dicts, taken as they are: each column's twist is the degree
+    of its first term plus its slot's twist, and the one walk that reads it
+    checks every term (``GradedMap.from_columns``)."""
+    return GradedMap.from_columns(target, columns)
 
 
 def build_resolution(gb: GroebnerBasis) -> FreeResolution:
     """The Schreyer resolution of a certified basis, one level per pass.
 
-    F_0 = R, and the generators are position-0 dicts of it.  Every level
-    keeps only the pairs of its lead frame (Schreyer's frame; La Scala and
-    Stillman, JSC 26, 1998), one column each: level 1 takes the columns of
-    ``gb.frame``, the certificate ``buchberger`` made, and each later level
-    reduces its pairs with ``pair_records``, which asserts each remainder
-    zero.  The kept pair syzygies generate the syzygies of the leads, so
-    by the generalised Buchberger criterion this proves each level a
-    Gröbner basis in the induced order.  The columns of each level's map
-    are the next level's elements and the frame's leads their leads.
+    F_0 = R, and the generators are position-0 dicts of it, the columns of
+    maps[0].  Every level keeps only the pairs of its lead frame (Schreyer's
+    frame; La Scala and Stillman, JSC 26, 1998), one column each: level 1
+    takes the columns of ``gb.frame``, the certificate ``buchberger`` made,
+    and each later level reduces its pairs with ``pair_records``, which
+    asserts each remainder zero.  The kept pair syzygies generate the
+    syzygies of the leads, so by the generalised Buchberger criterion this
+    proves each level a Gröbner basis in the induced order.  The columns of
+    each level's map are the next level's elements and the frame's leads
+    their leads.
     """
     ring = gb.elements[0].ring
-    module = GradedFreeModule(ring, _element_degrees(gb.elements))
-    maps = [GradedMap._trimmed(module, GradedFreeModule(ring, (0,)), [gb.elements])]
+    generators = [{(0, mono): c for mono, c in g.terms.items()} for g in gb.elements]
+    maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), generators)]
     induced = SchreyerOrder(lambda pm: gb.order.key(pm[1]), [(0, g.lead(gb.order)[0]) for g in gb.elements])
     frame = gb.frame
     while frame:
@@ -246,28 +276,40 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     summand 0 -> R -> R -> 0 of the complex (Peeva, *Graded Syzygies*, 2011,
     ch. 1).  What is left: D's Schur complement, D[i][j] - D[i][col]·D[row][j]/u
     off row ``row`` and column ``col``; maps[step+1] without row ``col``; and
-    maps[step-1] without column ``row``.
+    maps[step-1] without column ``row``.  All on the column dicts: column j
+    loses its row-``row`` terms c·x^m and gains -c/u·x^m times column
+    ``col``, and the rows below ``row`` move up by one.
     """
     if not (0 <= step < len(res.maps)):
         raise IndexError(f"no map at step {step}")
     mid = res.maps[step]
-    entries = mid.entries
-    if not (0 <= row < len(entries) and 0 <= col < len(entries[0])):
+    if not (0 <= row < mid.target.rank and 0 <= col < mid.source.rank):
         raise IndexError("entry outside the matrix")
-    if entries[row][col].is_zero or mid.source.twists[col] != mid.target.twists[row]:
+    unit = (row, mid.target.ring.zero_mono())
+    if mid.source.twists[col] != mid.target.twists[row] or unit not in mid.columns[col]:
         raise PreconditionViolated("pivot entry is not a nonzero constant")
-    (pivot,) = entries[row][col].terms.values()
-    inverse = coeff_div(1, pivot)
-    pivot_row = {j: p * inverse for j, p in enumerate(entries[row]) if j != col and not p.is_zero}
+    pivot_column = mid.columns[col]
+    inverse = coeff_div(1, pivot_column[unit])
+    below = [((i - (i > row), m1), c1) for (i, m1), c1 in pivot_column.items() if i != row]
     trimmed = []
-    for i, r in enumerate(entries):
-        if i == row:
+    for j, column in enumerate(mid.columns):
+        if j == col:
             continue
-        complement = list(r)
-        if not r[col].is_zero:
-            for j, scaled in pivot_row.items():
-                complement[j] = complement[j] - r[col] * scaled
-        del complement[col]
+        complement = {}
+        scales = []
+        for (i, m), c in column.items():
+            if i != row:
+                complement[i - (i > row), m] = c
+            else:
+                scales.append((m, c * inverse))
+        for m2, scale in scales:
+            for (i, m1), c1 in below:
+                key = (i, tuple(map(add, m1, m2)))
+                v = complement.get(key, 0) - c1 * scale
+                if v:
+                    complement[key] = v
+                else:
+                    del complement[key]
         trimmed.append(complement)
 
     new_maps = list(res.maps)
@@ -277,14 +319,14 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     small_source = GradedFreeModule(
         mid.source.ring, tuple(t for j, t in enumerate(mid.source.twists) if j != col)
     )
-    new_maps[step] = GradedMap(small_source, small_target, trimmed)
+    new_maps[step] = GradedMap._trimmed(small_source, small_target, trimmed)
     if step >= 1:
         prev = res.maps[step - 1]
-        kept = [[p for j, p in enumerate(r) if j != row] for r in prev.entries]
+        kept = prev.columns[:row] + prev.columns[row + 1:]
         new_maps[step - 1] = GradedMap._trimmed(small_target, prev.target, kept)
     if step + 1 < len(res.maps):
         nxt = res.maps[step + 1]
-        kept = [r for i, r in enumerate(nxt.entries) if i != col]
+        kept = [{(i - (i > col), m): c for (i, m), c in column.items() if i != col} for column in nxt.columns]
         new_maps[step + 1] = GradedMap._trimmed(nxt.source, small_source, kept)
     return FreeResolution(new_maps, minimal=False)
 
@@ -292,16 +334,18 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
 def _find_constant_entry(maps, step: int = 0, row: int = 0):
     """(step, i, j) of the first nonzero constant entry in row-major order,
     starting at row ``row`` of map ``step``, or None.  With positive weights
-    a nonzero entry is constant iff its row and column twists are equal, so
-    only those positions are looked at."""
+    a nonzero entry is constant iff its row and column twists are equal, and
+    then its one term is (i, 0) in column j, so only those keys are looked
+    up."""
     for s in range(step, len(maps)):
         gmap = maps[s]
+        unit = gmap.target.ring.zero_mono()
         columns: dict = {}
         for j, t in enumerate(gmap.source.twists):
             columns.setdefault(t, []).append(j)
         for i in range(row if s == step else 0, gmap.target.rank):
             for j in columns.get(gmap.target.twists[i], ()):
-                if not gmap.entries[i][j].is_zero:
+                if (i, unit) in gmap.columns[j]:
                     return s, i, j
     return None
 

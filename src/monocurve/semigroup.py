@@ -16,6 +16,7 @@ it builds any.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -207,8 +208,10 @@ class SequenceSpec:
     def weights(self) -> tuple[int, int, int, int]:
         return (self.m0, self.m1, self.m2, self.n)
 
+    @functools.cached_property
     def arithmetic_part(self) -> SubSemigroup:
-        """Semigroup spanned by the arithmetic generators only."""
+        """Semigroup spanned by the arithmetic generators only, built once
+        per spec, so its Apéry table is too."""
         return SubSemigroup((self.m0, self.m1, self.m2))
 
     def semigroup(self) -> SubSemigroup:
@@ -237,9 +240,11 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
         raise GcdNotOne(f"gcd{values} is not 1")
     if m0 > M0_BUDGET:
         raise OverBudget(f"m0 = {m0} exceeds M0_BUDGET = {M0_BUDGET}, the largest table of m0 entries built")
-    order = (("n", 3), ("m0", 0), ("m1", 1), ("m2", 2))
-    for name, index in order:
+    spec = SequenceSpec(m0, m1, m2, n)
+    if spec.arithmetic_part.contains(n):
+        raise RedundantGenerator("n")
+    for name, index in (("m0", 0), ("m1", 1), ("m2", 2)):
         rest = values[:index] + values[index + 1 :]
         if SubSemigroup(rest).contains(values[index]):
             raise RedundantGenerator(name)
-    return SequenceSpec(m0, m1, m2, n)
+    return spec

@@ -108,9 +108,19 @@ from monocurve.resolution import (
     HomogeneityBroken,
     PreconditionViolated,
     ShapeMismatch,
-    _element_degrees,
 )
 from monocurve.semigroup import SubSemigroup
+
+
+def _element_degrees(elements):
+    """The weighted degree of each element, which must be homogeneous."""
+    degrees = []
+    for g in elements:
+        d = is_homogeneous(g)
+        if d is None:
+            raise HomogeneityBroken("basis element is not weighted-homogeneous")
+        degrees.append(d)
+    return tuple(degrees)
 
 
 class Vect(_Terms):
@@ -221,12 +231,13 @@ def compose_zero_generic(a: GradedMap, b: GradedMap) -> bool:
     if a.source != b.target:
         raise ShapeMismatch("inner modules differ")
     ring = a.source.ring
+    a_entries, b_entries = a.entries, b.entries
     for i in range(a.target.rank):
         for j in range(b.source.rank):
             acc = ring.zero()
             for k in range(a.source.rank):
-                left = a.entries[i][k]
-                right = b.entries[k][j]
+                left = a_entries[i][k]
+                right = b_entries[k][j]
                 if left.is_zero or right.is_zero:
                     continue
                 acc = acc + left * right
@@ -407,8 +418,7 @@ def vector_map(vectors, target: GradedFreeModule) -> GradedMap:
 
 def map_columns(gmap: GradedMap) -> list:
     """The columns of a map as vectors."""
-    rows = range(gmap.target.rank)
-    return [Vect.from_polys([gmap.entries[i][j] for i in rows]) for j in range(gmap.source.rank)]
+    return [Vect.from_polys(list(column)) for column in zip(*gmap.entries)]
 
 
 def transcript_syzygies(gb: Completion) -> GradedMap:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from monocurve import analysis
+from monocurve import analysis, semigroup
 from monocurve.resolution import FreeResolution, GradedMap, _find_constant_entry, minimalize
 
 SEQ = (5, 7, 9, 11)
@@ -83,3 +83,20 @@ def test_large_m0_is_analysed_within_budget(seq, budget_s):
     assert report.valid and all(report.flags.values()), report.flags
     assert len(report.flags) == 5
     assert elapsed < budget_s, f"{seq} took {elapsed:.2f} s, budget {budget_s} s"
+
+
+@pytest.mark.parametrize("seq", [(5, 7, 9, 11), (150, 157, 164, 299)])
+def test_arithmetic_apery_table_built_once(monkeypatch, seq):
+    """validate_sequence's check of n and extract_parameters' least multiple
+    of n share one table of <m0, m1, m2>, the spec's cached arithmetic part."""
+    seen = []
+    original = semigroup._least_per_residue
+
+    def spy(generators, m):
+        seen.append(tuple(generators))
+        return original(generators, m)
+
+    monkeypatch.setattr(semigroup, "_least_per_residue", spy)
+    report = analysis.analyze_sequence(*seq)
+    assert report.case is not None  # parameters were extracted
+    assert seen.count(seq[:3]) == 1

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,6 +371,25 @@ def test_matrices_template_mismatch_prints_generic_side(capsys):
     assert "generic map 0" in out
     assert "no closed form for this tuple" in out
     assert "closed map" not in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        "5,7,9,11",  # the generic resolution splits off a unit
+        "7,9,11,13",  # only the closed-form base splits off a unit
+        "6,8,10,7",  # template mismatch: the generic side alone
+    ],
+)
+def test_matrices_output_is_pinned(seq, capsys):
+    """The whole stdout of ``matrices``, byte for byte, as recorded in
+    tests/golden: every entry, its rendering and the column widths."""
+    assert cli.main(["matrices", "--seq", seq]) == 0
+    expected = (GOLDEN / ("matrices_%s.txt" % seq.replace(",", "_"))).read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_matrices_invalid_sequence(capsys):

@@ -107,6 +107,19 @@ def test_compose_zero_shape_mismatch():
         compose_zero(b, a)
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_compose_zero_tells_apart_monomials_of_one_degree(k):
+    """x^(2^k) and y share their degree under the weights (1, 2^k), so no
+    packing of the exponents may merge them: a product holding x^(2^k) - y
+    is not zero, on either side of the product."""
+    ring = Ring(("x", "y"), (1, 2**k))
+    f = Poly(ring, {(2**k, 0): 1, (0, 1): -1})
+    low, high = GradedFreeModule(ring, (0,)), GradedFreeModule(ring, (2**k,))
+    gen = GradedMap(high, low, [[f]])
+    assert not compose_zero(GradedMap(low, low, [[ring.one()]]), gen)
+    assert not compose_zero(gen, GradedMap(high, high, [[ring.one()]]))
+
+
 # ---------------------------------------------------------------------------
 # Schreyer syzygies
 
@@ -694,3 +707,49 @@ def test_compose_zero_matches_generic_oracle_on_curves(curve, data):
             broken = _scaled_term(right, k, j, mono)
             assert not compose_zero(left, broken)
             assert not compose_zero_generic(left, broken)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CURVES, st.data())
+def test_graded_map_columns_round_trip_and_term_checks(curve, data):
+    """Every map of the generic and closed-form complexes, before and after
+    minimalization, rebuilt from its entries has the same columns and
+    entries.  Moving one term of one column, at any position, to a wrong
+    degree raises HomogeneityBroken, and to a row outside the target raises
+    ShapeMismatch."""
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    kernel = toric_kernel(spec)
+    schreyer = build_resolution(kernel.reduced_gb)
+    complexes = [schreyer, minimalize(schreyer)]
+    base = _closed_form_base(spec, kernel)
+    if base is not None:
+        complexes += [base, minimalize(base)]
+    maps = [m for res in complexes for m in res.maps]
+    for m in maps:
+        again = GradedMap(m.source, m.target, m.entries)
+        assert again.columns == m.columns
+        assert again.entries == m.entries
+
+    m = data.draw(st.sampled_from([m for m in maps if m.source.rank]))
+    j = data.draw(st.integers(0, m.source.rank - 1))
+    (i, mono), c = data.draw(st.sampled_from(sorted(m.columns[j].items())))
+
+    def moved(key):
+        columns = [dict(column) for column in m.columns]
+        del columns[j][i, mono]
+        columns[j][key] = c
+        return columns
+
+    heavier = moved((i, (mono[0] + 1,) + mono[1:]))
+    with pytest.raises(HomogeneityBroken):
+        GradedMap(m.source, m.target, GradedMap._trimmed(m.source, m.target, heavier).entries)
+    if len(m.columns[j]) > 1:
+        with pytest.raises(HomogeneityBroken):
+            resolution.schreyer_syzygies(m.target, heavier)
+    row = data.draw(st.sampled_from([-1, m.target.rank, m.target.rank + 2]))
+    with pytest.raises(ShapeMismatch):
+        resolution.schreyer_syzygies(m.target, moved((row, mono)))

@@ -172,7 +172,7 @@ def test_validate_sequence_accepts_reference_tuple():
     spec = validate_sequence(5, 7, 9, 11)
     assert spec.d == 2
     assert spec.weights == (5, 7, 9, 11)
-    assert spec.arithmetic_part().generators == (5, 7, 9)
+    assert spec.arithmetic_part.generators == (5, 7, 9)
     assert spec.semigroup().contains(11)
 
 
