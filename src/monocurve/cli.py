@@ -282,11 +282,13 @@ def cmd_matrices(args) -> int:
     _print_maps("generic", generic, sys.stdout)
     try:
         params = extract_parameters(kernel)
-        closed = closed_form_resolution(params, canonical_generators(params, spec))
+        gens = canonical_generators(params, spec)
+        case = case_id(params)
+        closed = closed_form_resolution(case, params, gens)
     except (TemplateMismatch, DegreeImbalance, CaseUnmatched) as exc:
         print("no closed form for this tuple: %s" % exc)
         return 0
-    print("case %s" % case_id(params).label)
+    print("case %s" % case.label)
     _print_maps("closed", closed, sys.stdout)
     agree_ranks = generic.ranks == closed.ranks
     agree_twists = all(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .semigroup import SequenceSpec, min_multiple_in
-from .poly import Poly, Ring, is_homogeneous
+from .poly import Poly, Ring
 # buchberger is not called here; it stays importable as closedform.buchberger
 # because perfbench/spans.py wraps that attribute
 from .groebner import VARIABLE_NAMES, ToricIdeal, buchberger, is_pure_difference  # noqa: F401
@@ -120,11 +120,9 @@ _PARAM_FIELDS = (
 )
 
 
-def _variable_monomial(**powers) -> tuple:
-    mono = [0, 0, 0, 0]
-    for name, e in powers.items():
-        mono[{"x0": 0, "x1": 1, "x2": 2, "y": 3}[name]] = e
-    return tuple(mono)
+def _m(x0=0, x1=0, x2=0, y=0) -> tuple:
+    """The exponent tuple of X0^x0 * X1^x1 * X2^x2 * Y^y."""
+    return x0, x1, x2, y
 
 
 def curve_ring(spec: SequenceSpec) -> Ring:
@@ -135,9 +133,9 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
     """The standard generating set, in template order.
 
     Output order: quadric, plain family, cross family (omitted when
-    has_cross is false), pure relation.  Every element is checked to be
-    weighted-homogeneous; a failure means the parameters do not belong to
-    this sequence and raises DegreeImbalance.
+    has_cross is false), pure relation.  Each element's two monomials must
+    differ and have one weighted degree; else the parameters do not belong
+    to this sequence, and DegreeImbalance is raised.
     """
     params.validate()
     ring = curve_ring(spec)
@@ -147,14 +145,11 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
     v, w = params.y_order, params.y_split
 
     def binomial(name, plus, minus):
-        poly = ring.monomial(plus) - ring.monomial(minus)
-        if is_homogeneous(poly, ring) is None:
-            raise DegreeImbalance(
-                "%s: %d != %d for %s" % (name, ring.degree(plus), ring.degree(minus), spec)
-            )
-        return poly
+        if plus == minus or ring.degree(plus) != ring.degree(minus):
+            raise DegreeImbalance("%s: %d != %d for %s" % (name, ring.degree(plus), ring.degree(minus), spec))
+        return Poly(ring, {plus: 1, minus: -1})
 
-    gens = [binomial("quadric", _variable_monomial(x1=2), _variable_monomial(x0=1, x2=1))]
+    gens = [binomial("quadric", _m(x1=2), _m(x0=1, x2=1))]
     for i in range(3 - a):
         lead = [0, 0, 0, 0]
         lead[a + i] += 1
@@ -171,7 +166,7 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
             tail[j] += 1
             gens.append(binomial("cross[%d]" % j, tuple(lead), tuple(tail)))
     if b < a:
-        pure_tail = _variable_monomial(x0=mu, x1=1, x2=q - qc)
+        pure_tail = _m(x0=mu, x1=1, x2=q - qc)
     else:
         carried = [mu, 0, 0, 0]
         carried[2 + a - b] += 1
@@ -179,7 +174,7 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
         if carried[2] < 0:
             raise DegreeImbalance("pure relation needs x2_plain > x2_cross here")
         pure_tail = tuple(carried)
-    gens.append(binomial("pure", _variable_monomial(y=v), pure_tail))
+    gens.append(binomial("pure", _m(y=v), pure_tail))
     return gens
 
 
@@ -374,17 +369,9 @@ class CaseId:
         return self.label
 
 
-#: fields a case condition may compare; ``x2_gap`` is x2_plain - x2_cross
-_COMPARABLE = {
-    "plain_offset",
-    "cross_offset",
-    "x0_plain",
-    "x0_pure",
-    "x0_cross",
-    "x2_plain",
-    "x2_cross",
-    "x2_gap",
-}
+#: fields a case condition may compare: the integer fields but the two Y
+#: exponents, and ``x2_gap``, which is x2_plain - x2_cross
+_COMPARABLE = set(_PARAM_FIELDS) - {"y_order", "y_split"} | {"x2_gap"}
 
 
 def _parse_condition(cond: str) -> tuple:
@@ -442,25 +429,33 @@ _CASE_TESTS = tuple(
 )
 
 
+def _operand(name) -> str:
+    """One side of a parsed condition as Python text on CaseParameters p."""
+    if type(name) is not str:
+        return repr(name)
+    return "(p.x2_plain - p.x2_cross)" if name == "x2_gap" else "p." + name
+
+
+def _row_text(tests) -> str:
+    """One row's parsed conditions as one Python expression on p."""
+    ops = {operator.eq: "==", operator.ne: "!="}
+    return " and ".join("%s %s %s" % (_operand(a), ops[op], _operand(b)) for a, op, b in tests) or "True"
+
+
+#: p -> one truth value per row of CASE_TABLE: every condition, checked by
+#: ``_parse_condition``, compiled once into one lambda
+_case_flags = eval("lambda p: (%s,)" % ", ".join(_row_text(t) for _, t in _CASE_TESTS), {"__builtins__": {}})
+
+
 def case_id(params: CaseParameters) -> CaseId:
-    """The unique table row whose conditions the parameters satisfy."""
+    """The unique table row whose conditions the parameters satisfy;
+    CaseUnmatched if none does or several do."""
     params.validate()
-    values = {field: getattr(params, field) for field in _PARAM_FIELDS}
-    values.update(x2_gap=params.x2_gap(), has_cross=params.has_cross)
-    matches = [
-        row
-        for row, tests in _CASE_TESTS
-        if all(
-            op(values[left], values[right] if type(right) is str else right)
-            for left, op, right in tests
-        )
-    ]
+    matches = [row for row, hit in zip(CASE_TABLE, _case_flags(params)) if hit]
     if not matches:
         raise CaseUnmatched("no table row covers %s" % (params,))
     if len(matches) > 1:
-        raise CaseUnmatched(
-            "table rows %s overlap on %s" % ([m.label for m in matches], params)
-        )
+        raise CaseUnmatched("table rows %s overlap on %s" % ([m.label for m in matches], params))
     return matches[0]
 
 
@@ -569,7 +564,18 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
 # produces and satisfy A.B = 0 and B.C = 0 identically in the exponents;
 # degenerate parameter values (x0_pure = 0, x0_plain = 1, x2_cross = 0,
 # x2_gap small) turn individual entries into constants, and minimalize
-# clears those mechanically.
+# clears those mechanically.  Each entry is an {exponent: coefficient} dict
+# (a generator is its own term dict, _diff of equal monomials is empty), read
+# into the maps' columns as written; GradedMap.from_columns checks each term.
+
+
+def _diff(plus: tuple, minus: tuple) -> dict:
+    """The entry x^plus - x^minus, zero when the two coincide."""
+    return {plus: 1, minus: -1} if plus != minus else {}
+
+
+def _negated(terms: dict) -> dict:
+    return {m: -c for m, c in terms.items()}
 
 
 def _exponents(p: CaseParameters) -> tuple:
@@ -577,131 +583,144 @@ def _exponents(p: CaseParameters) -> tuple:
     return p.x0_plain, p.x0_pure, p.x2_plain, p.x2_cross, p.y_order, p.y_split, p.x2_gap()
 
 
-def _syzygies_cross_12(m, z, gens, p):
+def _syzygies_cross_12(gens, p):
     """Offsets (1, 2): generators [quadric, plain0, plain1, cross0, pure]."""
     xi = gens[0]
     lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
-        [-m(x2=q), m(x1=1), -m(x0=1), z, z],
-        [m(x0=lam + mu) - m(x2=qc + 1, y=v - w), z, z, xi, z],
-        [m(x0=mu, x1=1, x2=gap - 1) - m(y=v), z, z, z, xi],
-        [m(x0=lam - 1, y=w), -m(x2=1), m(x1=1), z, z],
-        [z, -m(y=v - w), z, m(x1=1, x2=gap - 1), -m(x0=lam)],
-        [-m(x0=mu + lam - 1, x2=gap - 1), z, -m(y=v - w), m(x2=gap), -m(x0=lam - 1, x1=1)],
-        [z, m(x0=mu), z, -m(y=w), m(x2=qc + 1)],
+        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}, {}],
+        [_diff(_m(x0=lam + mu), _m(x2=qc + 1, y=v - w)), {}, {}, xi, {}],
+        [_diff(_m(x0=mu, x1=1, x2=gap - 1), _m(y=v)), {}, {}, {}, xi],
+        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}, {}],
+        [{}, {_m(y=v - w): -1}, {}, {_m(x1=1, x2=gap - 1): 1}, {_m(x0=lam): -1}],
+        [{_m(x0=mu + lam - 1, x2=gap - 1): -1}, {}, {_m(y=v - w): -1}, {_m(x2=gap): 1},
+         {_m(x0=lam - 1, x1=1): -1}],
+        [{}, {_m(x0=mu): 1}, {}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [z, z, m(x0=lam - 1), m(y=v - w), -m(x2=1), m(x1=1), z],
-        [m(y=v - w), -m(x2=gap - 1), z, z, m(x1=1), -m(x0=1), z],
-        [m(x0=mu, x1=1), -m(y=w), m(x2=qc + 1), m(x0=mu + 1), z, z, -xi],
+        [{}, {}, {_m(x0=lam - 1): 1}, {_m(y=v - w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
+        [{_m(y=v - w): 1}, {_m(x2=gap - 1): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
+        [{_m(x0=mu, x1=1): 1}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}, {_m(x0=mu + 1): 1}, {}, {},
+         _negated(xi)],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_cross_11(m, z, gens, p):
+def _syzygies_cross_11(gens, p):
     """Offsets (1, 1): generators [quadric, plain0, plain1, cross0, cross1, pure]."""
     xi = gens[0]
     lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
-        [-m(x2=q), m(x1=1), -m(x0=1), z, z, z],
-        [-m(x2=qc, y=v - w), z, z, m(x1=1), -m(x0=1), z],
-        [m(x0=mu, x2=gap) - m(y=v), z, z, z, z, xi],
-        [m(x0=lam - 1, y=w), -m(x2=1), m(x1=1), z, z, z],
-        [z, -m(y=v - w), z, m(x2=gap), z, -m(x0=lam)],
-        [z, z, -m(y=v - w), z, m(x2=gap), -m(x0=lam - 1, x1=1)],
-        [m(x0=lam + mu - 1), z, z, -m(x2=1), m(x1=1), z],
-        [z, m(x0=mu), z, -m(y=w), z, m(x1=1, x2=qc)],
-        [z, z, m(x0=mu), z, -m(y=w), m(x2=qc + 1)],
+        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}, {}, {}],
+        [{_m(x2=qc, y=v - w): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
+        [_diff(_m(x0=mu, x2=gap), _m(y=v)), {}, {}, {}, {}, xi],
+        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}, {}, {}],
+        [{}, {_m(y=v - w): -1}, {}, {_m(x2=gap): 1}, {}, {_m(x0=lam): -1}],
+        [{}, {}, {_m(y=v - w): -1}, {}, {_m(x2=gap): 1}, {_m(x0=lam - 1, x1=1): -1}],
+        [{_m(x0=lam + mu - 1): 1}, {}, {}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
+        [{}, {_m(x0=mu): 1}, {}, {_m(y=w): -1}, {}, {_m(x1=1, x2=qc): 1}],
+        [{}, {}, {_m(x0=mu): 1}, {}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [z, z, m(x0=lam - 1), m(y=v - w), -m(x2=1), m(x1=1), -m(x2=gap), z, z],
-        [z, z, z, m(x0=mu), z, z, -m(y=w), m(x2=1), -m(x1=1)],
-        [m(y=v - w), -m(x2=gap), z, z, m(x1=1), -m(x0=1), z, z, z],
-        [m(x0=mu), -m(y=w), m(x2=qc), z, z, z, z, -m(x1=1), m(x0=1)],
+        [{}, {}, {_m(x0=lam - 1): 1}, {_m(y=v - w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {_m(x2=gap): -1},
+         {}, {}],
+        [{}, {}, {}, {_m(x0=mu): 1}, {}, {}, {_m(y=w): -1}, {_m(x2=1): 1}, {_m(x1=1): -1}],
+        [{_m(y=v - w): 1}, {_m(x2=gap): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}, {}, {}],
+        [{_m(x0=mu): 1}, {_m(y=w): -1}, {_m(x2=qc): 1}, {}, {}, {}, {}, {_m(x1=1): -1},
+         {_m(x0=1): 1}],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_cross_21(m, z, gens, p):
+def _syzygies_cross_21(gens, p):
     """Offsets (2, 1): generators [quadric, plain0, cross0, cross1, pure]."""
     xi = gens[0]
     lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
-        [m(x0=lam, y=w) - m(x2=q + 1), xi, z, z, z],
-        [-m(x2=qc, y=v - w), z, m(x1=1), -m(x0=1), z],
-        [m(x0=mu, x1=1, x2=gap) - m(y=v), z, z, z, xi],
-        [z, -m(y=v - w), z, m(x2=gap), -m(x0=lam)],
-        [m(x0=lam + mu), z, -m(x2=1), m(x1=1), z],
-        [m(x0=mu, x2=q), m(x0=mu + 1), -m(y=w), z, m(x1=1, x2=qc)],
-        [z, m(x0=mu, x1=1), z, -m(y=w), m(x2=qc + 1)],
+        [_diff(_m(x0=lam, y=w), _m(x2=q + 1)), xi, {}, {}, {}],
+        [{_m(x2=qc, y=v - w): -1}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
+        [_diff(_m(x0=mu, x1=1, x2=gap), _m(y=v)), {}, {}, {}, xi],
+        [{}, {_m(y=v - w): -1}, {}, {_m(x2=gap): 1}, {_m(x0=lam): -1}],
+        [{_m(x0=lam + mu): 1}, {}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
+        [{_m(x0=mu, x2=q): 1}, {_m(x0=mu + 1): 1}, {_m(y=w): -1}, {}, {_m(x1=1, x2=qc): 1}],
+        [{}, {_m(x0=mu, x1=1): 1}, {}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [z, m(y=w), -m(x2=qc), z, z, m(x1=1), -m(x0=1)],
-        [m(x0=mu), z, z, z, -m(y=w), m(x2=1), -m(x1=1)],
-        [m(y=v - w), -m(x2=gap + 1), m(x0=lam), xi, -m(x1=1, x2=gap), z, z],
+        [{}, {_m(y=w): 1}, {_m(x2=qc): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}],
+        [{_m(x0=mu): 1}, {}, {}, {}, {_m(y=w): -1}, {_m(x2=1): 1}, {_m(x1=1): -1}],
+        [{_m(y=v - w): 1}, {_m(x2=gap + 1): -1}, {_m(x0=lam): 1}, xi, {_m(x1=1, x2=gap): -1},
+         {}, {}],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_cross_22(m, z, gens, p):
+def _syzygies_cross_22(gens, p):
     """Offsets (2, 2): generators [quadric, plain0, cross0, pure]."""
     xi = gens[0]
     lam, mu, q, qc, v, w, gap = _exponents(p)
     b_cols = [
-        [m(x0=lam, y=w) - m(x2=q + 1), xi, z, z],
-        [m(x0=lam + mu) - m(x2=qc + 1, y=v - w), z, xi, z],
-        [m(x0=mu, x2=gap) - m(y=v), z, z, xi],
-        [z, -m(y=v - w), m(x2=gap), -m(x0=lam)],
-        [z, m(x0=mu), -m(y=w), m(x2=qc + 1)],
+        [_diff(_m(x0=lam, y=w), _m(x2=q + 1)), xi, {}, {}],
+        [_diff(_m(x0=lam + mu), _m(x2=qc + 1, y=v - w)), {}, xi, {}],
+        [_diff(_m(x0=mu, x2=gap), _m(y=v)), {}, {}, xi],
+        [{}, {_m(y=v - w): -1}, {_m(x2=gap): 1}, {_m(x0=lam): -1}],
+        [{}, {_m(x0=mu): 1}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [m(y=v - w), -m(x2=gap), m(x0=lam), xi, z],
-        [m(x0=mu), -m(y=w), m(x2=qc + 1), z, -xi],
+        [{_m(y=v - w): 1}, {_m(x2=gap): -1}, {_m(x0=lam): 1}, xi, {}],
+        [{_m(x0=mu): 1}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}, {}, _negated(xi)],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_plain_first(m, z, gens, p):
+def _syzygies_plain_first(gens, p):
     """No cross family, plain offset 1: generators [quadric, plain0, plain1, pure]."""
     xi, f0, f1, th = gens
     lam, q, w = p.x0_plain, p.x2_plain, p.y_split
     b_cols = [
-        [-m(x2=q), m(x1=1), -m(x0=1), z],
-        [m(x0=lam - 1, y=w), -m(x2=1), m(x1=1), z],
-        [-th, z, z, xi],
-        [z, -th, z, f0],
-        [z, z, -th, f1],
+        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
+        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
+        [_negated(th), {}, {}, xi],
+        [{}, _negated(th), {}, f0],
+        [{}, {}, _negated(th), f1],
     ]
     c_cols = [
-        [th, z, -m(x2=q), m(x1=1), -m(x0=1)],
-        [z, th, m(x0=lam - 1, y=w), -m(x2=1), m(x1=1)],
+        [th, {}, {_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}],
+        [{}, th, {_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_koszul(m, z, gens, p):
+def _syzygies_koszul(gens, p):
     """No cross family, plain offset 2: three generators, pairwise-coprime leads."""
     xi, f0, th = gens
     b_cols = [
-        [-f0, xi, z],
-        [-th, z, xi],
-        [z, -th, f0],
+        [_negated(f0), xi, {}],
+        [_negated(th), {}, xi],
+        [{}, _negated(th), f0],
     ]
     c_cols = [
-        [th, -f0, xi],
+        [th, _negated(f0), xi],
     ]
     return b_cols, c_cols
 
 
-def _assemble(ring, gens, b_cols, c_cols) -> FreeResolution:
-    """Chain the generator row with the two syzygy matrices, given by their
-    columns of ``Poly`` entries; each column's twist is read off its first
-    term and every term is checked once."""
+#: the builder of each family shape: (plain, cross offset) with a cross
+#: family, the plain offset without one
+_BUILDERS = {
+    (1, 2): _syzygies_cross_12, (1, 1): _syzygies_cross_11, (2, 1): _syzygies_cross_21,
+    (2, 2): _syzygies_cross_22, 1: _syzygies_plain_first, 2: _syzygies_koszul,
+}
+
+
+def _assemble(ring, rows, b_cols, c_cols) -> FreeResolution:
+    """Chain the generator row (term dicts) with the two syzygy matrices,
+    given by their columns of entries; ``from_columns`` reads each column's
+    twist off its first term and checks every term once."""
 
     def columns(cols):
-        return [{(i, m): c for i, p in enumerate(col) for m, c in p.terms.items()} for col in cols]
+        return [{(i, m): c for i, entry in enumerate(col) for m, c in entry.items()} for col in cols]
 
-    head = GradedMap.from_columns(GradedFreeModule(ring, (0,)), columns([g] for g in gens))
+    head = GradedMap.from_columns(GradedFreeModule(ring, (0,)), columns([g] for g in rows))
     first = GradedMap.from_columns(head.source, columns(b_cols))
     second = GradedMap.from_columns(first.source, columns(c_cols))
     return FreeResolution(maps=(head, first, second))
@@ -712,38 +731,22 @@ def closed_form_base(params: CaseParameters, gens: list) -> FreeResolution:
 
     Instantiates the family shape's syzygy matrices with the parameters
     substituted, over ``gens``, the generator row ``canonical_generators``
-    built from the same parameters.  Degenerate parameter values leave
-    constant entries, so the output is in general non-minimal; its
-    minimalization has closed-form entries throughout.
+    built from the same parameters; no other ``Poly`` is built.  Degenerate
+    parameter values leave constant entries, so the output is in general
+    non-minimal; its minimalization has closed-form entries throughout.
     """
-    ring = gens[0].ring
     a, b = params.plain_offset, params.cross_offset
-    if params.has_cross:
-        build = {
-            (1, 2): _syzygies_cross_12,
-            (1, 1): _syzygies_cross_11,
-            (2, 1): _syzygies_cross_21,
-            (2, 2): _syzygies_cross_22,
-        }[(a, b)]
-    elif a == 1:
-        build = _syzygies_plain_first
-    else:
-        build = _syzygies_koszul
-
-    def m(**kw):
-        return ring.monomial(_variable_monomial(**kw))
-
-    b_cols, c_cols = build(m, ring.zero(), gens, params)
-    return _assemble(ring, gens, b_cols, c_cols)
+    rows = [g.terms for g in gens]
+    return _assemble(gens[0].ring, rows, *_BUILDERS[(a, b) if params.has_cross else a](rows, params))
 
 
-def closed_form_resolution(params: CaseParameters, gens: list) -> FreeResolution:
+def closed_form_resolution(case: CaseId, params: CaseParameters, gens: list) -> FreeResolution:
     """Minimal resolution with closed-form entries.
 
     The base complex over ``gens`` (``canonical_generators`` of the same
     parameters) with its unit entries split off by ``minimalize``; the
-    surviving ranks equal the case table's triple.  Raises CaseUnmatched for
-    parameters no table row covers.
+    surviving ranks equal the case table's triple.  ``case`` is the row
+    ``case_id`` matched for ``params``, so the table covers them and
+    nothing is matched again here.
     """
-    case_id(params)
     return minimalize(closed_form_base(params, gens))

@@ -193,14 +193,18 @@ def buchberger(elements, order) -> GroebnerBasis:
 
 
 def is_groebner(gens, order) -> bool:
-    """Buchberger criterion by honest division of every pair (no
-    product-criterion shortcut), for pure-difference binomials."""
+    """Buchberger's criterion for pure-difference binomials: each pair whose
+    leads share a variable must divide to remainder zero; a pair with
+    coprime leads does by the product criterion (Cox, Little and O'Shea,
+    *Ideals, Varieties, and Algorithms*, §2.10), so it is skipped."""
     basis = [_split(g, order) for g in gens]
     if any(tail is None for _, tail, _ in basis):
         raise ValueError("is_groebner takes pure-difference binomials only")
     ranked = _ranked(basis, order)
     for j in range(1, len(basis)):
         for i in range(j):
+            if mono_coprime(basis[i][0], basis[j][0]):
+                continue
             _, terms = _s_binomial(basis[i], basis[j])
             if _reduce_binomial(terms, basis, ranked, order.key)[1]:
                 return False

@@ -75,6 +75,12 @@ reference for it: ``standard_table_tuples`` builds a (degree, -e_1, ..,
 divisors as exponent tuples and looks them up in a set of the standard
 ones.  Like the program's table, it never calls ``semigroup``, whose Apéry
 set is what the Hilbert identity reads.
+
+The program matches a tuple's parameters against the case table with one
+lambda, compiled at import from every row's parsed conditions.
+``case_id_by_rows`` is the row-by-row matcher it replaced, the reference
+for it: a dict of the parameters' fields and each row's conditions tested
+in turn with their ``operator`` functions.
 """
 
 import functools
@@ -84,6 +90,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
+from monocurve.closedform import _CASE_TESTS, _PARAM_FIELDS, CaseUnmatched
 from monocurve.groebner import _default_names, buchberger as binomial_buchberger
 from monocurve.poly import (
     Poly,
@@ -1072,3 +1079,22 @@ def toric_kernel_by_sets(weights, names=None):
         tail = ((degree - a) // w[0],) + tuple(map(neg, rest))
         reduced.append(Poly(ring, {lead: 1, tail: -1}))
     return ring, binomial_buchberger(reduced, order)
+
+
+def case_id_by_rows(params):
+    """The unique row of the case table whose conditions ``params`` meet,
+    each row tested in turn on a dict of the parameters' fields; raises
+    CaseUnmatched, with ``case_id``'s messages, for no row or several."""
+    params.validate()
+    values = {name: getattr(params, name) for name in _PARAM_FIELDS}
+    values.update(x2_gap=params.x2_gap(), has_cross=params.has_cross)
+    matches = [
+        row
+        for row, tests in _CASE_TESTS
+        if all(op(values[left], values[right] if type(right) is str else right) for left, op, right in tests)
+    ]
+    if not matches:
+        raise CaseUnmatched("no table row covers %s" % (params,))
+    if len(matches) > 1:
+        raise CaseUnmatched("table rows %s overlap on %s" % ([m.label for m in matches], params))
+    return matches[0]

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from monocurve import analysis, semigroup
+from monocurve import analysis, closedform, semigroup
 from monocurve.resolution import FreeResolution, GradedMap, _find_constant_entry, minimalize
 
 SEQ = (5, 7, 9, 11)
@@ -100,3 +100,25 @@ def test_arithmetic_apery_table_built_once(monkeypatch, seq):
     report = analysis.analyze_sequence(*seq)
     assert report.case is not None  # parameters were extracted
     assert seen.count(seq[:3]) == 1
+
+
+def _count_case_matches(monkeypatch, *owners) -> list:
+    """Route every ``case_id`` lookup through ``owners`` to a spy that
+    records each call."""
+    calls = []
+    original = closedform.case_id
+
+    def spy(params):
+        calls.append(params)
+        return original(params)
+
+    for owner in (closedform,) + owners:
+        monkeypatch.setattr(owner, "case_id", spy)
+    return calls
+
+
+def test_case_matched_once_per_tuple(monkeypatch):
+    calls = _count_case_matches(monkeypatch, analysis)
+    report = analysis.analyze_sequence(*SEQ)
+    assert report.case == "iv" and report.flags["closed_form_agrees"]
+    assert len(calls) == 1

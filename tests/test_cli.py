@@ -16,6 +16,8 @@ from monocurve.groebner import toric_kernel
 from monocurve.resolution import build_resolution, minimalize
 from monocurve.semigroup import M0_BUDGET, validate_sequence
 
+from test_analysis import _count_case_matches
+
 SCHEMA_KEYS = [
     "seq",
     "valid",
@@ -382,6 +384,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         "5,7,9,11",  # the generic resolution splits off a unit
         "7,9,11,13",  # only the closed-form base splits off a unit
         "6,8,10,7",  # template mismatch: the generic side alone
+        "5,6,7,9",  # cross family with offsets (2, 1), case xii
+        "6,7,8,10",  # cross family with offsets (2, 2), case xvi
+        "6,7,8,9",  # no cross family, plain X1 lead, case xviii
+        "8,9,10,12",  # Koszul: three pairwise-coprime leads, case xix
     ],
 )
 def test_matrices_output_is_pinned(seq, capsys):
@@ -390,6 +396,13 @@ def test_matrices_output_is_pinned(seq, capsys):
     assert cli.main(["matrices", "--seq", seq]) == 0
     expected = (GOLDEN / ("matrices_%s.txt" % seq.replace(",", "_"))).read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_matrices_matches_the_case_once(monkeypatch, capsys):
+    calls = _count_case_matches(monkeypatch, cli)
+    assert cli.main(["matrices", "--seq", "5,7,9,11"]) == 0
+    assert "case iv" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_matrices_invalid_sequence(capsys):

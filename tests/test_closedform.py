@@ -2,7 +2,7 @@
 resolutions, and the tabulated twist lists with their known slips."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monocurve.closedform import (
     CASE_TABLE,
@@ -26,7 +26,8 @@ from monocurve.groebner import buchberger, is_groebner, toric_kernel
 from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
 from monocurve.semigroup import ValidationError, validate_sequence
 
-from oracles import reduce_basis
+from monocurve import closedform
+from oracles import case_id_by_rows, reduce_basis
 
 # one sequence per reachable case, smallest found by sweeping
 FIXTURES = {
@@ -194,7 +195,7 @@ def test_unvalidatable_generators_raise():
 def test_closed_form_matches_generic(label):
     seq = FIXTURES[label]
     spec, kernel, params = pipeline(seq)
-    closed = closed_form_resolution(params, canonical_generators(params, spec))
+    closed = closed_form_resolution(case_id(params), params, canonical_generators(params, spec))
     closed.validate()
     generic = minimalize(build_resolution(kernel.reduced_gb))
     assert closed.ranks == generic.ranks == (1,) + TRIPLES[label]
@@ -211,14 +212,14 @@ def test_base_complex_trims_degenerate_entries():
     base = closed_form_base(params, gens)
     base.validate()
     assert base.ranks == (1, 5, 7, 3)
-    assert closed_form_resolution(params, gens).ranks == (1, 4, 6, 3)
+    assert closed_form_resolution(case_id(params), params, gens).ranks == (1, 4, 6, 3)
 
     spec, _, params = pipeline((10, 11, 12, 8))  # no cross family survives
     gens = canonical_generators(params, spec)
     base = closed_form_base(params, gens)
     base.validate()
     assert base.ranks == (1, 4, 5, 2)
-    assert closed_form_resolution(params, gens).ranks == (1, 3, 3, 1)
+    assert closed_form_resolution(case_id(params), params, gens).ranks == (1, 3, 3, 1)
 
 
 def test_closed_form_requires_a_case():
@@ -230,12 +231,12 @@ def test_closed_form_requires_a_case():
         x2_plain=1, x2_cross=0, y_order=2, y_split=1, has_cross=True,
     )
     bogus.validate()
-    # no curve carries these parameters, so they have no generator row; the
-    # table check comes before the row is read
+    # no curve carries these parameters, so they have no generator row, and
+    # no case: closed_form_resolution takes the row case_id returns
     with pytest.raises(DegreeImbalance):
         canonical_generators(bogus, spec)
-    with pytest.raises(CaseUnmatched):
-        closed_form_resolution(bogus, [])
+    with pytest.raises(CaseUnmatched, match="no table row covers"):
+        case_id(bogus)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def shifts_and_computed(label):
     spec, kernel, params = pipeline(seq)
     case = case_id(params)
     tabulated = graded_shifts(case, params, spec)
-    closed = closed_form_resolution(params, canonical_generators(params, spec))
+    closed = closed_form_resolution(case, params, canonical_generators(params, spec))
     computed = [sorted(m.twists) for m in closed.modules[1:]]
     return tabulated, computed
 
@@ -335,6 +336,46 @@ def test_shift_rows_are_checked_at_load(bad):
 def test_case_conditions_are_checked_at_load(bad):
     with pytest.raises(ValueError):
         _parse_condition(bad)
+
+
+@st.composite
+def case_parameters(draw):
+    """CaseParameters that pass validate(), with and without a cross family;
+    the cross X0 budget is mostly the one validate requires."""
+    a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    lam, mu = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    qc = draw(st.integers(0, 3))
+    q = qc + draw(st.integers(0, 3))
+    v = draw(st.integers(2, 6))
+    nu = draw(st.sampled_from([lam + mu + (a > b), lam + mu, lam + mu + 1]))
+    params = CaseParameters(a, b, lam, mu, nu, q, qc, v, draw(st.integers(1, v - 1)), draw(st.booleans()))
+    try:
+        params.validate()
+    except TemplateMismatch:
+        assume(False)
+    return params
+
+
+@settings(max_examples=300, deadline=None)
+@given(case_parameters())
+def test_compiled_case_match_agrees_with_rows(params):
+    """The compiled matcher returns the row the row-by-row reference finds,
+    or raises CaseUnmatched with the same message."""
+    try:
+        expected = case_id_by_rows(params)
+    except CaseUnmatched as exc:
+        with pytest.raises(CaseUnmatched) as got:
+            case_id(params)
+        assert str(got.value) == str(exc)
+    else:
+        assert case_id(params) is expected
+
+
+def test_case_overlap_is_refused(monkeypatch):
+    _, _, params = pipeline((5, 7, 9, 11))
+    monkeypatch.setattr(closedform, "_case_flags", lambda p: (True,) * len(CASE_TABLE))
+    with pytest.raises(CaseUnmatched, match=r"table rows \['i', 'ii', .*\] overlap on"):
+        case_id(params)
 
 
 def test_case_conditions_parse_to_field_op_operand():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from monocurve import groebner
 from monocurve.groebner import (
     _decode,
     _standard_table,
@@ -23,7 +24,7 @@ from monocurve.closedform import (
     canonical_generators,
     extract_parameters,
 )
-from monocurve.poly import Ring, SchreyerOrder, is_homogeneous, parse
+from monocurve.poly import Poly, Ring, SchreyerOrder, is_homogeneous, mono_coprime, parse
 from monocurve.semigroup import SubSemigroup, ValidationError, apery_set, validate_sequence
 
 from oracles import (
@@ -410,6 +411,66 @@ def test_binomial_routines_match_generic(weights, drop):
             buchberger(gens, order)
     else:
         assert frame_matches(buchberger(gens, order), expected)
+
+
+def _monomials_of_degree(weights, degree, cap=200) -> list:
+    """Up to ``cap`` exponent tuples of the given weighted degree."""
+    found = []
+
+    def walk(prefix, rest):
+        if len(found) < cap:
+            if len(prefix) == len(weights) - 1:
+                if rest % weights[-1] == 0:
+                    found.append(prefix + (rest // weights[-1],))
+                return
+            for e in range(rest // weights[len(prefix)] + 1):
+                walk(prefix + (e,), rest - e * weights[len(prefix)])
+
+    walk((), degree)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(ARITHMETIC_WEIGHTS.filter(lambda w: len(w) == 4), st.data())
+def test_is_groebner_verdict_on_non_bases(weights, data):
+    """is_groebner skips the pairs with coprime leads; its verdict must still
+    be the all-pairs division's on sets drawn from a template basis that are
+    often no basis: one tail swapped for another monomial of its degree, and
+    the subsets whose leads are pairwise coprime."""
+    gens = _template_set(weights)
+    ring = gens[0].ring
+    order = ring.order()
+    swaps = [
+        (k, lead, m)
+        for k, (lead, _) in enumerate(g.lead(order) for g in gens)
+        for m in _monomials_of_degree(ring.weights, ring.degree(lead))
+        if m not in gens[k].terms
+    ]
+    if swaps:
+        k, lead, m = data.draw(st.sampled_from(swaps))
+        swapped = gens[:k] + [Poly(ring, {lead: 1, m: -1})] + gens[k + 1 :]
+        assert is_groebner(swapped, order) == generic_is_groebner(swapped, order)
+    coprime = []
+    for g in data.draw(st.permutations(gens)):
+        if all(mono_coprime(g.lead(order)[0], h.lead(order)[0]) for h in coprime):
+            coprime.append(g)
+    assert is_groebner(coprime, order) == generic_is_groebner(coprime, order)
+
+
+def test_is_groebner_divides_only_pairs_sharing_a_variable(monkeypatch):
+    gens = [P(t) for t in REFERENCE_BASIS]
+    leads = [g.lead(R4.order())[0] for g in gens]
+    calls = []
+    original = groebner._reduce_binomial
+
+    def spy(terms, *rest):
+        calls.append(dict(terms))
+        return original(terms, *rest)
+
+    monkeypatch.setattr(groebner, "_reduce_binomial", spy)
+    assert is_groebner(gens, R4.order())
+    sharing = sum(not mono_coprime(leads[i], leads[j]) for j in range(len(gens)) for i in range(j))
+    assert len(calls) == sharing < len(gens) * (len(gens) - 1) // 2
 
 
 def test_is_groebner_sees_a_dropped_generator():
