@@ -128,6 +128,16 @@ class AnalysisReport:
         }
 
 
+def _gb_ok(gens, certified) -> bool:
+    """Buchberger's criterion for the template generators: being a Gröbner
+    basis is a property of the set up to units, so when ``gens`` are up to
+    sign the elements of ``certified``, the kernel's basis in the same ring
+    and order, its ``buchberger`` certificate answers; else ``is_groebner``."""
+    basis = certified.elements
+    same = len(gens) == len(basis) and {frozenset(g.terms) for g in gens} == {frozenset(g.terms) for g in basis}
+    return same or is_groebner(gens, gens[0].ring.order())
+
+
 def analyze_sequence(
     m0: int,
     m1: int,
@@ -169,7 +179,7 @@ def analyze_sequence(
     betti_computed = table.totals()
     numerator = hilbert_numerator(resolution)
     graded = [(i, d, c) for (i, d), c in sorted(table.counts().items())]
-    flags["hilbert_ok"] = numerator == series_numerator(spec.weights)
+    flags["hilbert_ok"] = numerator == series_numerator(spec.gamma)
 
     # validate() checks composition before minimality, so one pass sets both
     try:
@@ -180,44 +190,28 @@ def analyze_sequence(
     except NotMinimal:
         flags["compose_ok"], flags["minimal_ok"] = True, False
 
-    params_json: dict | None
-    case_label = None
-    betti_lookup = None
+    params = case = case_label = betti_lookup = None
     try:
         params = extract_parameters(kernel)
-    except (TemplateMismatch, DegreeImbalance) as exc:
-        params = None
-        params_json = {"template_mismatch": str(exc)}
-        flags["gb_ok"] = None
-        flags["closed_form_agrees"] = None
+        params_json = {f.name: getattr(params, f.name) for f in fields(params)}
+        case = case_id(params)
+    except (TemplateMismatch, DegreeImbalance, CaseUnmatched) as exc:
+        if params is None:
+            params_json = {"template_mismatch": str(exc)}
+        flags["gb_ok"] = flags["closed_form_agrees"] = None
         discrepancies.append(
             {
-                "kind": "template_mismatch",
+                "kind": "template_mismatch" if params is None else "case_unmatched",
                 "reason": str(exc),
                 "certified": flags["hilbert_ok"],
             }
         )
-    else:
-        params_json = {f.name: getattr(params, f.name) for f in fields(params)}
-        try:
-            case = case_id(params)
-        except CaseUnmatched as exc:
-            case = None
-            flags["gb_ok"] = None
-            flags["closed_form_agrees"] = None
-            discrepancies.append(
-                {
-                    "kind": "case_unmatched",
-                    "reason": str(exc),
-                    "certified": flags["hilbert_ok"],
-                }
-            )
 
-    if params is not None and case is not None:
+    if case is not None:
         case_label = case.label
         betti_lookup = case.betti
         gens = canonical_generators(params, spec)
-        flags["gb_ok"] = is_groebner(gens, gens[0].ring.order())
+        flags["gb_ok"] = _gb_ok(gens, kernel.reduced_gb)
         if betti_lookup != betti_computed:
             discrepancies.append(
                 {

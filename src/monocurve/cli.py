@@ -238,7 +238,7 @@ def cmd_hilbert(args) -> int:
     resolution = _resolve(kernel)
     numerator = hilbert_numerator(resolution)
     print("K(z) = %s" % _numerator_text(numerator))
-    expected = series_numerator(spec.weights)
+    expected = series_numerator(spec.gamma)
     if numerator == expected:
         print("PASS: K(z) = Gamma(z) * prod (1 - z^w) exactly")
         return 0

@@ -50,7 +50,8 @@ class CaseUnmatched(LookupError):
 
 @dataclass(frozen=True)
 class CaseParameters:
-    """Structural exponents read off the reduced basis.
+    """Structural exponents read off the reduced basis, validated once,
+    when made: parameters that fail ``validate`` raise TemplateMismatch.
 
     plain_offset   1 or 2: smallest index i such that X_i carries a Y-free
                    lead; the plain family has 3 - plain_offset members.
@@ -81,6 +82,9 @@ class CaseParameters:
     y_order: int
     y_split: int
     has_cross: bool
+
+    def __post_init__(self) -> None:
+        self.validate()  # the fields are frozen, so once is enough
 
     def validate(self) -> None:
         p = self
@@ -137,7 +141,6 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
     differ and have one weighted degree; else the parameters do not belong
     to this sequence, and DegreeImbalance is raised.
     """
-    params.validate()
     ring = curve_ring(spec)
     a, b = params.plain_offset, params.cross_offset
     lam, mu, nu = params.x0_plain, params.x0_pure, params.x0_cross
@@ -337,7 +340,7 @@ def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
     if v != min_multiple_in(spec.n, spec.arithmetic_part):
         raise TemplateMismatch("pure Y exponent disagrees with the semigroup")
 
-    params = CaseParameters(
+    return CaseParameters(
         plain_offset=a,
         cross_offset=b,
         x0_plain=lam,
@@ -349,8 +352,6 @@ def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
         y_split=w,
         has_cross=has_cross,
     )
-    params.validate()
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,6 @@ _case_flags = eval("lambda p: (%s,)" % ", ".join(_row_text(t) for _, t in _CASE_
 def case_id(params: CaseParameters) -> CaseId:
     """The unique table row whose conditions the parameters satisfy;
     CaseUnmatched if none does or several do."""
-    params.validate()
     matches = [row for row, hit in zip(CASE_TABLE, _case_flags(params)) if hit]
     if not matches:
         raise CaseUnmatched("no table row covers %s" % (params,))

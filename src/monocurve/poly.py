@@ -409,14 +409,6 @@ def s_polynomial(f, g, order):
     return spoly, cof_f, cof_g
 
 
-def is_homogeneous(f: Poly, ring_or_weights=None):
-    """Common weighted degree of all terms, or None if degrees differ."""
-    ring = f.ring if ring_or_weights is None else ring_or_weights
-    weights = ring.weights if isinstance(ring, Ring) else tuple(ring)
-    degrees = {sum(map(mul, mono, weights)) for mono in f.terms}
-    return degrees.pop() if len(degrees) == 1 else None
-
-
 # ---------------------------------------------------------------------------
 # text round-trip
 

@@ -9,6 +9,10 @@ element of its residue class) and give the Frobenius number, the exact
 numerator of the semigroup's generating series and the least multiple of a
 number that the semigroup contains.
 
+A valid tuple builds two tables, each cached on its ``SequenceSpec``: Gamma's
+decides minimal generation and gives ``series_numerator``, and <m0, m1, m2>'s
+gives parameter extraction the least multiple of n in it.
+
 Every table the program builds, here and in the toric kernel, has at most
 m0 entries, so ``validate_sequence`` refuses m0 above ``M0_BUDGET`` before
 it builds any.
@@ -21,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 
-#: the largest m0 accepted: a whole analysis at m0 = 1 000 003 peaks at
-#: 262 MB and takes 10 s, so one at the budget stays near 1 GB
+#: the largest m0 accepted: a whole analysis at m0 = 3 999 971 peaks at
+#: 1.09 GB and takes 24 s (2-vCPU host), inside a 2 GB address-space cap
 M0_BUDGET = 4_000_000
 
 
@@ -168,25 +172,22 @@ def min_multiple_in(x: int, semigroup: SubSemigroup) -> int:
     return s * g // x
 
 
-def series_numerator(weights) -> dict:
-    """Gamma(z) * prod_w (1 - z^w) as {degree: coefficient}, zeros dropped,
-    where Gamma(z) = sum_{s in Gamma} z^s for the semigroup the weights
-    generate (coprime as a whole).
+def series_numerator(semigroup: SubSemigroup) -> dict:
+    """Gamma(z) * prod_g (1 - z^g) over the generators g of ``semigroup``
+    (coprime as a whole) as {degree: coefficient}, zeros dropped, where
+    Gamma(z) = sum_{s in Gamma} z^s.
 
-    With m the least weight, Gamma(z) * (1 - z^m) is the Apery polynomial
-    sum_{a in Ap(Gamma, m)} z^a, so the product is a polynomial, computed
-    exactly.
+    With m the least generator, Gamma(z) * (1 - z^m) is the Apery
+    polynomial sum_{a in Ap(Gamma, m)} z^a, read off the semigroup's own
+    table, so the product is a polynomial, computed exactly.  Each other
+    factor is applied in place over a snapshot of the items: key e + g
+    becomes old[e + g] - old[e].
     """
-    semigroup = SubSemigroup(weights)
-    m = semigroup.generators[0]
-    rest = list(weights)
-    rest.remove(m)
+    m, *rest = semigroup.generators
     coeffs = dict.fromkeys(apery_set(semigroup, m), 1)
-    for w in rest:
-        product = dict(coeffs)
-        for d, c in coeffs.items():
-            product[d + w] = product.get(d + w, 0) - c
-        coeffs = product
+    for g in rest:
+        for d, c in list(coeffs.items()):
+            coeffs[d + g] = coeffs.get(d + g, 0) - c
     return {d: c for d, c in coeffs.items() if c}
 
 
@@ -214,8 +215,10 @@ class SequenceSpec:
         per spec, so its Apéry table is too."""
         return SubSemigroup((self.m0, self.m1, self.m2))
 
-    def semigroup(self) -> SubSemigroup:
-        """Semigroup spanned by all four generators."""
+    @functools.cached_property
+    def gamma(self) -> SubSemigroup:
+        """Gamma, the semigroup spanned by all four generators, built once
+        per spec, so its Apéry table is too."""
         return SubSemigroup(self.weights)
 
     def __str__(self) -> str:
@@ -227,7 +230,10 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
 
     Raises NotArithmetic, GcdNotOne, OverBudget or RedundantGenerator (in
     that order of precedence; minimality is checked for n first, then m0,
-    m1, m2).
+    m1, m2).  Minimality reads one table, the spec's cached Gamma, which
+    ``series_numerator`` reads too: g is redundant iff g - h is in Gamma
+    for some other generator h <= g, since g - h < g, so no representation
+    of it uses g.
     """
     values = (m0, m1, m2, n)
     if any(not isinstance(v, int) or v <= 0 for v in values):
@@ -241,10 +247,9 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
     if m0 > M0_BUDGET:
         raise OverBudget(f"m0 = {m0} exceeds M0_BUDGET = {M0_BUDGET}, the largest table of m0 entries built")
     spec = SequenceSpec(m0, m1, m2, n)
-    if spec.arithmetic_part.contains(n):
-        raise RedundantGenerator("n")
-    for name, index in (("m0", 0), ("m1", 1), ("m2", 2)):
-        rest = values[:index] + values[index + 1 :]
-        if SubSemigroup(rest).contains(values[index]):
+    for name, index in (("n", 3), ("m0", 0), ("m1", 1), ("m2", 2)):
+        g = values[index]
+        others = values[:index] + values[index + 1 :]
+        if any(h <= g and spec.gamma.contains(g - h) for h in others):
             raise RedundantGenerator(name)
     return spec

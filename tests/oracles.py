@@ -76,6 +76,14 @@ divisors as exponent tuples and looks them up in a set of the standard
 ones.  Like the program's table, it never calls ``semigroup``, whose Apéry
 set is what the Hilbert identity reads.
 
+The program decides a sequence's minimal generation from one Apéry table,
+Γ's: g is redundant iff g - h is in Γ for some other generator h <= g.
+``validate_sequence_by_subsemigroups`` is the version it replaced, the
+reference for it: each generator tested against the semigroup of the other
+three, one table each.  ``is_homogeneous``, the common weighted degree of a
+polynomial's terms, is the homogeneity test the program no longer needs:
+the kernel's substitution test implies it for a pure difference.
+
 The program matches a tuple's parameters against the case table with one
 lambda, compiled at import from every row's parsed conditions.
 ``case_id_by_rows`` is the row-by-row matcher it replaced, the reference
@@ -99,7 +107,6 @@ from monocurve.poly import (
     _Terms,
     coeff_div,
     divide,
-    is_homogeneous,
     mono_coprime,
     mono_div,
     mono_divides,
@@ -116,7 +123,24 @@ from monocurve.resolution import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from monocurve.semigroup import SubSemigroup
+from monocurve.semigroup import (
+    M0_BUDGET,
+    GcdNotOne,
+    NotArithmetic,
+    OverBudget,
+    RedundantGenerator,
+    SequenceSpec,
+    SubSemigroup,
+    ValidationError,
+)
+
+
+def is_homogeneous(f: Poly, ring_or_weights=None):
+    """Common weighted degree of all terms, or None if degrees differ."""
+    ring = f.ring if ring_or_weights is None else ring_or_weights
+    weights = ring.weights if isinstance(ring, Ring) else tuple(ring)
+    degrees = {sum(map(mul, mono, weights)) for mono in f.terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def _element_degrees(elements):
@@ -787,6 +811,25 @@ def graded_betti_numbers(weights) -> list:
     return sorted(rows)
 
 
+def validate_sequence_by_subsemigroups(m0, m1, m2, n) -> SequenceSpec:
+    """``validate_sequence`` deciding each generator against a semigroup of
+    its own, spanned by the other three: four Apéry tables where the
+    program reads one, with the same precedence, exceptions and messages."""
+    values = (m0, m1, m2, n)
+    if any(not isinstance(v, int) or v <= 0 for v in values):
+        raise ValidationError("all four entries must be positive integers")
+    if m1 - m0 != m2 - m1 or m1 - m0 <= 0:
+        raise NotArithmetic(f"({m0},{m1},{m2}) is not a strictly increasing arithmetic progression")
+    if math.gcd(m0, m1, m2, n) != 1:
+        raise GcdNotOne(f"gcd{values} is not 1")
+    if m0 > M0_BUDGET:
+        raise OverBudget(f"m0 = {m0} exceeds M0_BUDGET = {M0_BUDGET}, the largest table of m0 entries built")
+    for name, index in (("n", 3), ("m0", 0), ("m1", 1), ("m2", 2)):
+        if SubSemigroup(values[:index] + values[index + 1 :]).contains(values[index]):
+            raise RedundantGenerator(name)
+    return SequenceSpec(m0, m1, m2, n)
+
+
 def gamma_series_truncation(semigroup: SubSemigroup, degree: int) -> list:
     """Coefficients 0..degree of the indicator power series sum_{s in S} z^s."""
     if degree < 0:
@@ -1085,7 +1128,6 @@ def case_id_by_rows(params):
     """The unique row of the case table whose conditions ``params`` meet,
     each row tested in turn on a dict of the parameters' fields; raises
     CaseUnmatched, with ``case_id``'s messages, for no row or several."""
-    params.validate()
     values = {name: getattr(params, name) for name in _PARAM_FIELDS}
     values.update(x2_gap=params.x2_gap(), has_cross=params.has_cross)
     matches = [

@@ -1,13 +1,19 @@
 """How analyze_sequence sets its flags: the one FreeResolution.validate()
-pass onto compose_ok and minimal_ok, and the exact series identity onto
-hilbert_ok; and how long it takes on large generators."""
+pass onto compose_ok and minimal_ok, the exact series identity onto
+hilbert_ok, and the kernel's certificate or is_groebner onto gb_ok; that
+each check and each semigroup table runs once per tuple; and how long it
+takes on large generators."""
 
 import time
 
 import pytest
 
 from monocurve import analysis, closedform, semigroup
+from monocurve.groebner import toric_kernel
+from monocurve.poly import Poly
 from monocurve.resolution import FreeResolution, GradedMap, _find_constant_entry, minimalize
+
+from oracles import is_groebner as generic_is_groebner
 
 SEQ = (5, 7, 9, 11)
 
@@ -85,10 +91,8 @@ def test_large_m0_is_analysed_within_budget(seq, budget_s):
     assert elapsed < budget_s, f"{seq} took {elapsed:.2f} s, budget {budget_s} s"
 
 
-@pytest.mark.parametrize("seq", [(5, 7, 9, 11), (150, 157, 164, 299)])
-def test_arithmetic_apery_table_built_once(monkeypatch, seq):
-    """validate_sequence's check of n and extract_parameters' least multiple
-    of n share one table of <m0, m1, m2>, the spec's cached arithmetic part."""
+def _spy_tables(monkeypatch) -> list:
+    """The generators of every Apéry table ``semigroup`` builds from now on."""
     seen = []
     original = semigroup._least_per_residue
 
@@ -97,9 +101,27 @@ def test_arithmetic_apery_table_built_once(monkeypatch, seq):
         return original(generators, m)
 
     monkeypatch.setattr(semigroup, "_least_per_residue", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seq", [(5, 7, 9, 11), (150, 157, 164, 299)])
+def test_arithmetic_apery_table_built_once(monkeypatch, seq):
+    """extract_parameters' least multiple of n reads one table of
+    <m0, m1, m2>, the spec's cached arithmetic part."""
+    seen = _spy_tables(monkeypatch)
     report = analysis.analyze_sequence(*seq)
     assert report.case is not None  # parameters were extracted
     assert seen.count(seq[:3]) == 1
+
+
+@pytest.mark.parametrize("seq", [(5, 7, 9, 11), (150, 157, 164, 299), (7, 9, 11, 5)])
+def test_two_semigroup_tables_per_tuple(monkeypatch, seq):
+    """A valid tuple builds two tables: Gamma's, which decides minimal
+    generation and gives the series numerator, and <m0, m1, m2>'s."""
+    seen = _spy_tables(monkeypatch)
+    report = analysis.analyze_sequence(*seq)
+    assert report.case is not None and report.flags["hilbert_ok"]
+    assert sorted(seen) == sorted([tuple(sorted(seq)), seq[:3]])
 
 
 def _count_case_matches(monkeypatch, *owners) -> list:
@@ -115,6 +137,78 @@ def _count_case_matches(monkeypatch, *owners) -> list:
     for owner in (closedform,) + owners:
         monkeypatch.setattr(owner, "case_id", spy)
     return calls
+
+
+def _count_groebner_checks(monkeypatch) -> list:
+    """The generator list of every is_groebner call analysis makes."""
+    calls = []
+    original = analysis.is_groebner
+
+    def spy(gens, order):
+        calls.append(gens)
+        return original(gens, order)
+
+    monkeypatch.setattr(analysis, "is_groebner", spy)
+    return calls
+
+
+def _same_binomials(seq) -> bool:
+    """Are the template generators of ``seq`` its certified basis up to sign?"""
+    spec = semigroup.validate_sequence(*seq)
+    kernel = toric_kernel(spec)
+    gens = closedform.canonical_generators(closedform.extract_parameters(kernel), spec)
+    basis = kernel.reduced_gb.elements
+    return sorted(map(sorted, (g.terms for g in gens))) == sorted(map(sorted, (g.terms for g in basis)))
+
+
+def test_gb_ok_reads_the_certificate_when_the_sets_agree(monkeypatch):
+    assert _same_binomials(SEQ)
+    calls = _count_groebner_checks(monkeypatch)
+    report = analysis.analyze_sequence(*SEQ)
+    assert report.flags["gb_ok"] is True
+    assert calls == []
+
+
+def test_gb_ok_divides_when_the_sets_differ(monkeypatch):
+    seq = (4, 5, 6, 7)  # matched, in the box, template set not the basis
+    assert not _same_binomials(seq)
+    calls = _count_groebner_checks(monkeypatch)
+    report = analysis.analyze_sequence(*seq)
+    assert report.case is not None and report.flags["gb_ok"] is True
+    assert len(calls) == 1
+
+
+def test_gb_ok_checks_every_other_set(monkeypatch):
+    """Only the certified set itself skips is_groebner: a proper subset,
+    the set with a repeated element, or one tail swapped goes through it,
+    and its verdict is the reference's."""
+    basis = toric_kernel(semigroup.validate_sequence(*SEQ)).reduced_gb
+    order = basis.order
+    gens = list(basis.elements)
+    calls = _count_groebner_checks(monkeypatch)
+    assert analysis._gb_ok(gens[::-1], basis) is True and calls == []
+    lead = gens[1].lead(order)[0]
+    tail = next(m for m in gens[2].terms if m != gens[2].lead(order)[0])
+    swapped = gens[:1] + [Poly(gens[1].ring, {lead: 1, tail: -1})] + gens[2:]  # gens[2]'s tail on gens[1]
+    others = [gens[:-1], gens[1:], gens + gens[:1], swapped]
+    for other in others:
+        assert analysis._gb_ok(other, basis) == generic_is_groebner(other, order)
+    assert calls == others
+    assert analysis._gb_ok(swapped, basis) is False
+
+
+def test_case_parameters_validated_once_per_tuple(monkeypatch):
+    calls = []
+    original = closedform.CaseParameters.validate
+
+    def spy(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(closedform.CaseParameters, "validate", spy)
+    report = analysis.analyze_sequence(*SEQ)
+    assert report.case == "iv"
+    assert len(calls) == 1
 
 
 def test_case_matched_once_per_tuple(monkeypatch):

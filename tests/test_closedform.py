@@ -169,15 +169,15 @@ def test_parameter_validation_rejects_nonsense():
         x2_plain=1, x2_cross=0, y_order=2, y_split=1, has_cross=True,
     )
     CaseParameters(**good).validate()
-    for field, bad in [
-        ("plain_offset", 3),
-        ("x0_plain", 0),
-        ("x2_plain", 0),
-        ("y_split", 2),   # must stay below y_order
-        ("x0_cross", 7),  # breaks the budget identity
+    for field, bad, message in [
+        ("plain_offset", 3, "family offsets must be 1 or 2"),
+        ("x0_plain", 0, "tail X0 budgets must be at least 1"),
+        ("x2_plain", 0, "plain X2 exponent below cross X2 exponent"),
+        ("y_split", 2, "Y split must lie strictly inside"),   # must stay below y_order
+        ("x0_cross", 7, "cross X0 budget 7 is not plain"),  # breaks the budget identity
     ]:
-        with pytest.raises(TemplateMismatch):
-            CaseParameters(**{**good, field: bad}).validate()
+        with pytest.raises(TemplateMismatch, match=message):
+            CaseParameters(**{**good, field: bad})  # refused when made
 
 
 def test_unvalidatable_generators_raise():
@@ -340,20 +340,20 @@ def test_case_conditions_are_checked_at_load(bad):
 
 @st.composite
 def case_parameters(draw):
-    """CaseParameters that pass validate(), with and without a cross family;
-    the cross X0 budget is mostly the one validate requires."""
+    """CaseParameters that pass validate(), which runs when they are made,
+    with and without a cross family; the cross X0 budget is mostly the one
+    validate requires."""
     a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     lam, mu = draw(st.integers(1, 4)), draw(st.integers(0, 3))
     qc = draw(st.integers(0, 3))
     q = qc + draw(st.integers(0, 3))
     v = draw(st.integers(2, 6))
     nu = draw(st.sampled_from([lam + mu + (a > b), lam + mu, lam + mu + 1]))
-    params = CaseParameters(a, b, lam, mu, nu, q, qc, v, draw(st.integers(1, v - 1)), draw(st.booleans()))
+    w, has_cross = draw(st.integers(1, v - 1)), draw(st.booleans())
     try:
-        params.validate()
+        return CaseParameters(a, b, lam, mu, nu, q, qc, v, w, has_cross)
     except TemplateMismatch:
         assume(False)
-    return params
 
 
 @settings(max_examples=300, deadline=None)

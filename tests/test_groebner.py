@@ -24,7 +24,7 @@ from monocurve.closedform import (
     canonical_generators,
     extract_parameters,
 )
-from monocurve.poly import Poly, Ring, SchreyerOrder, is_homogeneous, mono_coprime, parse
+from monocurve.poly import Poly, Ring, SchreyerOrder, mono_coprime, parse
 from monocurve.semigroup import SubSemigroup, ValidationError, apery_set, validate_sequence
 
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     frame_matches,
     ideal_member,
     is_groebner as generic_is_groebner,
+    is_homogeneous,
     lead_minimal,
     rank_one_key,
     record_vector,
@@ -203,6 +204,17 @@ def test_toric_ideal_invariants():
             assert is_pure_difference(g)
             assert is_homogeneous(g, ideal.ring) is not None
             assert vanishes_under_substitution(g, ideal.ring.weights)
+
+
+def test_toric_ideal_refuses_a_pure_difference_of_unequal_degrees():
+    """validate has no homogeneity pass of its own: for a pure difference
+    the substitution test is the same test, so it must refuse this one."""
+    ideal = toric_kernel(validate_sequence(5, 7, 9, 11))
+    bad = P("X1^2 - X0*X1")  # degrees 14 and 12
+    assert is_pure_difference(bad) and is_homogeneous(bad, ideal.ring) is None
+    ideal.generators = ideal.generators + [bad]
+    with pytest.raises(AssertionError, match="does not vanish under substitution"):
+        ideal.validate()
 
 
 def test_binomial_membership_matches_degree_oracle():

@@ -12,14 +12,13 @@ from monocurve.poly import (
     Ring,
     SchreyerOrder,
     divide,
-    is_homogeneous,
     mono_lcm,
     parse,
     render,
     s_polynomial,
 )
 
-from oracles import EliminationOrder, PositionOverTerm, Vect, extended, rank_one_key
+from oracles import EliminationOrder, PositionOverTerm, Vect, extended, is_homogeneous, rank_one_key
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 

@@ -11,13 +11,14 @@ from monocurve.semigroup import (
     OverBudget,
     RedundantGenerator,
     SubSemigroup,
+    ValidationError,
     apery_set,
     frobenius,
     min_multiple_in,
     validate_sequence,
 )
 
-from oracles import DenseSemigroup, apery_set_walk, gamma_series_truncation
+from oracles import DenseSemigroup, apery_set_walk, gamma_series_truncation, validate_sequence_by_subsemigroups
 
 
 def naive_member(s, gens):
@@ -173,7 +174,7 @@ def test_validate_sequence_accepts_reference_tuple():
     assert spec.d == 2
     assert spec.weights == (5, 7, 9, 11)
     assert spec.arithmetic_part.generators == (5, 7, 9)
-    assert spec.semigroup().contains(11)
+    assert spec.gamma.contains(11)
 
 
 def test_validate_sequence_rejections():
@@ -193,6 +194,28 @@ def test_validate_sequence_rejections():
     with pytest.raises(RedundantGenerator) as excinfo:
         validate_sequence(5, 7, 9, 14)  # 14 = 5 + 9
     assert excinfo.value.which == "n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 60), st.integers(1, 400))
+@example(5, 7, 3)  # n < m0, redundant m2
+@example(5, 2, 7)  # n = m1
+@example(5, 2, 9)  # n = m2
+@example(4, 1, 4)  # n = m0
+@example(5, 2, 11)  # accepted
+def test_one_table_validation_agrees_with_four_tables(m0, d, n):
+    """validate_sequence, reading Gamma's one table, raises what the
+    reference with one semigroup per generator raises, class and message,
+    or accepts the same tuple."""
+    seq = (m0, m0 + d, m0 + 2 * d, n)
+    try:
+        expected = validate_sequence_by_subsemigroups(*seq)
+    except ValidationError as exc:
+        with pytest.raises(type(exc)) as got:
+            validate_sequence(*seq)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert validate_sequence(*seq) == expected
 
 
 def test_validate_sequence_huge_redundant_n():
@@ -216,8 +239,6 @@ def test_validate_sequence_refuses_m0_past_the_budget(monkeypatch):
 
 
 def test_validate_sequence_rejects_garbage():
-    from monocurve.semigroup import ValidationError
-
     with pytest.raises(ValidationError):
         validate_sequence(0, 1, 2, 3)
     with pytest.raises(ValidationError):
