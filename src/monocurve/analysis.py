@@ -225,11 +225,12 @@ def analyze_sequence(
         tabulated = graded_shifts(case, params, spec)
         computed_twists = [module.twists for module in resolution.modules[1:]]
         for level in range(max(len(tabulated), len(computed_twists))):
-            expected = Counter(tabulated[level] if level < len(tabulated) else ())
-            got = Counter(computed_twists[level] if level < len(computed_twists) else ())
-            table_only = sorted((expected - got).elements())
-            computed_only = sorted((got - expected).elements())
-            if table_only or computed_only:
+            expected = tabulated[level] if level < len(tabulated) else ()
+            got = computed_twists[level] if level < len(computed_twists) else ()
+            if sorted(expected) != sorted(got):  # the multisets differ
+                expected, got = Counter(expected), Counter(got)
+                table_only = sorted((expected - got).elements())
+                computed_only = sorted((got - expected).elements())
                 discrepancies.append(
                     {
                         "kind": "twist_table",

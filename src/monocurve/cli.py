@@ -146,6 +146,9 @@ def _with_progress(reports, total: int, stream) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1 or args.max_m2 < 0 or args.max_n < 0:
+        print("--threads must be at least 1, --max-m2 and --max-n at least 0", file=sys.stderr)
+        return 1
     specs = list(enumerate_box(args.max_m2, args.max_n))
     reports = _with_progress(
         sweep_specs(specs, verify_level=args.verify_level, threads=args.threads),

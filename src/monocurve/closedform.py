@@ -504,11 +504,6 @@ def _compile(body: ast.expr):
     return compile(ast.Expression(body), "<twists>", "eval")
 
 
-def _eval_shift(expr: str, env: dict) -> int:
-    """Evaluate one twist expression: +, -, * over names and integers only."""
-    return eval(_compile(_shift_tree(expr, env)), {"__builtins__": {}}, env)
-
-
 def _shift_row(row: dict) -> list:
     """One twist row ({"s": [...], "p": [...], "q": [...]}) as three lists
     of trees, each expression checked by ``_shift_tree``."""

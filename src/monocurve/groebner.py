@@ -18,17 +18,18 @@ generators at position 0 of the rank-one module F_0 = R.
 The toric kernel needs no completion: its reduced basis is read off the
 Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
 mod w_0 that also picks the order-least monomial of each Apéry degree
-(``_standard_table``).  The leads are the minimal monomials outside that
-set of standard monomials, each with the standard monomial of its degree
-as tail.  Monomials there are int labels, the degree and then each exponent
-in a fixed-width field, exact since no Apéry element exceeds (w_0 - 1)·
-max(w); one is standard iff its label is the table's at its degree mod
-w_0, so the lead search is table lookups.  The basis is certified in three
-independent steps: ``ToricIdeal.validate`` puts every element in the
-kernel, the one ``buchberger`` pass reduces every frame pair to zero, so
-the elements are a Gröbner basis, and the Hilbert identity, checked from
-``semigroup``'s own Apéry set, makes the ideal they generate the whole
-kernel; so the kernel's table shares no code with ``semigroup``.
+(``_standard_table``).  They form an order ideal S, and the leads are the
+minimal monomials outside it, each with the standard monomial of its
+degree as tail.  Monomials there are int labels, the degree and then each
+exponent in a fixed-width field, exact since no Apéry element exceeds
+(w_0 - 1)·max(w); one is in S iff its label is the table's at its degree
+mod w_0.  ``_lead_labels`` walks S's boundary by such lookups, as many as
+S's extent, not w_0.  The basis is certified in three independent steps:
+``ToricIdeal.validate`` puts every element in the kernel, the one
+``buchberger`` pass reduces every frame pair to zero, so the elements are
+a Gröbner basis, and the Hilbert identity, checked from ``semigroup``'s
+own Apéry set, makes the ideal they generate the whole kernel; so the
+kernel's table shares no code with ``semigroup``.
 """
 
 from __future__ import annotations
@@ -330,16 +331,16 @@ def _standard_table(w) -> tuple:
 
     The label is a_r, then E - e_1, .., E - e_k in fields of ``width`` bits
     (E = 2^width - 1), so ints compare as (a, -e_1, .., -e_k): least degree,
-    then most x_1, and so on, the ring order.  x_i adds (step, residue step,
-    field offset) = steps[i - 1].  Exact while e_i <= E: a least-degree path
-    visits no residue twice, so a_r <= top = (w_0 - 1)·max(w), hence
-    e_i <= top // w_i, one more in a neighbour, and E > top // min(w).
+    then most x_1, and so on, the ring order.  x_i adds (step, residue step)
+    = steps[i - 1].  Exact while e_i <= E: a least-degree path visits no
+    residue twice, so a_r <= top = (w_0 - 1)·max(w), hence e_i <= top //
+    w_i, one more in a neighbour, and E > top // min(w).
     Shortest paths over the residues, one edge per weight after the first.
     """
     m, top = w[0], (w[0] - 1) * max(w)
     width = (top // min(w) + 1).bit_length()
     shift = (len(w) - 1) * width
-    steps = [((v << shift) - (1 << o), v % m, o) for v, o in zip(w[1:], range(shift - width, -1, -width))]
+    steps = [((v << shift) - (1 << o), v % m) for v, o in zip(w[1:], range(shift - width, -1, -width))]
     heap = [(1 << shift) - 1]  # the label of 1
     least = heap + [None] * (m - 1)
     while heap:
@@ -347,7 +348,7 @@ def _standard_table(w) -> tuple:
         r = (label >> shift) % m
         if label != least[r]:
             continue
-        for step, v, _ in steps:
+        for step, v in steps:
             t, q = label + step, r + v - m if r + v >= m else r + v
             if least[q] is None or t < least[q]:
                 least[q] = t
@@ -355,6 +356,47 @@ def _standard_table(w) -> tuple:
     if max(least) >> shift > top:
         raise AssertionError("an Apéry element exceeds the packing bound")
     return least, width, steps
+
+
+def _lead_labels(table, width, steps) -> list:
+    """The labels of the minimal monomials outside the order ideal S of the
+    x_0-free standard monomials, found on S's boundary: x^(0, e) of degree d
+    is in S iff its label is table[d mod w_0].
+
+    Slices fix x_1 .. x_(k-2); their bases in S form a tree, p·x_i below p
+    for x_i from p's last raised variable on, and a base outside S is a
+    candidate.  Column a of the slice of p is p·x_(k-1)^a, and its height
+    in x_k only falls, so it is probed down from the last column's.  The
+    cells above column 0 and above each column whose height fell (the last
+    one empty) are candidates too.  A candidate is a lead iff dividing it by
+    each fixed variable it carries lands in S.  So the lookups number about
+    the slices' widths and heights plus k - 2 per candidate, whatever w_0.
+    """
+    if not steps:
+        return []  # one weight: the kernel is zero
+    m, shift, full = len(table), len(steps) * width, (1 << width) - 1
+    fixed = [(step, shift - (i + 1) * width) for i, (step, _) in enumerate(steps[:-2])]
+    col, row = [None, *(step for step, _ in steps)][-2:]  # x_(k-1), or None when k = 1, and x_k
+    inside = lambda label: table[(label >> shift) % m] == label  # noqa: E731
+    leads, todo = [], [(table[0], 0)]  # slice bases, with the first fixed variable each may raise
+    while todo:
+        p, j = todo.pop()
+        corners = [p]
+        if inside(p):
+            todo += [(p + step, i) for i, (step, _) in enumerate(fixed[j:], j)]
+            h = 1
+            while inside(p + h * row):
+                h += 1
+            corners = [p + h * row]
+            while col is not None and h:
+                p, g = p + col, h
+                while g and not inside(p + (g - 1) * row):
+                    g -= 1
+                if g < h:
+                    corners.append(p + g * row)
+                h = g
+        leads += [c for c in corners if all(inside(c - step) for step, o in fixed if c >> o & full != full)]
+    return leads
 
 
 def toric_kernel_generic(weights, names=None):
@@ -368,12 +410,11 @@ def toric_kernel_generic(weights, names=None):
     involves it (Bayer and Stillman, *Invent. Math.* 87, 1987), and the
     standard monomial of degree s is x_0^((s - a_r)/w_0) · std_r, with
     (a_r, std_r) from ``_standard_table`` for r = s mod w_0 (after dividing
-    out the gcd of the weights).  The leads are the monomials outside
-    S = {std_r} whose every divisor by one variable lies in S, and each
-    lead's tail is the standard monomial of its degree.  Monomials stay
-    int labels (exact by the bound ``_standard_table`` asserts), x^(0, e)
-    of degree d is in S iff its label is table[d mod w_0], and each lead c
-    is reached once, from c/x_j for its first variable x_j.
+    out the gcd of the weights).  The leads are the minimal monomials
+    outside S = {std_r}, each with the standard monomial of its degree as
+    tail.  Monomials stay int labels (exact by the bound ``_standard_table``
+    asserts), and ``_lead_labels`` finds the leads by walking S's boundary,
+    in lookups that follow S's extent, not w_0.
 
     The basis then goes once through ``buchberger``, whose frame pairs
     all reduce to zero: that certifies it a Gröbner basis.  With
@@ -394,19 +435,8 @@ def toric_kernel_generic(weights, names=None):
     w = tuple(v // g for v in weights)
     m, k = w[0], len(w) - 1
     table, width, steps = _standard_table(w)
-    full = (1 << width) - 1
-    leads = []
-    for r, s in enumerate(table):
-        for j, (step, v, o) in enumerate(steps):
-            c, q = s + step, (r + v) % m
-            if table[q] != c and all(
-                table[(q - u) % m] == c - down for down, u, o_i in steps[j + 1 :] if s >> o_i & full != full
-            ):
-                leads.append(c)
-            if s >> o & full != full:  # s has x_j: no later variable is c's first
-                break
     reduced = []
-    for label in sorted(leads):  # the ring order, as no lead has x_0
+    for label in sorted(_lead_labels(table, width, steps)):  # the ring order, as no lead has x_0
         degree, *lead = _decode(label, k, width)
         a, *tail = _decode(table[degree % m], k, width)
         reduced.append(Poly(ring, {(0, *map(neg, lead)): 1, ((degree - a) // m, *map(neg, tail)): -1}))

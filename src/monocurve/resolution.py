@@ -101,27 +101,9 @@ def _column_twists(target: GradedFreeModule, columns, twists=None) -> tuple:
 class GradedMap:
     """Homogeneous degree-zero map between graded free modules, kept as its
     columns: one {(row, exponent): coefficient} dict per source basis
-    vector, never changed once the map is built."""
+    vector, never changed once ``from_columns`` has built the map."""
 
     __slots__ = ("source", "target", "columns")
-
-    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, entries):
-        """The map with the given matrix of ``Poly`` entries, each term checked."""
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
-            raise ShapeMismatch(
-                f"matrix {len(rows)}x{len(rows[0]) if rows else 0} does not map "
-                f"rank {source.rank} into rank {target.rank}"
-            )
-        columns = tuple({} for _ in source.twists)
-        for i, row in enumerate(rows):
-            for column, p in zip(columns, row):
-                for mono, c in p.terms.items():
-                    column[i, mono] = c
-        _column_twists(target, columns, source.twists)
-        self.source = source
-        self.target = target
-        self.columns = columns
 
     @classmethod
     def from_columns(cls, target: GradedFreeModule, columns) -> "GradedMap":

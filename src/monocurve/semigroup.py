@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 
 #: the largest m0 accepted: a whole analysis at m0 = 3 999 971 peaks at
-#: 1.09 GB and takes 24 s (2-vCPU host), inside a 2 GB address-space cap
+#: 1.09 GB and takes 29-32 s (shared 2-vCPU host), inside a 2 GB address-space cap
 M0_BUDGET = 4_000_000
 
 

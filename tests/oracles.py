@@ -36,6 +36,9 @@ completed basis reduced by generic division.  ``PositionOverTerm`` orders
 module elements for those generic paths.  ``transcript_syzygies`` is the
 map of every record of a transcript, for the tests that read every pair's
 syzygy, and ``map_columns`` reads a map's columns back as vectors.
+``matrix_map`` builds a map from a matrix of ``Poly`` entries, each term
+checked: the constructor the program no longer has, since it builds every
+map from its columns.
 
 The program minimalizes a resolution by splitting off each unit entry in one
 Schur-complement step.  The elementary-operation calculus it replaced is the
@@ -74,7 +77,12 @@ reference for it: ``standard_table_tuples`` builds a (degree, -e_1, ..,
 -e_k) tuple per residue, and the lead search builds every neighbour and its
 divisors as exponent tuples and looks them up in a set of the standard
 ones.  Like the program's table, it never calls ``semigroup``, whose Apéry
-set is what the Hilbert identity reads.
+set is what the Hilbert identity reads.  The program finds the leads by
+walking the boundary of the order ideal of standard monomials, so its
+lookups follow that staircase, not w_0.  ``lead_labels_by_scan`` is the
+search it replaced, the reference for it: every residue's standard label
+times each variable, kept when it is not standard and each of its
+divisors by one variable is.
 
 The program decides a sequence's minimal generation from one Apéry table,
 Γ's: g is redundant iff g - h is in Γ for some other generator h <= g.
@@ -88,7 +96,9 @@ The program matches a tuple's parameters against the case table with one
 lambda, compiled at import from every row's parsed conditions.
 ``case_id_by_rows`` is the row-by-row matcher it replaced, the reference
 for it: a dict of the parameters' fields and each row's conditions tested
-in turn with their ``operator`` functions.
+in turn with their ``operator`` functions.  ``eval_shift`` evaluates one
+twist expression through the program's checked tree, for the tests of its
+walker.
 """
 
 import functools
@@ -98,7 +108,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
-from monocurve.closedform import _CASE_TESTS, _PARAM_FIELDS, CaseUnmatched
+from monocurve.closedform import _CASE_TESTS, _PARAM_FIELDS, CaseUnmatched, _compile, _shift_tree
 from monocurve.groebner import _default_names, buchberger as binomial_buchberger
 from monocurve.poly import (
     Poly,
@@ -122,6 +132,7 @@ from monocurve.resolution import (
     HomogeneityBroken,
     PreconditionViolated,
     ShapeMismatch,
+    _column_twists,
 )
 from monocurve.semigroup import (
     M0_BUDGET,
@@ -255,6 +266,24 @@ class DenseSemigroup:
         for t in range(len(table), s + 1):
             table.append(any(a <= t and table[t - a] for a in self.reduced))
         return table[s]
+
+
+def matrix_map(source: GradedFreeModule, target: GradedFreeModule, entries) -> GradedMap:
+    """The map with the given matrix of ``Poly`` entries, rank(target) rows
+    by rank(source) columns, each term checked against the twists."""
+    rows = tuple(tuple(row) for row in entries)
+    if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+        raise ShapeMismatch(
+            f"matrix {len(rows)}x{len(rows[0]) if rows else 0} does not map "
+            f"rank {source.rank} into rank {target.rank}"
+        )
+    columns = tuple({} for _ in source.twists)
+    for i, row in enumerate(rows):
+        for column, p in zip(columns, row):
+            for mono, c in p.terms.items():
+                column[i, mono] = c
+    _column_twists(target, columns, source.twists)
+    return GradedMap._trimmed(source, target, columns)
 
 
 def compose_zero_generic(a: GradedMap, b: GradedMap) -> bool:
@@ -444,7 +473,7 @@ def vector_map(vectors, target: GradedFreeModule) -> GradedMap:
         pos, mono = next(iter(v.terms))
         twists.append(ring.degree(mono) + target.twists[pos])
     entries = [[v.component(k) for v in vectors] for k in range(target.rank)]
-    return GradedMap(GradedFreeModule(ring, tuple(twists)), target, entries)
+    return matrix_map(GradedFreeModule(ring, tuple(twists)), target, entries)
 
 
 def map_columns(gmap: GradedMap) -> list:
@@ -490,7 +519,7 @@ def resolution_all_pairs(gb):
     ring = elements[0].ring
     base = GradedFreeModule(ring, (0,))
     first = GradedFreeModule(ring, _element_degrees(elements))
-    maps = [GradedMap(first, base, [elements])]
+    maps = [matrix_map(first, base, [elements])]
     levels = []
     key = rank_one_key(order)
     leads = [(0, g.lead(order)[0]) for g in elements]
@@ -642,10 +671,10 @@ def transform_complex(res: FreeResolution, position: int, ops) -> FreeResolution
     new_maps = list(res.maps)
     if incoming is not None:
         old = res.maps[position]
-        new_maps[position] = GradedMap(old.source, new_module, incoming)
+        new_maps[position] = matrix_map(old.source, new_module, incoming)
     if outgoing is not None:
         old = res.maps[position - 1]
-        new_maps[position - 1] = GradedMap(new_module, old.target, outgoing)
+        new_maps[position - 1] = matrix_map(new_module, old.target, outgoing)
     return FreeResolution(new_maps, minimal=False)
 
 
@@ -695,15 +724,15 @@ def prune_isolated(res: FreeResolution, step: int, row: int, col: int) -> FreeRe
         for i, r in enumerate(entries)
         if i != row
     ]
-    new_maps[step] = GradedMap(small_source, small_target, trimmed)
+    new_maps[step] = matrix_map(small_source, small_target, trimmed)
     if step >= 1:
         prev = res.maps[step - 1]
         kept = [[p for j, p in enumerate(r) if j != row] for r in prev.entries]
-        new_maps[step - 1] = GradedMap(small_target, prev.target, kept)
+        new_maps[step - 1] = matrix_map(small_target, prev.target, kept)
     if step + 1 < len(res.maps):
         nxt = res.maps[step + 1]
         kept = [r for i, r in enumerate(nxt.entries) if i != col]
-        new_maps[step + 1] = GradedMap(nxt.source, small_source, kept)
+        new_maps[step + 1] = matrix_map(nxt.source, small_source, kept)
     return FreeResolution(new_maps, minimal=False)
 
 
@@ -1090,6 +1119,27 @@ def standard_table_tuples(w) -> list:
     return least
 
 
+def lead_labels_by_scan(table, width, steps) -> list:
+    """The lead labels of ``groebner._lead_labels``, from the same
+    ``_standard_table`` output, by scanning every residue: the neighbour
+    c = s·x_j of each standard label s is a lead iff it is not standard and
+    c/x_i is for each later x_i it carries; each lead c is reached once,
+    from c/x_j for its first variable x_j.  About w_0·k lookups."""
+    m, shift, full = len(table), len(steps) * width, (1 << width) - 1
+    steps = [(step, v, shift - (i + 1) * width) for i, (step, v) in enumerate(steps)]
+    leads = []
+    for r, s in enumerate(table):
+        for j, (step, v, o) in enumerate(steps):
+            c, q = s + step, (r + v) % m
+            if table[q] != c and all(
+                table[(q - u) % m] == c - down for down, u, o_i in steps[j + 1 :] if s >> o_i & full != full
+            ):
+                leads.append(c)
+            if s >> o & full != full:  # s has x_j: no later variable is c's first
+                break
+    return leads
+
+
 def toric_kernel_by_sets(weights, names=None):
     """``toric_kernel_generic`` as it was before labels were packed into
     ints: the table of (a_r, -e_1, .., -e_k) tuples from
@@ -1122,6 +1172,12 @@ def toric_kernel_by_sets(weights, names=None):
         tail = ((degree - a) // w[0],) + tuple(map(neg, rest))
         reduced.append(Poly(ring, {lead: 1, tail: -1}))
     return ring, binomial_buchberger(reduced, order)
+
+
+def eval_shift(expr: str, env: dict) -> int:
+    """One twist expression evaluated at ``env``, through the program's
+    checked tree: +, -, * over names and integers only."""
+    return eval(_compile(_shift_tree(expr, env)), {"__builtins__": {}}, env)
 
 
 def case_id_by_rows(params):

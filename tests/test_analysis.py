@@ -11,9 +11,9 @@ import pytest
 from monocurve import analysis, closedform, semigroup
 from monocurve.groebner import toric_kernel
 from monocurve.poly import Poly
-from monocurve.resolution import FreeResolution, GradedMap, _find_constant_entry, minimalize
+from monocurve.resolution import FreeResolution, _find_constant_entry, minimalize
 
-from oracles import is_groebner as generic_is_groebner
+from oracles import is_groebner as generic_is_groebner, matrix_map
 
 SEQ = (5, 7, 9, 11)
 
@@ -40,7 +40,7 @@ def test_broken_composition_fails_both(monkeypatch):
         j = next(j for j, p in enumerate(rows[0]) if not p.is_zero)
         rows[0][j] = rows[0][j] * 2
         maps = list(res.maps)
-        maps[1] = GradedMap(first.source, first.target, rows)
+        maps[1] = matrix_map(first.source, first.target, rows)
         return FreeResolution(maps, minimal=True)
 
     assert _flags(monkeypatch, scaled_entry) == (False, False)

@@ -200,6 +200,22 @@ def test_sweep_empty_box(tmp_path, capsys):
     assert empty.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--max-m2", "12", "--max-n", "12", "--threads", "0"],
+        ["--max-m2", "12", "--max-n", "12", "--threads", "-2"],
+        ["--max-m2", "-1", "--max-n", "12"],
+        ["--max-m2", "12", "--max-n", "-5"],
+    ],
+)
+def test_sweep_refuses_a_malformed_command_line(args, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sweep_specs", lambda *a, **k: pytest.fail("swept despite a usage error"))
+    assert cli.main(["sweep", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--threads must be at least 1" in captured.err
+
+
 def test_sweep_progress_on_stderr(monkeypatch, capsys):
     monkeypatch.setattr(cli, "PROGRESS_INTERVAL", 0.0)
     assert cli.main(["sweep", "--max-m2", "12", "--max-n", "12"]) == 0

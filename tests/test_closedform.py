@@ -19,7 +19,6 @@ from monocurve.closedform import (
     extract_parameters,
     graded_shifts,
     _shift_row,
-    _eval_shift,
     _parse_condition,
 )
 from monocurve.groebner import buchberger, is_groebner, toric_kernel
@@ -27,7 +26,7 @@ from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
 from monocurve.semigroup import ValidationError, validate_sequence
 
 from monocurve import closedform
-from oracles import case_id_by_rows, reduce_basis
+from oracles import case_id_by_rows, eval_shift, reduce_basis
 
 # one sequence per reachable case, smallest found by sweeping
 FIXTURES = {
@@ -309,13 +308,13 @@ def test_surplus_tabulated_entry_is_returned():
 
 
 def test_shift_expression_walker_is_strict():
-    assert _eval_shift("2*m1 + x0_plain*m0", {"m0": 5, "m1": 7, "x0_plain": 3}) == 29
+    assert eval_shift("2*m1 + x0_plain*m0", {"m0": 5, "m1": 7, "x0_plain": 3}) == 29
     with pytest.raises(ValueError):
-        _eval_shift("m0 ** 2", {"m0": 5})
+        eval_shift("m0 ** 2", {"m0": 5})
     with pytest.raises(ValueError):
-        _eval_shift("__import__('os')", {})
+        eval_shift("__import__('os')", {})
     with pytest.raises(ValueError):
-        _eval_shift("unknown + 1", {})
+        eval_shift("unknown + 1", {})
 
 
 @pytest.mark.parametrize(

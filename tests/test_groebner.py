@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from monocurve import groebner
 from monocurve.groebner import (
     _decode,
+    _lead_labels,
     _standard_table,
     buchberger,
     is_groebner,
@@ -36,6 +37,7 @@ from oracles import (
     ideal_member,
     is_groebner as generic_is_groebner,
     is_homogeneous,
+    lead_labels_by_scan,
     lead_minimal,
     rank_one_key,
     record_vector,
@@ -357,6 +359,58 @@ def _kernel_outcome(kernel, weights):
 def test_kernel_matches_set_based_reference(weights):
     outcome = _kernel_outcome(toric_kernel_generic, weights)
     assert outcome == _kernel_outcome(toric_kernel_by_sets, weights)
+
+
+# the staircase walk against the residue scan it replaced: the same lead
+# labels, each once, from the same table
+
+
+def _reduced(weights):
+    g = math.gcd(*weights)
+    return tuple(v // g for v in weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        ARITHMETIC_WEIGHTS,
+        st.lists(st.integers(1, 30), min_size=1, max_size=5).map(tuple),
+        # a common factor of every weight
+        st.tuples(st.lists(st.integers(1, 12), min_size=1, max_size=5), st.integers(2, 5)).map(
+            lambda t: tuple(v * t[1] for v in t[0])
+        ),
+    )
+)
+@example((7,))
+@example((1, 2))
+@example((1, 1, 1))
+@example((6, 10, 15))
+@example((36, 26, 26))
+@example((5, 7, 9, 13, 17))
+@example((30, 7, 9, 11, 13))
+def test_lead_walk_matches_residue_scan(weights):
+    table, width, steps = _standard_table(_reduced(weights))
+    walk = _lead_labels(table, width, steps)
+    assert sorted(walk) == sorted(lead_labels_by_scan(table, width, steps))
+
+
+class _CountingTable(list):
+    """A list that counts its index lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return list.__getitem__(self, index)
+
+
+def test_lead_walk_lookups_follow_the_staircase_not_m0():
+    table, width, steps = _standard_table((100003, 100004, 100005, 1234567))
+    walked, scanned = _CountingTable(table), _CountingTable(table)
+    leads = _lead_labels(walked, width, steps)
+    assert sorted(leads) == sorted(lead_labels_by_scan(scanned, width, steps))
+    assert walked.lookups <= 3000
+    assert scanned.lookups >= 100003
 
 
 def _least_labels(w, top):

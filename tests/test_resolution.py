@@ -52,6 +52,7 @@ from oracles import (
     hilbert_series_truncation,
     is_groebner,
     map_columns,
+    matrix_map,
     minimalize_by_operations,
     pair_records_generic,
     rank_one_key,
@@ -87,21 +88,21 @@ def certified(gens, ring=R4):
 def test_graded_map_checks_homogeneity():
     F = GradedFreeModule(R4, (14,))
     base = GradedFreeModule(R4, (0,))
-    GradedMap(F, base, [[P("X1^2 - X0*X2")]])
+    matrix_map(F, base, [[P("X1^2 - X0*X2")]])
     with pytest.raises(HomogeneityBroken):
-        GradedMap(F, base, [[P("X1^2 - X0")]])  # mixed degrees
+        matrix_map(F, base, [[P("X1^2 - X0")]])  # mixed degrees
     with pytest.raises(HomogeneityBroken):
-        GradedMap(F, base, [[P("X1^3")]])  # degree 21 != 14
+        matrix_map(F, base, [[P("X1^3")]])  # degree 21 != 14
     with pytest.raises(ShapeMismatch):
-        GradedMap(F, base, [[P("X1^2"), P("X0")]])
+        matrix_map(F, base, [[P("X1^2"), P("X0")]])
 
 
 def test_compose_zero_shape_mismatch():
     base = GradedFreeModule(R4, (0,))
     F = GradedFreeModule(R4, (14,))
     G = GradedFreeModule(R4, (23,))
-    a = GradedMap(F, base, [[P("X1^2 - X0*X2")]])
-    b = GradedMap(G, F, [[P("X2")]])
+    a = matrix_map(F, base, [[P("X1^2 - X0*X2")]])
+    b = matrix_map(G, F, [[P("X2")]])
     assert not compose_zero(a, b)
     with pytest.raises(ShapeMismatch):
         compose_zero(b, a)
@@ -115,9 +116,9 @@ def test_compose_zero_tells_apart_monomials_of_one_degree(k):
     ring = Ring(("x", "y"), (1, 2**k))
     f = Poly(ring, {(2**k, 0): 1, (0, 1): -1})
     low, high = GradedFreeModule(ring, (0,)), GradedFreeModule(ring, (2**k,))
-    gen = GradedMap(high, low, [[f]])
-    assert not compose_zero(GradedMap(low, low, [[ring.one()]]), gen)
-    assert not compose_zero(gen, GradedMap(high, high, [[ring.one()]]))
+    gen = matrix_map(high, low, [[f]])
+    assert not compose_zero(matrix_map(low, low, [[ring.one()]]), gen)
+    assert not compose_zero(gen, matrix_map(high, high, [[ring.one()]]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_columns_annihilated_and_groebner():
     syz = build_resolution(gb).maps[1]
     # six of the ten S-pairs of five generators are in the lead frame
     assert syz.source.rank == len(gb.frame) == 6
-    row = GradedMap(
+    row = matrix_map(
         GradedFreeModule(R4, syz.target.twists),
         GradedFreeModule(R4, (0,)),
         [list(gb.elements)],
@@ -650,7 +651,7 @@ def composable_maps(draw):
         U = [row + row for row in U]
         V = V + [[-p for p in row] for row in V]
     G, F, E = (GradedFreeModule(R4, tuple(t)) for t in (G, F, E))
-    return GradedMap(F, G, U), GradedMap(E, F, V), twin
+    return matrix_map(F, G, U), matrix_map(E, F, V), twin
 
 
 @settings(max_examples=300, deadline=None)
@@ -668,7 +669,7 @@ def _scaled_term(gmap: GradedMap, k: int, j: int, mono) -> GradedMap:
     terms = dict(entries[k][j].terms)
     terms[mono] *= 2
     entries[k][j] = Poly(entries[k][j].ring, terms)
-    return GradedMap(gmap.source, gmap.target, entries)
+    return matrix_map(gmap.source, gmap.target, entries)
 
 
 @settings(max_examples=100, deadline=None)
@@ -730,7 +731,7 @@ def test_graded_map_columns_round_trip_and_term_checks(curve, data):
         complexes += [base, minimalize(base)]
     maps = [m for res in complexes for m in res.maps]
     for m in maps:
-        again = GradedMap(m.source, m.target, m.entries)
+        again = matrix_map(m.source, m.target, m.entries)
         assert again.columns == m.columns
         assert again.entries == m.entries
 
@@ -746,7 +747,7 @@ def test_graded_map_columns_round_trip_and_term_checks(curve, data):
 
     heavier = moved((i, (mono[0] + 1,) + mono[1:]))
     with pytest.raises(HomogeneityBroken):
-        GradedMap(m.source, m.target, GradedMap._trimmed(m.source, m.target, heavier).entries)
+        matrix_map(m.source, m.target, GradedMap._trimmed(m.source, m.target, heavier).entries)
     if len(m.columns[j]) > 1:
         with pytest.raises(HomogeneityBroken):
             resolution.schreyer_syzygies(m.target, heavier)
