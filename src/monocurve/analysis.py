@@ -244,7 +244,7 @@ def analyze_sequence(
         if verify_level == "full":
             agreement = True
             try:
-                closed = closed_form_resolution(case, params, gens)
+                closed = closed_form_resolution(params, gens)
                 closed.validate()
             except Exception as exc:  # any instantiation failure is a finding
                 agreement = False

@@ -287,7 +287,7 @@ def cmd_matrices(args) -> int:
         params = extract_parameters(kernel)
         gens = canonical_generators(params, spec)
         case = case_id(params)
-        closed = closed_form_resolution(case, params, gens)
+        closed = closed_form_resolution(params, gens)
     except (TemplateMismatch, DegreeImbalance, CaseUnmatched) as exc:
         print("no closed form for this tuple: %s" % exc)
         return 0

@@ -735,13 +735,12 @@ def closed_form_base(params: CaseParameters, gens: list) -> FreeResolution:
     return _assemble(gens[0].ring, rows, *_BUILDERS[(a, b) if params.has_cross else a](rows, params))
 
 
-def closed_form_resolution(case: CaseId, params: CaseParameters, gens: list) -> FreeResolution:
+def closed_form_resolution(params: CaseParameters, gens: list) -> FreeResolution:
     """Minimal resolution with closed-form entries.
 
     The base complex over ``gens`` (``canonical_generators`` of the same
     parameters) with its unit entries split off by ``minimalize``; the
-    surviving ranks equal the case table's triple.  ``case`` is the row
-    ``case_id`` matched for ``params``, so the table covers them and
-    nothing is matched again here.
+    surviving ranks equal the triple of the table row that ``case_id``
+    matches for ``params``; no row is matched here.
     """
     return minimalize(closed_form_base(params, gens))

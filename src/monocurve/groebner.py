@@ -1,19 +1,20 @@
 """Binomial Gröbner bases certified on Schreyer's lead frame, plus toric
 kernels.
 
-Ideal elements are pure-difference binomials or unit monomials, up to sign,
-and run on (lead, tail) exponent pairs (Sturmfels, *Gröbner Bases and Convex
-Polytopes*, ch. 12).  ``buchberger`` certifies a basis on its lead frame
-(``_lead_frame``, the pairs whose syzygy leads are minimal; La Scala and
-Stillman, JSC 26, 1998): a pair with coprime leads has the Koszul syzygy
-S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, every other pair is
-reduced by ``divide``'s rule and must leave remainder zero.  Each frame
+Ideal elements are pure-difference binomials or unit monomials, up to sign
+(Sturmfels, *Gröbner Bases and Convex Polytopes*, ch. 12).  One division
+routine serves every syzygy level: ``pair_records`` divides each pair of a
+level by ``divide``'s rule in one {(position, exponent): coefficient} dict
+and returns the pair's syzygy as such a dict, so a level's elements are the
+columns of the map before, with the ideal's generators at position 0 of the
+rank-one module F_0 = R.  ``buchberger`` certifies a basis on its lead
+frame (``_lead_frame``, the pairs whose syzygy leads are minimal; La Scala
+and Stillman, JSC 26, 1998): a pair with coprime leads has the Koszul
+syzygy S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, every other
+pair goes to ``pair_records`` and must leave remainder zero.  Each frame
 pair's syzygy is kept as a column of the first syzygy map, so the
-certificate is also level 1 of the resolution.  ``pair_records`` does the
-same for every later syzygy level, by ``divide``'s rule, each pair in one
-{(position, exponent): coefficient} dict, and returns each pair's syzygy as
-such a dict too: a level's elements are its columns, with the ideal's
-generators at position 0 of the rank-one module F_0 = R.
+certificate is also level 1 of the resolution.  ``is_groebner`` runs the
+same frame and answers False where ``pair_records`` finds a remainder.
 
 The toric kernel needs no completion: its reduced basis is read off the
 Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
@@ -45,8 +46,6 @@ from monocurve.poly import (
     SchreyerOrder,
     coeff_div,
     mono_coprime,
-    mono_div,
-    mono_lcm,
 )
 
 # divide and s_polynomial are not called here; they stay importable as
@@ -78,56 +77,6 @@ def _split(g, order):
     return lead, tail, sign
 
 
-def _ranked(basis, order) -> list:
-    """Division precedence: greatest lead first, ties to the earlier index."""
-    return sorted(range(len(basis)), key=lambda k: order.key(basis[k][0]), reverse=True)
-
-
-def _s_binomial(gi, gj):
-    """lcm of the leads and the terms of cofactor_i * g_i - cofactor_j * g_j
-    = x^(lcm - lead_j + tail_j) - x^(lcm - lead_i + tail_i)."""
-    (a, ta, _), (c, tc, _) = gi, gj
-    lcm = mono_lcm(a, c)
-    terms: dict = {}
-    if tc is not None:
-        terms[tuple(map(add, lcm, map(sub, tc, c)))] = 1
-    if ta is not None:
-        m = tuple(map(add, lcm, map(sub, ta, a)))
-        if terms.pop(m, None) is None:
-            terms[m] = -1
-    return lcm, terms
-
-
-def _reduce_binomial(terms: dict, basis, ranked, key):
-    """``divide`` for ``terms`` (monomial -> coefficient, consumed), at most
-    two of opposite sign, by ``basis``, (lead, tail, sign) triples in
-    precedence ``ranked``: each step trades the greatest term's dividing lead
-    for its tail.  Returns (quotients, remainder) as {index: {monomial:
-    coefficient}}, where coefficients may cancel to zero, and {monomial:
-    coefficient}."""
-    quotients: dict = {}
-    remainder: dict = {}
-    while terms:
-        m = max(terms, key=key)
-        c = terms.pop(m)
-        for k in ranked:
-            lead, tail, sign = basis[k]
-            if all(map(le, lead, m)):
-                break
-        else:
-            remainder[m] = c
-            continue
-        q = tuple(map(sub, m, lead))
-        row = quotients.setdefault(k, {})
-        row[q] = row.get(q, 0) + c * sign
-        if tail is not None:
-            t = tuple(map(add, q, tail))
-            v = terms.pop(t, 0) + c
-            if v:
-                terms[t] = v
-    return quotients, remainder
-
-
 def _lead_frame(leads, induced) -> list:
     """The pairs (i, j) whose syzygies the resolution keeps, ascending, each
     with the lead of its syzygy.
@@ -156,58 +105,62 @@ def _lead_frame(leads, induced) -> list:
     return sorted((pair, lead) for lead, pair in kept)
 
 
+def _frame(elements, basis, order) -> list:
+    """The lead frame of ``elements``, split into ``basis`` by ``_split``,
+    each pair with the lead and the column of its syzygy; or
+    ``pair_records``' AssertionError naming the first pair that leaves a
+    remainder."""
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in elements]
+    leads = [(0, lead) for lead, _, _ in basis]
+    key = lambda pm: order.key(pm[1])  # noqa: E731
+    kept = _lead_frame(leads, SchreyerOrder(key, leads))
+    divided = [(i, j) for (i, j), _ in kept if not mono_coprime(basis[i][0], basis[j][0])]
+    syzygies = iter(pair_records(columns, key, divided, leads))
+    frame = []
+    for (i, j), lead in kept:
+        (a, ta, si), (c, tc, sj) = basis[i], basis[j]
+        if mono_coprime(a, c):
+            # product criterion: the Koszul syzygy, certified without division
+            koszul = ((i, tc, si), (j, ta, -sj), (i, c, -si), (j, a, sj))
+            column = {(k, t): s for k, t, s in koszul if t is not None}
+        else:
+            column = next(syzygies)
+        frame.append(((i, j), lead, column))
+    return frame
+
+
 def buchberger(elements, order) -> GroebnerBasis:
     """Certify unit monomials and pure-difference binomials as a Gröbner
     basis by Buchberger's criterion over the lead frame, writing down the
     syzygy of each frame pair.
 
     A pair with coprime leads has the Koszul syzygy (product criterion).
-    Every other pair's S-binomial is reduced by ``_reduce_binomial`` and
-    must leave remainder zero, else an AssertionError names the pair.  The
-    kept pair syzygies generate the syzygies of the leads, so zero
-    remainders on them prove the criterion.  A pair's syzygy is its
-    quotients, minus cofactor_i at slot i, plus cofactor_j at slot j.
+    Every other pair is divided by ``pair_records``, the elements taken as
+    position-0 dicts of F_0 = R, and must leave remainder zero, else an
+    AssertionError names the pair.  The kept pair syzygies generate the
+    syzygies of the leads, so zero remainders on them prove the criterion.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one generator")
-    basis = [_split(g, order) for g in elements]
-    ranked = _ranked(basis, order)
-    leads = [(0, lead) for lead, _, _ in basis]
-    frame = []
-    for (i, j), lead in _lead_frame(leads, SchreyerOrder(lambda pm: order.key(pm[1]), leads)):
-        (a, ta, si), (c, tc, sj) = basis[i], basis[j]
-        lcm, terms = _s_binomial(basis[i], basis[j])
-        if mono_coprime(a, c):
-            # product criterion: reduction certified without division
-            column = {(k, t): s for k, t, s in ((i, tc, si), (j, ta, -sj)) if t is not None}
-        else:
-            quotients, remainder = _reduce_binomial(terms, basis, ranked, order.key)
-            if remainder:
-                raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
-            column = {(k, q): v for k, row in sorted(quotients.items()) for q, v in row.items() if v}
-        add_term(column, (i, mono_div(lcm, a)), -si)
-        add_term(column, (j, mono_div(lcm, c)), sj)
-        frame.append(((i, j), lead, column))
-    return GroebnerBasis(elements, order, frame)
+    return GroebnerBasis(elements, order, _frame(elements, [_split(g, order) for g in elements], order))
 
 
 def is_groebner(gens, order) -> bool:
-    """Buchberger's criterion for pure-difference binomials: each pair whose
-    leads share a variable must divide to remainder zero; a pair with
-    coprime leads does by the product criterion (Cox, Little and O'Shea,
-    *Ideals, Varieties, and Algorithms*, §2.10), so it is skipped."""
+    """Buchberger's criterion for pure-difference binomials on the lead
+    frame, as ``buchberger`` checks it: the frame's syzygies generate those
+    of the leads (Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, §2.9) and a pair with coprime leads divides to zero, so
+    the set is a Gröbner basis iff ``pair_records`` finds no remainder on
+    the other frame pairs."""
+    gens = list(gens)
     basis = [_split(g, order) for g in gens]
     if any(tail is None for _, tail, _ in basis):
         raise ValueError("is_groebner takes pure-difference binomials only")
-    ranked = _ranked(basis, order)
-    for j in range(1, len(basis)):
-        for i in range(j):
-            if mono_coprime(basis[i][0], basis[j][0]):
-                continue
-            _, terms = _s_binomial(basis[i], basis[j])
-            if _reduce_binomial(terms, basis, ranked, order.key)[1]:
-                return False
+    try:
+        _frame(gens, basis, order)
+    except AssertionError:
+        return False
     return True
 
 
@@ -235,7 +188,10 @@ def add_term(terms: dict, key, c) -> None:
 def pair_records(columns, key, pairs, leads) -> list:
     """The syzygy of each pair (i, j) of ``columns``, {(position, exponent):
     coefficient} dicts that form a Gröbner basis in the order ``key``, with
-    ``leads`` their lead keys, of which i's and j's share their position.
+    ``leads`` their lead keys, of which i's and j's share their position:
+    the one division the program runs, for ``buchberger`` and
+    ``is_groebner`` on a basis as position-0 dicts and for every later
+    syzygy level.
 
     The S-element cofactor_i·columns[i] - cofactor_j·columns[j] is divided
     by ``columns``, which must leave remainder zero, by ``divide``'s rule in

@@ -31,10 +31,10 @@ Conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, lshift, mul
+from operator import lshift, mul
 
 from monocurve.poly import Ring, SchreyerOrder, coeff_div
-from monocurve.groebner import GroebnerBasis, _lead_frame, pair_records
+from monocurve.groebner import GroebnerBasis, _lead_frame, _subtract, pair_records
 
 # buchberger is not called here; it stays importable as resolution.buchberger
 from monocurve.groebner import buchberger  # noqa: F401
@@ -285,13 +285,7 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
             else:
                 scales.append((m, c * inverse))
         for m2, scale in scales:
-            for (i, m1), c1 in below:
-                key = (i, tuple(map(add, m1, m2)))
-                v = complement.get(key, 0) - c1 * scale
-                if v:
-                    complement[key] = v
-                else:
-                    del complement[key]
+            _subtract(complement, below, m2, scale)
         trimmed.append(complement)
 
     new_maps = list(res.maps)
@@ -374,9 +368,6 @@ class BettiTable:
         if not by_index:
             return ()
         return tuple(by_index.get(i, 0) for i in range(max(by_index) + 1))
-
-    def degrees(self, i: int) -> dict:
-        return {d: c for (h, d), c in self.entries if h == i}
 
 
 def betti_table(res: FreeResolution) -> BettiTable:

@@ -56,7 +56,7 @@ and sums, entry by entry, is the reference for that.
 
 ``graded_betti_numbers`` reads the graded Betti numbers off the semigroup
 alone, as reduced homology of small simplicial complexes, with no Gröbner
-code at all.
+code at all.  ``betti_degrees`` reads one level of a ``BettiTable``.
 
 The program reads the toric kernel's reduced basis off the Apéry set, one
 shortest-path pass with no S-pair.  Two references compute the same reduced
@@ -811,6 +811,12 @@ def _reduced_homology(faces: frozenset, vertices: int) -> tuple:
         len(by_size.get(size, [])) - ranks[size] - ranks[size + 1]
         for size in range(vertices + 1)
     )
+
+
+def betti_degrees(table, i: int) -> dict:
+    """{degree: count} of level ``i`` of a ``BettiTable``, which the program
+    never reads by level."""
+    return {d: c for (h, d), c in table.entries if h == i}
 
 
 def graded_betti_numbers(weights) -> list:

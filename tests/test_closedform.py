@@ -194,7 +194,7 @@ def test_unvalidatable_generators_raise():
 def test_closed_form_matches_generic(label):
     seq = FIXTURES[label]
     spec, kernel, params = pipeline(seq)
-    closed = closed_form_resolution(case_id(params), params, canonical_generators(params, spec))
+    closed = closed_form_resolution(params, canonical_generators(params, spec))
     closed.validate()
     generic = minimalize(build_resolution(kernel.reduced_gb))
     assert closed.ranks == generic.ranks == (1,) + TRIPLES[label]
@@ -211,14 +211,14 @@ def test_base_complex_trims_degenerate_entries():
     base = closed_form_base(params, gens)
     base.validate()
     assert base.ranks == (1, 5, 7, 3)
-    assert closed_form_resolution(case_id(params), params, gens).ranks == (1, 4, 6, 3)
+    assert closed_form_resolution(params, gens).ranks == (1, 4, 6, 3)
 
     spec, _, params = pipeline((10, 11, 12, 8))  # no cross family survives
     gens = canonical_generators(params, spec)
     base = closed_form_base(params, gens)
     base.validate()
     assert base.ranks == (1, 4, 5, 2)
-    assert closed_form_resolution(case_id(params), params, gens).ranks == (1, 3, 3, 1)
+    assert closed_form_resolution(params, gens).ranks == (1, 3, 3, 1)
 
 
 def test_closed_form_requires_a_case():
@@ -231,7 +231,7 @@ def test_closed_form_requires_a_case():
     )
     bogus.validate()
     # no curve carries these parameters, so they have no generator row, and
-    # no case: closed_form_resolution takes the row case_id returns
+    # no case
     with pytest.raises(DegreeImbalance):
         canonical_generators(bogus, spec)
     with pytest.raises(CaseUnmatched, match="no table row covers"):
@@ -247,7 +247,7 @@ def shifts_and_computed(label):
     spec, kernel, params = pipeline(seq)
     case = case_id(params)
     tabulated = graded_shifts(case, params, spec)
-    closed = closed_form_resolution(case, params, canonical_generators(params, spec))
+    closed = closed_form_resolution(params, canonical_generators(params, spec))
     computed = [sorted(m.twists) for m in closed.modules[1:]]
     return tabulated, computed
 

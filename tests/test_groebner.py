@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from monocurve import groebner
 from monocurve.groebner import (
     _decode,
+    _lead_frame,
     _lead_labels,
     _standard_table,
     buchberger,
@@ -499,10 +500,12 @@ def _monomials_of_degree(weights, degree, cap=200) -> list:
 @settings(max_examples=100, deadline=None)
 @given(ARITHMETIC_WEIGHTS.filter(lambda w: len(w) == 4), st.data())
 def test_is_groebner_verdict_on_non_bases(weights, data):
-    """is_groebner skips the pairs with coprime leads; its verdict must still
-    be the all-pairs division's on sets drawn from a template basis that are
-    often no basis: one tail swapped for another monomial of its degree, and
-    the subsets whose leads are pairwise coprime."""
+    """is_groebner divides only the lead frame's pairs whose leads are not
+    coprime; its verdict must still be the all-pairs division's on sets
+    drawn from a template basis that are often no basis: one tail swapped
+    for another monomial of its degree, the subsets whose leads are
+    pairwise coprime, the basis with a redundant element or with a second
+    element of the same lead, and the empty set."""
     gens = _template_set(weights)
     ring = gens[0].ring
     order = ring.order()
@@ -521,28 +524,55 @@ def test_is_groebner_verdict_on_non_bases(weights, data):
         if all(mono_coprime(g.lead(order)[0], h.lead(order)[0]) for h in coprime):
             coprime.append(g)
     assert is_groebner(coprime, order) == generic_is_groebner(coprime, order)
+    # a redundant ideal element, its lead a multiple of another lead: the
+    # frame drops the pairs its lead makes redundant
+    k, v = data.draw(st.integers(0, len(gens) - 1)), data.draw(st.integers(0, ring.nvars - 1))
+    padded = gens + [gens[k] * ring.monomial(tuple(int(u == v) for u in range(ring.nvars)))]
+    assert is_groebner(padded, order) == generic_is_groebner(padded, order)
+    # two elements with one lead: the frame keeps one of their pairs
+    lower = [(k, lead, m) for k, lead, m in swaps if order.key(m) < order.key(lead)]
+    if lower:
+        k, lead, m = data.draw(st.sampled_from(lower))
+        shared = gens + [Poly(ring, {lead: 1, m: -1})]
+        assert is_groebner(shared, order) == generic_is_groebner(shared, order)
+    assert is_groebner([], order) == generic_is_groebner([], order)
 
 
-def test_is_groebner_divides_only_pairs_sharing_a_variable(monkeypatch):
+def test_is_groebner_divides_only_frame_pairs_sharing_a_variable(monkeypatch):
+    """One ``pair_records`` call, on the pairs of the lead frame (six of the
+    ten) whose leads share a variable (five of those six)."""
     gens = [P(t) for t in REFERENCE_BASIS]
-    leads = [g.lead(R4.order())[0] for g in gens]
+    order = R4.order()
+    leads = [(0, g.lead(order)[0]) for g in gens]
+    frame = [pair for pair, _ in _lead_frame(leads, SchreyerOrder(rank_one_key(order), leads))]
     calls = []
-    original = groebner._reduce_binomial
+    original = groebner.pair_records
 
-    def spy(terms, *rest):
-        calls.append(dict(terms))
-        return original(terms, *rest)
+    def spy(columns, key, pairs, leads):
+        calls.append(list(pairs))
+        return original(columns, key, pairs, leads)
 
-    monkeypatch.setattr(groebner, "_reduce_binomial", spy)
-    assert is_groebner(gens, R4.order())
-    sharing = sum(not mono_coprime(leads[i], leads[j]) for j in range(len(gens)) for i in range(j))
-    assert len(calls) == sharing < len(gens) * (len(gens) - 1) // 2
+    monkeypatch.setattr(groebner, "pair_records", spy)
+    assert is_groebner(gens, order)
+    assert calls == [[(i, j) for i, j in frame if not mono_coprime(leads[i][1], leads[j][1])]]
+    assert (len(calls[0]), len(frame)) == (5, 6)
 
 
 def test_is_groebner_sees_a_dropped_generator():
     gens = [P(t) for t in REFERENCE_BASIS]
     assert not is_groebner(gens[:2] + gens[3:], R4.order())
     assert not generic_is_groebner(gens[:2] + gens[3:], R4.order())
+
+
+def test_is_groebner_with_a_shared_lead():
+    """Two elements with the lead z^2 leave y^2 - x*y, so they are a basis
+    only with it, whichever place it takes."""
+    ring = Ring(("x", "y", "z"), (1, 1, 1))
+    order = ring.order()
+    shared = [P("z^2 - x*y", ring), P("z^2 - y^2", ring)]
+    third = P("y^2 - x*y", ring)
+    for gens, verdict in ((shared, False), (shared + [third], True), ([third] + shared, True)):
+        assert is_groebner(gens, order) == generic_is_groebner(gens, order) == verdict
 
 
 def test_binomial_routines_refuse_other_polynomials():
