@@ -201,7 +201,7 @@ def cmd_census(args) -> int:
     except OSError as exc:
         print("cannot read %s: %s" % (args.infile, exc), file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, or nesting too deep
         print("unparseable record in %s: %s" % (args.infile, exc), file=sys.stderr)
         return 1
     for (number, line), record in zip(lines, records):

@@ -7,14 +7,16 @@ routine serves every syzygy level: ``pair_records`` divides each pair of a
 level by ``divide``'s rule in one {(position, exponent): coefficient} dict
 and returns the pair's syzygy as such a dict, so a level's elements are the
 columns of the map before, with the ideal's generators at position 0 of the
-rank-one module F_0 = R.  ``buchberger`` certifies a basis on its lead
+rank-one module F_0 = R.  ``syzygy_level`` runs one level on its lead
 frame (``_lead_frame``, the pairs whose syzygy leads are minimal; La Scala
-and Stillman, JSC 26, 1998): a pair with coprime leads has the Koszul
-syzygy S = -(tail_j/(c_i c_j)) g_i + (tail_i/(c_i c_j)) g_j, every other
-pair goes to ``pair_records`` and must leave remainder zero.  Each frame
-pair's syzygy is kept as a column of the first syzygy map, so the
-certificate is also level 1 of the resolution.  ``is_groebner`` runs the
-same frame and answers False where ``pair_records`` finds a remainder.
+and Stillman, JSC 26, 1998): on F_0 = R a pair with coprime leads has the
+Koszul syzygy (g_i e_j - g_j e_i)·c_i c_j, every other pair goes to
+``pair_records`` and must leave remainder zero.  ``buchberger`` certifies
+a basis by that level, so the certificate is also level 1 of the
+resolution, and ``resolution.build_resolution`` runs it for every later
+level.  ``is_groebner`` needs no frame: it divides every pair whose leads
+share a variable and answers False where ``pair_records`` finds a
+remainder.
 
 The toric kernel needs no completion: its reduced basis is read off the
 Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
@@ -40,13 +42,7 @@ import math
 from dataclasses import dataclass
 from operator import add, le, neg, sub
 
-from monocurve.poly import (
-    Poly,
-    Ring,
-    SchreyerOrder,
-    coeff_div,
-    mono_coprime,
-)
+from monocurve.poly import Poly, Ring, SchreyerOrder, mono_coprime
 
 # divide and s_polynomial are not called here; they stay importable as
 # groebner.divide and groebner.s_polynomial
@@ -65,16 +61,6 @@ class GroebnerBasis:
     elements: list
     order: object
     frame: list
-
-
-def _split(g, order):
-    """(lead, tail, sign) with g = sign * (x^lead - x^tail), tail None when
-    g = sign * x^lead; anything else is a ValueError."""
-    if type(g) is not Poly or sorted(g.terms.values()) not in ([-1], [1], [-1, 1]):
-        raise ValueError("not a unit monomial or pure-difference binomial: %r" % (g,))
-    lead, sign = g.lead(order)
-    tail = next((m for m in g.terms if m != lead), None)
-    return lead, tail, sign
 
 
 def _lead_frame(leads, induced) -> list:
@@ -105,60 +91,77 @@ def _lead_frame(leads, induced) -> list:
     return sorted((pair, lead) for lead, pair in kept)
 
 
-def _frame(elements, basis, order) -> list:
-    """The lead frame of ``elements``, split into ``basis`` by ``_split``,
-    each pair with the lead and the column of its syzygy; or
-    ``pair_records``' AssertionError naming the first pair that leaves a
-    remainder."""
+def _rank_one(elements, order) -> tuple:
+    """(columns, key, leads) of ``elements`` in F_0 = R: their position-0
+    dicts, the rank-one key ordering (0, m) as m, and their leads."""
     columns = [{(0, m): c for m, c in g.terms.items()} for g in elements]
-    leads = [(0, lead) for lead, _, _ in basis]
-    key = lambda pm: order.key(pm[1])  # noqa: E731
-    kept = _lead_frame(leads, SchreyerOrder(key, leads))
-    divided = [(i, j) for (i, j), _ in kept if not mono_coprime(basis[i][0], basis[j][0])]
-    syzygies = iter(pair_records(columns, key, divided, leads))
+    return columns, lambda pm: order.key(pm[1]), [(0, g.lead(order)[0]) for g in elements]
+
+
+def _refuse_others(elements) -> None:
+    """ValueError unless every element is a unit monomial or a
+    pure-difference binomial, up to sign."""
+    for g in elements:
+        if type(g) is not Poly or sorted(g.terms.values()) not in ([-1], [1], [-1, 1]):
+            raise ValueError("not a unit monomial or pure-difference binomial: %r" % (g,))
+
+
+def syzygy_level(columns, key, leads) -> tuple:
+    """(induced, frame) of one syzygy level: ``induced`` the Schreyer order
+    of ``leads``, the lead keys of ``columns`` in the order ``key``, and
+    ``frame`` one (pair, lead, column) per pair of ``_lead_frame``, the
+    column the pair's syzygy as a {(slot, exponent): coefficient} dict.
+
+    On F_0 = R, every term at position 0, a pair with coprime leads keeps
+    its Koszul column (g_i e_j - g_j e_i)·c_i c_j, c the lead coefficients
+    (product criterion); every other pair goes to one ``pair_records``
+    call, whose AssertionError names the first pair that leaves a remainder.
+    """
+    induced = SchreyerOrder(key, leads)
+    kept = _lead_frame(leads, induced)
+    rank_one = all(pos == 0 for column in columns for pos, _ in column)
+    koszul = [rank_one and mono_coprime(leads[i][1], leads[j][1]) for (i, j), _ in kept]
+    syzygies = iter(pair_records(columns, key, [pair for (pair, _), k in zip(kept, koszul) if not k], leads))
     frame = []
-    for (i, j), lead in kept:
-        (a, ta, si), (c, tc, sj) = basis[i], basis[j]
-        if mono_coprime(a, c):
-            # product criterion: the Koszul syzygy, certified without division
-            koszul = ((i, tc, si), (j, ta, -sj), (i, c, -si), (j, a, sj))
-            column = {(k, t): s for k, t, s in koszul if t is not None}
+    for ((i, j), lead), k in zip(kept, koszul):
+        if k:
+            s = columns[i][leads[i]] * columns[j][leads[j]]
+            column = {(i, m): -s * c for (_, m), c in columns[j].items()}
+            column.update({(j, m): s * c for (_, m), c in columns[i].items()})
         else:
             column = next(syzygies)
         frame.append(((i, j), lead, column))
-    return frame
+    return induced, frame
 
 
 def buchberger(elements, order) -> GroebnerBasis:
     """Certify unit monomials and pure-difference binomials as a Gröbner
     basis by Buchberger's criterion over the lead frame, writing down the
-    syzygy of each frame pair.
-
-    A pair with coprime leads has the Koszul syzygy (product criterion).
-    Every other pair is divided by ``pair_records``, the elements taken as
-    position-0 dicts of F_0 = R, and must leave remainder zero, else an
-    AssertionError names the pair.  The kept pair syzygies generate the
-    syzygies of the leads, so zero remainders on them prove the criterion.
+    syzygy of each frame pair: ``syzygy_level`` on the elements as
+    position-0 dicts of F_0 = R, so a pair that leaves a remainder raises an
+    AssertionError naming it.  The kept pair syzygies generate the syzygies
+    of the leads, so zero remainders on them prove the criterion.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one generator")
-    return GroebnerBasis(elements, order, _frame(elements, [_split(g, order) for g in elements], order))
+    _refuse_others(elements)
+    return GroebnerBasis(elements, order, syzygy_level(*_rank_one(elements, order))[1])
 
 
 def is_groebner(gens, order) -> bool:
-    """Buchberger's criterion for pure-difference binomials on the lead
-    frame, as ``buchberger`` checks it: the frame's syzygies generate those
-    of the leads (Cox, Little and O'Shea, *Ideals, Varieties, and
-    Algorithms*, §2.9) and a pair with coprime leads divides to zero, so
-    the set is a Gröbner basis iff ``pair_records`` finds no remainder on
-    the other frame pairs."""
+    """Buchberger's criterion for pure-difference binomials with the
+    product criterion (Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, §2.9): the set is a Gröbner basis iff ``pair_records``
+    finds no remainder on the pairs whose leads share a variable."""
     gens = list(gens)
-    basis = [_split(g, order) for g in gens]
-    if any(tail is None for _, tail, _ in basis):
+    _refuse_others(gens)
+    if not all(map(is_pure_difference, gens)):
         raise ValueError("is_groebner takes pure-difference binomials only")
+    columns, key, leads = _rank_one(gens, order)
+    pairs = [(i, j) for j in range(len(leads)) for i in range(j) if not mono_coprime(leads[i][1], leads[j][1])]
     try:
-        _frame(gens, basis, order)
+        pair_records(columns, key, pairs, leads)
     except AssertionError:
         return False
     return True
@@ -176,15 +179,6 @@ def _subtract(terms: dict, items, shift: tuple, scale) -> None:
             del terms[t]
 
 
-def add_term(terms: dict, key, c) -> None:
-    """terms[key] += c, dropping the key if the coefficient cancels."""
-    v = terms.get(key, 0) + c
-    if v:
-        terms[key] = v
-    else:
-        del terms[key]
-
-
 def pair_records(columns, key, pairs, leads) -> list:
     """The syzygy of each pair (i, j) of ``columns``, {(position, exponent):
     coefficient} dicts that form a Gröbner basis in the order ``key``, with
@@ -193,42 +187,47 @@ def pair_records(columns, key, pairs, leads) -> list:
     ``is_groebner`` on a basis as position-0 dicts and for every later
     syzygy level.
 
-    The S-element cofactor_i·columns[i] - cofactor_j·columns[j] is divided
-    by ``columns``, which must leave remainder zero, by ``divide``'s rule in
-    one dict: the greatest term goes to the dividing lead that is greatest
-    in ``key``, ties to the earlier index, and only that divisor's tail is
-    subtracted, since its lead cancels the term.  A term no lead divides
-    would stay in the remainder, so the first one fails the pair.  The
-    syzygy is the quotients, minus cofactor_i at slot i, plus cofactor_j at
-    slot j, again one {(slot, exponent): coefficient} dict.
+    The S-element c_i·cofactor_i·columns[i] - c_j·cofactor_j·columns[j],
+    c the lead coefficients, which must be ±1 (else a ValueError), is
+    divided by ``columns``, which must leave remainder zero, by ``divide``'s
+    rule in one dict: the greatest term goes to the dividing lead that is
+    greatest in ``key``, ties to the earlier index, and only that divisor's
+    tail is subtracted, since its lead cancels the term.  A term no lead
+    divides would stay in the remainder, so the first one fails the pair.
+    The syzygy is the quotients, minus c_i·cofactor_i at slot i, plus
+    c_j·cofactor_j at slot j, again one {(slot, exponent): coefficient}
+    dict; each quotient key is new to it, as the divided terms strictly
+    fall and all lie below the lcm of the pair's leads.
     """
+    units = [column[lead] for column, lead in zip(columns, leads)]
+    if any(u not in (1, -1) for u in units):
+        raise ValueError("a lead coefficient is not ±1: %r" % (units,))
     divisors: dict = {}  # position -> [(index, lead exponent, lead coefficient)], by precedence
     for k in sorted(range(len(leads)), key=lambda k: key(leads[k]), reverse=True):
         pos, mono = leads[k]
-        divisors.setdefault(pos, []).append((k, mono, columns[k][leads[k]]))
+        divisors.setdefault(pos, []).append((k, mono, units[k]))
     tails = [[(t, c) for t, c in terms.items() if t != lead] for terms, lead in zip(columns, leads)]
     syzygies = []
     for i, j in pairs:
         (pos, a), (_, b) = leads[i], leads[j]
         lcm = tuple(map(max, a, b))
         cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
-        scale_i, scale_j = coeff_div(1, columns[i][leads[i]]), coeff_div(1, columns[j][leads[j]])
         terms: dict = {}
-        _subtract(terms, tails[i], cof_i, -scale_i)
-        _subtract(terms, tails[j], cof_j, scale_j)
-        syzygy = {(i, cof_i): -scale_i, (j, cof_j): scale_j}
+        _subtract(terms, tails[i], cof_i, -units[i])
+        _subtract(terms, tails[j], cof_j, units[j])
+        syzygy = {(i, cof_i): -units[i], (j, cof_j): units[j]}
         while terms:
             top = max(terms, key=key)
             c = terms.pop(top)
             pos, mono = top
-            for k, lead, lead_c in divisors.get(pos, ()):
+            for k, lead, unit in divisors.get(pos, ()):
                 if all(map(le, lead, mono)):
                     break
             else:
                 raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
             q = tuple(map(sub, mono, lead))
-            c = coeff_div(c, lead_c)
-            add_term(syzygy, (k, q), c)
+            c *= unit
+            syzygy[k, q] = c
             _subtract(terms, tails[k], q, c)
         syzygies.append(syzygy)
     return syzygies

@@ -8,12 +8,12 @@ arithmetic on the maps' column dicts and builds no polynomial.
 The syzygy levels have one form: F_0 = R is the rank-one module, and every
 level's elements are {(position, exponent): coefficient} dicts, the ideal's
 generators at position 0.  Each level keeps one syzygy per pair of its lead
-frame, as such a dict: level 1's are the columns ``buchberger`` certified
-the basis with (``GroebnerBasis.frame``), every later level's come from
-``pair_records``.  That dict is both a column of the level's map, which
-``schreyer_syzygies`` takes as it is, and an element of the next level,
-whose leads are read off the lead frame, not found again by a maximum over
-terms.
+frame, as such a dict, all from ``groebner.syzygy_level``: level 1's are
+the columns ``buchberger`` certified the basis with (``GroebnerBasis.frame``),
+and every later level is one more call.  That dict is both a column of the
+level's map, which ``schreyer_syzygies`` takes as it is, and an element of
+the next level, whose leads are read off the lead frame, not found again by
+a maximum over terms.
 
 Conventions, fixed once:
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import lshift, mul
 
 from monocurve.poly import Ring, SchreyerOrder, coeff_div
-from monocurve.groebner import GroebnerBasis, _lead_frame, _subtract, pair_records
+from monocurve.groebner import GroebnerBasis, _rank_one, _subtract, syzygy_level
 
 # buchberger is not called here; it stays importable as resolution.buchberger
 from monocurve.groebner import buchberger  # noqa: F401
@@ -221,29 +221,24 @@ def build_resolution(gb: GroebnerBasis) -> FreeResolution:
     F_0 = R, and the generators are position-0 dicts of it, the columns of
     maps[0].  Every level keeps only the pairs of its lead frame (Schreyer's
     frame; La Scala and Stillman, JSC 26, 1998), one column each: level 1
-    takes the columns of ``gb.frame``, the certificate ``buchberger`` made,
-    and each later level reduces its pairs with ``pair_records``, which
-    asserts each remainder zero.  The kept pair syzygies generate the
+    takes the columns of ``gb.frame``, the certificate ``buchberger`` made
+    by ``syzygy_level``, and each later level is one ``syzygy_level`` call,
+    which asserts each remainder zero.  The kept pair syzygies generate the
     syzygies of the leads, so by the generalised Buchberger criterion this
     proves each level a Gröbner basis in the induced order.  The columns of
     each level's map are the next level's elements and the frame's leads
     their leads.
     """
     ring = gb.elements[0].ring
-    generators = [{(0, mono): c for mono, c in g.terms.items()} for g in gb.elements]
+    generators, key, leads = _rank_one(gb.elements, gb.order)
     maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), generators)]
-    induced = SchreyerOrder(lambda pm: gb.order.key(pm[1]), [(0, g.lead(gb.order)[0]) for g in gb.elements])
-    frame = gb.frame
+    induced, frame = SchreyerOrder(key, leads), gb.frame
     while frame:
         if len(maps) == ring.nvars:
             raise AssertionError("resolution exceeded the number of variables")
         columns = [column for _, _, column in frame]
         maps.append(schreyer_syzygies(maps[-1].source, columns))
-        leads = [lead for _, lead, _ in frame]
-        key, induced = induced.key, SchreyerOrder(induced.key, leads)
-        kept = _lead_frame(leads, induced)
-        syzygies = pair_records(columns, key, [pair for pair, _ in kept], leads)
-        frame = [(pair, lead, column) for (pair, lead), column in zip(kept, syzygies)]
+        induced, frame = syzygy_level(columns, induced.key, [lead for _, lead, _ in frame])
     return FreeResolution(maps)
 
 

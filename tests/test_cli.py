@@ -315,6 +315,20 @@ def test_census_unparseable_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content",
+    # bytes that are not UTF-8, and a line nested deeper than the JSON parser recurses
+    [b'{"seq": [5,7,9,11]}\n\xff\xfe\n', b"[" * 100_000 + b"\n"],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_census_refuses_undecodable_input(tmp_path, content, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(content)
+    assert cli.main(["census", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("unparseable record in ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "line",
     # a literal line, or the overrides that make a real record's field mistyped
     ["[1, 2]", '{"valid": true}', {"discrepancies": [1]}, {"betti_computed": 5}],

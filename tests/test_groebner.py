@@ -538,13 +538,12 @@ def test_is_groebner_verdict_on_non_bases(weights, data):
     assert is_groebner([], order) == generic_is_groebner([], order)
 
 
-def test_is_groebner_divides_only_frame_pairs_sharing_a_variable(monkeypatch):
-    """One ``pair_records`` call, on the pairs of the lead frame (six of the
-    ten) whose leads share a variable (five of those six)."""
-    gens = [P(t) for t in REFERENCE_BASIS]
-    order = R4.order()
-    leads = [(0, g.lead(order)[0]) for g in gens]
-    frame = [pair for pair, _ in _lead_frame(leads, SchreyerOrder(rank_one_key(order), leads))]
+def test_is_groebner_divides_every_pair_sharing_a_variable(monkeypatch):
+    """One ``pair_records`` call, on every pair whose leads share a
+    variable: on the reference basis five of the ten, all of them lead
+    frame pairs; on three elements with leads y*z^2, z^3 and y^2*z all
+    three, though the frame leaves out (1, 2)."""
+    ring = Ring(("x", "y", "z"), (1, 1, 1))
     calls = []
     original = groebner.pair_records
 
@@ -553,9 +552,19 @@ def test_is_groebner_divides_only_frame_pairs_sharing_a_variable(monkeypatch):
         return original(columns, key, pairs, leads)
 
     monkeypatch.setattr(groebner, "pair_records", spy)
-    assert is_groebner(gens, order)
-    assert calls == [[(i, j) for i, j in frame if not mono_coprime(leads[i][1], leads[j][1])]]
-    assert (len(calls[0]), len(frame)) == (5, 6)
+    for gens, divided, left_out in (
+        ([P(t) for t in REFERENCE_BASIS], [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)], set()),
+        ([P(t, ring) for t in ("x^2*z - y*z^2", "x*y*z - z^3", "y^2*z - x*z^2")], [(0, 1), (0, 2), (1, 2)], {(1, 2)}),
+    ):
+        order = gens[0].ring.order()
+        leads = [(0, g.lead(order)[0]) for g in gens]
+        pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+        assert divided == [(i, j) for i, j in pairs if not mono_coprime(leads[i][1], leads[j][1])]
+        frame = [pair for pair, _ in _lead_frame(leads, SchreyerOrder(rank_one_key(order), leads))]
+        assert set(divided) - set(frame) == left_out
+        calls.clear()
+        assert is_groebner(gens, order) and generic_is_groebner(gens, order)
+        assert [sorted(pairs) for pairs in calls] == [divided]
 
 
 def test_is_groebner_sees_a_dropped_generator():

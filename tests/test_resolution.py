@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from monocurve import resolution
+from monocurve import groebner, resolution
 from monocurve.closedform import (
     CaseUnmatched,
     DegreeImbalance,
@@ -288,17 +288,17 @@ def _pair_record_calls(gb):
     """The (columns, key, pairs, leads) of every ``pair_records`` call of
     build_resolution(gb)."""
     calls = []
-    original = resolution.pair_records
+    original = groebner.pair_records
 
     def spy(columns, key, pairs, leads):
         calls.append((columns, key, pairs, leads))
         return original(columns, key, pairs, leads)
 
-    resolution.pair_records = spy
+    groebner.pair_records = spy
     try:
         build_resolution(gb)
     finally:
-        resolution.pair_records = original
+        groebner.pair_records = original
     return calls
 
 
@@ -354,6 +354,19 @@ def test_pair_records_raise_on_a_remainder():
     for elements, generic_order in ((gens, order), (vectors, PositionOverTerm(order))):
         with pytest.raises(AssertionError, match="nonzero remainder"):
             pair_records_generic(elements, generic_order, pairs)
+
+
+def test_pair_records_refuse_a_lead_coefficient_other_than_a_unit():
+    """The division multiplies by each lead coefficient in place of dividing
+    by it, so a lead coefficient other than ±1 is refused before any pair."""
+    order = R4.order()
+    gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in gens]
+    leads = [(0, g.lead(order)[0]) for g in gens]
+    columns[1] = {t: 2 * c for t, c in columns[1].items()}
+    for pairs in ([(0, 1)], []):
+        with pytest.raises(ValueError, match="lead coefficient"):
+            pair_records(columns, rank_one_key(order), pairs, leads)
 
 
 @settings(max_examples=20, deadline=None)
