@@ -354,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:  # e.g. m0 near M0_BUDGET under a tight address-space cap
+        print("out of memory: the input needs more memory than this process may use", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 
-from .semigroup import SequenceSpec, min_multiple_in
+from .semigroup import SequenceSpec, progression_multiple
 from .poly import Poly, Ring
 # buchberger is not called here; it stays importable as closedform.buchberger
 # because perfbench/spans.py wraps that attribute
@@ -337,7 +337,7 @@ def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
     if len(elements) != expected:
         raise TemplateMismatch("basis has %d elements, templates give %d" % (len(elements), expected))
 
-    if v != min_multiple_in(spec.n, spec.arithmetic_part):
+    if v != progression_multiple(spec.n, spec.m0, spec.d):
         raise TemplateMismatch("pure Y exponent disagrees with the semigroup")
 
     return CaseParameters(

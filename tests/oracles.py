@@ -7,9 +7,11 @@ for that:
 * ``gamma_series_truncation`` and ``hilbert_series_truncation``, the two
   sides of the identity as power series cut at a given degree;
 * ``apery_set_walk``, the Apéry set by walking each residue class upward
-  with membership queries.
+  with membership queries;
+* ``series_numerator_dense``, the series numerator as the product over the
+  whole Apéry set, where the program reads the table's boundary.
 
-Both answer membership from ``DenseSemigroup``, a boolean table of every
+All three answer membership from ``DenseSemigroup``, a boolean table of every
 value up to the query, not from ``SubSemigroup``, which the program answers
 from the same Apéry table that the Hilbert identity is built on.
 
@@ -883,6 +885,19 @@ def hilbert_series_truncation(numerator: dict, weights, degree: int) -> list:
         for i in range(w, degree + 1):
             coeffs[i] += coeffs[i - w]
     return coeffs
+
+
+def series_numerator_dense(semigroup: SubSemigroup) -> dict:
+    """Gamma(z) * prod_g (1 - z^g) as {degree: coefficient}, zeros dropped:
+    the Apéry polynomial of the least generator m as a dict with one entry
+    per residue mod m, found by ``apery_set_walk``, times each other factor
+    (1 - z^g) in place over a snapshot of its items."""
+    m, *rest = semigroup.generators
+    coeffs = dict.fromkeys(apery_set_walk(semigroup, m), 1)
+    for g in rest:
+        for d, c in list(coeffs.items()):
+            coeffs[d + g] = coeffs.get(d + g, 0) - c
+    return {d: c for d, c in coeffs.items() if c}
 
 
 def apery_set_walk(semigroup: SubSemigroup, m: int) -> set:

@@ -1,8 +1,8 @@
 """How analyze_sequence sets its flags: the one FreeResolution.validate()
 pass onto compose_ok and minimal_ok, the exact series identity onto
 hilbert_ok, and the kernel's certificate or is_groebner onto gb_ok; that
-each check and each semigroup table runs once per tuple; and how long it
-takes on large generators."""
+each check runs once per tuple and builds one semigroup table in all; and
+how long it takes on large generators."""
 
 import time
 
@@ -105,23 +105,24 @@ def _spy_tables(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("seq", [(5, 7, 9, 11), (150, 157, 164, 299)])
-def test_arithmetic_apery_table_built_once(monkeypatch, seq):
-    """extract_parameters' least multiple of n reads one table of
-    <m0, m1, m2>, the spec's cached arithmetic part."""
+def test_extract_parameters_builds_no_table(monkeypatch, seq):
+    """extract_parameters reads the least multiple of n in <m0, m1, m2>
+    off a formula, so it builds no semigroup table."""
+    kernel = toric_kernel(semigroup.validate_sequence(*seq))
     seen = _spy_tables(monkeypatch)
-    report = analysis.analyze_sequence(*seq)
-    assert report.case is not None  # parameters were extracted
-    assert seen.count(seq[:3]) == 1
+    params = closedform.extract_parameters(kernel)
+    assert params.y_order >= 1  # parameters were extracted
+    assert seen == []
 
 
 @pytest.mark.parametrize("seq", [(5, 7, 9, 11), (150, 157, 164, 299), (7, 9, 11, 5)])
-def test_two_semigroup_tables_per_tuple(monkeypatch, seq):
-    """A valid tuple builds two tables: Gamma's, which decides minimal
-    generation and gives the series numerator, and <m0, m1, m2>'s."""
+def test_one_semigroup_table_per_tuple(monkeypatch, seq):
+    """A valid tuple builds one table, Gamma's, which decides minimal
+    generation and gives the series numerator."""
     seen = _spy_tables(monkeypatch)
     report = analysis.analyze_sequence(*seq)
     assert report.case is not None and report.flags["hilbert_ok"]
-    assert sorted(seen) == sorted([tuple(sorted(seq)), seq[:3]])
+    assert seen == [tuple(sorted(seq))]
 
 
 def _count_case_matches(monkeypatch, *owners) -> list:

@@ -135,6 +135,20 @@ def test_analyze_exit_two_on_doctored_failure(monkeypatch, capsys):
     assert "gb_ok=False" in capsys.readouterr().out
 
 
+def test_analyze_out_of_memory_is_one_line_exit_one(monkeypatch, capsys):
+    """A MemoryError (m0 near M0_BUDGET under a tight address-space cap)
+    is one stderr line and exit 1, not a traceback."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "analyze_sequence", exhausted)
+    assert cli.main(["analyze", "--seq", "3999971,3999972,3999973,49999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "out of memory" in captured.err
+
+
 # sweep
 
 

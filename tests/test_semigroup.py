@@ -1,7 +1,7 @@
 """Semigroup arithmetic against a brute-force reachability oracle."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monocurve.semigroup import (
@@ -15,10 +15,18 @@ from monocurve.semigroup import (
     apery_set,
     frobenius,
     min_multiple_in,
+    progression_multiple,
+    series_numerator,
     validate_sequence,
 )
 
-from oracles import DenseSemigroup, apery_set_walk, gamma_series_truncation, validate_sequence_by_subsemigroups
+from oracles import (
+    DenseSemigroup,
+    apery_set_walk,
+    gamma_series_truncation,
+    series_numerator_dense,
+    validate_sequence_by_subsemigroups,
+)
 
 
 def naive_member(s, gens):
@@ -160,6 +168,46 @@ def test_min_multiple_in_matches_dense_table(gens, factor, x, share):
     assert min_multiple_in(x, semi) == v
 
 
+@given(st.integers(1, 60), st.integers(1, 40), st.integers(1, 200), st.booleans())
+@settings(max_examples=300)
+@example(2, 1, 3, False)  # m0 = 2
+@example(6, 4, 5, False)  # gcd(m0, d) = 2, x odd
+@example(6, 4, 1, True)  # x = m0
+@example(12, 9, 2, True)  # gcd(m0, d) = 3, x a multiple of m0
+def test_progression_multiple_matches_the_table(m0, d, x, of_m0):
+    """The table-free least multiple of x in <m0, m0 + d, m0 + 2d> against
+    ``min_multiple_in`` on that semigroup's Apéry table; ``of_m0`` makes x a
+    multiple of m0."""
+    if of_m0:
+        x *= m0
+    semi = SubSemigroup((m0, m0 + d, m0 + 2 * d))
+    assert progression_multiple(x, m0, d) == min_multiple_in(x, semi)
+
+
+def test_progression_multiple_refuses_nonpositive_x():
+    with pytest.raises(ValueError):
+        progression_multiple(0, 5, 2)
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+@settings(max_examples=300)
+@example([1])
+@example([7])  # one generator: Gamma(z) * (1 - z^7) = 1
+@example([11, 5, 7, 9])  # n < m0, so the Apéry base is n
+@example([4, 6, 9])
+def test_series_numerator_matches_dense_product(gens):
+    """The boundary product against the dict product over the whole Apéry
+    set, on coprime generator sets."""
+    semi = SubSemigroup(gens)
+    assume(semi.gcd == 1)
+    assert series_numerator(semi) == series_numerator_dense(semi)
+
+
+def test_series_numerator_refuses_a_common_factor():
+    with pytest.raises(GcdNotOne):
+        series_numerator(SubSemigroup((4, 6, 8)))
+
+
 def test_gamma_series_truncation_is_indicator():
     semi = SubSemigroup((5, 7, 9, 11))
     series = gamma_series_truncation(semi, 40)
@@ -173,7 +221,7 @@ def test_validate_sequence_accepts_reference_tuple():
     spec = validate_sequence(5, 7, 9, 11)
     assert spec.d == 2
     assert spec.weights == (5, 7, 9, 11)
-    assert spec.arithmetic_part.generators == (5, 7, 9)
+    assert progression_multiple(spec.n, spec.m0, spec.d) == 2  # 11 is not in <5, 7, 9>, 22 = 7 + 3*5 is
     assert spec.gamma.contains(11)
 
 
