@@ -2,47 +2,42 @@
 kernels.
 
 Ideal elements are pure-difference binomials or unit monomials, up to sign
-(Sturmfels, *Gröbner Bases and Convex Polytopes*, ch. 12).  One division
-routine serves every syzygy level: ``pair_records`` divides each pair of a
-level by ``divide``'s rule in one {(position, exponent): coefficient} dict
-and returns the pair's syzygy as such a dict, so a level's elements are the
-columns of the map before, with the ideal's generators at position 0 of the
-rank-one module F_0 = R.  ``syzygy_level`` runs one level on its lead
-frame (``_lead_frame``, the pairs whose syzygy leads are minimal; La Scala
-and Stillman, JSC 26, 1998): on F_0 = R a pair with coprime leads has the
-Koszul syzygy (g_i e_j - g_j e_i)·c_i c_j, every other pair goes to
-``pair_records`` and must leave remainder zero.  ``buchberger`` certifies
-a basis by that level, so the certificate is also level 1 of the
-resolution, and ``resolution.build_resolution`` runs it for every later
-level.  ``is_groebner`` needs no frame: it divides every pair whose leads
-share a variable and answers False where ``pair_records`` finds a
-remainder.
+(Sturmfels, *Gröbner Bases and Convex Polytopes*, ch. 12).  ``pair_records``
+is the one division, for every syzygy level, whose elements are the
+columns of the map before, the generators those of F_0 = R.
+``syzygy_level`` runs a level on its lead frame (La Scala and Stillman,
+JSC 26, 1998), ``buchberger`` certifies a basis by level 1, from which
+``resolution.build_resolution`` goes on, and ``is_groebner`` divides every
+pair whose leads share a variable.
 
-The toric kernel needs no completion: its reduced basis is read off the
-Apéry set Ap(Γ, w_0), found by one shortest-path pass over the residues
-mod w_0 that also picks the order-least monomial of each Apéry degree
-(``_standard_table``).  They form an order ideal S, and the leads are the
-minimal monomials outside it, each with the standard monomial of its
-degree as tail.  Monomials there are int labels, the degree and then each
-exponent in a fixed-width field, exact since no Apéry element exceeds
-(w_0 - 1)·max(w); one is in S iff its label is the table's at its degree
-mod w_0.  ``_lead_labels`` walks S's boundary by such lookups, as many as
-S's extent, not w_0.  The basis is certified in three independent steps:
-``ToricIdeal.validate`` puts every element in the kernel, the one
-``buchberger`` pass reduces every frame pair to zero, so the elements are
-a Gröbner basis, and the Hilbert identity, checked from ``semigroup``'s
-own Apéry set, makes the ideal they generate the whole kernel; so the
-kernel's table shares no code with ``semigroup``.
+Each term x^m e_p of a level is one int, its own Schreyer key
+(``_Module``), so terms compare, shift and divide as ints and the greatest
+is a plain ``max``.  In F_0 = R, x^m is (deg m << MB) + V - m, m in one
+field per variable, x_0 highest, of v value bits under a guard bit, and V
+every value bit: weighted grevlex.  Over leads l_p the next level packs
+x^m e_p as the int of l_p·x^m, then V - m, then 2^PB - 1 - p: the image,
+then the lexicographically smaller cofactor, then the smaller position,
+which is Schreyer's order.  The int is affine in m, so x^q adds one int to
+every term, and the guard bits give divisibility and lcms in a few
+operations.  No field borrows: each is V minus an exponent of a divisor of
+the term's image in F_0, whose degree at most doubles per level, and v
+holds D·2^levels over the least weight for generators of degree at most D;
+the cofactor tie-break sheds a variable of the lead cofactors per level,
+so there are at most as many levels as variables.  Exponent tuples appear
+only at the boundary: each level's frame is decoded once.
+
+The toric kernel's reduced basis is read off the Apéry set on int labels
+of its own, with no S-pair (``toric_kernel_generic``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from operator import add, le, neg, sub
+from dataclasses import dataclass, field
+from operator import lshift, mul, neg
 
-from monocurve.poly import Poly, Ring, SchreyerOrder, mono_coprime
+from monocurve.poly import GrevlexOrder, Poly, Ring
 
 # divide and s_polynomial are not called here; they stay importable as
 # groebner.divide and groebner.s_polynomial
@@ -56,46 +51,105 @@ VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
 class GroebnerBasis:
     """A Gröbner basis with its certificate: for each pair of its lead
     frame, ((i, j), lead of the pair's syzygy, the syzygy as one {(slot,
-    exponent): coefficient} dict), a column of the first syzygy map."""
+    exponent): coefficient} dict), a column of the first syzygy map; and in
+    ``_level`` the (module, frame) of ``syzygy_level`` it was decoded from."""
 
     elements: list
     order: object
     frame: list
+    _level: tuple = field(default=None, repr=False, compare=False)
 
 
-def _lead_frame(leads, induced) -> list:
+class _Module:
+    """Packs one level's terms x^m e_p into ints consts[p] + (deg m << x) -
+    m·r, their own Schreyer keys: m in the fields at ``shifts``, ``value``
+    bits under a guard bit each, ``mb`` bits in all; ``full`` sets every
+    value bit, ``guard`` every guard bit; the position is the low ``pb``
+    bits.  Images in F_0 have degree at most ``top``."""
+
+    shared = ("weights", "top", "value", "vmask", "mb", "fields", "shifts", "full", "guard")  # by every level
+    __slots__ = shared + ("pb", "pmask", "x", "r", "consts")
+
+    def __init__(self, weights, top):
+        """F_0 = R, x^m packed as (deg m << mb) + V - m: weighted grevlex."""
+        v = (top // min(weights)).bit_length()
+        self.weights, self.top, self.value, self.vmask = weights, top, v, (1 << v) - 1
+        self.mb = len(weights) * (v + 1)
+        self.fields, self.shifts = (1 << self.mb) - 1, tuple(range(self.mb - v - 1, -1, -v - 1))
+        self.full, self.guard = sum(self.vmask << s for s in self.shifts), sum(1 << s + v for s in self.shifts)
+        self.pb, self.pmask, self.x, self.r, self.consts = 0, 0, self.mb, 1, (self.full,)
+
+    def next(self, leads) -> "_Module":
+        """The level over ``leads``, ints of this one: x^m e_p is the int of
+        leads[p]·x^m here, then V - m, then 2^pb - 1 - p."""
+        out, pb = object.__new__(_Module), len(leads).bit_length()
+        for name in self.shared:
+            setattr(out, name, getattr(self, name))
+        low = self.mb + pb
+        out.consts = [(lead << low) + (self.full << pb) + (1 << pb) - 1 - p for p, lead in enumerate(leads)]
+        out.pb, out.pmask, out.x, out.r = pb, (1 << pb) - 1, self.x + low, (self.r << low) + (1 << pb)
+        return out
+
+    def term(self, p: int, q: int, degree: int) -> int:
+        """The int of x^q e_p, q packed, of the given degree."""
+        return self.consts[p] + (degree << self.x) - q * self.r
+
+    def degree(self, q: int) -> int:
+        v = self.vmask
+        return sum([w * (q >> s & v) for w, s in zip(self.weights, self.shifts)])
+
+    def decode(self, t: int) -> tuple:
+        """(p, exponent) of the int t of x^exponent e_p."""
+        m, v = self.full - (t >> self.pb & self.fields), self.vmask
+        return ~t & self.pmask, tuple([m >> s & v for s in self.shifts])
+
+    def cofactors(self, a: int, b: int) -> tuple:
+        """lcm - m_a and lcm - m_b, packed, for terms a and b at one
+        position, m_a, m_b their exponents and lcm theirs."""
+        a, b = a >> self.pb & self.fields, b >> self.pb & self.fields  # V - m_a, V - m_b
+        ge = (a | self.guard) - b & self.guard  # the guard bits of the fields where a >= b
+        least = ge - (ge >> self.value)
+        low = b & least | a & ~least  # V - lcm
+        return a - low, b - low
+
+
+def _lead_frame(module, syz, leads) -> list:
     """The pairs (i, j) whose syzygies the resolution keeps, ascending, each
-    with the lead of its syzygy.
+    with the lead of its syzygy in ``syz``, the level over ``leads``.
 
-    ``leads`` are the basis's (position, exponent) leads and ``induced``
-    their Schreyer order.  The syzygy of (i, j), leads at one position, has
-    lead cofactor_i e_i or cofactor_j e_j, whichever cofactor is
-    lexicographically smaller (ties to i): both map to the lcm of the two
-    leads, every quotient term to less.  Kept are the pairs whose lead is no
-    multiple of a kept lead, taken in ascending order, of equal leads the
-    first.
+    The syzygy of (i, j), leads at one position, has lead cofactor_i e_i or
+    cofactor_j e_j, whichever cofactor is lexicographically smaller (ties to
+    i): both map to the lcm of the two leads, every quotient term to less.
+    Kept are per slot the minimal lead cofactors, of equal ones the first
+    pair: the leads an ascending pass keeps when no kept lead divides them,
+    since per slot the Schreyer order is a monomial order.
     """
-    frame = []
-    for i, (pos, a) in enumerate(leads):
+    mask, guard = module.pmask, module.guard
+    minimal: dict = {}  # slot -> [(cofactor, pair)], none dividing another
+    for i, a in enumerate(leads):
         for j in range(i + 1, len(leads)):
-            other, b = leads[j]
-            if other == pos:
-                lcm = tuple(map(max, a, b))
-                cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
-                lead = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
-                frame.append((induced.key(lead), lead, (i, j)))
-    kept: list = []
-    for _, (slot, cof), pair in sorted(frame, key=lambda entry: entry[0]):
-        if not any(slot == p and all(map(le, c, cof)) for (p, c), _ in kept):
-            kept.append(((slot, cof), pair))
-    return sorted((pair, lead) for lead, pair in kept)
+            if (a ^ leads[j]) & mask == 0:
+                cof_i, cof_j = module.cofactors(a, leads[j])
+                slot, cof = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
+                kept = minimal.setdefault(slot, [])
+                if all((cof | guard) - k & guard != guard for k, _ in kept):
+                    kept[:] = [(k, pair) for k, pair in kept if (k | guard) - cof & guard != guard]
+                    kept.append((cof, (i, j)))
+    return sorted((pair, syz.term(slot, c, syz.degree(c))) for slot, kept in minimal.items() for c, pair in kept)
 
 
-def _rank_one(elements, order) -> tuple:
-    """(columns, key, leads) of ``elements`` in F_0 = R: their position-0
-    dicts, the rank-one key ordering (0, m) as m, and their leads."""
-    columns = [{(0, m): c for m, c in g.terms.items()} for g in elements]
-    return columns, lambda pm: order.key(pm[1]), [(0, g.lead(order)[0]) for g in elements]
+def _rank_one(elements, order, depth) -> tuple:
+    """(module, columns, leads) of ``elements`` in F_0 = R: the ``_Module``
+    for ``depth`` levels, each at most doubling the degrees, the elements'
+    {int: coefficient} dicts, and their leads."""
+    ring = elements[0].ring
+    if type(order) is not GrevlexOrder or order.ring != ring:
+        raise ValueError("the packed keys are the ring's weighted grevlex, not %r" % (order,))
+    terms = [[(m, sum(map(mul, m, ring.weights)), c) for m, c in g.terms.items()] for g in elements]
+    module = _Module(ring.weights, max(d for g in terms for _, d, _ in g) << depth)
+    full, shifts, x = module.full, module.shifts, module.x
+    columns = [{(d << x) + full - sum(map(lshift, m, shifts)): c for m, d, c in g} for g in terms]
+    return module, columns, [max(column) for column in columns]
 
 
 def _refuse_others(elements) -> None:
@@ -106,47 +160,53 @@ def _refuse_others(elements) -> None:
             raise ValueError("not a unit monomial or pure-difference binomial: %r" % (g,))
 
 
-def syzygy_level(columns, key, leads) -> tuple:
-    """(induced, frame) of one syzygy level: ``induced`` the Schreyer order
-    of ``leads``, the lead keys of ``columns`` in the order ``key``, and
-    ``frame`` one (pair, lead, column) per pair of ``_lead_frame``, the
-    column the pair's syzygy as a {(slot, exponent): coefficient} dict.
+def syzygy_level(module, columns, leads) -> tuple:
+    """(syz, frame) of one syzygy level: ``syz`` the ``_Module`` over
+    ``leads``, the leads of ``columns``, {int: coefficient} dicts of
+    ``module``, and ``frame`` one (pair, lead, column) per pair of
+    ``_lead_frame``, the column the pair's syzygy in ``syz``.
 
-    On F_0 = R, every term at position 0, a pair with coprime leads keeps
-    its Koszul column (g_i e_j - g_j e_i)·c_i c_j, c the lead coefficients
-    (product criterion); every other pair goes to one ``pair_records``
-    call, whose AssertionError names the first pair that leaves a remainder.
+    On F_0 = R (r = 1) a pair with coprime leads, whose lcm's degree is the
+    sum of theirs, keeps its Koszul column (g_i e_j - g_j e_i)·c_i c_j, c
+    the lead coefficients (product criterion); every other pair goes to one
+    ``pair_records`` call, whose AssertionError names the first pair that
+    leaves a remainder.
     """
-    induced = SchreyerOrder(key, leads)
-    kept = _lead_frame(leads, induced)
-    rank_one = all(pos == 0 for column in columns for pos, _ in column)
-    koszul = [rank_one and mono_coprime(leads[i][1], leads[j][1]) for (i, j), _ in kept]
-    syzygies = iter(pair_records(columns, key, [pair for (pair, _), k in zip(kept, koszul) if not k], leads))
+    syz, x = module.next(leads), module.x
+    kept = _lead_frame(module, syz, leads)
+    koszul = [module.r == 1 and lead >> syz.x == (leads[i] >> x) + (leads[j] >> x) for (i, j), lead in kept]
+    divided = [pair for (pair, _), k in zip(kept, koszul) if not k]
+    syzygies = iter(pair_records(module, syz, columns, divided, leads))
+    # x^m e_p less consts[p], for x^m in F_0 = R
+    lift = lambda t: (t >> x << syz.x) - (module.full - (t & module.fields)) * syz.r  # noqa: E731
     frame = []
     for ((i, j), lead), k in zip(kept, koszul):
         if k:
             s = columns[i][leads[i]] * columns[j][leads[j]]
-            column = {(i, m): -s * c for (_, m), c in columns[j].items()}
-            column.update({(j, m): s * c for (_, m), c in columns[i].items()})
+            column = {syz.consts[i] + lift(t): -s * c for t, c in columns[j].items()}
+            column.update({syz.consts[j] + lift(t): s * c for t, c in columns[i].items()})
         else:
             column = next(syzygies)
         frame.append(((i, j), lead, column))
-    return induced, frame
+    return syz, frame
 
 
 def buchberger(elements, order) -> GroebnerBasis:
     """Certify unit monomials and pure-difference binomials as a Gröbner
-    basis by Buchberger's criterion over the lead frame, writing down the
-    syzygy of each frame pair: ``syzygy_level`` on the elements as
-    position-0 dicts of F_0 = R, so a pair that leaves a remainder raises an
-    AssertionError naming it.  The kept pair syzygies generate the syzygies
-    of the leads, so zero remainders on them prove the criterion.
+    basis in the ring's weighted grevlex order by Buchberger's criterion
+    over the lead frame: ``syzygy_level`` on the elements in F_0 = R, packed
+    for the at most one level per variable ``build_resolution`` makes, so a
+    pair that leaves a remainder raises an AssertionError naming it.  The
+    kept pair syzygies generate the syzygies of the leads, so zero
+    remainders on them prove the criterion.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one generator")
     _refuse_others(elements)
-    return GroebnerBasis(elements, order, syzygy_level(*_rank_one(elements, order))[1])
+    syz, frame = syzygy_level(*_rank_one(elements, order, elements[0].ring.nvars))
+    decoded = [(pair, syz.decode(lead), {syz.decode(t): c for t, c in col.items()}) for pair, lead, col in frame]
+    return GroebnerBasis(elements, order, decoded, (syz, frame))
 
 
 def is_groebner(gens, order) -> bool:
@@ -158,20 +218,25 @@ def is_groebner(gens, order) -> bool:
     _refuse_others(gens)
     if not all(map(is_pure_difference, gens)):
         raise ValueError("is_groebner takes pure-difference binomials only")
-    columns, key, leads = _rank_one(gens, order)
-    pairs = [(i, j) for j in range(len(leads)) for i in range(j) if not mono_coprime(leads[i][1], leads[j][1])]
+    if not gens:
+        return True  # the zero ideal, with no degree to pack by
+    module, columns, leads = _rank_one(gens, order, 1)
+    guard, ones = module.guard, module.guard >> module.value
+    # the guard bits of the variables each lead carries
+    support = [(module.full - (t & module.fields) | guard) - ones & guard for t in leads]
+    pairs = [(i, j) for j in range(len(leads)) for i in range(j) if support[i] & support[j]]
     try:
-        pair_records(columns, key, pairs, leads)
+        pair_records(module, module.next(leads), columns, pairs, leads)
     except AssertionError:
         return False
     return True
 
 
-def _subtract(terms: dict, items, shift: tuple, scale) -> None:
-    """terms -= scale · x^shift · items, for (position, exponent) keys, in
+def _subtract(terms: dict, items, shift: int, scale) -> None:
+    """terms -= scale · x^q · items, x^q adding ``shift`` to each int, in
     place, dropping the coefficients that cancel."""
-    for (p, m), c in items:
-        t = (p, tuple(map(add, m, shift)))
+    for t, c in items:
+        t += shift
         v = terms.get(t, 0) - c * scale
         if v:
             terms[t] = v
@@ -179,56 +244,55 @@ def _subtract(terms: dict, items, shift: tuple, scale) -> None:
             del terms[t]
 
 
-def pair_records(columns, key, pairs, leads) -> list:
-    """The syzygy of each pair (i, j) of ``columns``, {(position, exponent):
-    coefficient} dicts that form a Gröbner basis in the order ``key``, with
-    ``leads`` their lead keys, of which i's and j's share their position:
-    the one division the program runs, for ``buchberger`` and
-    ``is_groebner`` on a basis as position-0 dicts and for every later
-    syzygy level.
+def pair_records(module, syz, columns, pairs, leads) -> list:
+    """The syzygy of each pair (i, j) of ``columns``, {int: coefficient}
+    dicts of ``module`` forming a Gröbner basis with leads ``leads``, i's and
+    j's at one position, as a {int: coefficient} dict of ``syz``, the level
+    over ``leads``: the one division the program runs, at every level.
 
     The S-element c_i·cofactor_i·columns[i] - c_j·cofactor_j·columns[j],
     c the lead coefficients, which must be ±1 (else a ValueError), is
-    divided by ``columns``, which must leave remainder zero, by ``divide``'s
-    rule in one dict: the greatest term goes to the dividing lead that is
-    greatest in ``key``, ties to the earlier index, and only that divisor's
-    tail is subtracted, since its lead cancels the term.  A term no lead
-    divides would stay in the remainder, so the first one fails the pair.
-    The syzygy is the quotients, minus c_i·cofactor_i at slot i, plus
-    c_j·cofactor_j at slot j, again one {(slot, exponent): coefficient}
-    dict; each quotient key is new to it, as the divided terms strictly
-    fall and all lie below the lcm of the pair's leads.
+    divided by ``divide``'s rule in one dict: the greatest term goes to the
+    greatest dividing lead, ties to the earlier index, whose tail is
+    subtracted shifted by the term minus the lead; a term no lead divides
+    fails the pair (AssertionError).  The syzygy is the quotients, minus
+    c_i·cofactor_i at slot i, plus c_j·cofactor_j at slot j; each quotient
+    is new to it, as the divided terms strictly fall below the lcm of the
+    pair's leads, whose degree must be at most ``module.top``.
     """
     units = [column[lead] for column, lead in zip(columns, leads)]
     if any(u not in (1, -1) for u in units):
         raise ValueError("a lead coefficient is not ±1: %r" % (units,))
-    divisors: dict = {}  # position -> [(index, lead exponent, lead coefficient)], by precedence
-    for k in sorted(range(len(leads)), key=lambda k: key(leads[k]), reverse=True):
-        pos, mono = leads[k]
-        divisors.setdefault(pos, []).append((k, mono, units[k]))
-    tails = [[(t, c) for t, c in terms.items() if t != lead] for terms, lead in zip(columns, leads)]
+    pb, x, r, guard, mask, mb = module.pb, module.x, module.r, module.guard, module.pmask, module.fields
+    consts, sx, sr = syz.consts, syz.x, syz.r
+    divisors: dict = {}  # position -> [(index, lead, V - its exponent, lead coefficient)], by precedence
+    for k in sorted(range(len(leads)), key=leads.__getitem__, reverse=True):
+        divisors.setdefault(leads[k] & mask, []).append((k, leads[k], leads[k] >> pb & mb, units[k]))
+    tails = [[(t, c) for t, c in column.items() if t != lead] for column, lead in zip(columns, leads)]
     syzygies = []
     for i, j in pairs:
-        (pos, a), (_, b) = leads[i], leads[j]
-        lcm = tuple(map(max, a, b))
-        cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
+        a, b = leads[i], leads[j]
+        cof_i, cof_j = module.cofactors(a, b)
+        deg_i = module.degree(cof_i)
+        if (a >> x) + deg_i > module.top:
+            raise AssertionError("pair (%d, %d) exceeds the packing bound" % (i, j))
+        lcm = a + (deg_i << x) - cof_i * r
         terms: dict = {}
-        _subtract(terms, tails[i], cof_i, -units[i])
-        _subtract(terms, tails[j], cof_j, units[j])
-        syzygy = {(i, cof_i): -units[i], (j, cof_j): units[j]}
+        _subtract(terms, tails[i], lcm - a, -units[i])
+        _subtract(terms, tails[j], lcm - b, units[j])
+        syzygy = {syz.term(i, cof_i, deg_i): -units[i], syz.term(j, cof_j, (lcm >> x) - (b >> x)): units[j]}
         while terms:
-            top = max(terms, key=key)
+            top = max(terms)
             c = terms.pop(top)
-            pos, mono = top
-            for k, lead, unit in divisors.get(pos, ()):
-                if all(map(le, lead, mono)):
+            m = top >> pb & mb
+            for k, lead, d, unit in divisors.get(top & mask, ()):
+                if (d | guard) - m & guard == guard:
                     break
             else:
                 raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
-            q = tuple(map(sub, mono, lead))
             c *= unit
-            syzygy[k, q] = c
-            _subtract(terms, tails[k], q, c)
+            syzygy[consts[k] + ((top >> x) - (lead >> x) << sx) - (d - m) * sr] = c
+            _subtract(terms, tails[k], top - lead, c)
         syzygies.append(syzygy)
     return syzygies
 
@@ -266,11 +330,6 @@ class ToricIdeal:
                 raise AssertionError(f"not a pure difference binomial: {p}")
             if not vanishes_under_substitution(p, self.ring.weights):
                 raise AssertionError(f"does not vanish under substitution: {p}")
-
-
-def _default_names(count: int):
-    defaults = ("x", "y", "z", "w", "u", "v")
-    return defaults[:count]
 
 
 def _decode(label: int, k: int, width: int) -> tuple:
@@ -383,9 +442,7 @@ def toric_kernel_generic(weights, names=None):
     frame of first syzygies.
     """
     weights = tuple(int(w) for w in weights)
-    if names is None:
-        names = _default_names(len(weights))
-    ring = Ring(tuple(names), weights)
+    ring = Ring(("x", "y", "z", "w", "u", "v")[: len(weights)] if names is None else tuple(names), weights)
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)
     m, k = w[0], len(w) - 1

@@ -5,10 +5,9 @@ integer weights; the default order is the weighted graded reverse-lexicographic
 order.  An order is anything with a ``key`` method: a monomial is greater
 than another iff its key is.
 
-Syzygies need no vector type.  A resolution level's elements are
-{(position, exponent): coefficient} dicts, with F_0 = R the rank-one module
-(every key at position 0), and ``SchreyerOrder`` orders such keys level by
-level from the previous level's key and leads.
+Syzygies need no vector type and no order object: ``groebner`` packs each
+term of a syzygy level into one int that is its own Schreyer key, and
+decodes a level's columns into {(position, exponent): coefficient} dicts.
 
 ``_Terms`` maps keys to coefficients and holds all the arithmetic; a
 subclass names its key arithmetic once, as static ``key_*`` attributes, and
@@ -40,12 +39,6 @@ def _norm_coeff(c):
     return c
 
 
-def _is_scalar(x) -> bool:
-    """Is x an int or a Fraction?  The exact type tests come first, since
-    ``isinstance`` with ``Fraction`` goes through ``ABCMeta.__instancecheck__``."""
-    return type(x) is int or type(x) is Fraction or isinstance(x, (int, Fraction))
-
-
 def coeff_div(a, b):
     """Exact a/b, staying in int when the division is exact."""
     if isinstance(a, int) and isinstance(b, int):
@@ -54,28 +47,6 @@ def coeff_div(a, b):
             return q
         return Fraction(a, b)
     return _norm_coeff(Fraction(a) / Fraction(b))
-
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """Does x^a divide x^b?"""
-    return all(map(le, a, b))
-
-
-def mono_div(a: tuple, b: tuple) -> tuple:
-    """Exponent vector of x^a / x^b (caller guarantees divisibility)."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a: tuple, b: tuple) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 class Ring:
@@ -159,37 +130,6 @@ class GrevlexOrder:
         return f"GrevlexOrder({self.ring!r})"
 
 
-class SchreyerOrder:
-    """Order on one level's (position, exponent) keys induced by the previous
-    level's key ``parent`` and its (position, exponent) leads: x^a e_i is
-    compared as lead(i) times x^a, at lead(i)'s position, in the parent
-    order; on ties the lexicographically smaller cofactor wins, then the
-    smaller position.
-
-    The cofactor tie-break is the same order one gets from the plain
-    smaller-position rule after relabeling the previous level's elements in
-    descending lead order; phrased this way the basis order stays untouched,
-    and the iterated syzygy construction provably sheds one variable of its
-    lead cofactors per level, so it stops within #variables steps."""
-
-    __slots__ = ("parent", "leads", "_keys")
-
-    def __init__(self, parent, leads):
-        self.parent = parent
-        self.leads = tuple(leads)
-        self._keys = {}
-
-    def key(self, mm):
-        """Memoised here, on the per-level order, not on the ring's order."""
-        k = self._keys.get(mm)
-        if k is None:
-            pos, mono = mm
-            lead_pos, lead = self.leads[pos]
-            shifted = lead_pos, tuple(map(add, lead, mono))
-            k = self._keys[mm] = self.parent(shifted) + tuple(map(neg, mono)) + (-pos,)
-        return k
-
-
 class _Terms:
     """Immutable sparse sum of terms: ``terms`` maps keys to coefficients.
 
@@ -247,7 +187,7 @@ class _Terms:
         """``other`` (an element or a scalar) as an element of this space, or None."""
         if type(other) is type(self):
             return other
-        if _is_scalar(other):
+        if isinstance(other, (int, Fraction)):
             other = self._scalar(other)
             if type(other) is type(self):
                 return other
@@ -292,7 +232,7 @@ class _Terms:
             if type(other) is Poly:
                 return self._times(other)
             return NotImplemented
-        if _is_scalar(other):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return self._like({})
             return self._like({k: c * other for k, c in self.terms.items()})
@@ -327,10 +267,10 @@ class Poly(_Terms):
 
     __slots__ = ()
 
-    key_mul = staticmethod(mono_mul)
-    key_divides = staticmethod(mono_divides)
-    key_div = staticmethod(mono_div)
-    key_lcm = staticmethod(mono_lcm)
+    key_mul = staticmethod(lambda a, b: tuple(map(add, a, b)))
+    key_divides = staticmethod(lambda a, b: all(map(le, a, b)))  # does x^a divide x^b?
+    key_div = staticmethod(lambda a, b: tuple(map(sub, a, b)))  # x^a / x^b, for x^b dividing x^a
+    key_lcm = staticmethod(lambda a, b: tuple(map(max, a, b)))
 
     def _scalar(self, c):
         return self.ring.constant(c)

@@ -5,15 +5,11 @@ resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
 ``compose_zero``, which sums each column of a product in exponent
 arithmetic on the maps' column dicts and builds no polynomial.
 
-The syzygy levels have one form: F_0 = R is the rank-one module, and every
-level's elements are {(position, exponent): coefficient} dicts, the ideal's
-generators at position 0.  Each level keeps one syzygy per pair of its lead
-frame, as such a dict, all from ``groebner.syzygy_level``: level 1's are
-the columns ``buchberger`` certified the basis with (``GroebnerBasis.frame``),
-and every later level is one more call.  That dict is both a column of the
-level's map, which ``schreyer_syzygies`` takes as it is, and an element of
-the next level, whose leads are read off the lead frame, not found again by
-a maximum over terms.
+The syzygy levels come from ``groebner.syzygy_level``, one frame each:
+level 1 is the certificate ``buchberger`` made (``GroebnerBasis.frame``),
+every later level one more call on the packed frame before.  Each level's
+frame is decoded once into columns of the level's map, which
+``schreyer_syzygies`` takes as they are.
 
 Conventions, fixed once:
 
@@ -31,10 +27,10 @@ Conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lshift, mul
+from operator import add, lshift, mul
 
-from monocurve.poly import Ring, SchreyerOrder, coeff_div
-from monocurve.groebner import GroebnerBasis, _rank_one, _subtract, syzygy_level
+from monocurve.poly import Ring, coeff_div
+from monocurve.groebner import GroebnerBasis, syzygy_level
 
 # buchberger is not called here; it stays importable as resolution.buchberger
 from monocurve.groebner import buchberger  # noqa: F401
@@ -218,27 +214,25 @@ def schreyer_syzygies(target: GradedFreeModule, columns) -> GradedMap:
 def build_resolution(gb: GroebnerBasis) -> FreeResolution:
     """The Schreyer resolution of a certified basis, one level per pass.
 
-    F_0 = R, and the generators are position-0 dicts of it, the columns of
-    maps[0].  Every level keeps only the pairs of its lead frame (Schreyer's
-    frame; La Scala and Stillman, JSC 26, 1998), one column each: level 1
-    takes the columns of ``gb.frame``, the certificate ``buchberger`` made
-    by ``syzygy_level``, and each later level is one ``syzygy_level`` call,
-    which asserts each remainder zero.  The kept pair syzygies generate the
-    syzygies of the leads, so by the generalised Buchberger criterion this
-    proves each level a Gröbner basis in the induced order.  The columns of
-    each level's map are the next level's elements and the frame's leads
-    their leads.
+    maps[0] has the generators as position-0 columns of F_0 = R.  Level 1 is
+    ``gb.frame``, the lead-frame syzygies ``buchberger`` certified the basis
+    with (Schreyer's frame; La Scala and Stillman, JSC 26, 1998), and each
+    later level one ``syzygy_level`` call on the packed frame before, which
+    asserts each remainder zero.  The kept pair syzygies generate the
+    syzygies of the leads, so by the generalised Buchberger criterion each
+    level is a Gröbner basis in the induced order.  Each frame is decoded
+    once, into the columns of its level's map.
     """
     ring = gb.elements[0].ring
-    generators, key, leads = _rank_one(gb.elements, gb.order)
+    generators = [{(0, m): c for m, c in g.terms.items()} for g in gb.elements]
     maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), generators)]
-    induced, frame = SchreyerOrder(key, leads), gb.frame
+    (module, frame), columns = gb._level, [column for _, _, column in gb.frame]
     while frame:
         if len(maps) == ring.nvars:
             raise AssertionError("resolution exceeded the number of variables")
-        columns = [column for _, _, column in frame]
         maps.append(schreyer_syzygies(maps[-1].source, columns))
-        induced, frame = syzygy_level(columns, induced.key, [lead for _, lead, _ in frame])
+        module, frame = syzygy_level(module, [column for _, _, column in frame], [lead for _, lead, _ in frame])
+        columns = [{module.decode(t): c for t, c in column.items()} for _, _, column in frame]
     return FreeResolution(maps)
 
 
@@ -280,7 +274,13 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
             else:
                 scales.append((m, c * inverse))
         for m2, scale in scales:
-            _subtract(complement, below, m2, scale)
+            for (i, m1), c1 in below:
+                t = (i, tuple(map(add, m1, m2)))
+                v = complement.get(t, 0) - c1 * scale
+                if v:
+                    complement[t] = v
+                else:
+                    del complement[t]
         trimmed.append(complement)
 
     new_maps = list(res.maps)

@@ -42,6 +42,16 @@ syzygy, and ``map_columns`` reads a map's columns back as vectors.
 checked: the constructor the program no longer has, since it builds every
 map from its columns.
 
+The program packs each term x^m e_p of a syzygy level into one int that is
+its own Schreyer key, and works on exponent tuples only at the boundary.
+The tuple form it replaced is the reference for that: ``SchreyerOrder``,
+the induced order on (position, exponent) keys; ``lead_frame_tuples``, the
+frame kept by a sort on those keys; ``pair_records_tuples``, the division
+ordered by a key callable; ``syzygy_level_tuples`` and
+``schreyer_levels_tuples``, one level and every level.  ``packed`` is the
+program's int of a (position, exponent) term, and ``mono_coprime`` the
+product-criterion test on exponent tuples.
+
 The program minimalizes a resolution by splitting off each unit entry in one
 Schur-complement step.  The elementary-operation calculus it replaced is the
 reference for that: ``transform_complex`` applies ``AddMultiple``,
@@ -108,25 +118,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from operator import add, le, lshift, mul, neg, sub
 
 from monocurve.closedform import _CASE_TESTS, _PARAM_FIELDS, CaseUnmatched, _compile, _shift_tree
-from monocurve.groebner import _default_names, buchberger as binomial_buchberger
-from monocurve.poly import (
-    Poly,
-    Ring,
-    SchreyerOrder,
-    _Terms,
-    coeff_div,
-    divide,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    render,
-    s_polynomial,
-)
+from monocurve.groebner import buchberger as binomial_buchberger
+from monocurve.poly import Poly, Ring, _Terms, coeff_div, divide, render, s_polynomial
 from monocurve.resolution import (
     FreeResolution,
     GradedFreeModule,
@@ -186,22 +182,22 @@ class Vect(_Terms):
 
     @staticmethod
     def key_mul(key, mono):
-        return key[0], mono_mul(key[1], mono)
+        return key[0], Poly.key_mul(key[1], mono)
 
     @staticmethod
     def key_divides(a, b) -> bool:
-        return a[0] == b[0] and mono_divides(a[1], b[1])
+        return a[0] == b[0] and Poly.key_divides(a[1], b[1])
 
     @staticmethod
     def key_div(a, b) -> tuple:
-        return mono_div(a[1], b[1])
+        return Poly.key_div(a[1], b[1])
 
     @staticmethod
     def key_lcm(a, b):
         """(position, lcm), or None when the positions differ."""
         if a[0] != b[0]:
             return None
-        return a[0], mono_lcm(a[1], b[1])
+        return a[0], Poly.key_lcm(a[1], b[1])
 
     @classmethod
     def unit(cls, ring: Ring, rank: int, pos: int) -> "Vect":
@@ -501,6 +497,161 @@ def frame_matches(gb, completed: Completion) -> bool:
     return completed.elements == gb.elements and all(
         column == record_vector(records[pair], ring, rank).terms for pair, _, column in gb.frame
     )
+
+
+def mono_coprime(a: tuple, b: tuple) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+class SchreyerOrder:
+    """Order on one level's (position, exponent) keys induced by the previous
+    level's key ``parent`` and its (position, exponent) leads: x^a e_i is
+    compared as lead(i) times x^a, at lead(i)'s position, in the parent
+    order; on ties the lexicographically smaller cofactor wins, then the
+    smaller position.  The program packs each term into an int that is this
+    key; this is the tuple form it replaced.
+
+    The cofactor tie-break is the same order one gets from the plain
+    smaller-position rule after relabeling the previous level's elements in
+    descending lead order; phrased this way the basis order stays untouched,
+    and the iterated syzygy construction provably sheds one variable of its
+    lead cofactors per level, so it stops within #variables steps."""
+
+    __slots__ = ("parent", "leads", "_keys")
+
+    def __init__(self, parent, leads):
+        self.parent = parent
+        self.leads = tuple(leads)
+        self._keys = {}
+
+    def key(self, mm):
+        k = self._keys.get(mm)
+        if k is None:
+            pos, mono = mm
+            lead_pos, lead = self.leads[pos]
+            shifted = lead_pos, tuple(map(add, lead, mono))
+            k = self._keys[mm] = self.parent(shifted) + tuple(map(neg, mono)) + (-pos,)
+        return k
+
+
+def packed(module, term) -> int:
+    """The int of the (position, exponent) ``term`` in the program's
+    ``groebner._Module`` ``module``."""
+    p, mono = term
+    return module.term(p, sum(map(lshift, mono, module.shifts)), sum(map(mul, mono, module.weights)))
+
+
+def lead_frame_tuples(leads, induced) -> list:
+    """The program's lead frame in exponent tuples: each same-position pair
+    (i, j) with its syzygy's lead, the smaller cofactor of the two (ties to
+    i), sorted by ``induced``'s key; kept are the leads no kept lead at
+    their slot divides, of equal leads the first; returned by pair."""
+    frame = []
+    for i, (pos, a) in enumerate(leads):
+        for j in range(i + 1, len(leads)):
+            other, b = leads[j]
+            if other == pos:
+                lcm = tuple(map(max, a, b))
+                cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
+                lead = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
+                frame.append((induced.key(lead), lead, (i, j)))
+    kept: list = []
+    for _, (slot, cof), pair in sorted(frame, key=lambda entry: entry[0]):
+        if not any(slot == p and all(map(le, c, cof)) for (p, c), _ in kept):
+            kept.append(((slot, cof), pair))
+    return sorted((pair, lead) for lead, pair in kept)
+
+
+def _subtract_tuples(terms: dict, items, shift: tuple, scale) -> None:
+    for (p, m), c in items:
+        t = (p, tuple(map(add, m, shift)))
+        v = terms.get(t, 0) - c * scale
+        if v:
+            terms[t] = v
+        else:
+            del terms[t]
+
+
+def pair_records_tuples(columns, key, pairs, leads) -> list:
+    """The program's pair division in {(position, exponent): coefficient}
+    dicts ordered by the callable ``key``, with ``leads`` the columns'
+    (position, exponent) leads: each pair's S-element divided by the
+    greatest dividing lead (ties to the earlier index), which must leave
+    remainder zero (AssertionError), lead coefficients ±1 (ValueError)."""
+    units = [column[lead] for column, lead in zip(columns, leads)]
+    if any(u not in (1, -1) for u in units):
+        raise ValueError("a lead coefficient is not ±1: %r" % (units,))
+    divisors: dict = {}
+    for k in sorted(range(len(leads)), key=lambda k: key(leads[k]), reverse=True):
+        pos, mono = leads[k]
+        divisors.setdefault(pos, []).append((k, mono, units[k]))
+    tails = [[(t, c) for t, c in terms.items() if t != lead] for terms, lead in zip(columns, leads)]
+    syzygies = []
+    for i, j in pairs:
+        (pos, a), (_, b) = leads[i], leads[j]
+        lcm = tuple(map(max, a, b))
+        cof_i, cof_j = tuple(map(sub, lcm, a)), tuple(map(sub, lcm, b))
+        terms: dict = {}
+        _subtract_tuples(terms, tails[i], cof_i, -units[i])
+        _subtract_tuples(terms, tails[j], cof_j, units[j])
+        syzygy = {(i, cof_i): -units[i], (j, cof_j): units[j]}
+        while terms:
+            top = max(terms, key=key)
+            c = terms.pop(top)
+            pos, mono = top
+            for k, lead, unit in divisors.get(pos, ()):
+                if all(map(le, lead, mono)):
+                    break
+            else:
+                raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
+            q = tuple(map(sub, mono, lead))
+            c *= unit
+            syzygy[k, q] = c
+            _subtract_tuples(terms, tails[k], q, c)
+        syzygies.append(syzygy)
+    return syzygies
+
+
+def syzygy_level_tuples(columns, key, leads) -> tuple:
+    """The program's syzygy level in exponent tuples: (induced, frame), the
+    Schreyer order of ``leads`` and one (pair, lead, column) per pair of
+    ``lead_frame_tuples``, a pair with coprime leads in F_0 = R keeping its
+    Koszul column, every other divided by ``pair_records_tuples``."""
+    induced = SchreyerOrder(key, leads)
+    kept = lead_frame_tuples(leads, induced)
+    rank_one = all(pos == 0 for column in columns for pos, _ in column)
+    koszul = [rank_one and mono_coprime(leads[i][1], leads[j][1]) for (i, j), _ in kept]
+    divided = [pair for (pair, _), k in zip(kept, koszul) if not k]
+    syzygies = iter(pair_records_tuples(columns, key, divided, leads))
+    frame = []
+    for ((i, j), lead), k in zip(kept, koszul):
+        if k:
+            s = columns[i][leads[i]] * columns[j][leads[j]]
+            column = {(i, m): -s * c for (_, m), c in columns[j].items()}
+            column.update({(j, m): s * c for (_, m), c in columns[i].items()})
+        else:
+            column = next(syzygies)
+        frame.append(((i, j), lead, column))
+    return induced, frame
+
+
+def schreyer_levels_tuples(elements, order, depth) -> list:
+    """Up to ``depth`` syzygy levels of a Gröbner basis in exponent tuples,
+    level 1 first, each ``syzygy_level_tuples`` on the frame before: the
+    program's resolution before it packed its terms.  Each level is (key,
+    frame), ``key`` the Schreyer key of the frame's terms and ``frame``
+    [(pair, (slot, exponent) lead, {(slot, exponent): coefficient}
+    column)]; the list stops before the first empty frame."""
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in elements]
+    key, leads = rank_one_key(order), [(0, g.lead(order)[0]) for g in elements]
+    levels = []
+    while len(levels) < depth:
+        induced, frame = syzygy_level_tuples(columns, key, leads)
+        if not frame:
+            break
+        levels.append((induced.key, frame))
+        key, columns, leads = induced.key, [c for _, _, c in frame], [lead for _, lead, _ in frame]
+    return levels
 
 
 def rank_one_key(order):
@@ -973,7 +1124,7 @@ def toric_kernel_elimination(weights, names=None):
     """
     weights = tuple(int(w) for w in weights)
     if names is None:
-        names = _default_names(len(weights))
+        names = ("x", "y", "z", "w", "u", "v")[: len(weights)]
     ring = Ring(tuple(names), weights)
     ext = extended(ring, "T", 1)
     gens = []
@@ -1081,7 +1232,7 @@ def toric_kernel_saturation(weights, names=None):
     """
     weights = tuple(int(w) for w in weights)
     if names is None:
-        names = _default_names(len(weights))
+        names = ("x", "y", "z", "w", "u", "v")[: len(weights)]
     ring = Ring(tuple(names), weights)
     gens = []
     for vec in _kernel_lattice_basis(weights):
@@ -1170,7 +1321,7 @@ def toric_kernel_by_sets(weights, names=None):
     """
     weights = tuple(int(w) for w in weights)
     if names is None:
-        names = _default_names(len(weights))
+        names = ("x", "y", "z", "w", "u", "v")[: len(weights)]
     ring = Ring(tuple(names), weights)
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from monocurve import groebner
 from monocurve.groebner import (
     _decode,
-    _lead_frame,
     _lead_labels,
     _standard_table,
     buchberger,
@@ -26,11 +25,12 @@ from monocurve.closedform import (
     canonical_generators,
     extract_parameters,
 )
-from monocurve.poly import Poly, Ring, SchreyerOrder, mono_coprime, parse
+from monocurve.poly import Poly, Ring, parse
 from monocurve.semigroup import SubSemigroup, ValidationError, apery_set, validate_sequence
 
 from oracles import (
     PositionOverTerm,
+    SchreyerOrder,
     Vect,
     apery_set_walk,
     buchberger as generic_buchberger,
@@ -38,8 +38,10 @@ from oracles import (
     ideal_member,
     is_groebner as generic_is_groebner,
     is_homogeneous,
+    lead_frame_tuples,
     lead_labels_by_scan,
     lead_minimal,
+    mono_coprime,
     rank_one_key,
     record_vector,
     reduce_basis,
@@ -547,9 +549,9 @@ def test_is_groebner_divides_every_pair_sharing_a_variable(monkeypatch):
     calls = []
     original = groebner.pair_records
 
-    def spy(columns, key, pairs, leads):
+    def spy(module, syz, columns, pairs, leads):
         calls.append(list(pairs))
-        return original(columns, key, pairs, leads)
+        return original(module, syz, columns, pairs, leads)
 
     monkeypatch.setattr(groebner, "pair_records", spy)
     for gens, divided, left_out in (
@@ -560,7 +562,7 @@ def test_is_groebner_divides_every_pair_sharing_a_variable(monkeypatch):
         leads = [(0, g.lead(order)[0]) for g in gens]
         pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
         assert divided == [(i, j) for i, j in pairs if not mono_coprime(leads[i][1], leads[j][1])]
-        frame = [pair for pair, _ in _lead_frame(leads, SchreyerOrder(rank_one_key(order), leads))]
+        frame = [pair for pair, _ in lead_frame_tuples(leads, SchreyerOrder(rank_one_key(order), leads))]
         assert set(divided) - set(frame) == left_out
         calls.clear()
         assert is_groebner(gens, order) and generic_is_groebner(gens, order)

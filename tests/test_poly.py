@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocurve.poly import (
-    GrevlexOrder,
-    Poly,
-    Ring,
-    SchreyerOrder,
-    divide,
-    mono_lcm,
-    parse,
-    render,
-    s_polynomial,
-)
+from monocurve.groebner import _Module
+from monocurve.poly import GrevlexOrder, Poly, Ring, divide, parse, render, s_polynomial
 
-from oracles import EliminationOrder, PositionOverTerm, Vect, extended, is_homogeneous, rank_one_key
+from oracles import (
+    EliminationOrder,
+    PositionOverTerm,
+    SchreyerOrder,
+    Vect,
+    extended,
+    is_homogeneous,
+    packed,
+    rank_one_key,
+)
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
 
@@ -200,12 +200,13 @@ def test_spair_module_positions():
 
 
 def test_mono_lcm():
-    assert mono_lcm((1, 0, 2, 0), (0, 3, 1, 0)) == (1, 3, 2, 0)
+    assert Poly.key_lcm((1, 0, 2, 0), (0, 3, 1, 0)) == (1, 3, 2, 0)
 
 
 def test_schreyer_order_uses_parent_leads():
     # leads X1^2 and X2^3 in F_0 = R: compare e_0, e_1 through their images
-    order = SchreyerOrder(rank_one_key(R4.order()), [(0, (0, 2, 0, 0)), (0, (0, 0, 3, 0))])
+    leads = [(0, (0, 2, 0, 0)), (0, (0, 0, 3, 0))]
+    order = SchreyerOrder(rank_one_key(R4.order()), leads)
     e0 = (0, (0, 0, 0, 0))
     e1 = (1, (0, 0, 0, 0))
     # images have degrees 14 and 27
@@ -218,9 +219,19 @@ def test_schreyer_order_uses_parent_leads():
     # a level above, leads are (position, exponent) keys shifted at their
     # position; two equal leads tie on image and cofactor, and the smaller
     # position wins
-    above = SchreyerOrder(order.key, [(1, (1, 0, 0, 0)), (0, (0, 0, 1, 0)), (0, (0, 0, 1, 0))])
+    above_leads = [(1, (1, 0, 0, 0)), (0, (0, 0, 1, 0)), (0, (0, 0, 1, 0))]
+    above = SchreyerOrder(order.key, above_leads)
     assert above.key((0, (0, 0, 0, 0))) > above.key((1, (0, 0, 0, 0)))
     assert above.key((1, (1, 0, 0, 0))) > above.key((2, (1, 0, 0, 0)))
+    # the program's packed ints are the same keys: each comparison above
+    # holds between them, and each decodes back to its term
+    rank_one = _Module(R4.weights, 27 << 4)
+    level = rank_one.next([packed(rank_one, lead) for lead in leads])
+    top = level.next([packed(level, lead) for lead in above_leads])
+    ordered = ((level, e1, e0), (level, a, b), (top, e0, e1), (top, (1, (1, 0, 0, 0)), (2, (1, 0, 0, 0))))
+    for module, big, small in ordered:
+        assert packed(module, big) > packed(module, small)
+        assert module.decode(packed(module, big)) == big and module.decode(packed(module, small)) == small
 
 
 def test_render_parse_round_trip():

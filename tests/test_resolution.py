@@ -3,6 +3,7 @@ unit splitting and minimalization (against the elementary-operation
 calculus), Betti and Hilbert data."""
 
 import functools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -19,8 +20,8 @@ from monocurve.closedform import (
     closed_form_base,
     extract_parameters,
 )
-from monocurve.groebner import buchberger, pair_records, toric_kernel
-from monocurve.poly import Poly, Ring, SchreyerOrder, parse
+from monocurve.groebner import _Module, _rank_one, buchberger, pair_records, toric_kernel, toric_kernel_generic
+from monocurve.poly import Poly, Ring, parse
 from monocurve.resolution import (
     BettiTable,
     FreeResolution,
@@ -44,6 +45,7 @@ from oracles import (
     NotElementary,
     PositionOverTerm,
     ScaleBasis,
+    SchreyerOrder,
     SwapBasis,
     betti_degrees,
     compose_zero_generic,
@@ -55,10 +57,14 @@ from oracles import (
     map_columns,
     matrix_map,
     minimalize_by_operations,
+    packed,
     pair_records_generic,
+    pair_records_tuples,
     rank_one_key,
     record_vector,
     resolution_all_pairs,
+    schreyer_levels_tuples,
+    syzygy_level_tuples,
     transform_complex,
     Vect,
 )
@@ -284,15 +290,210 @@ def test_lead_frame_on_monomial_ideals():
     assert [m.entries for m in res.maps] == [m.entries for m in expected.maps]
 
 
+def _program_levels(gb):
+    """The nonempty levels of build_resolution(gb) as the program packs
+    them, level 1 first: (module of the frame's terms, frame), level 1 read
+    off ``gb`` and every later one off a ``syzygy_level`` call."""
+    levels = [gb._level]
+    original = resolution.syzygy_level
+
+    def spy(module, columns, leads):
+        levels.append(original(module, columns, leads))
+        return levels[-1]
+
+    resolution.syzygy_level = spy
+    try:
+        build_resolution(gb)
+    finally:
+        resolution.syzygy_level = original
+    return [level for level in levels if level[1]]
+
+
+def _assert_packed_like_tuples(elements, order, levels, depth):
+    """The program's packed ``levels``, decoded, are the first ``depth``
+    levels of the tuple-form oracle term for term, leads included, and at
+    F_0 = R and at every level the terms sort by their packed ints as by
+    the oracle's Schreyer key."""
+    expected = schreyer_levels_tuples(elements, order, depth)
+    decoded = [[(pair, syz.decode(lead), _decoded(syz, col)) for pair, lead, col in frame] for syz, frame in levels]
+    assert decoded == [frame for _, frame in expected]
+    rank_one = _rank_one(elements, order, elements[0].ring.nvars)[0]
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in elements]
+    orders = [(rank_one, rank_one_key(order), columns)]
+    orders += [(syz, key, [col for _, _, col in frame]) for (syz, _), (key, frame) in zip(levels, expected)]
+    for module, key, columns in orders:
+        terms = sorted({t for column in columns for t in column}, key=key)
+        assert sorted(terms, key=lambda t: packed(module, t)) == terms
+        assert [module.decode(packed(module, t)) for t in terms] == terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(CURVES)
+def test_packed_levels_match_tuple_oracle(curve):
+    """In and beyond the box: ``gb.frame`` and every level's frame, decoded,
+    are those of the tuple-form Schreyer levels, and each level's terms sort
+    by packed int as by ``SchreyerOrder.key``."""
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    gb = toric_kernel(spec).reduced_gb
+    levels = _program_levels(gb)
+    syz, frame = gb._level
+    assert gb.frame == [(pair, syz.decode(lead), _decoded(syz, col)) for pair, lead, col in frame]
+    _assert_packed_like_tuples(gb.elements, gb.order, levels, gb.order.ring.nvars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)))
+def test_packed_levels_match_tuple_oracle_on_three_variables(weights):
+    """The same on the toric kernels of three weights, whose resolutions
+    have at most two levels and whose x_0 may be any weight."""
+    assume(math.gcd(*weights) == 1)
+    ring, gb = toric_kernel_generic(weights)
+    _assert_packed_like_tuples(gb.elements, gb.order, _program_levels(gb), ring.nvars)
+
+
+_MONOS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_MONOS, _MONOS).filter(lambda ab: ab[0] != ab[1]), min_size=1, max_size=5))
+def test_packed_level_one_matches_tuple_oracle_off_homogeneity(pairs):
+    """Pure-difference binomials of any degrees, like the Koszul example's
+    X0^2 - X1 and X2*Y - X1^2: ``buchberger`` certifies the set exactly when
+    the tuple-form level does, with the same frame, and refuses it with the
+    same first remainder otherwise; ``is_groebner`` agrees with the generic
+    all-pairs check, and level 1 sorts by packed int as by the Schreyer key."""
+    gens = [Poly(R4, {a: 1, b: -1}) for a, b in pairs]
+    order = R4.order()
+    columns = [{(0, m): c for m, c in g.terms.items()} for g in gens]
+    leads = [(0, g.lead(order)[0]) for g in gens]
+    assert groebner.is_groebner(gens, order) == is_groebner(gens, order)
+    try:
+        _, expected = syzygy_level_tuples(columns, rank_one_key(order), leads)
+    except AssertionError as exc:
+        with pytest.raises(AssertionError, match=str(exc).replace("(", r"\(").replace(")", r"\)")):
+            buchberger(gens, order)
+        return
+    gb = buchberger(gens, order)
+    assert gb.frame == expected
+    _assert_packed_like_tuples(gens, order, [gb._level] if gb.frame else [], 1)
+
+
+def test_koszul_example_packs_like_tuples():
+    gens = [P("X0^2 - X1"), P("X2*Y - X1^2")]
+    gb = buchberger(gens, R4.order())
+    assert [pair for pair, _, _ in gb.frame] == [(0, 1)]
+    _assert_packed_like_tuples(gens, R4.order(), [gb._level], 1)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (100003, 100004, 100005, 1234567),
+        # three variables, weights spread over six orders of magnitude
+        (2, 1009, 1000003),
+        (1000003, 999999, 2),
+    ],
+)
+def test_packed_levels_near_the_bound(weights):
+    """Large exponents: the kernel CI analyses at m0 = 100 003, and three
+    widely spread weights, whose exponents run to 499 497 and 999 999.
+    Every level decodes to the tuple-form oracle's, and the largest exponent
+    fills its field to within nvars + 1 bits: the bound's slack of one bit
+    per level the field is sized for, which no resolution here uses."""
+    ring, gb = toric_kernel_generic(weights)
+    _assert_packed_like_tuples(gb.elements, gb.order, _program_levels(gb), ring.nvars)
+    largest = max(max(mono) for g in gb.elements for mono in g.terms)
+    assert largest.bit_length() >= gb._level[0].value - ring.nvars - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=5), st.integers(1, 400), st.data())
+def test_packed_keys_exact_up_to_the_bound(weights, top, data):
+    """Two levels of terms whose F_0 images have degree up to ``top``, so
+    that an exponent may fill its field (2^value - 1 or just under): each
+    int decodes back to its term, the ints sort as ``SchreyerOrder.key``,
+    and ``cofactors`` of two terms at one position is lcm minus each."""
+    weights = tuple(weights)
+    ring = Ring(tuple("abcde")[: len(weights)], weights)
+
+    def monomial(budget):
+        mono = []
+        for w in weights:
+            e = data.draw(st.integers(0, budget // w))
+            mono.append(e)
+            budget -= e * w
+        return tuple(mono)
+
+    rank_one = _Module(weights, top)
+    assert max(top // w for w in weights) < 1 << rank_one.value
+    bottom = [monomial(top) for _ in range(data.draw(st.integers(1, 4)))]
+    terms = sorted({(0, m) for m in bottom}, key=rank_one_key(ring.order()))
+    assert sorted(terms, key=lambda t: packed(rank_one, t)) == terms
+    assert [rank_one.decode(packed(rank_one, t)) for t in terms] == terms
+    leads = [t for t in terms if ring.degree(t[1]) <= top // 2] or [(0, (0,) * len(weights))]
+    level = rank_one.next([packed(rank_one, t) for t in leads])
+    induced = SchreyerOrder(rank_one_key(ring.order()), leads)
+    above = {(p, monomial(top - ring.degree(leads[p][1]))) for p in range(len(leads)) for _ in range(3)}
+    assert sorted(above, key=lambda t: packed(level, t)) == sorted(above, key=induced.key)
+    for t in above:
+        assert level.decode(packed(level, t)) == t
+    for (p, a), (q, b) in zip(sorted(above), sorted(above)[1:]):
+        if p == q:
+            lcm = tuple(map(max, a, b))
+            shifts = level.shifts
+            want = tuple(sum(e << s for e, s in zip(map(int.__sub__, lcm, m), shifts)) for m in (a, b))
+            assert level.cofactors(packed(level, (p, a)), packed(level, (q, b))) == want
+
+
+def test_buchberger_and_is_groebner_boundaries():
+    """No generator is a ValueError for ``buchberger`` and a basis of the
+    zero ideal for ``is_groebner``; an order other than the ring's weighted
+    grevlex is refused, since the packed keys are that order."""
+    with pytest.raises(ValueError, match="at least one generator"):
+        buchberger([], R4.order())
+    assert groebner.is_groebner([], R4.order())
+    with pytest.raises(ValueError, match="grevlex"):
+        buchberger([P("X1^2 - X0*X2")], PositionOverTerm(R4.order()))
+    with pytest.raises(ValueError, match="grevlex"):
+        groebner.is_groebner([P("X1^2 - X0*X2")], R2.order())
+
+
+def test_pair_records_assert_the_packing_bound():
+    """A module packed for lower degrees than a pair's lcm refuses the pair
+    before dividing it."""
+    gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
+    module, columns, leads = _rank_one(gens, R4.order(), 1)
+    module.top = 20  # both leads have degree 14 and 16, their lcm 23
+    with pytest.raises(AssertionError, match=r"pair \(0, 1\) exceeds the packing bound"):
+        pair_records(module, module.next(leads), columns, [(0, 1)], leads)
+
+
+def test_build_resolution_leaves_the_basis_as_it_was():
+    """Twice on one kernel, as a cached kernel is resolved on every pass:
+    equal maps both times, and the basis, its frame and its packed level are
+    unchanged."""
+    gb = toric_kernel(validate_sequence(5, 7, 9, 11)).reduced_gb
+    before = (list(gb.elements), repr(gb.frame), repr(gb._level[1]), repr(gb._level[0].consts))
+    first, second = build_resolution(gb), build_resolution(gb)
+    assert [(m.source, m.target, m.columns) for m in first.maps] == [
+        (m.source, m.target, m.columns) for m in second.maps
+    ]
+    assert (list(gb.elements), repr(gb.frame), repr(gb._level[1]), repr(gb._level[0].consts)) == before
+
+
 def _pair_record_calls(gb):
-    """The (columns, key, pairs, leads) of every ``pair_records`` call of
-    build_resolution(gb)."""
+    """The (module, syz, columns, pairs, leads) of every ``pair_records``
+    call of build_resolution(gb)."""
     calls = []
     original = groebner.pair_records
 
-    def spy(columns, key, pairs, leads):
-        calls.append((columns, key, pairs, leads))
-        return original(columns, key, pairs, leads)
+    def spy(module, syz, columns, pairs, leads):
+        calls.append((module, syz, columns, pairs, leads))
+        return original(module, syz, columns, pairs, leads)
 
     groebner.pair_records = spy
     try:
@@ -302,20 +503,20 @@ def _pair_record_calls(gb):
     return calls
 
 
-def _rank_one(gb):
-    """gb's elements as position-0 dicts of F_0 = R, and their leads."""
-    columns = [{(0, m): c for m, c in g.terms.items()} for g in gb.elements]
-    return columns, [(0, g.lead(gb.order)[0]) for g in gb.elements]
+def _decoded(module, column):
+    """A column of packed terms as a {(slot, exponent): coefficient} dict."""
+    return {module.decode(t): c for t, c in column.items()}
 
 
 @settings(max_examples=100, deadline=None)
 @given(CURVES)
 def test_pair_records_match_generic_division(curve):
     """Syzygy for syzygy at every level, the kernel's reduced basis included
-    as position-0 dicts of F_0 = R with its frame pairs: each column is the
-    generic record's syzygy, ``s_polynomial`` and ``divide`` run on the
-    level's elements as vectors, and the leads each level is handed, read
-    off the frame, are the greatest terms in the level's order."""
+    in F_0 = R with its frame pairs: each syzygy, decoded, is the generic
+    record's, ``s_polynomial`` and ``divide`` run on the level's elements as
+    vectors in the Schreyer order of the leads below, and the tuple-form
+    division's; and the leads each level is handed, read off the frame, are
+    the greatest terms in the level's order."""
     m0, d, n = curve
     try:
         spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
@@ -323,33 +524,39 @@ def test_pair_records_match_generic_division(curve):
         assume(False)
     gb = toric_kernel(spec).reduced_gb
     ring = gb.elements[0].ring
-    columns, leads = _rank_one(gb)
-    first = (columns, rank_one_key(gb.order), [pair for pair, _, _ in gb.frame], leads)
-    calls = [first] + _pair_record_calls(gb)
-    for columns, key, pairs, leads in calls:
+    module, columns, leads = _rank_one(gb.elements, gb.order, ring.nvars)
+    first = (module, module.next(leads), columns, [pair for pair, _, _ in gb.frame], leads)
+    key = rank_one_key(gb.order)
+    for module, syz, columns, pairs, leads in [first] + _pair_record_calls(gb):
+        syzygies = [_decoded(syz, column) for column in pair_records(module, syz, columns, pairs, leads)]
+        columns, leads = [_decoded(module, column) for column in columns], [module.decode(t) for t in leads]
         rank = 1 + max(pos for column in columns for pos, _ in column)
         elements = [Vect(ring, rank, column) for column in columns]
         records = pair_records_generic(elements, SimpleNamespace(key=key), pairs)
         expected = [record_vector(rec, ring, len(columns)).terms for rec in records]
-        assert pair_records(columns, key, pairs, leads) == expected
+        assert syzygies == expected
+        assert pair_records_tuples(columns, key, pairs, leads) == expected
         for column, lead in zip(columns, leads):
             assert lead == max(column, key=key)
+        key = SchreyerOrder(key, leads).key
 
 
 def test_pair_records_raise_on_a_remainder():
     """Without X2^2 - X1*Y the reference basis is no Gröbner basis, so some
-    pair leaves a remainder: in the program's position-0 dicts, in its
-    certificate on the lead frame, and in the generic division of ring
-    polynomials and of rank-one vectors."""
+    pair leaves a remainder: in the program's packed terms, in its
+    certificate on the lead frame, in the tuple-form division, and in the
+    generic division of ring polynomials and of rank-one vectors."""
     gens = [P(t) for t in ["X1^2 - X0*X2", "X1*X2 - X0*Y", "X2*Y - X0^4", "Y^2 - X0^3*X1"]]
     order = R4.order()
-    columns = [{(0, m): c for m, c in g.terms.items()} for g in gens]
-    leads = [(0, g.lead(order)[0]) for g in gens]
+    module, columns, leads = _rank_one(gens, order, 1)
     pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
-    with pytest.raises(AssertionError, match="nonzero remainder"):
-        pair_records(columns, rank_one_key(order), pairs, leads)
-    with pytest.raises(AssertionError, match="nonzero remainder"):
+    with pytest.raises(AssertionError, match=r"pair \(\d, \d\) leaves a nonzero remainder"):
+        pair_records(module, module.next(leads), columns, pairs, leads)
+    with pytest.raises(AssertionError, match=r"pair \(\d, \d\) leaves a nonzero remainder"):
         buchberger(gens, order)
+    columns = [_decoded(module, column) for column in columns]
+    with pytest.raises(AssertionError, match="nonzero remainder"):
+        pair_records_tuples(columns, rank_one_key(order), pairs, [module.decode(t) for t in leads])
     vectors = [Vect.from_polys([g]) for g in gens]
     for elements, generic_order in ((gens, order), (vectors, PositionOverTerm(order))):
         with pytest.raises(AssertionError, match="nonzero remainder"):
@@ -358,15 +565,22 @@ def test_pair_records_raise_on_a_remainder():
 
 def test_pair_records_refuse_a_lead_coefficient_other_than_a_unit():
     """The division multiplies by each lead coefficient in place of dividing
-    by it, so a lead coefficient other than ±1 is refused before any pair."""
+    by it, so a lead coefficient other than ±1 is refused before any pair,
+    in the program's packed terms as in the tuple form."""
     order = R4.order()
     gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
-    columns = [{(0, m): c for m, c in g.terms.items()} for g in gens]
-    leads = [(0, g.lead(order)[0]) for g in gens]
+    module, columns, leads = _rank_one(gens, order, 1)
     columns[1] = {t: 2 * c for t, c in columns[1].items()}
     for pairs in ([(0, 1)], []):
         with pytest.raises(ValueError, match="lead coefficient"):
-            pair_records(columns, rank_one_key(order), pairs, leads)
+            pair_records(module, module.next(leads), columns, pairs, leads)
+        with pytest.raises(ValueError, match="lead coefficient"):
+            pair_records_tuples(
+                [_decoded(module, column) for column in columns],
+                rank_one_key(order),
+                pairs,
+                [module.decode(t) for t in leads],
+            )
 
 
 @settings(max_examples=20, deadline=None)
