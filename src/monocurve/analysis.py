@@ -39,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .closedform import (
+    CASE_TABLE,
     CaseUnmatched,
     DegreeImbalance,
     TemplateMismatch,
@@ -60,15 +61,10 @@ from .resolution import (
 from .semigroup import ValidationError, series_numerator, validate_sequence
 
 #: every minimal Betti triple the case table can produce
-ALLOWED_TRIPLES = frozenset(
-    {(3, 3, 1), (4, 5, 2), (4, 6, 3), (5, 5, 1), (5, 6, 2), (5, 7, 3), (6, 8, 3), (6, 9, 4)}
-)
+ALLOWED_TRIPLES = frozenset(row.betti for row in CASE_TABLE)
 
-#: canonical ordering of the case labels for human-facing tallies
-CASE_ORDER = (
-    "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x",
-    "xi", "xii", "xiii", "xiv", "xv", "xvi", "xvii", "xviii", "xix",
-)
+#: canonical ordering of the case labels for human-facing tallies: table order
+CASE_ORDER = tuple(row.label for row in CASE_TABLE)
 
 
 def _case_sort_key(label: str) -> tuple:
@@ -320,9 +316,9 @@ def _sweep_one(job) -> AnalysisReport:
         )
 
 
-def sweep_specs(specs, verify_level: str = "full", threads: int = 1):
-    """Yield the report of each validated sequence in ``specs``, in order, as
-    soon as it and every earlier one are done.
+def sweep_specs(seqs, verify_level: str = "full", threads: int = 1):
+    """Yield the report of each validated sequence in ``seqs``, its
+    (m0, m1, m2, n), in order, as soon as it and every earlier one are done.
 
     A tuple whose analysis raises yields an uncertified ``internal_error``
     record instead.  Thread count only distributes the per-tuple work; the
@@ -330,7 +326,7 @@ def sweep_specs(specs, verify_level: str = "full", threads: int = 1):
     job and per CPU is started, since a fork pool starts all of them at
     the first submit.
     """
-    jobs = [(spec.weights, verify_level) for spec in specs]
+    jobs = [(seq, verify_level) for seq in seqs]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(_sweep_one, jobs)
@@ -344,7 +340,7 @@ def sweep_specs(specs, verify_level: str = "full", threads: int = 1):
 
 def sweep(max_m2: int, max_n: int, verify_level: str = "full", threads: int = 1) -> list:
     """Analyze every valid tuple in the box, in enumeration order."""
-    return list(sweep_specs(enumerate_box(max_m2, max_n), verify_level, threads))
+    return list(sweep_specs((spec.weights for spec in enumerate_box(max_m2, max_n)), verify_level, threads))
 
 
 def sweep_lines(reports) -> str:

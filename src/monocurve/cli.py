@@ -10,6 +10,7 @@ or the command line was invalid, 2 something real failed verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -149,22 +150,23 @@ def cmd_sweep(args) -> int:
     if args.threads < 1 or args.max_m2 < 0 or args.max_n < 0:
         print("--threads must be at least 1, --max-m2 and --max-n at least 0", file=sys.stderr)
         return 1
-    specs = list(enumerate_box(args.max_m2, args.max_n))
+    try:
+        # opened before the sweep, which an unwritable path would waste
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
+        return 1
+    # weights only: a held SequenceSpec keeps its cached Gamma table alive
+    seqs = [spec.weights for spec in enumerate_box(args.max_m2, args.max_n)]
     reports = _with_progress(
-        sweep_specs(specs, verify_level=args.verify_level, threads=args.threads),
-        len(specs),
-        sys.stderr,
+        sweep_specs(seqs, verify_level=args.verify_level, threads=args.threads), len(seqs), sys.stderr
     )
-    payload = sweep_lines(reports)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(payload)
+    try:
+        with out as handle:
+            handle.write(sweep_lines(reports))
+    except OSError as exc:
+        print("cannot write %s: %s" % (args.out or "<stdout>", exc), file=sys.stderr)
+        return 1
     failed = [r for r in reports if not r.all_verified()]
     if failed:
         print(

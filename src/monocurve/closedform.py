@@ -1,5 +1,7 @@
 """Template side of the pipeline: canonical binomial generators, parameter
-extraction from a reduced basis, and the finite case table of Betti triples.
+extraction from a reduced basis, and the paper's two tables, the 19-row case
+table of Betti triples and the per-case twist rows, each checked and
+compiled once, at import; every other module reads the tables from here.
 
 The reduced Gröbner basis of every valid curve ideal is built from four
 families of pure-difference binomials, here named by what their terms look
@@ -22,10 +24,8 @@ fails to fit the templates.
 from __future__ import annotations
 
 import ast
-import functools
 import json
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .semigroup import SequenceSpec, progression_multiple
@@ -118,10 +118,7 @@ class CaseParameters:
 
 
 #: the integer fields of CaseParameters
-_PARAM_FIELDS = (
-    "plain_offset", "cross_offset", "x0_plain", "x0_pure", "x0_cross",
-    "x2_plain", "x2_cross", "y_order", "y_split",
-)
+_PARAM_FIELDS = tuple(f.name for f in fields(CaseParameters) if f.type == "int")
 
 
 def _m(x0=0, x1=0, x2=0, y=0) -> tuple:
@@ -355,7 +352,64 @@ def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
 
 
 # ---------------------------------------------------------------------------
-# case table
+# the two tables
+#
+# Both tables are data in ``monocurve.data`` and are read in one expression
+# language: every string is parsed and checked by ``_tree`` once, at import,
+# and each table is compiled into code objects that ``eval`` runs on a dict
+# of the parameters' values with no builtins.
+
+
+def _load_data(name: str):
+    """Parsed JSON of one table shipped in ``monocurve.data``."""
+    return json.loads(resources.files("monocurve.data").joinpath(name).read_text())
+
+
+def _tree(expr: str, names, condition: bool = False) -> ast.expr:
+    """The checked syntax tree of one table expression.  A twist is +, -, *
+    and unary - over ``names`` and integers; a ``condition`` is `has_cross`,
+    `no_cross`, or one of ``names`` ==|!= another of them or an integer.
+    Raises ValueError on anything else."""
+
+    def leaf(node):
+        if isinstance(node, ast.Name):
+            if node.id not in names:
+                raise ValueError("unknown name %r in table expression %r" % (node.id, expr))
+        elif not (isinstance(node, ast.Constant) and type(node.value) is int):
+            raise ValueError("disallowed syntax in table expression %r" % expr)
+
+    def term(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            term(node.left)
+            term(node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            term(node.operand)
+        else:
+            leaf(node)
+
+    try:
+        body = ast.parse(expr.strip(), mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError("unparseable table expression %r: %s" % (expr, exc.msg)) from None
+    if not condition:
+        term(body)
+    elif isinstance(body, ast.Compare) and [type(op) for op in body.ops] in ([ast.Eq], [ast.NotEq]):
+        if not isinstance(body.left, ast.Name):
+            raise ValueError("condition %r does not start with a name" % expr)
+        leaf(body.left)
+        leaf(body.comparators[0])
+    elif not (isinstance(body, ast.Name) and body.id in ("has_cross", "no_cross")):
+        raise ValueError("unreadable condition %r" % expr)
+    return body
+
+
+#: the location of a node built here; parsed expressions carry their own
+_NOWHERE = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
+
+
+def _compile(parts: list):
+    """One code object that evaluates to the tuple of ``parts``, checked trees."""
+    return compile(ast.Expression(ast.Tuple(parts, ast.Load(), **_NOWHERE)), "<tables>", "eval")
 
 
 @dataclass(frozen=True)
@@ -375,83 +429,37 @@ class CaseId:
 _COMPARABLE = set(_PARAM_FIELDS) - {"y_order", "y_split"} | {"x2_gap"}
 
 
-def _parse_condition(cond: str) -> tuple:
-    """One table condition as (field, op, field or int): `has_cross`,
-    `no_cross`, or `<field> ==|!= <integer or field>`.  Raises ValueError on
-    anything else."""
-    cond = cond.strip()
-    if cond == "has_cross":
-        return "has_cross", operator.eq, True
-    if cond == "no_cross":
-        return "has_cross", operator.eq, False
-    for text, op in (("==", operator.eq), ("!=", operator.ne)):
-        if text in cond:
-            break
-    else:
-        raise ValueError("unreadable condition %r" % cond)
-    parts = [s.strip() for s in cond.split(text)]
-    if len(parts) != 2 or parts[0] not in _COMPARABLE:
-        raise ValueError("unreadable condition %r" % cond)
-    left, right = parts
-    if right not in _COMPARABLE:
-        try:
-            right = int(right)
-        except ValueError:
-            raise ValueError("unreadable condition %r" % cond) from None
-    return left, op, right
-
-
-def _load_data(name: str):
-    """Parsed JSON of one table shipped in ``monocurve.data``."""
-    return json.loads(resources.files("monocurve.data").joinpath(name).read_text())
+def _case_code(rows):
+    """One code object that evaluates to one truth value per entry of
+    ``rows``, each a sequence of conditions checked by ``_tree``; the True
+    that heads each row's ``and`` lets a row hold a single condition."""
+    head = ast.Constant(True, **_NOWHERE)
+    rows = [[head] + [_tree(c, _COMPARABLE, condition=True) for c in conds] for conds in rows]
+    return _compile([ast.BoolOp(ast.And(), row, **_NOWHERE) for row in rows])
 
 
 def _load_case_table() -> tuple:
-    rows = []
-    for record in _load_data("betti_cases.json"):
-        rows.append(
-            CaseId(
-                label=record["label"],
-                conditions=tuple(record["when"]),
-                betti=tuple(record["betti"]),
-            )
-        )
-    labels = [row.label for row in rows]
-    if len(set(labels)) != len(labels):
+    rows = tuple(
+        CaseId(label=record["label"], conditions=tuple(record["when"]), betti=tuple(record["betti"]))
+        for record in _load_data("betti_cases.json")
+    )
+    if len({row.label for row in rows}) != len(rows):
         raise AssertionError("duplicate case labels in the table")
-    return tuple(rows)
+    return rows
 
 
 CASE_TABLE = _load_case_table()
 
-#: each row of CASE_TABLE with its conditions parsed once
-_CASE_TESTS = tuple(
-    (row, tuple(_parse_condition(c) for c in row.conditions)) for row in CASE_TABLE
-)
-
-
-def _operand(name) -> str:
-    """One side of a parsed condition as Python text on CaseParameters p."""
-    if type(name) is not str:
-        return repr(name)
-    return "(p.x2_plain - p.x2_cross)" if name == "x2_gap" else "p." + name
-
-
-def _row_text(tests) -> str:
-    """One row's parsed conditions as one Python expression on p."""
-    ops = {operator.eq: "==", operator.ne: "!="}
-    return " and ".join("%s %s %s" % (_operand(a), ops[op], _operand(b)) for a, op, b in tests) or "True"
-
-
-#: p -> one truth value per row of CASE_TABLE: every condition, checked by
-#: ``_parse_condition``, compiled once into one lambda
-_case_flags = eval("lambda p: (%s,)" % ", ".join(_row_text(t) for _, t in _CASE_TESTS), {"__builtins__": {}})
+#: the parameters' values -> one truth value per row of CASE_TABLE
+_CASE_CODE = _case_code(row.conditions for row in CASE_TABLE)
 
 
 def case_id(params: CaseParameters) -> CaseId:
     """The unique table row whose conditions the parameters satisfy;
     CaseUnmatched if none does or several do."""
-    matches = [row for row, hit in zip(CASE_TABLE, _case_flags(params)) if hit]
+    env = dict(vars(params), x2_gap=params.x2_gap(), no_cross=not params.has_cross)
+    hits = eval(_CASE_CODE, {"__builtins__": {}}, env)
+    matches = [row for row, hit in zip(CASE_TABLE, hits) if hit]
     if not matches:
         raise CaseUnmatched("no table row covers %s" % (params,))
     if len(matches) > 1:
@@ -464,67 +472,19 @@ def betti_lookup(params: CaseParameters) -> tuple:
     return case_id(params).betti
 
 
-# ---------------------------------------------------------------------------
-# tabulated twist lists
-
-
 #: the names a twist expression may use: the sequence and the parameters
 _SHIFT_NAMES = ("m0", "m1", "m2", "n") + _PARAM_FIELDS
 
 
-def _shift_tree(expr: str, names) -> ast.expr:
-    """The checked syntax tree of one twist expression: +, -, * and unary -
-    over ``names`` and integers only.  Raises ValueError on anything else."""
-
-    def check(node):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            check(node.operand)
-        elif isinstance(node, ast.Name):
-            if node.id not in names:
-                raise ValueError("unknown name %r in twist expression" % node.id)
-        elif not (isinstance(node, ast.Constant) and type(node.value) is int):
-            raise ValueError("disallowed syntax in twist expression %r" % expr)
-
-    try:
-        body = ast.parse(expr, mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError("unparseable twist expression %r: %s" % (expr, exc.msg)) from None
-    check(body)
-    return body
+def _shift_row(row: dict):
+    """One twist row ({"s": [...], "p": [...], "q": [...]}) as one code
+    object that evaluates to its three lists, each expression checked by
+    ``_tree``."""
+    return _compile([ast.List([_tree(e, _SHIFT_NAMES) for e in row[key]], ast.Load(), **_NOWHERE) for key in "spq"])
 
 
-#: the location of a node built here; parsed expressions carry their own
-_NOWHERE = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
-
-
-def _compile(body: ast.expr):
-    return compile(ast.Expression(body), "<twists>", "eval")
-
-
-def _shift_row(row: dict) -> list:
-    """One twist row ({"s": [...], "p": [...], "q": [...]}) as three lists
-    of trees, each expression checked by ``_shift_tree``."""
-    return [
-        ast.List([_shift_tree(expr, _SHIFT_NAMES) for expr in row[key]], ast.Load(), **_NOWHERE)
-        for key in ("s", "p", "q")
-    ]
-
-
-#: case label -> its twist expressions, every one checked at load; the
-#: trees (about 0.6 MB) are not kept, ``_shift_code`` parses a row again
-SHIFT_TABLE = _load_data("shift_tables.json")
-for _row in SHIFT_TABLE.values():
-    _shift_row(_row)
-
-
-@functools.cache
-def _shift_code(label: str):
-    """``SHIFT_TABLE[label]`` as one code object that evaluates to its three
-    lists, compiled on first use."""
-    return _compile(ast.Tuple(_shift_row(SHIFT_TABLE[label]), ast.Load(), **_NOWHERE))
+#: case label -> its twist row, compiled once at import
+SHIFT_CODE = {label: _shift_row(row) for label, row in _load_data("shift_tables.json").items()}
 
 
 def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> tuple:
@@ -535,11 +495,10 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
     comparison against computed twists happens downstream, so table slips
     surface as discrepancy records instead of being silently corrected.
     """
-    if case.label not in SHIFT_TABLE:
+    if case.label not in SHIFT_CODE:
         raise CaseUnmatched("no twist row for case %s" % case.label)
-    env = {field: getattr(params, field) for field in _PARAM_FIELDS}
-    env.update(m0=spec.m0, m1=spec.m1, m2=spec.m2, n=spec.n)
-    lists = eval(_shift_code(case.label), {"__builtins__": {}}, env)
+    env = dict(vars(params), m0=spec.m0, m1=spec.m1, m2=spec.m2, n=spec.n)
+    lists = eval(SHIFT_CODE[case.label], {"__builtins__": {}}, env)
     # no length check against the Betti triple: one tabulated row carries a
     # surplus entry, and it is the comparison layer's job to report that
     for part in lists:

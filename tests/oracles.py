@@ -105,10 +105,12 @@ polynomial's terms, is the homogeneity test the program no longer needs:
 the kernel's substitution test implies it for a pure difference.
 
 The program matches a tuple's parameters against the case table with one
-lambda, compiled at import from every row's parsed conditions.
+code object, compiled at import from every row's checked syntax trees.
 ``case_id_by_rows`` is the row-by-row matcher it replaced, the reference
-for it: a dict of the parameters' fields and each row's conditions tested
-in turn with their ``operator`` functions.  ``eval_shift`` evaluates one
+for it: each condition split by ``parse_condition``, the string splitter
+the program used to read them with, and each row tested in turn on a dict
+of the parameters' fields with ``operator`` functions; it shares nothing
+with the program's checker or compile step.  ``eval_shift`` evaluates one
 twist expression through the program's checked tree, for the tests of its
 walker.
 """
@@ -118,9 +120,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, lshift, mul, neg, sub
+from operator import add, eq, le, lshift, mul, ne, neg, sub
 
-from monocurve.closedform import _CASE_TESTS, _PARAM_FIELDS, CaseUnmatched, _compile, _shift_tree
+from monocurve.closedform import _COMPARABLE, _PARAM_FIELDS, CASE_TABLE, CaseUnmatched, _compile, _tree
 from monocurve.groebner import buchberger as binomial_buchberger
 from monocurve.poly import Poly, Ring, _Terms, coeff_div, divide, render, s_polynomial
 from monocurve.resolution import (
@@ -1349,19 +1351,49 @@ def toric_kernel_by_sets(weights, names=None):
 def eval_shift(expr: str, env: dict) -> int:
     """One twist expression evaluated at ``env``, through the program's
     checked tree: +, -, * over names and integers only."""
-    return eval(_compile(_shift_tree(expr, env)), {"__builtins__": {}}, env)
+    return eval(_compile([_tree(expr, env)]), {"__builtins__": {}}, env)[0]
+
+
+def parse_condition(cond: str) -> tuple:
+    """One table condition as (field, op, field or int): `has_cross`,
+    `no_cross`, or `<field> ==|!= <integer or field>`.  Raises ValueError on
+    anything else."""
+    cond = cond.strip()
+    if cond == "has_cross":
+        return "has_cross", eq, True
+    if cond == "no_cross":
+        return "has_cross", eq, False
+    for text, op in (("==", eq), ("!=", ne)):
+        if text in cond:
+            break
+    else:
+        raise ValueError("unreadable condition %r" % cond)
+    parts = [s.strip() for s in cond.split(text)]
+    if len(parts) != 2 or parts[0] not in _COMPARABLE:
+        raise ValueError("unreadable condition %r" % cond)
+    left, right = parts
+    if right not in _COMPARABLE:
+        try:
+            right = int(right)
+        except ValueError:
+            raise ValueError("unreadable condition %r" % cond) from None
+    return left, op, right
 
 
 def case_id_by_rows(params):
     """The unique row of the case table whose conditions ``params`` meet,
-    each row tested in turn on a dict of the parameters' fields; raises
-    CaseUnmatched, with ``case_id``'s messages, for no row or several."""
+    each row's conditions split by ``parse_condition`` and tested in turn on
+    a dict of the parameters' fields; raises CaseUnmatched, with
+    ``case_id``'s messages, for no row or several."""
     values = {name: getattr(params, name) for name in _PARAM_FIELDS}
     values.update(x2_gap=params.x2_gap(), has_cross=params.has_cross)
     matches = [
         row
-        for row, tests in _CASE_TESTS
-        if all(op(values[left], values[right] if type(right) is str else right) for left, op, right in tests)
+        for row in CASE_TABLE
+        if all(
+            op(values[left], values[right] if type(right) is str else right)
+            for left, op, right in map(parse_condition, row.conditions)
+        )
     ]
     if not matches:
         raise CaseUnmatched("no table row covers %s" % (params,))

@@ -201,7 +201,7 @@ def test_sweep_caps_workers_at_jobs_and_cpus(cpus, monkeypatch):
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
-    specs = list(analysis.enumerate_box(12, 12))
+    specs = [spec.weights for spec in analysis.enumerate_box(12, 12)]
     reports = list(analysis.sweep_specs(specs, threads=100000))
     workers = min(len(specs), cpus or 1)
     assert asked == ([workers] if workers > 1 else [])
@@ -278,6 +278,32 @@ def test_sweep_unwritable_path(capsys):
     code = cli.main(["sweep", "--max-m2", "5", "--max-n", "2", "--out", "/nonexistent/x.jsonl"])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_sweep_refuses_an_unwritable_path_before_sweeping(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL", 0.0)
+    monkeypatch.setattr(cli, "sweep_specs", lambda *a, **k: pytest.fail("swept to an unwritable path"))
+    code = cli.main(["sweep", "--max-m2", "30", "--max-n", "30", "--out", "/nonexistent/dir/x.jsonl"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("cannot write /nonexistent/dir/x.jsonl: ")
+
+
+def test_sweep_holds_no_gamma_table(monkeypatch, capsys):
+    """cmd_sweep keeps each tuple's weights, not its SequenceSpec, whose
+    cached Gamma table would stay alive for the whole sweep."""
+    held = []
+
+    def recording(seqs, **kwargs):
+        held.extend(seqs)
+        return analysis.sweep_specs(seqs, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep_specs", recording)
+    assert cli.main(["sweep", "--max-m2", "12", "--max-n", "12"]) == 0
+    assert capsys.readouterr().out == sweep_lines(sweep(12, 12))
+    assert held == [spec.weights for spec in analysis.enumerate_box(12, 12)]
+    assert not any("gamma" in getattr(seq, "__dict__", {}) for seq in held)
 
 
 # census

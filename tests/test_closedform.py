@@ -18,15 +18,15 @@ from monocurve.closedform import (
     curve_ring,
     extract_parameters,
     graded_shifts,
+    _case_code,
     _shift_row,
-    _parse_condition,
 )
 from monocurve.groebner import buchberger, is_groebner, toric_kernel
 from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
 from monocurve.semigroup import ValidationError, validate_sequence
 
 from monocurve import closedform
-from oracles import case_id_by_rows, eval_shift, reduce_basis
+from oracles import case_id_by_rows, eval_shift, parse_condition, reduce_basis
 
 # one sequence per reachable case, smallest found by sweeping
 FIXTURES = {
@@ -147,11 +147,15 @@ def test_bare_pure_tail_is_supported():
 def test_case_table_shape():
     labels = [row.label for row in CASE_TABLE]
     assert len(labels) == 19 == len(set(labels))
+    assert labels == [
+        "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x",
+        "xi", "xii", "xiii", "xiv", "xv", "xvi", "xvii", "xviii", "xix",
+    ]
     allowed = {
         (3, 3, 1), (4, 5, 2), (4, 6, 3), (5, 5, 1),
         (5, 6, 2), (5, 7, 3), (6, 8, 3), (6, 9, 4),
     }
-    assert {row.betti for row in CASE_TABLE} <= allowed
+    assert {row.betti for row in CASE_TABLE} == allowed
 
 
 def test_case_rows_disjoint_on_fixtures():
@@ -319,7 +323,7 @@ def test_shift_expression_walker_is_strict():
 
 @pytest.mark.parametrize(
     "bad",
-    ["m0 ** 2", "unknown + 1", "x0_plain * has_cross", "__import__('os')", "2 *", "m0 / 2"],
+    ["m0 ** 2", "unknown + 1", "x0_plain * has_cross", "__import__('os')", "2 *", "m0 / 2", "x0_plain*m0 == m1"],
 )
 def test_shift_rows_are_checked_at_load(bad):
     row = {"s": ["2*m1"], "p": ["x0_plain*m0 + 1"], "q": [bad]}
@@ -330,11 +334,16 @@ def test_shift_rows_are_checked_at_load(bad):
 
 
 @pytest.mark.parametrize(
-    "bad", ["x0_pure < 1", "x0_pure", "x0_pure == 1 == 2", "3 == x0_pure", "y_order != 2", "x2_gap == one"]
+    "bad",
+    [
+        "x0_pure < 1", "x0_pure", "x0_pure == 1 == 2", "3 == x0_pure", "y_order != 2", "x2_gap == one",
+        "x0_pure == 0 or has_cross", "x0_pure == 0 and y_order == 2", "x0_pure != -1",
+    ],
 )
 def test_case_conditions_are_checked_at_load(bad):
     with pytest.raises(ValueError):
-        _parse_condition(bad)
+        _case_code([("has_cross", bad)])
+    _case_code([("has_cross", "x2_gap != 1"), ("no_cross",)])
 
 
 @st.composite
@@ -372,15 +381,19 @@ def test_compiled_case_match_agrees_with_rows(params):
 
 def test_case_overlap_is_refused(monkeypatch):
     _, _, params = pipeline((5, 7, 9, 11))
-    monkeypatch.setattr(closedform, "_case_flags", lambda p: (True,) * len(CASE_TABLE))
+    monkeypatch.setattr(closedform, "_CASE_CODE", _case_code([("x0_pure == x0_pure",)] * len(CASE_TABLE)))
     with pytest.raises(CaseUnmatched, match=r"table rows \['i', 'ii', .*\] overlap on"):
         case_id(params)
 
 
 def test_case_conditions_parse_to_field_op_operand():
-    assert _parse_condition(" x2_gap != 1 ")[::2] == ("x2_gap", 1)
-    assert _parse_condition("x2_plain==x2_cross")[::2] == ("x2_plain", "x2_cross")
-    assert _parse_condition("no_cross")[::2] == ("has_cross", False)
+    """The reference's parser, which ``case_id_by_rows`` reads the table with."""
+    assert parse_condition(" x2_gap != 1 ")[::2] == ("x2_gap", 1)
+    assert parse_condition("x2_plain==x2_cross")[::2] == ("x2_plain", "x2_cross")
+    assert parse_condition("no_cross")[::2] == ("has_cross", False)
+    for bad in ["x0_pure < 1", "x0_pure", "x0_pure == 1 == 2", "3 == x0_pure", "y_order != 2", "x2_gap == one"]:
+        with pytest.raises(ValueError):
+            parse_condition(bad)
 
 
 # ---------------------------------------------------------------------------
