@@ -20,7 +20,6 @@ from monocurve.closedform import (
     CaseUnmatched,
     DegreeImbalance,
     TemplateMismatch,
-    betti_lookup,
     canonical_generators,
     case_id,
     closed_form_base,
@@ -79,7 +78,6 @@ __all__ = [
     "ValidationError",
     "analyze_sequence",
     "apery_set",
-    "betti_lookup",
     "betti_table",
     "buchberger",
     "build_resolution",

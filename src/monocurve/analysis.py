@@ -127,11 +127,11 @@ class AnalysisReport:
 def _gb_ok(gens, certified) -> bool:
     """Buchberger's criterion for the template generators: being a Gröbner
     basis is a property of the set up to units, so when ``gens`` are up to
-    sign the elements of ``certified``, the kernel's basis in the same ring
-    and order, its ``buchberger`` certificate answers; else ``is_groebner``."""
+    sign the elements of ``certified``, the kernel's basis in the same ring,
+    its ``buchberger`` certificate answers; else ``is_groebner``."""
     basis = certified.elements
     same = len(gens) == len(basis) and {frozenset(g.terms) for g in gens} == {frozenset(g.terms) for g in basis}
-    return same or is_groebner(gens, gens[0].ring.order())
+    return same or is_groebner(gens)
 
 
 def analyze_sequence(

@@ -114,8 +114,8 @@ def cmd_analyze(args) -> int:
     return 0 if report.all_verified() else 2
 
 
-def _with_progress(reports, total: int, stream) -> list:
-    """Collect the reports, writing done/total, elapsed time and ETA to
+def _with_progress(reports, total: int, stream):
+    """Yield the reports, writing done/total, elapsed time and ETA to
     ``stream`` at most once per PROGRESS_INTERVAL, then a final line.
 
     Lines start one interval after the first report and the ETA
@@ -123,27 +123,22 @@ def _with_progress(reports, total: int, stream) -> list:
     burst of a first chunk skews it."""
     started = time.monotonic()
     first = None
-    done = []
+    done = 0
     for report in reports:
-        done.append(report)
+        yield report
+        done += 1
         now = time.monotonic()
         if first is None:
             first = last = now
-        elif now - last >= PROGRESS_INTERVAL and len(done) < total:
+        elif now - last >= PROGRESS_INTERVAL and done < total:
             last = now
-            eta = (now - first) * (total - len(done)) / (len(done) - 1)
+            eta = (now - first) * (total - done) / (done - 1)
             print(
-                "sweep %d/%d tuples, %.0f s elapsed, ETA %.0f s"
-                % (len(done), total, now - started, eta),
+                "sweep %d/%d tuples, %.0f s elapsed, ETA %.0f s" % (done, total, now - started, eta),
                 file=stream,
                 flush=True,
             )
-    print(
-        "sweep %d/%d tuples done in %.0f s" % (len(done), total, time.monotonic() - started),
-        file=stream,
-        flush=True,
-    )
-    return done
+    print("sweep %d/%d tuples done in %.0f s" % (done, total, time.monotonic() - started), file=stream, flush=True)
 
 
 def cmd_sweep(args) -> int:
@@ -152,7 +147,7 @@ def cmd_sweep(args) -> int:
         return 1
     try:
         # opened before the sweep, which an unwritable path would waste
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+        out = open(args.out, "w", encoding="utf-8", buffering=1) if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
         return 1
@@ -161,18 +156,19 @@ def cmd_sweep(args) -> int:
     reports = _with_progress(
         sweep_specs(seqs, verify_level=args.verify_level, threads=args.threads), len(seqs), sys.stderr
     )
+    failed = 0
     try:
+        # each record is written, a line at a time, as its report arrives,
+        # so an interrupted sweep leaves the records done so far
         with out as handle:
-            handle.write(sweep_lines(reports))
+            for report in reports:
+                handle.write(sweep_lines([report]))
+                failed += not report.all_verified()
     except OSError as exc:
         print("cannot write %s: %s" % (args.out or "<stdout>", exc), file=sys.stderr)
         return 1
-    failed = [r for r in reports if not r.all_verified()]
     if failed:
-        print(
-            "%d of %d records failed verification" % (len(failed), len(reports)),
-            file=sys.stderr,
-        )
+        print("%d of %d records failed verification" % (failed, len(seqs)), file=sys.stderr)
         return 2
     return 0
 

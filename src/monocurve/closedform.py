@@ -182,8 +182,8 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
 # extraction
 
 
-def _monic_parts(p: Poly, order) -> tuple:
-    lead, coeff = p.lead(order)
+def _monic_parts(p: Poly) -> tuple:
+    lead, coeff = p.lead()
     terms = dict(p.terms)
     del terms[lead]
     ((tail, tail_coeff),) = terms.items()
@@ -197,14 +197,13 @@ def extract_parameters(ideal: ToricIdeal) -> CaseParameters:
 
     Refuses with TemplateMismatch when the basis fails to fit the templates.
     """
-    ring = ideal.ring
-    if ring.names != VARIABLE_NAMES:
+    elements = list(ideal.reduced_gb.elements)
+    if elements[0].ring.names != VARIABLE_NAMES:
         raise TemplateMismatch("expected the four standard curve variables")
-    return _classify(list(ideal.reduced_gb.elements), ring.order(), ideal.spec)
+    return _classify(elements, ideal.spec)
 
 
-def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
-    ring = elements[0].ring
+def _classify(elements, spec: SequenceSpec) -> CaseParameters:
     quadric = []
     plain = []
     cross = []
@@ -212,7 +211,7 @@ def _classify(elements, order, spec: SequenceSpec) -> CaseParameters:
     for p in elements:
         if not is_pure_difference(p):
             raise TemplateMismatch("non-binomial element in the basis")
-        lead, tail = _monic_parts(p, order)
+        lead, tail = _monic_parts(p)
         if lead[0] != 0:
             raise TemplateMismatch("a lead carries X0: %s" % (lead,))
         if lead == (0, 2, 0, 0):
@@ -465,11 +464,6 @@ def case_id(params: CaseParameters) -> CaseId:
     if len(matches) > 1:
         raise CaseUnmatched("table rows %s overlap on %s" % ([m.label for m in matches], params))
     return matches[0]
-
-
-def betti_lookup(params: CaseParameters) -> tuple:
-    """Betti triple of the matched table row."""
-    return case_id(params).betti
 
 
 #: the names a twist expression may use: the sequence and the parameters

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from operator import lshift, mul, neg
 
-from monocurve.poly import GrevlexOrder, Poly, Ring
+from monocurve.poly import Poly, Ring
 
 # divide and s_polynomial are not called here; they stay importable as
 # groebner.divide and groebner.s_polynomial
@@ -52,10 +52,11 @@ class GroebnerBasis:
     """A Gröbner basis with its certificate: for each pair of its lead
     frame, ((i, j), lead of the pair's syzygy, the syzygy as one {(slot,
     exponent): coefficient} dict), a column of the first syzygy map; and in
-    ``_level`` the (module, frame) of ``syzygy_level`` it was decoded from."""
+    ``_level`` the (module, frame) of ``syzygy_level`` it was decoded from.
+    Its order is always the ring's weighted grevlex, the only one the
+    packed keys express."""
 
     elements: list
-    order: object
     frame: list
     _level: tuple = field(default=None, repr=False, compare=False)
 
@@ -138,15 +139,13 @@ def _lead_frame(module, syz, leads) -> list:
     return sorted((pair, syz.term(slot, c, syz.degree(c))) for slot, kept in minimal.items() for c, pair in kept)
 
 
-def _rank_one(elements, order, depth) -> tuple:
+def _rank_one(elements) -> tuple:
     """(module, columns, leads) of ``elements`` in F_0 = R: the ``_Module``
-    for ``depth`` levels, each at most doubling the degrees, the elements'
-    {int: coefficient} dicts, and their leads."""
+    for one level per variable, each at most doubling the degrees, the
+    elements' {int: coefficient} dicts, and their leads."""
     ring = elements[0].ring
-    if type(order) is not GrevlexOrder or order.ring != ring:
-        raise ValueError("the packed keys are the ring's weighted grevlex, not %r" % (order,))
     terms = [[(m, sum(map(mul, m, ring.weights)), c) for m, c in g.terms.items()] for g in elements]
-    module = _Module(ring.weights, max(d for g in terms for _, d, _ in g) << depth)
+    module = _Module(ring.weights, max(d for g in terms for _, d, _ in g) << ring.nvars)
     full, shifts, x = module.full, module.shifts, module.x
     columns = [{(d << x) + full - sum(map(lshift, m, shifts)): c for m, d, c in g} for g in terms]
     return module, columns, [max(column) for column in columns]
@@ -191,7 +190,7 @@ def syzygy_level(module, columns, leads) -> tuple:
     return syz, frame
 
 
-def buchberger(elements, order) -> GroebnerBasis:
+def buchberger(elements) -> GroebnerBasis:
     """Certify unit monomials and pure-difference binomials as a Gröbner
     basis in the ring's weighted grevlex order by Buchberger's criterion
     over the lead frame: ``syzygy_level`` on the elements in F_0 = R, packed
@@ -204,12 +203,12 @@ def buchberger(elements, order) -> GroebnerBasis:
     if not elements:
         raise ValueError("need at least one generator")
     _refuse_others(elements)
-    syz, frame = syzygy_level(*_rank_one(elements, order, elements[0].ring.nvars))
+    syz, frame = syzygy_level(*_rank_one(elements))
     decoded = [(pair, syz.decode(lead), {syz.decode(t): c for t, c in col.items()}) for pair, lead, col in frame]
-    return GroebnerBasis(elements, order, decoded, (syz, frame))
+    return GroebnerBasis(elements, decoded, (syz, frame))
 
 
-def is_groebner(gens, order) -> bool:
+def is_groebner(gens) -> bool:
     """Buchberger's criterion for pure-difference binomials with the
     product criterion (Cox, Little and O'Shea, *Ideals, Varieties, and
     Algorithms*, §2.9): the set is a Gröbner basis iff ``pair_records``
@@ -220,7 +219,7 @@ def is_groebner(gens, order) -> bool:
         raise ValueError("is_groebner takes pure-difference binomials only")
     if not gens:
         return True  # the zero ideal, with no degree to pack by
-    module, columns, leads = _rank_one(gens, order, 1)
+    module, columns, leads = _rank_one(gens)
     guard, ones = module.guard, module.guard >> module.value
     # the guard bits of the variables each lead carries
     support = [(module.full - (t & module.fields) | guard) - ones & guard for t in leads]
@@ -304,31 +303,20 @@ def is_pure_difference(p: Poly) -> bool:
     return sorted(p.terms.values()) == [-1, 1]
 
 
-def vanishes_under_substitution(p: Poly, weights) -> bool:
-    """Does p vanish under x_i -> t^{w_i}?  (Coefficient sums per weighted degree.)"""
-    sums: dict = {}
-    for mono, coeff in p.terms.items():
-        d = sum(e * w for e, w in zip(mono, weights))
-        sums[d] = sums.get(d, 0) + coeff
-    return all(v == 0 for v in sums.values())
-
-
 @dataclass
 class ToricIdeal:
     """Defining ideal of the monomial curve, with its reduced Gröbner basis."""
 
     spec: SequenceSpec
-    ring: Ring
-    generators: list
     reduced_gb: GroebnerBasis
 
     def validate(self) -> None:
         # a pure difference x^a - x^b vanishes under x_i -> t^{w_i} iff
-        # deg a = deg b, so the last test also proves homogeneity
-        for p in self.generators:
+        # deg a = deg b, which also proves it homogeneous
+        for p in self.reduced_gb.elements:
             if not is_pure_difference(p):
                 raise AssertionError(f"not a pure difference binomial: {p}")
-            if not vanishes_under_substitution(p, self.ring.weights):
+            if len({p.ring.degree(m) for m in p.terms}) != 1:
                 raise AssertionError(f"does not vanish under substitution: {p}")
 
 
@@ -452,12 +440,11 @@ def toric_kernel_generic(weights, names=None):
         degree, *lead = _decode(label, k, width)
         a, *tail = _decode(table[degree % m], k, width)
         reduced.append(Poly(ring, {(0, *map(neg, lead)): 1, ((degree - a) // m, *map(neg, tail)): -1}))
-    return ring, buchberger(reduced, ring.order())
+    return ring, buchberger(reduced)
 
 
 def toric_kernel(spec: SequenceSpec) -> ToricIdeal:
     """Defining ideal of the curve (t^{m0}, t^{m1}, t^{m2}, t^{n})."""
-    ring, gb = toric_kernel_generic(spec.weights, VARIABLE_NAMES)
-    ideal = ToricIdeal(spec, ring, list(gb.elements), gb)
+    ideal = ToricIdeal(spec, toric_kernel_generic(spec.weights, VARIABLE_NAMES)[1])
     ideal.validate()
     return ideal

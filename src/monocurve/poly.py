@@ -1,9 +1,10 @@
 """Sparse exact polynomial arithmetic with weighted monomial orders.
 
 Polynomials live in a rational polynomial ring whose variables carry positive
-integer weights; the default order is the weighted graded reverse-lexicographic
-order.  An order is anything with a ``key`` method: a monomial is greater
-than another iff its key is.
+integer weights; the ring's order, the one the program computes and renders
+in, is the weighted graded reverse-lexicographic order.  ``Poly.lead``,
+``divide`` and ``s_polynomial`` take any order: anything with a ``key``
+method, a monomial greater than another iff its key is.
 
 Syzygies need no vector type and no order object: ``groebner`` packs each
 term of a syzygy level into one int that is its own Schreyer key, and
@@ -363,13 +364,11 @@ def _render_mono(ring: Ring, mono: tuple) -> str:
     return "*".join(parts)
 
 
-def render(f: Poly, order=None) -> str:
-    """Canonical text form, terms in descending order, e.g. 'X1^2 - X0*X2'."""
+def render(f: Poly) -> str:
+    """Canonical text form, terms descending in the ring's order, e.g. 'X1^2 - X0*X2'."""
     if not f.terms:
         return "0"
-    if order is None:
-        order = f.ring.order()
-    monos = sorted(f.terms, key=order.key, reverse=True)
+    monos = sorted(f.terms, key=f.ring.order().key, reverse=True)
     pieces = []
     for i, m in enumerate(monos):
         c = f.terms[m]
@@ -390,7 +389,7 @@ def render(f: Poly, order=None) -> str:
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
 _FACTOR = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
-_NUMBER = re.compile(r"^\d+(?:/\d+)?$")
+_NUMBER = re.compile(r"^\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def parse(ring: Ring, text: str) -> Poly:

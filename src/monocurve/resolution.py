@@ -69,16 +69,16 @@ class GradedFreeModule:
         return f"GradedFreeModule({list(self.twists)})"
 
 
-def _column_twists(target: GradedFreeModule, columns, twists=None) -> tuple:
-    """The twist of each column, ``twists[j]`` or else read off its first
-    term, after one check of every term: its row is one of ``target``'s
-    (else ShapeMismatch) and its degree is the column's twist minus the
-    row's, at least 0 (else HomogeneityBroken)."""
+def _column_twists(target: GradedFreeModule, columns) -> tuple:
+    """The twist of each column, read off its first term, after one check
+    of every term: its row is one of ``target``'s (else ShapeMismatch) and
+    its degree is the column's twist minus the row's, at least 0 (else
+    HomogeneityBroken)."""
     weights, rows = target.ring.weights, target.twists
     rank = len(rows)
     out = []
     for j, column in enumerate(columns):
-        want = None if twists is None else twists[j]
+        want = None
         for i, mono in column:
             if not 0 <= i < rank:
                 raise ShapeMismatch(f"column {j} has a term in row {i} of rank {rank}")

@@ -132,7 +132,6 @@ from monocurve.resolution import (
     HomogeneityBroken,
     PreconditionViolated,
     ShapeMismatch,
-    _column_twists,
 )
 from monocurve.semigroup import (
     M0_BUDGET,
@@ -152,6 +151,21 @@ def is_homogeneous(f: Poly, ring_or_weights=None):
     weights = ring.weights if isinstance(ring, Ring) else tuple(ring)
     degrees = {sum(map(mul, mono, weights)) for mono in f.terms}
     return degrees.pop() if len(degrees) == 1 else None
+
+
+def vanishes_under_substitution(p: Poly, weights) -> bool:
+    """Does p vanish under x_i -> t^{w_i}?  (Coefficient sums per weighted degree.)"""
+    sums: dict = {}
+    for mono, coeff in p.terms.items():
+        d = sum(e * w for e, w in zip(mono, weights))
+        sums[d] = sums.get(d, 0) + coeff
+    return all(v == 0 for v in sums.values())
+
+
+def basis_order(gb):
+    """The order of a basis: a ``Completion`` carries its own, and the
+    program's ``GroebnerBasis`` is always in the ring's weighted grevlex."""
+    return gb.order if isinstance(gb, Completion) else gb.elements[0].ring.order()
 
 
 def _element_degrees(elements):
@@ -278,11 +292,15 @@ def matrix_map(source: GradedFreeModule, target: GradedFreeModule, entries) -> G
             f"rank {source.rank} into rank {target.rank}"
         )
     columns = tuple({} for _ in source.twists)
+    weights = target.ring.weights
     for i, row in enumerate(rows):
-        for column, p in zip(columns, row):
+        for j, (column, p) in enumerate(zip(columns, row)):
+            want = source.twists[j] - target.twists[i]
             for mono, c in p.terms.items():
+                d = sum(map(mul, mono, weights))
+                if d != want or d < 0:
+                    raise HomogeneityBroken(f"entry ({i},{j}) has degree {d}, twists demand {want}")
                 column[i, mono] = c
-    _column_twists(target, columns, source.twists)
     return GradedMap._trimmed(source, target, columns)
 
 
@@ -438,7 +456,7 @@ def replay_ok(gb: Completion) -> bool:
 def ideal_member(f: Poly, gb) -> bool:
     if f.is_zero:
         return True
-    _, remainder = divide(f, gb.elements, gb.order)
+    _, remainder = divide(f, gb.elements, basis_order(gb))
     return remainder.is_zero
 
 
@@ -670,7 +688,7 @@ def resolution_all_pairs(gb):
     Returns (resolution, levels) with levels[k] the kept syzygies of map
     k + 1, in column order, as {(slot, exponent): coefficient} dicts.
     """
-    elements, order = list(gb.elements), gb.order
+    elements, order = list(gb.elements), basis_order(gb)
     ring = elements[0].ring
     base = GradedFreeModule(ring, (0,))
     first = GradedFreeModule(ring, _element_degrees(elements))
@@ -1069,7 +1087,7 @@ def apery_set_walk(semigroup: SubSemigroup, m: int) -> set:
 def reduce_basis(gb) -> Completion:
     """Reduced Gröbner basis: monic leads, fully tail-reduced, sorted by
     ascending leading monomial.  Unique for the given order."""
-    order = gb.order
+    order = basis_order(gb)
     kept = [gb.elements[k] for k in lead_minimal(gb.elements, order)]
     reduced = []
     for idx, g in enumerate(kept):
@@ -1345,7 +1363,7 @@ def toric_kernel_by_sets(weights, names=None):
         a, *rest = table[degree % w[0]]
         tail = ((degree - a) // w[0],) + tuple(map(neg, rest))
         reduced.append(Poly(ring, {lead: 1, tail: -1}))
-    return ring, binomial_buchberger(reduced, order)
+    return ring, binomial_buchberger(reduced)
 
 
 def eval_shift(expr: str, env: dict) -> int:

@@ -4,9 +4,11 @@ hilbert_ok, and the kernel's certificate or is_groebner onto gb_ok; that
 each check runs once per tuple and builds one semigroup table in all; and
 how long it takes on large generators."""
 
+import math
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monocurve import analysis, closedform, semigroup
 from monocurve.groebner import toric_kernel
@@ -145,9 +147,9 @@ def _count_groebner_checks(monkeypatch) -> list:
     calls = []
     original = analysis.is_groebner
 
-    def spy(gens, order):
+    def spy(gens):
         calls.append(gens)
-        return original(gens, order)
+        return original(gens)
 
     monkeypatch.setattr(analysis, "is_groebner", spy)
     return calls
@@ -184,7 +186,7 @@ def test_gb_ok_checks_every_other_set(monkeypatch):
     the set with a repeated element, or one tail swapped goes through it,
     and its verdict is the reference's."""
     basis = toric_kernel(semigroup.validate_sequence(*SEQ)).reduced_gb
-    order = basis.order
+    order = basis.elements[0].ring.order()
     gens = list(basis.elements)
     calls = _count_groebner_checks(monkeypatch)
     assert analysis._gb_ok(gens[::-1], basis) is True and calls == []
@@ -217,3 +219,20 @@ def test_case_matched_once_per_tuple(monkeypatch):
     report = analysis.analyze_sequence(*SEQ)
     assert report.case == "iv" and report.flags["closed_form_agrees"]
     assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(61, 200), st.integers(1, 200), st.integers(1, 600))
+def test_beyond_the_box_every_tuple_verifies_and_only_glued_ones_mismatch(m0, d, n):
+    """The whole pipeline beyond the box: every valid tuple is verified, and
+    no template fits exactly the glued tuples, those with g = gcd(m0, d) > 1
+    whose least multiple of n in <m0, m1, m2> is g·n."""
+    try:
+        semigroup.validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except semigroup.ValidationError:
+        assume(False)
+    report = analysis.analyze_sequence(m0, m0 + d, m0 + 2 * d, n)
+    assert report.all_verified()
+    mismatch = any(rec["kind"] == "template_mismatch" for rec in report.discrepancies)
+    g = math.gcd(m0, d)
+    assert mismatch == (g > 1 and semigroup.progression_multiple(n, m0, d) == g)

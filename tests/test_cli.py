@@ -306,6 +306,56 @@ def test_sweep_holds_no_gamma_table(monkeypatch, capsys):
     assert not any("gamma" in getattr(seq, "__dict__", {}) for seq in held)
 
 
+def test_sweep_writes_each_record_as_its_report_arrives(monkeypatch, capsys):
+    """Record k is on stdout before the sweep yields report k + 1."""
+    reports = sweep(8, 8)
+    written = []
+
+    def streaming(seqs, **kwargs):
+        assert len(seqs) == len(reports) > 2
+        for k, report in enumerate(reports):
+            written.append(capsys.readouterr().out)
+            assert "".join(written) == sweep_lines(reports[:k])
+            yield report
+
+    monkeypatch.setattr(cli, "sweep_specs", streaming)
+    assert cli.main(["sweep", "--max-m2", "8", "--max-n", "8"]) == 0
+    written.append(capsys.readouterr().out)
+    assert "".join(written) == sweep_lines(reports)
+
+
+def test_interrupted_sweep_leaves_the_records_so_far(tmp_path, monkeypatch):
+    reports = sweep(8, 8)
+
+    def interrupted(seqs, **kwargs):
+        yield from reports[:2]
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "sweep_specs", interrupted)
+    path = tmp_path / "part.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "--max-m2", "8", "--max-n", "8", "--out", str(path)])
+    assert path.read_text() == sweep_lines(reports[:2])
+
+
+def test_sweep_stops_at_a_record_it_cannot_write(monkeypatch, capsys):
+    """Each record is flushed as its line ends, so a full device fails the
+    first write: one `cannot write` line and exit 1, and the sweep stops."""
+    reports = sweep(8, 8)
+    asked = []
+
+    def streaming(seqs, **kwargs):
+        for report in reports:
+            asked.append(report)
+            yield report
+
+    monkeypatch.setattr(cli, "sweep_specs", streaming)
+    assert cli.main(["sweep", "--max-m2", "8", "--max-n", "8", "--out", "/dev/full"]) == 1
+    [line] = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("sweep ")]
+    assert line.startswith("cannot write /dev/full: ")
+    assert len(asked) == 1
+
+
 # census
 
 

@@ -265,6 +265,10 @@ def test_parse_rejects_garbage():
         parse(R4, "")
     with pytest.raises(ValueError):
         parse(R4, "X0 +")
+    for text in ("1/0*X0", "3/0", "0/0"):  # a zero denominator
+        with pytest.raises(ValueError):
+            parse(R4, text)
+    assert parse(R4, "3/02*X0") == parse(R4, "3/2*X0")
 
 
 def test_vect_arithmetic():
