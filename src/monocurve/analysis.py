@@ -25,7 +25,9 @@ Discrepancy kinds:
 
 Each record carries ``certified``: true when the computed side passed the
 series identity, which is what lets a mismatch indict the table instead of
-the computation.
+the computation.  Every check runs on every valid tuple; a flag is ``None``
+only for a tuple with no case, which leaves ``gb_ok`` and
+``closed_form_agrees`` no template to check.
 """
 
 from __future__ import annotations
@@ -73,8 +75,6 @@ def _case_sort_key(label: str) -> tuple:
     except ValueError:
         return (1, label)
 
-VERIFY_LEVELS = ("fast", "full")
-
 
 @dataclass
 class AnalysisReport:
@@ -99,8 +99,8 @@ class AnalysisReport:
     def all_verified(self) -> bool:
         """No flag explicitly false and every discrepancy certified.
 
-        ``None`` flags (skipped checks, unclassifiable tuples) do not count
-        against verification; an uncertified discrepancy always does.
+        ``None`` flags, which only a tuple with no case carries, do not
+        count against verification; an uncertified discrepancy always does.
         """
         if not self.valid:
             return False
@@ -143,13 +143,12 @@ def analyze_sequence(
 ) -> AnalysisReport:
     """Run the whole pipeline on one sequence and report every outcome.
 
-    ``fast`` skips instantiating the closed-form matrices (the flag
-    ``closed_form_agrees`` comes back ``None``); everything else -- kernel,
-    resolution, series identity, Gröbner check, twist-table comparison --
-    runs at both levels.
+    ``verify_level`` accepts ``"full"`` only and raises ValueError on any
+    other value: every check always runs.  It stays because the benchmark
+    harness passes it; the next change to the benchmark drops it.
     """
-    if verify_level not in VERIFY_LEVELS:
-        raise ValueError("verify_level must be one of %s" % (VERIFY_LEVELS,))
+    if verify_level != "full":
+        raise ValueError("verify_level must be 'full'")
     started = time.perf_counter()
     seq = (m0, m1, m2, n)
     flags: dict = {}
@@ -237,34 +236,27 @@ def analyze_sequence(
                         "certified": flags["hilbert_ok"],
                     }
                 )
-        if verify_level == "full":
-            agreement = True
-            try:
-                closed = closed_form_resolution(params, gens)
-                closed.validate()
-            except Exception as exc:  # any instantiation failure is a finding
-                agreement = False
-                detail = "%s: %s" % (type(exc).__name__, exc)
-            else:
-                detail = None
-                if closed.ranks != resolution.ranks:
-                    agreement = False
-                    detail = "ranks %s != %s" % (closed.ranks, resolution.ranks)
-                elif hilbert_numerator(closed) != numerator:
-                    agreement = False
-                    detail = "numerator differs"
-            flags["closed_form_agrees"] = agreement
-            if not agreement:
-                discrepancies.append(
-                    {
-                        "kind": "closed_form",
-                        "case": case_label,
-                        "reason": detail,
-                        "certified": False,
-                    }
-                )
+        try:
+            closed = closed_form_resolution(params, gens)
+            closed.validate()
+        except Exception as exc:  # any instantiation failure is a finding
+            detail = "%s: %s" % (type(exc).__name__, exc)
         else:
-            flags["closed_form_agrees"] = None
+            detail = None
+            if closed.ranks != resolution.ranks:
+                detail = "ranks %s != %s" % (closed.ranks, resolution.ranks)
+            elif hilbert_numerator(closed) != numerator:
+                detail = "numerator differs"
+        flags["closed_form_agrees"] = detail is None
+        if detail is not None:
+            discrepancies.append(
+                {
+                    "kind": "closed_form",
+                    "case": case_label,
+                    "reason": detail,
+                    "certified": False,
+                }
+            )
 
     return AnalysisReport(
         seq=seq,
@@ -294,10 +286,9 @@ def enumerate_box(max_m2: int, max_n: int):
             d += 1
 
 
-def _sweep_one(job) -> AnalysisReport:
-    seq, verify_level = job
+def _sweep_one(seq) -> AnalysisReport:
     try:
-        return analyze_sequence(*seq, verify_level=verify_level)
+        return analyze_sequence(*seq)
     except Exception as exc:  # one bad tuple must not sink the sweep
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return AnalysisReport(
@@ -316,17 +307,18 @@ def _sweep_one(job) -> AnalysisReport:
         )
 
 
-def sweep_specs(seqs, verify_level: str = "full", threads: int = 1):
+def sweep_specs(seqs, threads: int = 1):
     """Yield the report of each validated sequence in ``seqs``, its
     (m0, m1, m2, n), in order, as soon as it and every earlier one are done.
 
-    A tuple whose analysis raises yields an uncertified ``internal_error``
-    record instead.  Thread count only distributes the per-tuple work; the
-    reports are identical for every value.  At most one worker process per
-    job and per CPU is started, since a fork pool starts all of them at
-    the first submit.
+    Every check runs on every tuple; a flag is ``None`` only for a tuple
+    with no case.  A tuple whose analysis raises yields an uncertified
+    ``internal_error`` record instead.  Thread count only distributes the
+    per-tuple work; the reports are identical for every value.  At most one
+    worker process per job and per CPU is started, since a fork pool starts
+    all of them at the first submit.
     """
-    jobs = [(seq, verify_level) for seq in seqs]
+    jobs = list(seqs)
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(_sweep_one, jobs)
@@ -338,9 +330,9 @@ def sweep_specs(seqs, verify_level: str = "full", threads: int = 1):
         yield from pool.map(_sweep_one, jobs, chunksize=chunk)
 
 
-def sweep(max_m2: int, max_n: int, verify_level: str = "full", threads: int = 1) -> list:
+def sweep(max_m2: int, max_n: int, threads: int = 1) -> list:
     """Analyze every valid tuple in the box, in enumeration order."""
-    return list(sweep_specs((spec.weights for spec in enumerate_box(max_m2, max_n)), verify_level, threads))
+    return list(sweep_specs((spec.weights for spec in enumerate_box(max_m2, max_n)), threads))
 
 
 def sweep_lines(reports) -> str:

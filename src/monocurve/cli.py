@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    report = analyze_sequence(*seq, verify_level=args.verify_level)
+    report = analyze_sequence(*seq)
     if args.json:
         print(json.dumps(report.to_json()))
     elif not report.valid:
@@ -153,9 +153,7 @@ def cmd_sweep(args) -> int:
         return 1
     # weights only: a held SequenceSpec keeps its cached Gamma table alive
     seqs = [spec.weights for spec in enumerate_box(args.max_m2, args.max_n)]
-    reports = _with_progress(
-        sweep_specs(seqs, verify_level=args.verify_level, threads=args.threads), len(seqs), sys.stderr
-    )
+    reports = _with_progress(sweep_specs(seqs, threads=args.threads), len(seqs), sys.stderr)
     failed = 0
     try:
         # each record is written, a line at a time, as its report arrives,
@@ -319,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="verify a single sequence")
     analyze.add_argument("--seq", required=True, help="four integers: m0,m1,m2,n")
     analyze.add_argument("--json", action="store_true", help="emit one JSON record")
-    analyze.add_argument(
-        "--verify-level", choices=("fast", "full"), default="full", dest="verify_level"
-    )
     analyze.set_defaults(func=cmd_analyze)
 
     swp = sub.add_parser("sweep", help="analyze every valid tuple in a box")
@@ -329,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--max-n", type=int, required=True, dest="max_n")
     swp.add_argument("--out", help="JSONL destination (default stdout)")
     swp.add_argument("--threads", type=int, default=1)
-    swp.add_argument(
-        "--verify-level", choices=("fast", "full"), default="full", dest="verify_level"
-    )
     swp.set_defaults(func=cmd_sweep)
 
     census = sub.add_parser("census", help="digest a sweep file")

@@ -505,16 +505,18 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
 # ---------------------------------------------------------------------------
 # closed-form complexes
 #
-# For each of the seven family shapes (four with a cross family, two without
-# it led by the plain X1 element, one Koszul) the first and second syzygy
-# matrices of the canonical generators are written out entry by entry.  The
-# columns below are stated over the generator order canonical_generators
-# produces and satisfy A.B = 0 and B.C = 0 identically in the exponents;
-# degenerate parameter values (x0_pure = 0, x0_plain = 1, x2_cross = 0,
-# x2_gap small) turn individual entries into constants, and minimalize
-# clears those mechanically.  Each entry is an {exponent: coefficient} dict
-# (a generator is its own term dict, _diff of equal monomials is empty), read
-# into the maps' columns as written; GradedMap.from_columns checks each term.
+# Seven family shapes.  For the four with a cross family the first and second
+# syzygy matrices of the canonical generators are written out entry by entry.
+# The three without one (cases xvii-xix) come from two builders, each the
+# mapping cone, built by _cone, of multiplication by the pure relation over
+# the Hilbert-Burch or the Koszul complex of the other generators.  Columns
+# are stated over the generator order canonical_generators produces and
+# satisfy A.B = 0 and B.C = 0 identically in the exponents; degenerate
+# parameter values (x0_pure = 0, x0_plain = 1, x2_cross = 0, x2_gap small)
+# turn individual entries into constants, and minimalize clears those
+# mechanically.  Each entry is an {exponent: coefficient} dict (a generator
+# is its own term dict, _diff of equal monomials is empty), read into the
+# maps' columns as written; GradedMap.from_columns checks each term.
 
 
 def _diff(plus: tuple, minus: tuple) -> dict:
@@ -620,36 +622,32 @@ def _syzygies_cross_22(gens, p):
     return b_cols, c_cols
 
 
-def _syzygies_plain_first(gens, p):
-    """No cross family, plain offset 1: generators [quadric, plain0, plain1, pure]."""
-    xi, f0, f1, th = gens
-    lam, q, w = p.x0_plain, p.x2_plain, p.y_split
-    b_cols = [
-        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
-        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
-        [_negated(th), {}, {}, xi],
-        [{}, _negated(th), {}, f0],
-        [{}, {}, _negated(th), f1],
+def _cone(gens, base):
+    """(B, C) of the mapping cone of multiplication by theta = gens[-1] over
+    the length-2 complex on gens[:-1] with first syzygies ``base`` (Peeva,
+    Graded Syzygies, 2011, ch. 1): B.C = 0 as each base column is a syzygy."""
+    *others, th = gens
+    b_cols = [col + [{}] for col in base] + [
+        [_negated(th) if k == i else {} for k in range(len(others))] + [g] for i, g in enumerate(others)
     ]
-    c_cols = [
-        [th, {}, {_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}],
-        [{}, th, {_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}],
-    ]
+    c_cols = [[th if k == j else {} for k in range(len(base))] + col for j, col in enumerate(base)]
     return b_cols, c_cols
+
+
+def _syzygies_plain_first(gens, p):
+    """No cross family, plain offset 1: generators [quadric, plain0, plain1,
+    pure]; the cone over the Hilbert-Burch complex of (quadric, plain0, plain1)."""
+    lam, q, w = p.x0_plain, p.x2_plain, p.y_split
+    return _cone(gens, [
+        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}],
+        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}],
+    ])
 
 
 def _syzygies_koszul(gens, p):
-    """No cross family, plain offset 2: three generators, pairwise-coprime leads."""
-    xi, f0, th = gens
-    b_cols = [
-        [_negated(f0), xi, {}],
-        [_negated(th), {}, xi],
-        [{}, _negated(th), f0],
-    ]
-    c_cols = [
-        [th, _negated(f0), xi],
-    ]
-    return b_cols, c_cols
+    """No cross family, plain offset 2: generators [quadric, plain0, pure],
+    pairwise-coprime leads; the cone over the Koszul complex of (quadric, plain0)."""
+    return _cone(gens, [[_negated(gens[1]), gens[0]]])
 
 
 #: the builder of each family shape: (plain, cross offset) with a cross

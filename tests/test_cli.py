@@ -93,11 +93,15 @@ def test_analyze_json_on_invalid_sequence(capsys):
     assert record["discrepancies"][0]["kind"] == "invalid_sequence"
 
 
-def test_analyze_fast_level_skips_closed_form(capsys):
-    assert cli.main(["analyze", "--seq", "5,7,9,11", "--verify-level", "fast", "--json"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["flags"]["closed_form_agrees"] is None
-    assert record["flags"]["gb_ok"] is True
+def test_verify_level_fast_is_gone(capsys):
+    # every check runs on every tuple: the option is a usage error, and the
+    # keyword the benchmark harness still passes takes "full" only
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["analyze", "--seq", "5,7,9,11", "--verify-level", "fast"])
+    assert exited.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: ")
+    with pytest.raises(ValueError):
+        analyze_sequence(5, 7, 9, 11, verify_level="fast")
 
 
 def test_analyze_rejects_huge_redundant_n(capsys):

@@ -2,7 +2,7 @@
 resolutions, and the tabulated twist lists with their known slips."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from monocurve.closedform import (
     CASE_TABLE,
@@ -21,7 +21,7 @@ from monocurve.closedform import (
     _shift_row,
 )
 from monocurve.groebner import buchberger, is_groebner, toric_kernel
-from monocurve.resolution import build_resolution, hilbert_numerator, minimalize
+from monocurve.resolution import build_resolution, compose_zero, hilbert_numerator, minimalize
 from monocurve.semigroup import ValidationError, validate_sequence
 
 from monocurve import closedform
@@ -429,3 +429,25 @@ def test_extraction_roundtrip_property(m0, d, n):
     }
     triple = minimalize(build_resolution(kernel.reduced_gb)).ranks[1:]
     assert case_id(params).betti == triple
+
+
+# about one draw in 25 is a valid tuple with no cross family, so the filter
+# health check,
+# which expects 10 kept draws before 50 dropped ones, is off for this property
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.integers(61, 200), st.integers(1, 200), st.integers(1, 600))
+def test_no_cross_cones_beyond_the_box(m0, d, n):
+    """Beyond the box, the mapping cones of the no-cross shapes compose to
+    zero before minimalization, and their minimalization has the generic
+    resolution's ranks and Hilbert numerator."""
+    try:
+        spec, kernel, params = pipeline((m0, m0 + d, m0 + 2 * d, n))
+    except (ValidationError, TemplateMismatch, DegreeImbalance):
+        assume(False)
+    assume(not params.has_cross)
+    base = closed_form_base(params, canonical_generators(params, spec))
+    assert all(compose_zero(a, b) for a, b in zip(base.maps, base.maps[1:]))
+    closed = minimalize(base)
+    generic = minimalize(build_resolution(kernel.reduced_gb))
+    assert closed.ranks == generic.ranks == (1,) + case_id(params).betti
+    assert hilbert_numerator(closed) == hilbert_numerator(generic)
