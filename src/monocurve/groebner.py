@@ -6,9 +6,9 @@ Ideal elements are pure-difference binomials or unit monomials, up to sign
 is the one division, for every syzygy level, whose elements are the
 columns of the map before, the generators those of F_0 = R.
 ``syzygy_level`` runs a level on its lead frame (La Scala and Stillman,
-JSC 26, 1998), ``buchberger`` certifies a basis by level 1, from which
-``resolution.build_resolution`` goes on, and ``is_groebner`` divides every
-pair whose leads share a variable.
+JSC 26, 1998), ``buchberger`` certifies a basis by level 1 and keeps it
+packed, and ``resolution.build_resolution`` goes on from it; ``is_groebner``
+divides every pair whose leads share a variable.
 
 Each term x^m e_p of a level is one int, its own Schreyer key
 (``_Module``), so terms compare, shift and divide as ints and the greatest
@@ -24,7 +24,7 @@ the term's image in F_0, whose degree at most doubles per level, and v
 holds D·2^levels over the least weight for generators of degree at most D;
 the cofactor tie-break sheds a variable of the lead cofactors per level,
 so there are at most as many levels as variables.  Exponent tuples appear
-only at the boundary: each level's frame is decoded once.
+only at the boundary: each level's frame is decoded once, into its map.
 
 The toric kernel's reduced basis is read off the Apéry set on int labels
 of its own, with no S-pair (``toric_kernel_generic``).
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import lshift, mul, neg
 
 from monocurve.poly import Poly, Ring
@@ -49,16 +49,15 @@ VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
 
 @dataclass
 class GroebnerBasis:
-    """A Gröbner basis with its certificate: for each pair of its lead
-    frame, ((i, j), lead of the pair's syzygy, the syzygy as one {(slot,
-    exponent): coefficient} dict), a column of the first syzygy map; and in
-    ``_level`` the (module, frame) of ``syzygy_level`` it was decoded from.
-    Its order is always the ring's weighted grevlex, the only one the
+    """A Gröbner basis with its certificate, ``level``: the (module, frame)
+    of ``syzygy_level`` on the elements in F_0 = R, one ((i, j), lead,
+    column) per pair of the lead frame, lead and column packed terms of
+    ``module``, the column the pair's syzygy: a column of the first syzygy
+    map.  Its order is always the ring's weighted grevlex, the only one the
     packed keys express."""
 
     elements: list
-    frame: list
-    _level: tuple = field(default=None, repr=False, compare=False)
+    level: tuple
 
 
 class _Module:
@@ -197,15 +196,13 @@ def buchberger(elements) -> GroebnerBasis:
     for the at most one level per variable ``build_resolution`` makes, so a
     pair that leaves a remainder raises an AssertionError naming it.  The
     kept pair syzygies generate the syzygies of the leads, so zero
-    remainders on them prove the criterion.
+    remainders on them prove the criterion; the level is kept packed.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one generator")
     _refuse_others(elements)
-    syz, frame = syzygy_level(*_rank_one(elements))
-    decoded = [(pair, syz.decode(lead), {syz.decode(t): c for t, c in col.items()}) for pair, lead, col in frame]
-    return GroebnerBasis(elements, decoded, (syz, frame))
+    return GroebnerBasis(elements, syzygy_level(*_rank_one(elements)))
 
 
 def is_groebner(gens) -> bool:
@@ -427,7 +424,7 @@ def toric_kernel_generic(weights, names=None):
 
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
     under the ring's weighted grevlex order, ascending by lead, with its
-    frame of first syzygies.
+    packed level of first syzygies.
     """
     weights = tuple(int(w) for w in weights)
     ring = Ring(("x", "y", "z", "w", "u", "v")[: len(weights)] if names is None else tuple(names), weights)

@@ -5,10 +5,10 @@ resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
 ``compose_zero``, which sums each column of a product in exponent
 arithmetic on the maps' column dicts and builds no polynomial.
 
-The syzygy levels come from ``groebner.syzygy_level``, one frame each:
-level 1 is the certificate ``buchberger`` made (``GroebnerBasis.frame``),
-every later level one more call on the packed frame before.  Each level's
-frame is decoded once into columns of the level's map, which
+The syzygy levels come from ``groebner.syzygy_level``, one packed frame
+each: level 1 is the certificate ``buchberger`` made (``GroebnerBasis.level``),
+every later level one more call on the frame before.  Each level's frame
+is decoded once into columns of the level's map, which
 ``schreyer_syzygies`` takes as they are.
 
 Conventions, fixed once:
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, lshift, mul
 
-from monocurve.poly import Ring, coeff_div
+from monocurve.poly import Ring
 from monocurve.groebner import GroebnerBasis, syzygy_level
 
 # buchberger is not called here; it stays importable as resolution.buchberger
@@ -45,7 +45,7 @@ class HomogeneityBroken(ValueError):
 
 
 class PreconditionViolated(ValueError):
-    """prune_unit called on an entry that is not a nonzero constant."""
+    """prune_unit called on an entry that is not a constant ±1."""
 
 
 class NotMinimal(ValueError):
@@ -214,25 +214,26 @@ def schreyer_syzygies(target: GradedFreeModule, columns) -> GradedMap:
 def build_resolution(gb: GroebnerBasis) -> FreeResolution:
     """The Schreyer resolution of a certified basis, one level per pass.
 
-    maps[0] has the generators as position-0 columns of F_0 = R.  Level 1 is
-    ``gb.frame``, the lead-frame syzygies ``buchberger`` certified the basis
-    with (Schreyer's frame; La Scala and Stillman, JSC 26, 1998), and each
-    later level one ``syzygy_level`` call on the packed frame before, which
+    maps[0] has the generators as position-0 columns of F_0 = R.  The loop
+    starts at ``gb.level``, the lead-frame syzygies ``buchberger`` certified
+    the basis with (Schreyer's frame; La Scala and Stillman, JSC 26, 1998),
+    and each pass decodes the level's frame once into the columns of its
+    map and makes the next level with one ``syzygy_level`` call, which
     asserts each remainder zero.  The kept pair syzygies generate the
     syzygies of the leads, so by the generalised Buchberger criterion each
-    level is a Gröbner basis in the induced order.  Each frame is decoded
-    once, into the columns of its level's map.
+    level is a Gröbner basis in the induced order.
     """
     ring = gb.elements[0].ring
     generators = [{(0, m): c for m, c in g.terms.items()} for g in gb.elements]
     maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), generators)]
-    (module, frame), columns = gb._level, [column for _, _, column in gb.frame]
+    module, frame = gb.level
     while frame:
         if len(maps) == ring.nvars:
             raise AssertionError("resolution exceeded the number of variables")
-        maps.append(schreyer_syzygies(maps[-1].source, columns))
-        module, frame = syzygy_level(module, [column for _, _, column in frame], [lead for _, lead, _ in frame])
-        columns = [{module.decode(t): c for t, c in column.items()} for _, _, column in frame]
+        columns = [column for _, _, column in frame]
+        decoded = [{module.decode(t): c for t, c in column.items()} for column in columns]
+        maps.append(schreyer_syzygies(maps[-1].source, decoded))
+        module, frame = syzygy_level(module, columns, [lead for _, lead, _ in frame])
     return FreeResolution(maps)
 
 
@@ -245,22 +246,22 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
 
     Basis vector ``col`` of F_{step+1} and ``row`` of F_step span a trivial
     summand 0 -> R -> R -> 0 of the complex (Peeva, *Graded Syzygies*, 2011,
-    ch. 1).  What is left: D's Schur complement, D[i][j] - D[i][col]·D[row][j]/u
+    ch. 1).  What is left: D's Schur complement, D[i][j] - D[i][col]·D[row][j]·u
     off row ``row`` and column ``col``; maps[step+1] without row ``col``; and
     maps[step-1] without column ``row``.  All on the column dicts: column j
-    loses its row-``row`` terms c·x^m and gains -c/u·x^m times column
-    ``col``, and the rows below ``row`` move up by one.
+    loses its row-``row`` terms c·x^m and gains -c·u·x^m times column
+    ``col``, and the rows below ``row`` move up by one.  u must be ±1 (else
+    PreconditionViolated), its own inverse, so integers stay integers.
     """
     if not (0 <= step < len(res.maps)):
         raise IndexError(f"no map at step {step}")
     mid = res.maps[step]
     if not (0 <= row < mid.target.rank and 0 <= col < mid.source.rank):
         raise IndexError("entry outside the matrix")
-    unit = (row, mid.target.ring.zero_mono())
-    if mid.source.twists[col] != mid.target.twists[row] or unit not in mid.columns[col]:
-        raise PreconditionViolated("pivot entry is not a nonzero constant")
     pivot_column = mid.columns[col]
-    inverse = coeff_div(1, pivot_column[unit])
+    pivot = pivot_column.get((row, mid.target.ring.zero_mono()))
+    if mid.source.twists[col] != mid.target.twists[row] or pivot not in (1, -1):
+        raise PreconditionViolated(f"pivot entry is not a constant ±1: {pivot!r}")
     below = [((i - (i > row), m1), c1) for (i, m1), c1 in pivot_column.items() if i != row]
     trimmed = []
     for j, column in enumerate(mid.columns):
@@ -272,7 +273,7 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
             if i != row:
                 complement[i - (i > row), m] = c
             else:
-                scales.append((m, c * inverse))
+                scales.append((m, c * pivot))
         for m2, scale in scales:
             for (i, m1), c1 in below:
                 t = (i, tuple(map(add, m1, m2)))

@@ -30,8 +30,10 @@ monomial) pairs that lives here since the program needs none:
 transcript; ``is_groebner``, ``replay_ok``, ``ideal_member``, and
 ``resolution_all_pairs``, which completes every level with ``buchberger``,
 writes each record's syzygy as a vector (``record_vector``) and keeps the
-``lead_minimal`` ones.  ``frame_matches`` holds each of the program's
-frame columns to the generic record of its pair.  ``pair_records_generic``
+``lead_minimal`` ones.  ``decoded_frame`` reads a basis's packed level
+1 as (pair, lead, column) with (position, exponent) keys, and
+``frame_matches`` holds each of its columns to the generic record of its
+pair.  ``pair_records_generic``
 forms and divides each kept pair with ``s_polynomial`` and ``divide``; the
 program does the same in one term dict.  ``reduce_basis`` makes a
 completed basis reduced by generic division.  ``PositionOverTerm`` orders
@@ -508,6 +510,14 @@ def transcript_syzygies(gb: Completion) -> GradedMap:
     return vector_map([record_vector(r, ring, len(gb.elements)) for r in records], target)
 
 
+def decoded_frame(gb) -> list:
+    """The certificate of ``gb`` read off its packed ``level``: per pair of
+    the lead frame, (pair, lead, {(slot, exponent): coefficient}), the lead
+    a (slot, exponent) pair."""
+    module, frame = gb.level
+    return [(pair, module.decode(lead), {module.decode(t): c for t, c in column.items()}) for pair, lead, column in frame]
+
+
 def frame_matches(gb, completed: Completion) -> bool:
     """Whether ``completed``, the generic completion of the elements of
     ``gb``, a basis the program certified, appended nothing, and each of
@@ -515,7 +525,7 @@ def frame_matches(gb, completed: Completion) -> bool:
     ring, rank = gb.elements[0].ring, len(gb.elements)
     records = {(r.i, r.j): r for r in completed.transcript}
     return completed.elements == gb.elements and all(
-        column == record_vector(records[pair], ring, rank).terms for pair, _, column in gb.frame
+        column == record_vector(records[pair], ring, rank).terms for pair, _, column in decoded_frame(gb)
     )
 
 

@@ -50,6 +50,7 @@ from oracles import (
     betti_degrees,
     compose_zero_generic,
     constant_entry_scan,
+    decoded_frame,
     gamma_series_truncation,
     graded_betti_numbers,
     hilbert_series_truncation,
@@ -144,7 +145,7 @@ def test_columns_annihilated_and_groebner():
     gb = ideal.reduced_gb
     syz = build_resolution(gb).maps[1]
     # six of the ten S-pairs of five generators are in the lead frame
-    assert syz.source.rank == len(gb.frame) == 6
+    assert syz.source.rank == len(decoded_frame(gb)) == 6
     row = matrix_map(
         GradedFreeModule(R4, syz.target.twists),
         GradedFreeModule(R4, (0,)),
@@ -295,7 +296,7 @@ def _program_levels(gb):
     """The nonempty levels of build_resolution(gb) as the program packs
     them, level 1 first: (module of the frame's terms, frame), level 1 read
     off ``gb`` and every later one off a ``syzygy_level`` call."""
-    levels = [gb._level]
+    levels = [gb.level]
     original = resolution.syzygy_level
 
     def spy(module, columns, leads):
@@ -332,19 +333,16 @@ def _assert_packed_like_tuples(elements, levels, depth):
 @settings(max_examples=100, deadline=None)
 @given(CURVES)
 def test_packed_levels_match_tuple_oracle(curve):
-    """In and beyond the box: ``gb.frame`` and every level's frame, decoded,
-    are those of the tuple-form Schreyer levels, and each level's terms sort
-    by packed int as by ``SchreyerOrder.key``."""
+    """In and beyond the box: ``gb.level`` and every later level's frame,
+    decoded, are those of the tuple-form Schreyer levels, and each level's
+    terms sort by packed int as by ``SchreyerOrder.key``."""
     m0, d, n = curve
     try:
         spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
     except ValidationError:
         assume(False)
     gb = toric_kernel(spec).reduced_gb
-    levels = _program_levels(gb)
-    syz, frame = gb._level
-    assert gb.frame == [(pair, syz.decode(lead), _decoded(syz, col)) for pair, lead, col in frame]
-    _assert_packed_like_tuples(gb.elements, levels, gb.elements[0].ring.nvars)
+    _assert_packed_like_tuples(gb.elements, _program_levels(gb), gb.elements[0].ring.nvars)
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,15 +378,15 @@ def test_packed_level_one_matches_tuple_oracle_off_homogeneity(pairs):
             buchberger(gens)
         return
     gb = buchberger(gens)
-    assert gb.frame == expected
-    _assert_packed_like_tuples(gens, [gb._level] if gb.frame else [], 1)
+    assert decoded_frame(gb) == expected
+    _assert_packed_like_tuples(gens, [gb.level] if gb.level[1] else [], 1)
 
 
 def test_koszul_example_packs_like_tuples():
     gens = [P("X0^2 - X1"), P("X2*Y - X1^2")]
     gb = buchberger(gens)
-    assert [pair for pair, _, _ in gb.frame] == [(0, 1)]
-    _assert_packed_like_tuples(gens, [gb._level], 1)
+    assert [pair for pair, _, _ in decoded_frame(gb)] == [(0, 1)]
+    _assert_packed_like_tuples(gens, [gb.level], 1)
 
 
 @pytest.mark.parametrize(
@@ -409,7 +407,7 @@ def test_packed_levels_near_the_bound(weights):
     ring, gb = toric_kernel_generic(weights)
     _assert_packed_like_tuples(gb.elements, _program_levels(gb), ring.nvars)
     largest = max(max(mono) for g in gb.elements for mono in g.terms)
-    assert largest.bit_length() >= gb._level[0].value - ring.nvars - 1
+    assert largest.bit_length() >= gb.level[0].value - ring.nvars - 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -471,15 +469,29 @@ def test_pair_records_assert_the_packing_bound():
 
 def test_build_resolution_leaves_the_basis_as_it_was():
     """Twice on one kernel, as a cached kernel is resolved on every pass:
-    equal maps both times, and the basis, its frame and its packed level are
-    unchanged."""
+    equal maps both times, and the basis and its packed level, decoded and
+    as it is, are unchanged."""
     gb = toric_kernel(validate_sequence(5, 7, 9, 11)).reduced_gb
-    before = (list(gb.elements), repr(gb.frame), repr(gb._level[1]), repr(gb._level[0].consts))
+    before = (list(gb.elements), repr(decoded_frame(gb)), repr(gb.level[1]), repr(gb.level[0].consts))
     first, second = build_resolution(gb), build_resolution(gb)
     assert [(m.source, m.target, m.columns) for m in first.maps] == [
         (m.source, m.target, m.columns) for m in second.maps
     ]
-    assert (list(gb.elements), repr(gb.frame), repr(gb._level[1]), repr(gb._level[0].consts)) == before
+    assert (list(gb.elements), repr(decoded_frame(gb)), repr(gb.level[1]), repr(gb.level[0].consts)) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(CURVES)
+def test_level_one_map_is_the_certificate(curve):
+    """maps[1] of build_resolution(gb) is the certificate ``buchberger``
+    kept, decoded: its columns are those of ``gb.level``, in frame order."""
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    gb = toric_kernel(spec).reduced_gb
+    assert [column for _, _, column in decoded_frame(gb)] == list(build_resolution(gb).maps[1].columns)
 
 
 def _pair_record_calls(gb):
@@ -522,7 +534,7 @@ def test_pair_records_match_generic_division(curve):
     gb = toric_kernel(spec).reduced_gb
     ring = gb.elements[0].ring
     module, columns, leads = _rank_one(gb.elements)
-    first = (module, module.next(leads), columns, [pair for pair, _, _ in gb.frame], leads)
+    first = (module, module.next(leads), columns, [pair for pair, _, _ in gb.level[1]], leads)
     key = rank_one_key(ring.order())
     for module, syz, columns, pairs, leads in [first] + _pair_record_calls(gb):
         syzygies = [_decoded(syz, column) for column in pair_records(module, syz, columns, pairs, leads)]
@@ -662,6 +674,73 @@ def test_prune_unit_splits_a_non_isolated_unit():
         prune_unit(res, step, len(entries), col)
     with pytest.raises(IndexError):
         prune_unit(res, len(res.maps), 0, 0)
+
+
+def _unit_column_complex(c):
+    """R <- R(-5)^2 <- R(-5) + R(-12), d_0 = (x, x) and d_1 = [[-c, y], [c, -y]]:
+    a complex whose only constant entries are -c and c."""
+    x, y, one = P("x", R2), P("y", R2), R2.one()
+    f1, f2 = GradedFreeModule(R2, (5, 5)), GradedFreeModule(R2, (5, 12))
+    d0 = matrix_map(f1, GradedFreeModule(R2, (0,)), [[x, x]])
+    d1 = matrix_map(f2, f1, [[one * -c, y], [one * c, -y]])
+    res = FreeResolution((d0, d1))
+    res.validate()
+    return res
+
+
+def test_prune_unit_takes_only_unit_pivots():
+    """A constant 2 is refused, by ``prune_unit`` and so by ``minimalize``;
+    pivots -1 and +1 are split off, to what the elementary operations give."""
+    doubled = _unit_column_complex(2)
+    with pytest.raises(PreconditionViolated, match="±1"):
+        prune_unit(doubled, 1, 0, 0)
+    with pytest.raises(PreconditionViolated):
+        minimalize(doubled)
+    res = _unit_column_complex(1)
+    for row in (0, 1):  # the pivot -1, then +1
+        pruned = prune_unit(res, 1, row, 0)
+        pruned.validate()
+        assert pruned.ranks == (1, 1, 1)
+        assert pruned.maps[0].entries == ((P("x", R2),),)
+        assert hilbert_numerator(pruned) == hilbert_numerator(res)
+        assert all(type(c) is int for m in pruned.maps for column in m.columns for c in column.values())
+    _same_minimalization(res)
+
+
+# CURVES, and beyond the box with d and n wider
+_PIVOT_CURVES = st.one_of(CURVES, st.tuples(st.integers(61, 200), st.integers(1, 200), st.integers(1, 600)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PIVOT_CURVES)
+def test_every_pivot_is_a_unit_and_every_coefficient_an_int(curve):
+    """Generic and closed form alike, every pivot ``minimalize`` splits off
+    is ±1 and every coefficient of every map before and after is an int:
+    then minimalization commutes with reduction mod every prime."""
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    kernel = toric_kernel(spec)
+    pivots = []
+    original = resolution.prune_unit
+
+    def spy(res, step, row, col):
+        pivots.append(res.maps[step].columns[col][row, res.maps[step].target.ring.zero_mono()])
+        return original(res, step, row, col)
+
+    complexes = [build_resolution(kernel.reduced_gb)]
+    base = _closed_form_base(spec, kernel)
+    if base is not None:
+        complexes.append(base)
+    resolution.prune_unit = spy
+    try:
+        complexes += [minimalize(res) for res in complexes]
+    finally:
+        resolution.prune_unit = original
+    assert all(p in (1, -1) for p in pivots)
+    assert all(type(c) is int for res in complexes for m in res.maps for column in m.columns for c in column.values())
 
 
 def _same_minimalization(res):
