@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, fields
 from .closedform import (
     CASE_TABLE,
     CaseUnmatched,
-    DegreeImbalance,
     TemplateMismatch,
     canonical_generators,
     case_id,
@@ -190,7 +189,7 @@ def analyze_sequence(
         params = extract_parameters(kernel)
         params_json = {f.name: getattr(params, f.name) for f in fields(params)}
         case = case_id(params)
-    except (TemplateMismatch, DegreeImbalance, CaseUnmatched) as exc:
+    except (TemplateMismatch, CaseUnmatched) as exc:
         if params is None:
             params_json = {"template_mismatch": str(exc)}
         flags["gb_ok"] = flags["closed_form_agrees"] = None

@@ -27,12 +27,13 @@ import ast
 import json
 from dataclasses import dataclass, fields
 from importlib import resources
+from operator import mul
 
 from .semigroup import SequenceSpec, progression_multiple
 from .poly import Poly, Ring
 # buchberger is not called here; it stays importable as closedform.buchberger
 # because perfbench/spans.py wraps that attribute
-from .groebner import VARIABLE_NAMES, ToricIdeal, buchberger, is_pure_difference  # noqa: F401
+from .groebner import VARIABLE_NAMES, ToricIdeal, _Module, buchberger, is_pure_difference  # noqa: F401
 from .resolution import FreeResolution, GradedFreeModule, GradedMap, minimalize
 
 
@@ -515,8 +516,8 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
 # parameter values (x0_pure = 0, x0_plain = 1, x2_cross = 0, x2_gap small)
 # turn individual entries into constants, and minimalize clears those
 # mechanically.  Each entry is an {exponent: coefficient} dict (a generator
-# is its own term dict, _diff of equal monomials is empty), read into the
-# maps' columns as written; GradedMap.from_columns checks each term.
+# is its own term dict, _diff of equal monomials is empty), encoded once
+# into the maps' packed columns; GradedMap.from_columns checks each term.
 
 
 def _diff(plus: tuple, minus: tuple) -> dict:
@@ -660,16 +661,21 @@ _BUILDERS = {
 
 def _assemble(ring, rows, b_cols, c_cols) -> FreeResolution:
     """Chain the generator row (term dicts) with the two syzygy matrices,
-    given by their columns of entries; ``from_columns`` reads each column's
-    twist off its first term and checks every term once."""
-
-    def columns(cols):
-        return [{(i, m): c for i, entry in enumerate(col) for m, c in entry.items()} for col in cols]
-
-    head = GradedMap.from_columns(GradedFreeModule(ring, (0,)), columns([g] for g in rows))
-    first = GradedMap.from_columns(head.source, columns(b_cols))
-    second = GradedMap.from_columns(first.source, columns(c_cols))
-    return FreeResolution(maps=(head, first, second))
+    given by their columns of entries, encoded once into one layout and
+    checked term by term by ``from_columns``.  The layout's bound is twice
+    the largest twist, each column's its first term's degree plus its row's,
+    so that a term of a wrong degree up to that reads as one, not as a carry."""
+    levels, twists, w = [[[g] for g in rows], b_cols, c_cols], [(0,)], ring.weights
+    for cols in levels:
+        firsts = (next((twists[-1][i] + sum(map(mul, m, w)) for i, e in enumerate(col) for m in e), 0) for col in cols)
+        twists.append(tuple(firsts))
+    layout, maps, target = _Module(w, 2 * max(map(max, twists))), [], GradedFreeModule(ring, (0,))
+    for cols in levels:
+        above = target.twists
+        columns = [{layout.encode(i, above[i], m): c for i, e in enumerate(col) for m, c in e.items()} for col in cols]
+        maps.append(GradedMap.from_columns(target, columns, layout))
+        target = maps[-1].source
+    return FreeResolution(maps)
 
 
 def closed_form_base(params: CaseParameters, gens: list) -> FreeResolution:

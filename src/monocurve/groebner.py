@@ -23,8 +23,13 @@ operations.  No field borrows: each is V minus an exponent of a divisor of
 the term's image in F_0, whose degree at most doubles per level, and v
 holds D·2^levels over the least weight for generators of degree at most D;
 the cofactor tie-break sheds a variable of the lead cofactors per level,
-so there are at most as many levels as variables.  Exponent tuples appear
-only at the boundary: each level's frame is decoded once, into its map.
+so there are at most as many levels as variables.
+
+Every graded map keys its terms in ``_Module``'s fields too: x^m in row i
+of a column of twist t <= top is (i << rs) + (t << mb) + V - m, in row 0
+F_0's int at degree t.  A level's int goes to its map key by shifts and
+masks (``keys``), a product of map terms is an int add, and exponent
+tuples appear only in ``encode`` and ``decode``, at the edges.
 
 The toric kernel's reduced basis is read off the Apéry set on int labels
 of its own, with no S-pair (``toric_kernel_generic``).
@@ -35,7 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import lshift, mul, neg
+from operator import mul, neg
 
 from monocurve.poly import Poly, Ring
 
@@ -50,14 +55,14 @@ VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
 @dataclass
 class GroebnerBasis:
     """A Gröbner basis with its certificate, ``level``: the (module, frame)
-    of ``syzygy_level`` on the elements in F_0 = R, one ((i, j), lead,
-    column) per pair of the lead frame, lead and column packed terms of
-    ``module``, the column the pair's syzygy: a column of the first syzygy
-    map.  Its order is always the ring's weighted grevlex, the only one the
-    packed keys express."""
+    of ``syzygy_level`` on ``columns``, the elements' ints in F_0 = R, one
+    ((i, j), lead, column) per pair of the lead frame, lead and column
+    packed terms of ``module``, the column the pair's syzygy.  Its order is
+    always the ring's weighted grevlex, the only one the packed keys express."""
 
     elements: list
     level: tuple
+    columns: list
 
 
 class _Module:
@@ -65,9 +70,10 @@ class _Module:
     m·r, their own Schreyer keys: m in the fields at ``shifts``, ``value``
     bits under a guard bit each, ``mb`` bits in all; ``full`` sets every
     value bit, ``guard`` every guard bit; the position is the low ``pb``
-    bits.  Images in F_0 have degree at most ``top``."""
+    bits.  Images in F_0 have degree at most ``top``.  A map key's row is
+    key >> rs, its twist key >> mb below that, and x_i adds steps[i] to it."""
 
-    shared = ("weights", "top", "value", "vmask", "mb", "fields", "shifts", "full", "guard")  # by every level
+    shared = ("weights", "top", "value", "vmask", "mb", "fields", "shifts", "full", "guard", "rs", "steps")
     __slots__ = shared + ("pb", "pmask", "x", "r", "consts")
 
     def __init__(self, weights, top):
@@ -77,6 +83,8 @@ class _Module:
         self.mb = len(weights) * (v + 1)
         self.fields, self.shifts = (1 << self.mb) - 1, tuple(range(self.mb - v - 1, -1, -v - 1))
         self.full, self.guard = sum(self.vmask << s for s in self.shifts), sum(1 << s + v for s in self.shifts)
+        self.rs = self.mb + top.bit_length()
+        self.steps = tuple((w << self.mb) - (1 << s) for w, s in zip(weights, self.shifts))
         self.pb, self.pmask, self.x, self.r, self.consts = 0, 0, self.mb, 1, (self.full,)
 
     def next(self, leads) -> "_Module":
@@ -98,10 +106,28 @@ class _Module:
         v = self.vmask
         return sum([w * (q >> s & v) for w, s in zip(self.weights, self.shifts)])
 
-    def decode(self, t: int) -> tuple:
-        """(p, exponent) of the int t of x^exponent e_p."""
-        m, v = self.full - (t >> self.pb & self.fields), self.vmask
-        return ~t & self.pmask, tuple([m >> s & v for s in self.shifts])
+    def keys(self, column) -> dict:
+        """``column``, {int: coefficient} of this level, with each x^m e_p
+        keyed as x^m in row p of a map, at the degree of its image."""
+        pb, pmask, x, mb, fields, rs = self.pb, self.pmask, self.x, self.mb, self.fields, self.rs
+        return {(~t & pmask) << rs | t >> x << mb | t >> pb & fields: c for t, c in column.items()}
+
+    def encode(self, row: int, twist: int, exponent=()) -> int:
+        """The map key of x^exponent, 1 by default, in a row of ``twist``."""
+        return (row << self.rs) + (twist << self.mb) + self.full + sum(map(mul, exponent, self.steps))
+
+    def decode(self, key: int) -> tuple:
+        """(row, exponent) of a map key."""
+        m, v = self.full - (key & self.fields), self.vmask
+        return key >> self.rs, tuple([m >> s & v for s in self.shifts])
+
+    def take_row(self, column, row: int) -> tuple:
+        """(rest, taken) of a map column: a dict of its terms off ``row``, the
+        rows after it moved up one, and a list of its (key, c) terms in it."""
+        one = 1 << self.rs
+        low, high = row * one, (row + 1) * one
+        rest = {key - one if key >= high else key: c for key, c in column.items() if not low <= key < high}
+        return rest, [(key, c) for key, c in column.items() if low <= key < high]
 
     def cofactors(self, a: int, b: int) -> tuple:
         """lcm - m_a and lcm - m_b, packed, for terms a and b at one
@@ -143,10 +169,9 @@ def _rank_one(elements) -> tuple:
     for one level per variable, each at most doubling the degrees, the
     elements' {int: coefficient} dicts, and their leads."""
     ring = elements[0].ring
-    terms = [[(m, sum(map(mul, m, ring.weights)), c) for m, c in g.terms.items()] for g in elements]
-    module = _Module(ring.weights, max(d for g in terms for _, d, _ in g) << ring.nvars)
-    full, shifts, x = module.full, module.shifts, module.x
-    columns = [{(d << x) + full - sum(map(lshift, m, shifts)): c for m, d, c in g} for g in terms]
+    w = ring.weights
+    module = _Module(w, max(sum(map(mul, m, w)) for g in elements for m in g.terms) << ring.nvars)
+    columns = [{module.encode(0, 0, m): c for m, c in g.terms.items()} for g in elements]
     return module, columns, [max(column) for column in columns]
 
 
@@ -202,7 +227,8 @@ def buchberger(elements) -> GroebnerBasis:
     if not elements:
         raise ValueError("need at least one generator")
     _refuse_others(elements)
-    return GroebnerBasis(elements, syzygy_level(*_rank_one(elements)))
+    module, columns, leads = _rank_one(elements)
+    return GroebnerBasis(elements, syzygy_level(module, columns, leads), columns)
 
 
 def is_groebner(gens) -> bool:
@@ -295,8 +321,6 @@ def pair_records(module, syz, columns, pairs, leads) -> list:
 
 def is_pure_difference(p: Poly) -> bool:
     """Two terms, coefficients +1 and -1."""
-    if len(p.terms) != 2:
-        return False
     return sorted(p.terms.values()) == [-1, 1]
 
 

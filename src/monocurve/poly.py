@@ -7,8 +7,8 @@ in, is the weighted graded reverse-lexicographic order.  ``Poly.lead``,
 method, a monomial greater than another iff its key is.
 
 Syzygies need no vector type and no order object: ``groebner`` packs each
-term of a syzygy level into one int that is its own Schreyer key, and
-decodes a level's columns into {(position, exponent): coefficient} dicts.
+term of a syzygy level into one int that is its own Schreyer key, and each
+term of a graded map into one int of the same fields.
 
 ``_Terms`` maps keys to coefficients and holds all the arithmetic; a
 subclass names its key arithmetic once, as static ``key_*`` attributes, and
@@ -84,17 +84,14 @@ class Ring:
         w = self.weights
         return sum(e * w[i] for i, e in enumerate(mono) if e)
 
-    def zero_mono(self) -> tuple:
-        return (0,) * len(self.names)
-
     def zero(self) -> "Poly":
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {self.zero_mono(): 1})
+        return Poly(self, {(0,) * self.nvars: 1})
 
     def constant(self, c) -> "Poly":
-        return Poly(self, {self.zero_mono(): c})
+        return Poly(self, {(0,) * self.nvars: c})
 
     def monomial(self, mono: tuple, coeff=1) -> "Poly":
         return Poly(self, {tuple(mono): coeff})

@@ -2,35 +2,40 @@
 minimalization: each constant entry of a free resolution is split off with
 its trivial summand, one Schur-complement step per unit, until the
 resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
-``compose_zero``, which sums each column of a product in exponent
-arithmetic on the maps' column dicts and builds no polynomial.
+``compose_zero``, which sums each column of a product in int adds on the
+maps' packed columns and builds no polynomial.
 
 The syzygy levels come from ``groebner.syzygy_level``, one packed frame
 each: level 1 is the certificate ``buchberger`` made (``GroebnerBasis.level``),
 every later level one more call on the frame before.  Each level's frame
-is decoded once into columns of the level's map, which
-``schreyer_syzygies`` takes as they are.
+goes to the columns of the level's map by shifts and masks
+(``_Module.keys``), which ``schreyer_syzygies`` takes as they are.
 
 Conventions, fixed once:
 
 * A free module is a list of twists; twist d stands for R(-d), so a generator
   of weighted degree d sits in a summand with twist d.
 * A map F -> G is stored as its columns, one per basis vector of F: column j,
-  the image of the j-th basis vector, is a {(row, exponent): coefficient}
-  dict with rows indexing G's basis.  Every term of column j in row i has
-  degree source.twists[j] - target.twists[i] >= 0; ``entries`` shows the
-  map as a matrix of ``Poly`` entries, rank(G) rows by rank(F) columns.
+  the image of the j-th basis vector, is an {int: coefficient} dict.  Each
+  int packs a term's row, indexing G's basis, its twist and its monomial
+  in the map's ``layout``, a ``groebner._Module`` sized for the complex's
+  largest twist and shared by all of its maps.  Only the module packs and
+  unpacks monomials; the code here reads a key's row and twist fields,
+  adds keys and takes rows out.
+  Every term of column j in row i has twist source.twists[j] and degree
+  source.twists[j] - target.twists[i] >= 0; ``entries`` decodes the map as
+  a matrix of ``Poly`` entries, rank(G) rows by rank(F) columns.
 * A resolution keeps maps[k]: F_{k+1} -> F_k with F_0 = R at twist 0, so
   maps[0] has one row, the ideal generators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from operator import add, lshift, mul
 
 from monocurve.poly import Ring
-from monocurve.groebner import GroebnerBasis, syzygy_level
+from monocurve.groebner import GroebnerBasis, _subtract, syzygy_level
 
 # buchberger is not called here; it stays importable as resolution.buchberger
 from monocurve.groebner import buchberger  # noqa: F401
@@ -69,25 +74,23 @@ class GradedFreeModule:
         return f"GradedFreeModule({list(self.twists)})"
 
 
-def _column_twists(target: GradedFreeModule, columns) -> tuple:
-    """The twist of each column, read off its first term, after one check
-    of every term: its row is one of ``target``'s (else ShapeMismatch) and
-    its degree is the column's twist minus the row's, at least 0 (else
+def _column_twists(target: GradedFreeModule, columns, layout) -> tuple:
+    """The twist of each column, read off its first term's twist field,
+    after one check of every term: its row is one of ``target``'s (else
+    ShapeMismatch) and its twist is the column's, at least the row's (else
     HomogeneityBroken)."""
-    weights, rows = target.ring.weights, target.twists
-    rank = len(rows)
+    mb, span, rows, rank = layout.mb, 1 << layout.rs - layout.mb, target.twists, target.rank
     out = []
     for j, column in enumerate(columns):
         want = None
-        for i, mono in column:
+        for key in column:
+            i, t = divmod(key >> mb, span)
             if not 0 <= i < rank:
                 raise ShapeMismatch(f"column {j} has a term in row {i} of rank {rank}")
-            d = sum(map(mul, mono, weights))
-            t = d + rows[i]
             if want is None:
                 want = t
-            if t != want or d < 0:
-                raise HomogeneityBroken(f"entry ({i},{j}) has degree {d}, twists demand {want - rows[i]}")
+            if t != want or t < rows[i]:
+                raise HomogeneityBroken(f"entry ({i},{j}) has degree {t - rows[i]}, twists demand {want - rows[i]}")
         if want is None:
             raise ShapeMismatch(f"column {j} is zero, so it has no twist")
         out.append(want)
@@ -96,34 +99,34 @@ def _column_twists(target: GradedFreeModule, columns) -> tuple:
 
 class GradedMap:
     """Homogeneous degree-zero map between graded free modules, kept as its
-    columns: one {(row, exponent): coefficient} dict per source basis
-    vector, never changed once ``from_columns`` has built the map."""
+    columns: one {int: coefficient} dict per source basis vector, keyed in
+    ``layout``, never changed once ``from_columns`` has built the map."""
 
-    __slots__ = ("source", "target", "columns")
+    __slots__ = ("source", "target", "columns", "layout")
 
     @classmethod
-    def from_columns(cls, target: GradedFreeModule, columns) -> "GradedMap":
+    def from_columns(cls, target: GradedFreeModule, columns, layout) -> "GradedMap":
         """The map into ``target`` with the given nonzero columns, each
         column's twist read off its first term and every term checked once."""
-        return cls._trimmed(GradedFreeModule(target.ring, _column_twists(target, columns)), target, columns)
+        source = GradedFreeModule(target.ring, _column_twists(target, columns, layout))
+        return cls._trimmed(source, target, columns, layout)
 
     @classmethod
-    def _trimmed(cls, source: GradedFreeModule, target: GradedFreeModule, columns):
+    def _trimmed(cls, source: GradedFreeModule, target: GradedFreeModule, columns, layout):
         """A map whose columns are known to fit its twists (checked columns,
         or a checked map with rows or columns deleted), checked no more."""
         out = object.__new__(cls)
-        out.source = source
-        out.target = target
-        out.columns = tuple(columns)
+        out.source, out.target, out.columns, out.layout = source, target, tuple(columns), layout
         return out
 
     @property
     def entries(self) -> tuple:
         """The matrix, rank(target) rows of rank(source) ``Poly`` entries,
-        built anew from the columns at each call."""
-        rows = [[{} for _ in self.columns] for _ in self.target.twists]
+        decoded anew from the columns at each call."""
+        rows, decode = [[{} for _ in self.columns] for _ in self.target.twists], self.layout.decode
         for j, column in enumerate(self.columns):
-            for (i, mono), c in column.items():
+            for key, c in column.items():
+                i, mono = decode(key)
                 rows[i][j][mono] = c
         zero = self.target.ring.zero()
         return tuple(tuple(zero._like(terms) for terms in row) for row in rows)
@@ -135,32 +138,22 @@ class GradedMap:
 def compose_zero(a: GradedMap, b: GradedMap) -> bool:
     """True iff the matrix product a∘b is zero (a: F->G, b: E->F).
 
-    Exact, on the column dicts: column j of a∘b is one accumulator keyed by
-    (row, exponent), to which each term c·x^m of b's column j in row k adds
-    a's column k shifted by x^m and scaled by c, and the first column left
-    with a nonzero coefficient answers False.  The keys are packed into one
-    int, the row above one field per variable: a term of a, b or a∘b has
-    degree at most B, the largest twist of E and F minus the smallest of F
-    and G, so with positive integer weights no exponent exceeds B, and
-    fields of B.bit_length() + 1 bits never carry.
+    Exact, on the packed columns of the maps' one layout: column j of a∘b
+    is one accumulator, to which each term c·x^m of b's column j in row k
+    adds a's column k times c·x^m, and the first column left with a nonzero
+    coefficient answers False.  The product of a's term s in column k, of
+    twist t, and b's term u in row k is keyed s + u - encode(k, t): each
+    of a's columns is shifted once, and each product is one int add.
     """
-    if a.source != b.target:
-        raise ShapeMismatch("inner modules differ")
-    inner = a.source.twists
-    top = max(b.source.twists + inner, default=0) - min(inner + a.target.twists, default=0)
-    width = top.bit_length() + 1
-    shifts = range(0, width * a.target.ring.nvars, width)
-    row_shift = width * len(shifts)
-    left = [
-        [((i << row_shift) + sum(map(lshift, m, shifts)), c) for (i, m), c in column.items()]
-        for column in a.columns
-    ]
+    if a.source != b.target or a.layout is not b.layout:
+        raise ShapeMismatch("inner modules or layouts differ")
+    rs, encode, twists = a.layout.rs, a.layout.encode, a.source.twists
+    left = [[(s - encode(k, twists[k]), c) for s, c in column.items()] for k, column in enumerate(a.columns)]
     for column in b.columns:
         acc = {}
-        for (k, m), c2 in column.items():
-            shift = sum(map(lshift, m, shifts))
-            for key, c1 in left[k]:
-                key += shift
+        for u, c2 in column.items():
+            for key, c1 in left[u >> rs]:
+                key += u
                 acc[key] = acc.get(key, 0) + c1 * c2
         if any(acc.values()):
             return False
@@ -200,39 +193,35 @@ class FreeResolution:
 
 
 # ---------------------------------------------------------------------------
-# syzygies, one (position, exponent) dict per column
+# syzygies, one packed dict per column
 
 
-def schreyer_syzygies(target: GradedFreeModule, columns) -> GradedMap:
-    """The map into ``target`` with the given columns, {(slot, exponent):
-    coefficient} dicts, taken as they are: each column's twist is the degree
-    of its first term plus its slot's twist, and the one walk that reads it
-    checks every term (``GradedMap.from_columns``)."""
-    return GradedMap.from_columns(target, columns)
+def schreyer_syzygies(target: GradedFreeModule, columns, layout) -> GradedMap:
+    """``GradedMap.from_columns``, kept as a function of its own only
+    because the benchmark's tracer times each Schreyer level here."""
+    return GradedMap.from_columns(target, columns, layout)
 
 
 def build_resolution(gb: GroebnerBasis) -> FreeResolution:
     """The Schreyer resolution of a certified basis, one level per pass.
 
-    maps[0] has the generators as position-0 columns of F_0 = R.  The loop
-    starts at ``gb.level``, the lead-frame syzygies ``buchberger`` certified
-    the basis with (Schreyer's frame; La Scala and Stillman, JSC 26, 1998),
-    and each pass decodes the level's frame once into the columns of its
-    map and makes the next level with one ``syzygy_level`` call, which
-    asserts each remainder zero.  The kept pair syzygies generate the
-    syzygies of the leads, so by the generalised Buchberger criterion each
-    level is a Gröbner basis in the induced order.
+    Every map is in the levels' layout, maps[0] with the generators' F_0
+    ints (``gb.columns``, its row-0 keys) as columns.  The loop starts at
+    ``gb.level``, the lead-frame syzygies ``buchberger`` certified the basis
+    with (Schreyer's frame; La Scala and Stillman, JSC 26, 1998); each pass
+    hands the level's frame to its map by shifts and masks (``keys``), with
+    ``top``, which ``pair_records`` asserts, bounding every twist, and makes
+    the next level with one ``syzygy_level`` call.  The kept pair syzygies
+    generate the syzygies of the leads, so by the generalised Buchberger
+    criterion each level is a Gröbner basis in the induced order.
     """
-    ring = gb.elements[0].ring
-    generators = [{(0, m): c for m, c in g.terms.items()} for g in gb.elements]
-    maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), generators)]
-    module, frame = gb.level
+    ring, (module, frame) = gb.elements[0].ring, gb.level
+    maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), gb.columns, module)]
     while frame:
         if len(maps) == ring.nvars:
             raise AssertionError("resolution exceeded the number of variables")
         columns = [column for _, _, column in frame]
-        decoded = [{module.decode(t): c for t, c in column.items()} for column in columns]
-        maps.append(schreyer_syzygies(maps[-1].source, decoded))
+        maps.append(schreyer_syzygies(maps[-1].source, list(map(module.keys, columns)), maps[0].layout))
         module, frame = syzygy_level(module, columns, [lead for _, lead, _ in frame])
     return FreeResolution(maps)
 
@@ -248,58 +237,42 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     summand 0 -> R -> R -> 0 of the complex (Peeva, *Graded Syzygies*, 2011,
     ch. 1).  What is left: D's Schur complement, D[i][j] - D[i][col]·D[row][j]·u
     off row ``row`` and column ``col``; maps[step+1] without row ``col``; and
-    maps[step-1] without column ``row``.  All on the column dicts: column j
-    loses its row-``row`` terms c·x^m and gains -c·u·x^m times column
-    ``col``, and the rows below ``row`` move up by one.  u must be ±1 (else
-    PreconditionViolated), its own inverse, so integers stay integers.
+    maps[step-1] without column ``row``.  All on the packed columns: column
+    j loses its row-``row`` terms c·x^m and gains -c·u·x^m times column
+    ``col``, each product the int add ``compose_zero`` makes, and the rows
+    below ``row`` move up by one.  u must be ±1 (else PreconditionViolated),
+    its own inverse, so integers stay integers.
     """
     if not (0 <= step < len(res.maps)):
         raise IndexError(f"no map at step {step}")
     mid = res.maps[step]
     if not (0 <= row < mid.target.rank and 0 <= col < mid.source.rank):
         raise IndexError("entry outside the matrix")
-    pivot_column = mid.columns[col]
-    pivot = pivot_column.get((row, mid.target.ring.zero_mono()))
-    if mid.source.twists[col] != mid.target.twists[row] or pivot not in (1, -1):
+    layout = mid.layout
+    unit = layout.encode(row, mid.target.twists[row])  # in column col only if its twist is the row's
+    pivot = mid.columns[col].get(unit)
+    if pivot not in (1, -1):
         raise PreconditionViolated(f"pivot entry is not a constant ±1: {pivot!r}")
-    below = [((i - (i > row), m1), c1) for (i, m1), c1 in pivot_column.items() if i != row]
+    below = list(layout.take_row(mid.columns[col], row)[0].items())
     trimmed = []
-    for j, column in enumerate(mid.columns):
-        if j == col:
-            continue
-        complement = {}
-        scales = []
-        for (i, m), c in column.items():
-            if i != row:
-                complement[i - (i > row), m] = c
-            else:
-                scales.append((m, c * pivot))
-        for m2, scale in scales:
-            for (i, m1), c1 in below:
-                t = (i, tuple(map(add, m1, m2)))
-                v = complement.get(t, 0) - c1 * scale
-                if v:
-                    complement[t] = v
-                else:
-                    del complement[t]
+    for column in mid.columns[:col] + mid.columns[col + 1:]:
+        complement, taken = layout.take_row(column, row)
+        for key, c in taken:
+            _subtract(complement, below, key - unit, c * pivot)
         trimmed.append(complement)
 
     new_maps = list(res.maps)
-    small_target = GradedFreeModule(
-        mid.target.ring, tuple(t for i, t in enumerate(mid.target.twists) if i != row)
-    )
-    small_source = GradedFreeModule(
-        mid.source.ring, tuple(t for j, t in enumerate(mid.source.twists) if j != col)
-    )
-    new_maps[step] = GradedMap._trimmed(small_source, small_target, trimmed)
+    small_target = GradedFreeModule(mid.target.ring, mid.target.twists[:row] + mid.target.twists[row + 1:])
+    small_source = GradedFreeModule(mid.source.ring, mid.source.twists[:col] + mid.source.twists[col + 1:])
+    new_maps[step] = GradedMap._trimmed(small_source, small_target, trimmed, layout)
     if step >= 1:
         prev = res.maps[step - 1]
         kept = prev.columns[:row] + prev.columns[row + 1:]
-        new_maps[step - 1] = GradedMap._trimmed(small_target, prev.target, kept)
+        new_maps[step - 1] = GradedMap._trimmed(small_target, prev.target, kept, prev.layout)
     if step + 1 < len(res.maps):
         nxt = res.maps[step + 1]
-        kept = [{(i - (i > col), m): c for (i, m), c in column.items() if i != col} for column in nxt.columns]
-        new_maps[step + 1] = GradedMap._trimmed(nxt.source, small_source, kept)
+        kept = [nxt.layout.take_row(column, col)[0] for column in nxt.columns]
+        new_maps[step + 1] = GradedMap._trimmed(nxt.source, small_source, kept, nxt.layout)
     return FreeResolution(new_maps, minimal=False)
 
 
@@ -307,18 +280,20 @@ def _find_constant_entry(maps, step: int = 0, row: int = 0):
     """(step, i, j) of the first nonzero constant entry in row-major order,
     starting at row ``row`` of map ``step``, or None.  With positive weights
     a nonzero entry is constant iff its row and column twists are equal, and
-    then its one term is (i, 0) in column j, so only those keys are looked
-    up."""
+    then its one term is the key of 1 in row i, so only those keys are
+    looked up."""
     for s in range(step, len(maps)):
         gmap = maps[s]
-        unit = gmap.target.ring.zero_mono()
         columns: dict = {}
         for j, t in enumerate(gmap.source.twists):
             columns.setdefault(t, []).append(j)
         for i in range(row if s == step else 0, gmap.target.rank):
-            for j in columns.get(gmap.target.twists[i], ()):
-                if (i, unit) in gmap.columns[j]:
-                    return s, i, j
+            t = gmap.target.twists[i]
+            if t in columns:
+                unit = gmap.layout.encode(i, t)
+                for j in columns[t]:
+                    if unit in gmap.columns[j]:
+                        return s, i, j
     return None
 
 
@@ -358,21 +333,16 @@ class BettiTable:
         return dict(self.entries)
 
     def totals(self) -> tuple:
-        by_index = {}
+        by_index = Counter()
         for (i, _d), c in self.entries:
-            by_index[i] = by_index.get(i, 0) + c
-        if not by_index:
-            return ()
-        return tuple(by_index.get(i, 0) for i in range(max(by_index) + 1))
+            by_index[i] += c
+        return tuple(by_index[i] for i in range(max(by_index) + 1)) if by_index else ()
 
 
 def betti_table(res: FreeResolution) -> BettiTable:
     if not res.minimal:
         raise NotMinimal("minimalize the resolution first")
-    counts = {}
-    for i, module in enumerate(res.modules[1:]):
-        for d in module.twists:
-            counts[(i, d)] = counts.get((i, d), 0) + 1
+    counts = Counter((i, d) for i, module in enumerate(res.modules[1:]) for d in module.twists)
     return BettiTable(tuple(sorted(counts.items())))
 
 

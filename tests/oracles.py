@@ -39,20 +39,22 @@ program does the same in one term dict.  ``reduce_basis`` makes a
 completed basis reduced by generic division.  ``PositionOverTerm`` orders
 module elements for those generic paths.  ``transcript_syzygies`` is the
 map of every record of a transcript, for the tests that read every pair's
-syzygy, and ``map_columns`` reads a map's columns back as vectors.
-``matrix_map`` builds a map from a matrix of ``Poly`` entries, each term
-checked: the constructor the program no longer has, since it builds every
-map from its columns.
+syzygy, and ``map_columns`` reads a map's columns back as vectors,
+``map_terms`` as {(row, exponent): coefficient} dicts.  ``matrix_map``
+builds a map from a matrix of ``Poly`` entries, each term checked and
+encoded by the program's own ``_Module.encode``, in the layout given or
+``default_layout``'s: the constructor the program no longer has, since it
+builds every map from its packed columns.
 
 The program packs each term x^m e_p of a syzygy level into one int that is
-its own Schreyer key, and works on exponent tuples only at the boundary.
+its own Schreyer key, and works on exponent tuples only at the edges.
 The tuple form it replaced is the reference for that: ``SchreyerOrder``,
 the induced order on (position, exponent) keys; ``lead_frame_tuples``, the
 frame kept by a sort on those keys; ``pair_records_tuples``, the division
 ordered by a key callable; ``syzygy_level_tuples`` and
 ``schreyer_levels_tuples``, one level and every level.  ``packed`` is the
-program's int of a (position, exponent) term, and ``mono_coprime`` the
-product-criterion test on exponent tuples.
+program's int of a (position, exponent) term, ``unpacked`` the term of an
+int, and ``mono_coprime`` the product-criterion test on exponent tuples.
 
 The program minimalizes a resolution by splitting off each unit entry in one
 Schur-complement step.  The elementary-operation calculus it replaced is the
@@ -64,9 +66,9 @@ program finds units from the twists, looking only where a row and a column
 twist are equal; ``constant_entry_scan`` looks at every entry with
 ``is_constant``, and finds them for ``minimalize_by_operations``.
 
-The program certifies d∘d = 0 in exponent arithmetic on the entries' term
-dicts.  ``compose_zero_generic``, the same test in generic ``Poly`` products
-and sums, entry by entry, is the reference for that.
+The program certifies d∘d = 0 in int adds on the maps' packed columns.
+``compose_zero_generic``, the same test in generic ``Poly`` products and
+sums, entry by entry, is the reference for that.
 
 ``graded_betti_numbers`` reads the graded Betti numbers off the semigroup
 alone, as reduced homology of small simplicial complexes, with no Gröbner
@@ -125,7 +127,7 @@ from fractions import Fraction
 from operator import add, eq, le, lshift, mul, ne, neg, sub
 
 from monocurve.closedform import _COMPARABLE, _PARAM_FIELDS, CASE_TABLE, CaseUnmatched, _compile, _tree
-from monocurve.groebner import buchberger as binomial_buchberger
+from monocurve.groebner import _Module, buchberger as binomial_buchberger
 from monocurve.poly import Poly, Ring, _Terms, coeff_div, divide, render, s_polynomial
 from monocurve.resolution import (
     FreeResolution,
@@ -219,7 +221,7 @@ class Vect(_Terms):
 
     @classmethod
     def unit(cls, ring: Ring, rank: int, pos: int) -> "Vect":
-        return cls(ring, rank, {(pos, ring.zero_mono()): 1})
+        return cls(ring, rank, {(pos, (0,) * ring.nvars): 1})
 
     @classmethod
     def from_polys(cls, polys) -> "Vect":
@@ -284,9 +286,20 @@ class DenseSemigroup:
         return table[s]
 
 
-def matrix_map(source: GradedFreeModule, target: GradedFreeModule, entries) -> GradedMap:
+@functools.lru_cache(maxsize=None)
+def default_layout(ring: Ring):
+    """One layout per ring, for twists up to 2^24: ``matrix_map``'s when it
+    is given none, so that the maps it builds over one ring compose."""
+    return _Module(ring.weights, 1 << 24)
+
+
+def matrix_map(source: GradedFreeModule, target: GradedFreeModule, entries, layout=None) -> GradedMap:
     """The map with the given matrix of ``Poly`` entries, rank(target) rows
-    by rank(source) columns, each term checked against the twists."""
+    by rank(source) columns, each term checked against the twists and
+    encoded in ``layout``, ``default_layout(ring)`` if None."""
+    layout = default_layout(target.ring) if layout is None else layout
+    if max(source.twists, default=0) > layout.top:
+        raise ValueError("twists beyond the layout's bound")
     rows = tuple(tuple(row) for row in entries)
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
         raise ShapeMismatch(
@@ -302,8 +315,8 @@ def matrix_map(source: GradedFreeModule, target: GradedFreeModule, entries) -> G
                 d = sum(map(mul, mono, weights))
                 if d != want or d < 0:
                     raise HomogeneityBroken(f"entry ({i},{j}) has degree {d}, twists demand {want}")
-                column[i, mono] = c
-    return GradedMap._trimmed(source, target, columns)
+                column[layout.encode(i, target.twists[i], mono)] = c
+    return GradedMap._trimmed(source, target, columns, layout)
 
 
 def compose_zero_generic(a: GradedMap, b: GradedMap) -> bool:
@@ -501,6 +514,11 @@ def map_columns(gmap: GradedMap) -> list:
     return [Vect.from_polys(list(column)) for column in zip(*gmap.entries)]
 
 
+def map_terms(columns, layout) -> list:
+    """Packed map columns as {(row, exponent): coefficient} dicts."""
+    return [{layout.decode(key): c for key, c in column.items()} for column in columns]
+
+
 def transcript_syzygies(gb: Completion) -> GradedMap:
     """The map whose columns are the syzygies of every record of gb's
     transcript, sorted by (i, j)."""
@@ -515,7 +533,9 @@ def decoded_frame(gb) -> list:
     the lead frame, (pair, lead, {(slot, exponent): coefficient}), the lead
     a (slot, exponent) pair."""
     module, frame = gb.level
-    return [(pair, module.decode(lead), {module.decode(t): c for t, c in column.items()}) for pair, lead, column in frame]
+    return [
+        (pair, unpacked(module, lead), {unpacked(module, t): c for t, c in column.items()}) for pair, lead, column in frame
+    ]
 
 
 def frame_matches(gb, completed: Completion) -> bool:
@@ -569,6 +589,13 @@ def packed(module, term) -> int:
     ``groebner._Module`` ``module``."""
     p, mono = term
     return module.term(p, sum(map(lshift, mono, module.shifts)), sum(map(mul, mono, module.weights)))
+
+
+def unpacked(module, t: int) -> tuple:
+    """The (position, exponent) term of the int ``t`` of the level
+    ``module``: its map key, decoded."""
+    (key,) = module.keys({t: 1})
+    return module.decode(key)
 
 
 def lead_frame_tuples(leads, induced) -> list:
@@ -854,10 +881,10 @@ def transform_complex(res: FreeResolution, position: int, ops) -> FreeResolution
     new_maps = list(res.maps)
     if incoming is not None:
         old = res.maps[position]
-        new_maps[position] = matrix_map(old.source, new_module, incoming)
+        new_maps[position] = matrix_map(old.source, new_module, incoming, old.layout)
     if outgoing is not None:
         old = res.maps[position - 1]
-        new_maps[position - 1] = matrix_map(new_module, old.target, outgoing)
+        new_maps[position - 1] = matrix_map(new_module, old.target, outgoing, old.layout)
     return FreeResolution(new_maps, minimal=False)
 
 
@@ -907,15 +934,15 @@ def prune_isolated(res: FreeResolution, step: int, row: int, col: int) -> FreeRe
         for i, r in enumerate(entries)
         if i != row
     ]
-    new_maps[step] = matrix_map(small_source, small_target, trimmed)
+    new_maps[step] = matrix_map(small_source, small_target, trimmed, mid.layout)
     if step >= 1:
         prev = res.maps[step - 1]
         kept = [[p for j, p in enumerate(r) if j != row] for r in prev.entries]
-        new_maps[step - 1] = matrix_map(small_target, prev.target, kept)
+        new_maps[step - 1] = matrix_map(small_target, prev.target, kept, prev.layout)
     if step + 1 < len(res.maps):
         nxt = res.maps[step + 1]
         kept = [r for i, r in enumerate(nxt.entries) if i != col]
-        new_maps[step + 1] = matrix_map(nxt.source, small_source, kept)
+        new_maps[step + 1] = matrix_map(nxt.source, small_source, kept, nxt.layout)
     return FreeResolution(new_maps, minimal=False)
 
 

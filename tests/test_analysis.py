@@ -42,7 +42,7 @@ def test_broken_composition_fails_both(monkeypatch):
         j = next(j for j, p in enumerate(rows[0]) if not p.is_zero)
         rows[0][j] = rows[0][j] * 2
         maps = list(res.maps)
-        maps[1] = matrix_map(first.source, first.target, rows)
+        maps[1] = matrix_map(first.source, first.target, rows, first.layout)
         return FreeResolution(maps, minimal=True)
 
     assert _flags(monkeypatch, scaled_entry) == (False, False)

@@ -18,6 +18,7 @@ from oracles import (
     is_homogeneous,
     packed,
     rank_one_key,
+    unpacked,
 )
 
 R4 = Ring(("X0", "X1", "X2", "Y"), (5, 7, 9, 11))
@@ -231,7 +232,7 @@ def test_schreyer_order_uses_parent_leads():
     ordered = ((level, e1, e0), (level, a, b), (top, e0, e1), (top, (1, (1, 0, 0, 0)), (2, (1, 0, 0, 0))))
     for module, big, small in ordered:
         assert packed(module, big) > packed(module, small)
-        assert module.decode(packed(module, big)) == big and module.decode(packed(module, small)) == small
+        assert unpacked(module, packed(module, big)) == big and unpacked(module, packed(module, small)) == small
 
 
 def test_render_parse_round_trip():

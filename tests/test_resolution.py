@@ -56,6 +56,7 @@ from oracles import (
     hilbert_series_truncation,
     is_groebner,
     map_columns,
+    map_terms,
     matrix_map,
     minimalize_by_operations,
     packed,
@@ -67,6 +68,7 @@ from oracles import (
     schreyer_levels_tuples,
     syzygy_level_tuples,
     transform_complex,
+    unpacked,
     Vect,
 )
 from test_closedform import FIXTURES
@@ -150,6 +152,7 @@ def test_columns_annihilated_and_groebner():
         GradedFreeModule(R4, syz.target.twists),
         GradedFreeModule(R4, (0,)),
         [list(gb.elements)],
+        syz.layout,
     )
     assert compose_zero(row, syz)
     order = R4.order()
@@ -250,13 +253,14 @@ CURVES = st.one_of(
 
 
 def _frame_resolution(gb):
-    """build_resolution(gb) and the columns each of its maps is built from."""
+    """build_resolution(gb) and the columns each of its maps is built from,
+    decoded."""
     levels = []
     original = resolution.schreyer_syzygies
 
-    def spy(target, columns):
-        levels.append(list(columns))
-        return original(target, columns)
+    def spy(target, columns, layout):
+        levels.append(map_terms(columns, layout))
+        return original(target, columns, layout)
 
     resolution.schreyer_syzygies = spy
     try:
@@ -318,7 +322,7 @@ def _assert_packed_like_tuples(elements, levels, depth):
     the oracle's Schreyer key."""
     order = elements[0].ring.order()
     expected = schreyer_levels_tuples(elements, order, depth)
-    decoded = [[(pair, syz.decode(lead), _decoded(syz, col)) for pair, lead, col in frame] for syz, frame in levels]
+    decoded = [[(pair, unpacked(syz, lead), _decoded(syz, col)) for pair, lead, col in frame] for syz, frame in levels]
     assert decoded == [frame for _, frame in expected]
     rank_one = _rank_one(elements)[0]
     columns = [{(0, m): c for m, c in g.terms.items()} for g in elements]
@@ -327,7 +331,7 @@ def _assert_packed_like_tuples(elements, levels, depth):
     for module, key, columns in orders:
         terms = sorted({t for column in columns for t in column}, key=key)
         assert sorted(terms, key=lambda t: packed(module, t)) == terms
-        assert [module.decode(packed(module, t)) for t in terms] == terms
+        assert [unpacked(module, packed(module, t)) for t in terms] == terms
 
 
 @settings(max_examples=100, deadline=None)
@@ -433,14 +437,14 @@ def test_packed_keys_exact_up_to_the_bound(weights, top, data):
     bottom = [monomial(top) for _ in range(data.draw(st.integers(1, 4)))]
     terms = sorted({(0, m) for m in bottom}, key=rank_one_key(ring.order()))
     assert sorted(terms, key=lambda t: packed(rank_one, t)) == terms
-    assert [rank_one.decode(packed(rank_one, t)) for t in terms] == terms
+    assert [unpacked(rank_one, packed(rank_one, t)) for t in terms] == terms
     leads = [t for t in terms if ring.degree(t[1]) <= top // 2] or [(0, (0,) * len(weights))]
     level = rank_one.next([packed(rank_one, t) for t in leads])
     induced = SchreyerOrder(rank_one_key(ring.order()), leads)
     above = {(p, monomial(top - ring.degree(leads[p][1]))) for p in range(len(leads)) for _ in range(3)}
     assert sorted(above, key=lambda t: packed(level, t)) == sorted(above, key=induced.key)
     for t in above:
-        assert level.decode(packed(level, t)) == t
+        assert unpacked(level, packed(level, t)) == t
     for (p, a), (q, b) in zip(sorted(above), sorted(above)[1:]):
         if p == q:
             lcm = tuple(map(max, a, b))
@@ -491,7 +495,8 @@ def test_level_one_map_is_the_certificate(curve):
     except ValidationError:
         assume(False)
     gb = toric_kernel(spec).reduced_gb
-    assert [column for _, _, column in decoded_frame(gb)] == list(build_resolution(gb).maps[1].columns)
+    first = build_resolution(gb).maps[1]
+    assert [column for _, _, column in decoded_frame(gb)] == map_terms(first.columns, first.layout)
 
 
 def _pair_record_calls(gb):
@@ -514,7 +519,7 @@ def _pair_record_calls(gb):
 
 def _decoded(module, column):
     """A column of packed terms as a {(slot, exponent): coefficient} dict."""
-    return {module.decode(t): c for t, c in column.items()}
+    return {unpacked(module, t): c for t, c in column.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -538,7 +543,7 @@ def test_pair_records_match_generic_division(curve):
     key = rank_one_key(ring.order())
     for module, syz, columns, pairs, leads in [first] + _pair_record_calls(gb):
         syzygies = [_decoded(syz, column) for column in pair_records(module, syz, columns, pairs, leads)]
-        columns, leads = [_decoded(module, column) for column in columns], [module.decode(t) for t in leads]
+        columns, leads = [_decoded(module, column) for column in columns], [unpacked(module, t) for t in leads]
         rank = 1 + max(pos for column in columns for pos, _ in column)
         elements = [Vect(ring, rank, column) for column in columns]
         records = pair_records_generic(elements, SimpleNamespace(key=key), pairs)
@@ -565,7 +570,7 @@ def test_pair_records_raise_on_a_remainder():
         buchberger(gens)
     columns = [_decoded(module, column) for column in columns]
     with pytest.raises(AssertionError, match="nonzero remainder"):
-        pair_records_tuples(columns, rank_one_key(order), pairs, [module.decode(t) for t in leads])
+        pair_records_tuples(columns, rank_one_key(order), pairs, [unpacked(module, t) for t in leads])
     vectors = [Vect.from_polys([g]) for g in gens]
     for elements, generic_order in ((gens, order), (vectors, PositionOverTerm(order))):
         with pytest.raises(AssertionError, match="nonzero remainder"):
@@ -588,7 +593,7 @@ def test_pair_records_refuse_a_lead_coefficient_other_than_a_unit():
                 [_decoded(module, column) for column in columns],
                 rank_one_key(order),
                 pairs,
-                [module.decode(t) for t in leads],
+                [unpacked(module, t) for t in leads],
             )
 
 
@@ -727,7 +732,8 @@ def test_every_pivot_is_a_unit_and_every_coefficient_an_int(curve):
     original = resolution.prune_unit
 
     def spy(res, step, row, col):
-        pivots.append(res.maps[step].columns[col][row, res.maps[step].target.ring.zero_mono()])
+        gmap = res.maps[step]
+        pivots.append(gmap.columns[col][gmap.layout.encode(row, gmap.target.twists[row])])
         return original(res, step, row, col)
 
     complexes = [build_resolution(kernel.reduced_gb)]
@@ -945,13 +951,40 @@ def test_compose_zero_matches_generic_oracle_on_random_maps(maps):
         assert compose_zero(a, b)
 
 
+def test_maps_whose_exponents_fill_the_value_fields():
+    """Unit weights and a layout sized for degree 63, so x^63 and y^63 fill
+    their 6-bit value fields.  d_0 = (g, f, f, h, h) for g = x^32 - y^32,
+    f = x^31 - y^31 and h = x^63 - y^63, and d_1 the Koszul column of g and
+    f and two unit columns: each map round-trips through ``entries``, the
+    complex composes as ``compose_zero_generic`` says, with a doubled term
+    on either side too, and its units split off as the elementary
+    operations split them."""
+    ring = Ring(("x", "y"), (1, 1))
+    layout = _Module(ring.weights, 63)
+    assert layout.value == 6
+    g, f, h = (parse(ring, "x^%d - y^%d" % (e, e)) for e in (32, 31, 63))
+    o, one = ring.zero(), ring.one()
+    f1, f2 = GradedFreeModule(ring, (32, 31, 31, 63, 63)), GradedFreeModule(ring, (63, 31, 63))
+    d0 = matrix_map(f1, GradedFreeModule(ring, (0,)), [[g, f, f, h, h]], layout)
+    d1 = matrix_map(f2, f1, [[f, o, o], [-g, one, o], [o, -one, o], [o, o, one], [o, o, -one]], layout)
+    for m in (d0, d1):
+        assert matrix_map(m.source, m.target, m.entries, layout).columns == m.columns
+    assert compose_zero(d0, d1) and compose_zero_generic(d0, d1)
+    for left, right in ((_scaled_term(d0, 0, 3, (63, 0)), d1), (d0, _scaled_term(d1, 0, 0, (31, 0)))):
+        assert not compose_zero(left, right) and not compose_zero_generic(left, right)
+    res = FreeResolution((d0, d1))
+    res.validate()
+    _same_minimalization(res)
+    assert minimalize(res).ranks == (1, 3, 1)
+
+
 def _scaled_term(gmap: GradedMap, k: int, j: int, mono) -> GradedMap:
     """``gmap`` with the coefficient of ``mono`` in entry (k, j) doubled."""
     entries = [list(row) for row in gmap.entries]
     terms = dict(entries[k][j].terms)
     terms[mono] *= 2
     entries[k][j] = Poly(entries[k][j].ring, terms)
-    return matrix_map(gmap.source, gmap.target, entries)
+    return matrix_map(gmap.source, gmap.target, entries, gmap.layout)
 
 
 @settings(max_examples=100, deadline=None)
@@ -996,10 +1029,10 @@ def test_compose_zero_matches_generic_oracle_on_curves(curve, data):
 @given(CURVES, st.data())
 def test_graded_map_columns_round_trip_and_term_checks(curve, data):
     """Every map of the generic and closed-form complexes, before and after
-    minimalization, rebuilt from its entries has the same columns and
-    entries.  Moving one term of one column, at any position, to a wrong
-    degree raises HomogeneityBroken, and to a row outside the target raises
-    ShapeMismatch."""
+    minimalization, rebuilt from its entries in its own layout has the same
+    packed columns and entries.  Moving one term of one column, at any
+    position, to a wrong degree raises HomogeneityBroken, and to a row
+    outside the target raises ShapeMismatch."""
     m0, d, n = curve
     try:
         spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
@@ -1013,26 +1046,27 @@ def test_graded_map_columns_round_trip_and_term_checks(curve, data):
         complexes += [base, minimalize(base)]
     maps = [m for res in complexes for m in res.maps]
     for m in maps:
-        again = matrix_map(m.source, m.target, m.entries)
+        again = matrix_map(m.source, m.target, m.entries, m.layout)
         assert again.columns == m.columns
         assert again.entries == m.entries
 
     m = data.draw(st.sampled_from([m for m in maps if m.source.rank]))
     j = data.draw(st.integers(0, m.source.rank - 1))
-    (i, mono), c = data.draw(st.sampled_from(sorted(m.columns[j].items())))
+    key, c = data.draw(st.sampled_from(sorted(m.columns[j].items())))
+    i, mono = m.layout.decode(key)
 
-    def moved(key):
+    def moved(row, exponent):
         columns = [dict(column) for column in m.columns]
-        del columns[j][i, mono]
-        columns[j][key] = c
+        del columns[j][key]
+        columns[j][m.layout.encode(row, m.target.twists[i], exponent)] = c
         return columns
 
-    heavier = moved((i, (mono[0] + 1,) + mono[1:]))
+    heavier = moved(i, (mono[0] + 1,) + mono[1:])
     with pytest.raises(HomogeneityBroken):
-        matrix_map(m.source, m.target, GradedMap._trimmed(m.source, m.target, heavier).entries)
+        matrix_map(m.source, m.target, GradedMap._trimmed(m.source, m.target, heavier, m.layout).entries)
     if len(m.columns[j]) > 1:
         with pytest.raises(HomogeneityBroken):
-            resolution.schreyer_syzygies(m.target, heavier)
+            resolution.schreyer_syzygies(m.target, heavier, m.layout)
     row = data.draw(st.sampled_from([-1, m.target.rank, m.target.rank + 2]))
     with pytest.raises(ShapeMismatch):
-        resolution.schreyer_syzygies(m.target, moved((row, mono)))
+        resolution.schreyer_syzygies(m.target, moved(row, mono), m.layout)
