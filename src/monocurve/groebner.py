@@ -31,8 +31,8 @@ F_0's int at degree t.  A level's int goes to its map key by shifts and
 masks (``keys``), a product of map terms is an int add, and exponent
 tuples appear only in ``encode`` and ``decode``, at the edges.
 
-The toric kernel's reduced basis is read off the Apéry set on int labels
-of its own, with no S-pair (``toric_kernel_generic``).
+The toric kernel's reduced basis is read off the Apéry set, with no S-pair,
+on ``_Module`` F_0 ints over x_1 .. x_k (``toric_kernel_generic``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import mul, neg
+from operator import mul
 
 from monocurve.poly import Poly, Ring
 
@@ -78,7 +78,7 @@ class _Module:
 
     def __init__(self, weights, top):
         """F_0 = R, x^m packed as (deg m << mb) + V - m: weighted grevlex."""
-        v = (top // min(weights)).bit_length()
+        v = (top // min(weights, default=1)).bit_length()
         self.weights, self.top, self.value, self.vmask = weights, top, v, (1 << v) - 1
         self.mb = len(weights) * (v + 1)
         self.fields, self.shifts = (1 << self.mb) - 1, tuple(range(self.mb - v - 1, -1, -v - 1))
@@ -341,34 +341,30 @@ class ToricIdeal:
                 raise AssertionError(f"does not vanish under substitution: {p}")
 
 
-def _decode(label: int, k: int, width: int) -> tuple:
-    """(a, -e_1, .., -e_k) of the int label of x^(0, e_1, .., e_k)."""
-    full = (1 << width) - 1
-    return (label >> k * width,) + tuple((label >> i * width & full) - full for i in reversed(range(k)))
-
-
 def _standard_table(w) -> tuple:
-    """(table, width, steps): per residue r mod w[0], for weights w coprime
-    as a whole, the int label of the order-least monomial x^(0, e_1, .., e_k)
-    of least degree a_r in that residue, so that a_r runs over Ap(<w>, w[0]).
+    """(table, module): per residue r mod w[0], for weights w coprime as a
+    whole, the F_0 int in ``module``, the ``_Module`` over w[1:], of the
+    order-least monomial x^(0, e_1, .., e_k) of least degree a_r in that
+    residue, so that a_r runs over Ap(<w>, w[0]).
 
-    The label is a_r, then E - e_1, .., E - e_k in fields of ``width`` bits
-    (E = 2^width - 1), so ints compare as (a, -e_1, .., -e_k): least degree,
-    then most x_1, and so on, the ring order.  x_i adds (step, residue step)
-    = steps[i - 1].  Exact while e_i <= E: a least-degree path visits no
-    residue twice, so a_r <= top = (w_0 - 1)·max(w), hence e_i <= top //
-    w_i, one more in a neighbour, and E > top // min(w).
+    The int is (a_r << mb) + V - e, so ints compare as (a, -e_1, .., -e_k):
+    least degree, then most x_1, and so on, the ring order.  1 is
+    ``module.full``, x_i adds ``module.steps[i - 1]``, the residue is the
+    degree field mod w_0.  Exact while no field borrows: a least-degree path
+    visits no residue twice, so a_r <= top = (w_0 - 1)·max(w), and a
+    neighbour, a table monomial times one variable, has degree at most
+    top + max(w), the module's top, so e_i <= (top + max(w)) // w_i fits.
     Shortest paths over the residues, one edge per weight after the first.
     """
     m, top = w[0], (w[0] - 1) * max(w)
-    width = (top // min(w) + 1).bit_length()
-    shift = (len(w) - 1) * width
-    steps = [((v << shift) - (1 << o), v % m) for v, o in zip(w[1:], range(shift - width, -1, -width))]
-    heap = [(1 << shift) - 1]  # the label of 1
+    module = _Module(w[1:], top + max(w))
+    mb = module.mb
+    steps = [(step, v % m) for step, v in zip(module.steps, module.weights)]
+    heap = [module.full]  # the int of 1
     least = heap + [None] * (m - 1)
     while heap:
         label = heapq.heappop(heap)
-        r = (label >> shift) % m
+        r = (label >> mb) % m
         if label != least[r]:
             continue
         for step, v in steps:
@@ -376,15 +372,15 @@ def _standard_table(w) -> tuple:
             if least[q] is None or t < least[q]:
                 least[q] = t
                 heapq.heappush(heap, t)
-    if max(least) >> shift > top:
+    if max(least) >> mb > top:
         raise AssertionError("an Apéry element exceeds the packing bound")
-    return least, width, steps
+    return least, module
 
 
-def _lead_labels(table, width, steps) -> list:
-    """The labels of the minimal monomials outside the order ideal S of the
-    x_0-free standard monomials, found on S's boundary: x^(0, e) of degree d
-    is in S iff its label is table[d mod w_0].
+def _lead_labels(table, module) -> list:
+    """The ints, in ``module``'s F_0, of the minimal monomials outside the
+    order ideal S of the x_0-free standard monomials, found on S's
+    boundary: x^(0, e) of degree d is in S iff its int is table[d mod w_0].
 
     Slices fix x_1 .. x_(k-2); their bases in S form a tree, p·x_i below p
     for x_i from p's last raised variable on, and a base outside S is a
@@ -394,13 +390,14 @@ def _lead_labels(table, width, steps) -> list:
     one empty) are candidates too.  A candidate is a lead iff dividing it by
     each fixed variable it carries lands in S.  So the lookups number about
     the slices' widths and heights plus k - 2 per candidate, whatever w_0.
+    Every int probed is in S or a neighbour, so the table's bound holds.
     """
-    if not steps:
+    if not module.steps:
         return []  # one weight: the kernel is zero
-    m, shift, full = len(table), len(steps) * width, (1 << width) - 1
-    fixed = [(step, shift - (i + 1) * width) for i, (step, _) in enumerate(steps[:-2])]
-    col, row = [None, *(step for step, _ in steps)][-2:]  # x_(k-1), or None when k = 1, and x_k
-    inside = lambda label: table[(label >> shift) % m] == label  # noqa: E731
+    m, mb, v = len(table), module.mb, module.vmask
+    fixed = list(zip(module.steps[:-2], module.shifts))  # x_i's step, and its field
+    col, row = [None, *module.steps][-2:]  # x_(k-1), or None when k = 1, and x_k
+    inside = lambda label: table[(label >> mb) % m] == label  # noqa: E731
     leads, todo = [], [(table[0], 0)]  # slice bases, with the first fixed variable each may raise
     while todo:
         p, j = todo.pop()
@@ -418,7 +415,7 @@ def _lead_labels(table, width, steps) -> list:
                 if g < h:
                     corners.append(p + g * row)
                 h = g
-        leads += [c for c in corners if all(inside(c - step) for step, o in fixed if c >> o & full != full)]
+        leads += [c for c in corners if all(inside(c - step) for step, s in fixed if c >> s & v != v)]
     return leads
 
 
@@ -435,9 +432,10 @@ def toric_kernel_generic(weights, names=None):
     (a_r, std_r) from ``_standard_table`` for r = s mod w_0 (after dividing
     out the gcd of the weights).  The leads are the minimal monomials
     outside S = {std_r}, each with the standard monomial of its degree as
-    tail.  Monomials stay int labels (exact by the bound ``_standard_table``
-    asserts), and ``_lead_labels`` finds the leads by walking S's boundary,
-    in lookups that follow S's extent, not w_0.
+    tail.  Monomials stay ``_Module`` ints over x_1 .. x_k, exact by the
+    bound ``_standard_table`` sizes the module by and asserts, and
+    ``_lead_labels`` finds the leads by walking S's boundary, in lookups
+    that follow S's extent, not w_0.
 
     The basis then goes once through ``buchberger``, whose frame pairs
     all reduce to zero: that certifies it a Gröbner basis.  With
@@ -454,13 +452,13 @@ def toric_kernel_generic(weights, names=None):
     ring = Ring(("x", "y", "z", "w", "u", "v")[: len(weights)] if names is None else tuple(names), weights)
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)
-    m, k = w[0], len(w) - 1
-    table, width, steps = _standard_table(w)
+    table, module = _standard_table(w)
     reduced = []
-    for label in sorted(_lead_labels(table, width, steps)):  # the ring order, as no lead has x_0
-        degree, *lead = _decode(label, k, width)
-        a, *tail = _decode(table[degree % m], k, width)
-        reduced.append(Poly(ring, {(0, *map(neg, lead)): 1, ((degree - a) // m, *map(neg, tail)): -1}))
+    for lead in sorted(_lead_labels(table, module)):  # the ring order, as no lead has x_0
+        degree = lead >> module.mb
+        tail = table[degree % w[0]]
+        x0 = (degree - (tail >> module.mb)) // w[0]
+        reduced.append(Poly(ring, {(0, *module.decode(lead)[1]): 1, (x0, *module.decode(tail)[1]): -1}))
     return ring, buchberger(reduced)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 
 #: the largest m0 accepted: a whole analysis at m0 = 3 999 971 peaks at
-#: 538 MB and takes 8-10 s (shared 2-vCPU host), inside a 1 GB address-space cap
+#: 509 MB and takes 8-11 s (shared 2-vCPU host), inside a 1 GB address-space cap
 M0_BUDGET = 4_000_000
 
 

@@ -85,10 +85,11 @@ basis another way, and the tests require them to agree with it:
   through generic ``Poly`` arithmetic and ``reduce_basis``, on the reduced
   elements and, through ``frame_matches``, on every frame column.
 
-The program runs that pass on int labels, each monomial's degree and
-exponents packed into one int, exact by a proven bound on the Apéry set,
-and tests whether a monomial is standard by one lookup in the table at its
-degree.  ``toric_kernel_by_sets`` is the version it replaced, kept as the
+The program runs that pass on ``groebner._Module`` ints over x_1 .. x_k,
+each monomial's degree and exponents packed into one int, exact because
+the module is sized by a proven bound on the Apéry set plus one variable's
+step, and tests whether a monomial is standard by one lookup in the table
+at its degree.  ``toric_kernel_by_sets`` is the version it replaced, kept as the
 reference for it: ``standard_table_tuples`` builds a (degree, -e_1, ..,
 -e_k) tuple per residue, and the lead search builds every neighbour and its
 divisors as exponent tuples and looks them up in a set of the standard
@@ -1348,14 +1349,15 @@ def standard_table_tuples(w) -> list:
     return least
 
 
-def lead_labels_by_scan(table, width, steps) -> list:
-    """The lead labels of ``groebner._lead_labels``, from the same
+def lead_labels_by_scan(table, module) -> list:
+    """The lead ints of ``groebner._lead_labels``, from the same
     ``_standard_table`` output, by scanning every residue: the neighbour
-    c = s·x_j of each standard label s is a lead iff it is not standard and
-    c/x_i is for each later x_i it carries; each lead c is reached once,
-    from c/x_j for its first variable x_j.  About w_0·k lookups."""
-    m, shift, full = len(table), len(steps) * width, (1 << width) - 1
-    steps = [(step, v, shift - (i + 1) * width) for i, (step, v) in enumerate(steps)]
+    c = s·x_j of each standard monomial's int s (x_j adds
+    ``module.steps[j]``) is a lead iff it is not standard and c/x_i is for
+    each later x_i it carries; each lead c is reached once, from c/x_j for
+    its first variable x_j.  About w_0·k lookups."""
+    m, full = len(table), module.vmask
+    steps = [(step, v % m, o) for step, v, o in zip(module.steps, module.weights, module.shifts)]
     leads = []
     for r, s in enumerate(table):
         for j, (step, v, o) in enumerate(steps):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from monocurve import groebner
 from monocurve.groebner import (
-    _decode,
     _lead_labels,
     _standard_table,
     buchberger,
@@ -394,9 +393,9 @@ def _reduced(weights):
 @example((5, 7, 9, 13, 17))
 @example((30, 7, 9, 11, 13))
 def test_lead_walk_matches_residue_scan(weights):
-    table, width, steps = _standard_table(_reduced(weights))
-    walk = _lead_labels(table, width, steps)
-    assert sorted(walk) == sorted(lead_labels_by_scan(table, width, steps))
+    table, module = _standard_table(_reduced(weights))
+    walk = _lead_labels(table, module)
+    assert sorted(walk) == sorted(lead_labels_by_scan(table, module))
 
 
 class _CountingTable(list):
@@ -410,10 +409,10 @@ class _CountingTable(list):
 
 
 def test_lead_walk_lookups_follow_the_staircase_not_m0():
-    table, width, steps = _standard_table((100003, 100004, 100005, 1234567))
+    table, module = _standard_table((100003, 100004, 100005, 1234567))
     walked, scanned = _CountingTable(table), _CountingTable(table)
-    leads = _lead_labels(walked, width, steps)
-    assert sorted(leads) == sorted(lead_labels_by_scan(scanned, width, steps))
+    leads = _lead_labels(walked, module)
+    assert sorted(leads) == sorted(lead_labels_by_scan(scanned, module))
     assert walked.lookups <= 3000
     assert scanned.lookups >= 100003
 
@@ -441,8 +440,8 @@ def _least_labels(w, top):
 def test_kernel_table_is_the_apery_set_with_least_monomials(weights):
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)
-    packed, width, _ = _standard_table(w)
-    table = [_decode(label, len(w) - 1, width) for label in packed]
+    packed, module = _standard_table(w)
+    table = [(label >> module.mb, *(-e for e in module.decode(label)[1])) for label in packed]
     # the ints compare as the (degree, -e_1, .., -e_k) tuples they pack
     by_int = sorted(range(w[0]), key=packed.__getitem__)
     assert by_int == sorted(range(w[0]), key=table.__getitem__)
@@ -452,6 +451,7 @@ def test_kernel_table_is_the_apery_set_with_least_monomials(weights):
     assert set(least) == apery_set(semigroup, w[0]) == apery_set_walk(semigroup, w[0])
     best = _least_labels(w, max(least))
     assert table == [best[a] for a in least]
+    assert packed == [module.encode(0, 0, [-e for e in best[a][1:]]) for a in least]
 
 
 # the binomial certificate and Gröbner check against the generic ones, on the
