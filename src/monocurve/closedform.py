@@ -27,7 +27,6 @@ import ast
 import json
 from dataclasses import dataclass, fields
 from importlib import resources
-from operator import mul
 
 from .semigroup import SequenceSpec, progression_multiple
 from .poly import Poly, Ring
@@ -205,10 +204,7 @@ def extract_parameters(ideal: ToricIdeal) -> CaseParameters:
 
 
 def _classify(elements, spec: SequenceSpec) -> CaseParameters:
-    quadric = []
-    plain = []
-    cross = []
-    pure = []
+    quadric, plain, cross, pure = [], [], [], []
     for p in elements:
         if not is_pure_difference(p):
             raise TemplateMismatch("non-binomial element in the basis")
@@ -515,12 +511,13 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
 # satisfy A.B = 0 and B.C = 0 identically in the exponents; degenerate
 # parameter values (x0_pure = 0, x0_plain = 1, x2_cross = 0, x2_gap small)
 # turn individual entries into constants, and minimalize clears those
-# mechanically.  Each entry is an {exponent: coefficient} dict (a generator
-# is its own term dict, _diff of equal monomials is empty), encoded once
-# into the maps' packed columns; GradedMap.from_columns checks each term.
+# mechanically.  Each entry is an {offset: coefficient} dict (a generator
+# is its own term dict, _diff of equal monomials is empty), m(x0=..., y=...)
+# packing each monomial as the offset sum(e_i * steps_i) it adds to the key
+# of 1 in its row; _assemble adds those keys, from_columns checks each term.
 
 
-def _diff(plus: tuple, minus: tuple) -> dict:
+def _diff(plus, minus) -> dict:
     """The entry x^plus - x^minus, zero when the two coincide."""
     return {plus: 1, minus: -1} if plus != minus else {}
 
@@ -534,91 +531,82 @@ def _exponents(p: CaseParameters) -> tuple:
     return p.x0_plain, p.x0_pure, p.x2_plain, p.x2_cross, p.y_order, p.y_split, p.x2_gap()
 
 
-def _syzygies_cross_12(gens, p):
+def _syzygies_cross_12(gens, p, m):
     """Offsets (1, 2): generators [quadric, plain0, plain1, cross0, pure]."""
-    xi = gens[0]
-    lam, mu, q, qc, v, w, gap = _exponents(p)
+    xi, (lam, mu, q, qc, v, w, gap) = gens[0], _exponents(p)
     b_cols = [
-        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}, {}],
-        [_diff(_m(x0=lam + mu), _m(x2=qc + 1, y=v - w)), {}, {}, xi, {}],
-        [_diff(_m(x0=mu, x1=1, x2=gap - 1), _m(y=v)), {}, {}, {}, xi],
-        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}, {}],
-        [{}, {_m(y=v - w): -1}, {}, {_m(x1=1, x2=gap - 1): 1}, {_m(x0=lam): -1}],
-        [{_m(x0=mu + lam - 1, x2=gap - 1): -1}, {}, {_m(y=v - w): -1}, {_m(x2=gap): 1},
-         {_m(x0=lam - 1, x1=1): -1}],
-        [{}, {_m(x0=mu): 1}, {}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
+        [{m(x2=q): -1}, {m(x1=1): 1}, {m(x0=1): -1}, {}, {}],
+        [_diff(m(x0=lam + mu), m(x2=qc + 1, y=v - w)), {}, {}, xi, {}],
+        [_diff(m(x0=mu, x1=1, x2=gap - 1), m(y=v)), {}, {}, {}, xi],
+        [{m(x0=lam - 1, y=w): 1}, {m(x2=1): -1}, {m(x1=1): 1}, {}, {}],
+        [{}, {m(y=v - w): -1}, {}, {m(x1=1, x2=gap - 1): 1}, {m(x0=lam): -1}],
+        [{m(x0=mu + lam - 1, x2=gap - 1): -1}, {}, {m(y=v - w): -1}, {m(x2=gap): 1}, {m(x0=lam - 1, x1=1): -1}],
+        [{}, {m(x0=mu): 1}, {}, {m(y=w): -1}, {m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [{}, {}, {_m(x0=lam - 1): 1}, {_m(y=v - w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
-        [{_m(y=v - w): 1}, {_m(x2=gap - 1): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
-        [{_m(x0=mu, x1=1): 1}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}, {_m(x0=mu + 1): 1}, {}, {},
-         _negated(xi)],
+        [{}, {}, {m(x0=lam - 1): 1}, {m(y=v - w): 1}, {m(x2=1): -1}, {m(x1=1): 1}, {}],
+        [{m(y=v - w): 1}, {m(x2=gap - 1): -1}, {}, {}, {m(x1=1): 1}, {m(x0=1): -1}, {}],
+        [{m(x0=mu, x1=1): 1}, {m(y=w): -1}, {m(x2=qc + 1): 1}, {m(x0=mu + 1): 1}, {}, {}, _negated(xi)],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_cross_11(gens, p):
+def _syzygies_cross_11(gens, p, m):
     """Offsets (1, 1): generators [quadric, plain0, plain1, cross0, cross1, pure]."""
-    xi = gens[0]
-    lam, mu, q, qc, v, w, gap = _exponents(p)
+    xi, (lam, mu, q, qc, v, w, gap) = gens[0], _exponents(p)
     b_cols = [
-        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}, {}, {}],
-        [{_m(x2=qc, y=v - w): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
-        [_diff(_m(x0=mu, x2=gap), _m(y=v)), {}, {}, {}, {}, xi],
-        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}, {}, {}],
-        [{}, {_m(y=v - w): -1}, {}, {_m(x2=gap): 1}, {}, {_m(x0=lam): -1}],
-        [{}, {}, {_m(y=v - w): -1}, {}, {_m(x2=gap): 1}, {_m(x0=lam - 1, x1=1): -1}],
-        [{_m(x0=lam + mu - 1): 1}, {}, {}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
-        [{}, {_m(x0=mu): 1}, {}, {_m(y=w): -1}, {}, {_m(x1=1, x2=qc): 1}],
-        [{}, {}, {_m(x0=mu): 1}, {}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
+        [{m(x2=q): -1}, {m(x1=1): 1}, {m(x0=1): -1}, {}, {}, {}],
+        [{m(x2=qc, y=v - w): -1}, {}, {}, {m(x1=1): 1}, {m(x0=1): -1}, {}],
+        [_diff(m(x0=mu, x2=gap), m(y=v)), {}, {}, {}, {}, xi],
+        [{m(x0=lam - 1, y=w): 1}, {m(x2=1): -1}, {m(x1=1): 1}, {}, {}, {}],
+        [{}, {m(y=v - w): -1}, {}, {m(x2=gap): 1}, {}, {m(x0=lam): -1}],
+        [{}, {}, {m(y=v - w): -1}, {}, {m(x2=gap): 1}, {m(x0=lam - 1, x1=1): -1}],
+        [{m(x0=lam + mu - 1): 1}, {}, {}, {m(x2=1): -1}, {m(x1=1): 1}, {}],
+        [{}, {m(x0=mu): 1}, {}, {m(y=w): -1}, {}, {m(x1=1, x2=qc): 1}],
+        [{}, {}, {m(x0=mu): 1}, {}, {m(y=w): -1}, {m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [{}, {}, {_m(x0=lam - 1): 1}, {_m(y=v - w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}, {_m(x2=gap): -1},
-         {}, {}],
-        [{}, {}, {}, {_m(x0=mu): 1}, {}, {}, {_m(y=w): -1}, {_m(x2=1): 1}, {_m(x1=1): -1}],
-        [{_m(y=v - w): 1}, {_m(x2=gap): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}, {}, {}],
-        [{_m(x0=mu): 1}, {_m(y=w): -1}, {_m(x2=qc): 1}, {}, {}, {}, {}, {_m(x1=1): -1},
-         {_m(x0=1): 1}],
+        [{}, {}, {m(x0=lam - 1): 1}, {m(y=v - w): 1}, {m(x2=1): -1}, {m(x1=1): 1}, {m(x2=gap): -1}, {}, {}],
+        [{}, {}, {}, {m(x0=mu): 1}, {}, {}, {m(y=w): -1}, {m(x2=1): 1}, {m(x1=1): -1}],
+        [{m(y=v - w): 1}, {m(x2=gap): -1}, {}, {}, {m(x1=1): 1}, {m(x0=1): -1}, {}, {}, {}],
+        [{m(x0=mu): 1}, {m(y=w): -1}, {m(x2=qc): 1}, {}, {}, {}, {}, {m(x1=1): -1}, {m(x0=1): 1}],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_cross_21(gens, p):
+def _syzygies_cross_21(gens, p, m):
     """Offsets (2, 1): generators [quadric, plain0, cross0, cross1, pure]."""
-    xi = gens[0]
-    lam, mu, q, qc, v, w, gap = _exponents(p)
+    xi, (lam, mu, q, qc, v, w, gap) = gens[0], _exponents(p)
     b_cols = [
-        [_diff(_m(x0=lam, y=w), _m(x2=q + 1)), xi, {}, {}, {}],
-        [{_m(x2=qc, y=v - w): -1}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}, {}],
-        [_diff(_m(x0=mu, x1=1, x2=gap), _m(y=v)), {}, {}, {}, xi],
-        [{}, {_m(y=v - w): -1}, {}, {_m(x2=gap): 1}, {_m(x0=lam): -1}],
-        [{_m(x0=lam + mu): 1}, {}, {_m(x2=1): -1}, {_m(x1=1): 1}, {}],
-        [{_m(x0=mu, x2=q): 1}, {_m(x0=mu + 1): 1}, {_m(y=w): -1}, {}, {_m(x1=1, x2=qc): 1}],
-        [{}, {_m(x0=mu, x1=1): 1}, {}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
+        [_diff(m(x0=lam, y=w), m(x2=q + 1)), xi, {}, {}, {}],
+        [{m(x2=qc, y=v - w): -1}, {}, {m(x1=1): 1}, {m(x0=1): -1}, {}],
+        [_diff(m(x0=mu, x1=1, x2=gap), m(y=v)), {}, {}, {}, xi],
+        [{}, {m(y=v - w): -1}, {}, {m(x2=gap): 1}, {m(x0=lam): -1}],
+        [{m(x0=lam + mu): 1}, {}, {m(x2=1): -1}, {m(x1=1): 1}, {}],
+        [{m(x0=mu, x2=q): 1}, {m(x0=mu + 1): 1}, {m(y=w): -1}, {}, {m(x1=1, x2=qc): 1}],
+        [{}, {m(x0=mu, x1=1): 1}, {}, {m(y=w): -1}, {m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [{}, {_m(y=w): 1}, {_m(x2=qc): -1}, {}, {}, {_m(x1=1): 1}, {_m(x0=1): -1}],
-        [{_m(x0=mu): 1}, {}, {}, {}, {_m(y=w): -1}, {_m(x2=1): 1}, {_m(x1=1): -1}],
-        [{_m(y=v - w): 1}, {_m(x2=gap + 1): -1}, {_m(x0=lam): 1}, xi, {_m(x1=1, x2=gap): -1},
-         {}, {}],
+        [{}, {m(y=w): 1}, {m(x2=qc): -1}, {}, {}, {m(x1=1): 1}, {m(x0=1): -1}],
+        [{m(x0=mu): 1}, {}, {}, {}, {m(y=w): -1}, {m(x2=1): 1}, {m(x1=1): -1}],
+        [{m(y=v - w): 1}, {m(x2=gap + 1): -1}, {m(x0=lam): 1}, xi, {m(x1=1, x2=gap): -1}, {}, {}],
     ]
     return b_cols, c_cols
 
 
-def _syzygies_cross_22(gens, p):
+def _syzygies_cross_22(gens, p, m):
     """Offsets (2, 2): generators [quadric, plain0, cross0, pure]."""
-    xi = gens[0]
-    lam, mu, q, qc, v, w, gap = _exponents(p)
+    xi, (lam, mu, q, qc, v, w, gap) = gens[0], _exponents(p)
     b_cols = [
-        [_diff(_m(x0=lam, y=w), _m(x2=q + 1)), xi, {}, {}],
-        [_diff(_m(x0=lam + mu), _m(x2=qc + 1, y=v - w)), {}, xi, {}],
-        [_diff(_m(x0=mu, x2=gap), _m(y=v)), {}, {}, xi],
-        [{}, {_m(y=v - w): -1}, {_m(x2=gap): 1}, {_m(x0=lam): -1}],
-        [{}, {_m(x0=mu): 1}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}],
+        [_diff(m(x0=lam, y=w), m(x2=q + 1)), xi, {}, {}],
+        [_diff(m(x0=lam + mu), m(x2=qc + 1, y=v - w)), {}, xi, {}],
+        [_diff(m(x0=mu, x2=gap), m(y=v)), {}, {}, xi],
+        [{}, {m(y=v - w): -1}, {m(x2=gap): 1}, {m(x0=lam): -1}],
+        [{}, {m(x0=mu): 1}, {m(y=w): -1}, {m(x2=qc + 1): 1}],
     ]
     c_cols = [
-        [{_m(y=v - w): 1}, {_m(x2=gap): -1}, {_m(x0=lam): 1}, xi, {}],
-        [{_m(x0=mu): 1}, {_m(y=w): -1}, {_m(x2=qc + 1): 1}, {}, _negated(xi)],
+        [{m(y=v - w): 1}, {m(x2=gap): -1}, {m(x0=lam): 1}, xi, {}],
+        [{m(x0=mu): 1}, {m(y=w): -1}, {m(x2=qc + 1): 1}, {}, _negated(xi)],
     ]
     return b_cols, c_cols
 
@@ -635,17 +623,17 @@ def _cone(gens, base):
     return b_cols, c_cols
 
 
-def _syzygies_plain_first(gens, p):
+def _syzygies_plain_first(gens, p, m):
     """No cross family, plain offset 1: generators [quadric, plain0, plain1,
     pure]; the cone over the Hilbert-Burch complex of (quadric, plain0, plain1)."""
     lam, q, w = p.x0_plain, p.x2_plain, p.y_split
     return _cone(gens, [
-        [{_m(x2=q): -1}, {_m(x1=1): 1}, {_m(x0=1): -1}],
-        [{_m(x0=lam - 1, y=w): 1}, {_m(x2=1): -1}, {_m(x1=1): 1}],
+        [{m(x2=q): -1}, {m(x1=1): 1}, {m(x0=1): -1}],
+        [{m(x0=lam - 1, y=w): 1}, {m(x2=1): -1}, {m(x1=1): 1}],
     ])
 
 
-def _syzygies_koszul(gens, p):
+def _syzygies_koszul(gens, p, m):
     """No cross family, plain offset 2: generators [quadric, plain0, pure],
     pairwise-coprime leads; the cone over the Koszul complex of (quadric, plain0)."""
     return _cone(gens, [[_negated(gens[1]), gens[0]]])
@@ -659,22 +647,20 @@ _BUILDERS = {
 }
 
 
-def _assemble(ring, rows, b_cols, c_cols) -> FreeResolution:
-    """Chain the generator row (term dicts) with the two syzygy matrices,
-    given by their columns of entries, encoded once into one layout and
-    checked term by term by ``from_columns``.  The layout's bound is twice
-    the largest twist, each column's its first term's degree plus its row's,
-    so that a term of a wrong degree up to that reads as one, not as a carry."""
-    levels, twists, w = [[[g] for g in rows], b_cols, c_cols], [(0,)], ring.weights
-    for cols in levels:
-        firsts = (next((twists[-1][i] + sum(map(mul, m, w)) for i, e in enumerate(col) for m in e), 0) for col in cols)
-        twists.append(tuple(firsts))
-    layout, maps, target = _Module(w, 2 * max(map(max, twists))), [], GradedFreeModule(ring, (0,))
-    for cols in levels:
-        above = target.twists
-        columns = [{layout.encode(i, above[i], m): c for i, e in enumerate(col) for m, c in e.items()} for col in cols]
+def _assemble(ring, layout, rows, b_cols, c_cols) -> FreeResolution:
+    """Chain the generator row with the two syzygy matrices, given by their
+    columns of {offset: coefficient} entries: offset o in a row of twist t
+    is keyed layout.unit(row, t) + o, and ``from_columns`` checks each term.
+    A twist over half the layout's bound is an AssertionError: below it no
+    exponent outgrows its field, and a wrong degree reads as one, not as a carry."""
+    maps, target = [], GradedFreeModule(ring, (0,))
+    for cols in ([[g] for g in rows], b_cols, c_cols):
+        base = [layout.unit(i, t) for i, t in enumerate(target.twists)]
+        columns = [{base[i] + o: c for i, e in enumerate(col) for o, c in e.items()} for col in cols]
         maps.append(GradedMap.from_columns(target, columns, layout))
         target = maps[-1].source
+    if 2 * max(max(gmap.source.twists) for gmap in maps) > layout.top:
+        raise AssertionError("a twist of the complex exceeds half its layout's bound")
     return FreeResolution(maps)
 
 
@@ -683,13 +669,20 @@ def closed_form_base(params: CaseParameters, gens: list) -> FreeResolution:
 
     Instantiates the family shape's syzygy matrices with the parameters
     substituted, over ``gens``, the generator row ``canonical_generators``
-    built from the same parameters; no other ``Poly`` is built.  Degenerate
-    parameter values leave constant entries, so the output is in general
-    non-minimal; its minimalization has closed-form entries throughout.
+    built from the same parameters; no other ``Poly`` is built.  Each
+    monomial is packed as written, by ``m``, in a layout whose bound is
+    twice the sum D of the generator degrees: no twist of the base complex
+    exceeds D (the Koszul shapes reach it), which ``_assemble`` asserts.
+    Degenerate parameter values leave constant entries, so the output is in
+    general non-minimal; its minimalization has closed-form entries.
     """
+    ring = gens[0].ring
+    layout = _Module(ring.weights, 2 * sum(ring.degree(next(iter(g.terms))) for g in gens))
+    s0, s1, s2, s3 = layout.steps
+    m = lambda x0=0, x1=0, x2=0, y=0: x0 * s0 + x1 * s1 + x2 * s2 + y * s3  # noqa: E731
+    rows = [{m(*e): c for e, c in g.terms.items()} for g in gens]
     a, b = params.plain_offset, params.cross_offset
-    rows = [g.terms for g in gens]
-    return _assemble(gens[0].ring, rows, *_BUILDERS[(a, b) if params.has_cross else a](rows, params))
+    return _assemble(ring, layout, rows, *_BUILDERS[(a, b) if params.has_cross else a](rows, params, m))
 
 
 def closed_form_resolution(params: CaseParameters, gens: list) -> FreeResolution:

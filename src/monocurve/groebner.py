@@ -28,8 +28,8 @@ so there are at most as many levels as variables.
 Every graded map keys its terms in ``_Module``'s fields too: x^m in row i
 of a column of twist t <= top is (i << rs) + (t << mb) + V - m, in row 0
 F_0's int at degree t.  A level's int goes to its map key by shifts and
-masks (``keys``), a product of map terms is an int add, and exponent
-tuples appear only in ``encode`` and ``decode``, at the edges.
+masks (``keys``), a row's key of 1 is ``unit``, products are int adds,
+and only ``encode`` (for ``_rank_one``) and ``decode`` see exponent tuples.
 
 The toric kernel's reduced basis is read off the Apéry set, with no S-pair,
 on ``_Module`` F_0 ints over x_1 .. x_k (``toric_kernel_generic``).
@@ -112,9 +112,13 @@ class _Module:
         pb, pmask, x, mb, fields, rs = self.pb, self.pmask, self.x, self.mb, self.fields, self.rs
         return {(~t & pmask) << rs | t >> x << mb | t >> pb & fields: c for t, c in column.items()}
 
+    def unit(self, row: int, twist: int) -> int:
+        """The map key of 1 in a row of ``twist``; x^m adds m·steps to it."""
+        return (row << self.rs) + (twist << self.mb) + self.full
+
     def encode(self, row: int, twist: int, exponent=()) -> int:
         """The map key of x^exponent, 1 by default, in a row of ``twist``."""
-        return (row << self.rs) + (twist << self.mb) + self.full + sum(map(mul, exponent, self.steps))
+        return self.unit(row, twist) + sum(map(mul, exponent, self.steps))
 
     def decode(self, key: int) -> tuple:
         """(row, exponent) of a map key."""
@@ -285,6 +289,8 @@ def pair_records(module, syz, columns, pairs, leads) -> list:
     units = [column[lead] for column, lead in zip(columns, leads)]
     if any(u not in (1, -1) for u in units):
         raise ValueError("a lead coefficient is not ±1: %r" % (units,))
+    if not pairs:
+        return []
     pb, x, r, guard, mask, mb = module.pb, module.x, module.r, module.guard, module.pmask, module.fields
     consts, sx, sr = syz.consts, syz.x, syz.r
     divisors: dict = {}  # position -> [(index, lead, V - its exponent, lead coefficient)], by precedence

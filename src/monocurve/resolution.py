@@ -19,9 +19,9 @@ Conventions, fixed once:
   the image of the j-th basis vector, is an {int: coefficient} dict.  Each
   int packs a term's row, indexing G's basis, its twist and its monomial
   in the map's ``layout``, a ``groebner._Module`` sized for the complex's
-  largest twist and shared by all of its maps.  Only the module packs and
-  unpacks monomials; the code here reads a key's row and twist fields,
-  adds keys and takes rows out.
+  twists and shared by all of its maps.  A key's row and twist are shifts
+  and masks, the key of 1 in a row is ``layout.unit(row, twist)``, a
+  product is an int add, and only ``entries`` unpacks monomials.
   Every term of column j in row i has twist source.twists[j] and degree
   source.twists[j] - target.twists[i] >= 0; ``entries`` decodes the map as
   a matrix of ``Poly`` entries, rank(G) rows by rank(F) columns.
@@ -79,12 +79,12 @@ def _column_twists(target: GradedFreeModule, columns, layout) -> tuple:
     after one check of every term: its row is one of ``target``'s (else
     ShapeMismatch) and its twist is the column's, at least the row's (else
     HomogeneityBroken)."""
-    mb, span, rows, rank = layout.mb, 1 << layout.rs - layout.mb, target.twists, target.rank
+    mb, rs, tmask, rows, rank = layout.mb, layout.rs, (1 << layout.rs - layout.mb) - 1, target.twists, target.rank
     out = []
     for j, column in enumerate(columns):
         want = None
         for key in column:
-            i, t = divmod(key >> mb, span)
+            i, t = key >> rs, key >> mb & tmask
             if not 0 <= i < rank:
                 raise ShapeMismatch(f"column {j} has a term in row {i} of rank {rank}")
             if want is None:
@@ -142,13 +142,13 @@ def compose_zero(a: GradedMap, b: GradedMap) -> bool:
     is one accumulator, to which each term c·x^m of b's column j in row k
     adds a's column k times c·x^m, and the first column left with a nonzero
     coefficient answers False.  The product of a's term s in column k, of
-    twist t, and b's term u in row k is keyed s + u - encode(k, t): each
-    of a's columns is shifted once, and each product is one int add.
+    twist t, and b's term u in row k is keyed s + u - unit(k, t), the key
+    of 1 in row k taken off once per column of a; each product is one int add.
     """
     if a.source != b.target or a.layout is not b.layout:
         raise ShapeMismatch("inner modules or layouts differ")
-    rs, encode, twists = a.layout.rs, a.layout.encode, a.source.twists
-    left = [[(s - encode(k, twists[k]), c) for s, c in column.items()] for k, column in enumerate(a.columns)]
+    rs, units = a.layout.rs, map(a.layout.unit, range(a.source.rank), a.source.twists)
+    left = [[(s - one, c) for s, c in column.items()] for one, column in zip(units, a.columns)]
     for column in b.columns:
         acc = {}
         for u, c2 in column.items():
@@ -249,7 +249,7 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     if not (0 <= row < mid.target.rank and 0 <= col < mid.source.rank):
         raise IndexError("entry outside the matrix")
     layout = mid.layout
-    unit = layout.encode(row, mid.target.twists[row])  # in column col only if its twist is the row's
+    unit = layout.unit(row, mid.target.twists[row])  # in column col only if its twist is the row's
     pivot = mid.columns[col].get(unit)
     if pivot not in (1, -1):
         raise PreconditionViolated(f"pivot entry is not a constant ±1: {pivot!r}")
@@ -290,7 +290,7 @@ def _find_constant_entry(maps, step: int = 0, row: int = 0):
         for i in range(row if s == step else 0, gmap.target.rank):
             t = gmap.target.twists[i]
             if t in columns:
-                unit = gmap.layout.encode(i, t)
+                unit = gmap.layout.unit(i, t)
                 for j in columns[t]:
                     if unit in gmap.columns[j]:
                         return s, i, j

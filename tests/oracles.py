@@ -118,6 +118,14 @@ of the parameters' fields with ``operator`` functions; it shares nothing
 with the program's checker or compile step.  ``eval_shift`` evaluates one
 twist expression through the program's checked tree, for the tests of its
 walker.
+
+The program packs each closed-form template monomial as it is written, the
+offset it adds to the key of 1 in its row, in a layout sized off the
+generator degrees.  ``closed_form_base_by_exponents`` is the assembly it
+replaced, the reference for it: the same builders write each monomial as
+its exponent tuple (``closedform._m``), a first pass reads each column's
+twist off its first term to size the layout at twice the largest twist,
+and ``_Module.encode`` packs every term.
 """
 
 import functools
@@ -127,7 +135,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, eq, le, lshift, mul, ne, neg, sub
 
-from monocurve.closedform import _COMPARABLE, _PARAM_FIELDS, CASE_TABLE, CaseUnmatched, _compile, _tree
+from monocurve.closedform import _BUILDERS, _COMPARABLE, _PARAM_FIELDS, CASE_TABLE, CaseUnmatched, _compile, _m, _tree
 from monocurve.groebner import _Module, buchberger as binomial_buchberger
 from monocurve.poly import Poly, Ring, _Terms, coeff_div, divide, render, s_polynomial
 from monocurve.resolution import (
@@ -1457,3 +1465,25 @@ def case_id_by_rows(params):
     if len(matches) > 1:
         raise CaseUnmatched("table rows %s overlap on %s" % ([m.label for m in matches], params))
     return matches[0]
+
+
+def closed_form_base_by_exponents(params, gens) -> FreeResolution:
+    """``closed_form_base`` assembled from exponent tuples: the shape's
+    builder over the generators' term dicts with ``_m`` as its monomial, the
+    twists read off each column's first term, one layout at twice the
+    largest twist, and every term packed by ``encode``."""
+    a, b = params.plain_offset, params.cross_offset
+    rows = [g.terms for g in gens]
+    b_cols, c_cols = _BUILDERS[(a, b) if params.has_cross else a](rows, params, _m)
+    ring = gens[0].ring
+    levels, twists, w = [[[g] for g in rows], b_cols, c_cols], [(0,)], ring.weights
+    for cols in levels:
+        firsts = (next((twists[-1][i] + sum(map(mul, m, w)) for i, e in enumerate(col) for m in e), 0) for col in cols)
+        twists.append(tuple(firsts))
+    layout, maps, target = _Module(w, 2 * max(map(max, twists))), [], GradedFreeModule(ring, (0,))
+    for cols in levels:
+        above = target.twists
+        columns = [{layout.encode(i, above[i], m): c for i, e in enumerate(col) for m, c in e.items()} for col in cols]
+        maps.append(GradedMap.from_columns(target, columns, layout))
+        target = maps[-1].source
+    return FreeResolution(maps)

@@ -20,12 +20,12 @@ from monocurve.closedform import (
     _case_code,
     _shift_row,
 )
-from monocurve.groebner import buchberger, is_groebner, toric_kernel
+from monocurve.groebner import _Module, buchberger, is_groebner, toric_kernel
 from monocurve.resolution import build_resolution, compose_zero, hilbert_numerator, minimalize
 from monocurve.semigroup import ValidationError, validate_sequence
 
 from monocurve import closedform
-from oracles import case_id_by_rows, eval_shift, parse_condition, reduce_basis
+from oracles import case_id_by_rows, closed_form_base_by_exponents, eval_shift, parse_condition, reduce_basis
 
 # one sequence per reachable case, smallest found by sweeping
 FIXTURES = {
@@ -451,3 +451,93 @@ def test_no_cross_cones_beyond_the_box(m0, d, n):
     generic = minimalize(build_resolution(kernel.reduced_gb))
     assert closed.ranks == generic.ranks == (1,) + case_id(params).betti
     assert hilbert_numerator(closed) == hilbert_numerator(generic)
+
+
+# ---------------------------------------------------------------------------
+# packed templates
+
+
+def _shape(params):
+    """The ``_BUILDERS`` key of the parameters' family shape."""
+    return (params.plain_offset, params.cross_offset) if params.has_cross else params.plain_offset
+
+
+#: (m0, d, n) of one curve per builder shape in the box, then one beyond it
+SHAPE_CURVES = {
+    (1, 2): [(7, 2, 10), (158, 18, 53)],
+    (1, 1): [(7, 1, 6), (165, 9, 94)],
+    (2, 1): [(9, 2, 12), (156, 16, 127)],
+    (2, 2): [(6, 1, 10), (98, 9, 34)],
+    1: [(6, 1, 9), (153, 14, 85)],
+    2: [(8, 1, 12), (68, 15, 128)],
+}
+
+
+def _same_as_exponent_assembly(curve):
+    """The packed ``closed_form_base`` of the curve against the oracle's
+    exponent-tuple assembly: the same ranks, twists and decoded entries, and
+    no twist above the sum of the generator degrees, half the packed
+    layout's bound.  Returns the shape, or None for a curve with no
+    generator row."""
+    m0, d, n = curve
+    try:
+        spec, _, params = pipeline((m0, m0 + d, m0 + 2 * d, n))
+        gens = canonical_generators(params, spec)
+    except (ValidationError, TemplateMismatch, DegreeImbalance):
+        return None
+    packed, oracle = closed_form_base(params, gens), closed_form_base_by_exponents(params, gens)
+    assert packed.ranks == oracle.ranks
+    assert [module.twists for module in packed.modules] == [module.twists for module in oracle.modules]
+    assert [gmap.entries for gmap in packed.maps] == [gmap.entries for gmap in oracle.maps]
+    bound = sum(curve_ring(spec).degree(next(iter(g.terms))) for g in gens)
+    assert max(max(module.twists) for module in packed.modules) <= bound
+    assert packed.maps[0].layout.top == 2 * bound
+    return _shape(params)
+
+
+@pytest.mark.parametrize("shape, curve", [(shape, c) for shape, cs in SHAPE_CURVES.items() for c in cs])
+def test_packed_templates_match_exponent_assembly_per_shape(shape, curve):
+    """Every one of the six builder shapes, in the box and beyond it."""
+    assert _same_as_exponent_assembly(curve) == shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(1, 58), st.integers(1, 29), st.integers(1, 60)).filter(lambda t: t[0] + 2 * t[1] <= 60),
+    st.tuples(st.integers(61, 200), st.integers(1, 200), st.integers(1, 600)),
+))
+def test_packed_templates_match_exponent_assembly(curve):
+    """In and beyond the box, the templates packed as written equal the
+    exponent-tuple assembly they replaced."""
+    assume(_same_as_exponent_assembly(curve) is not None)
+
+
+def _templates_in(layout, params, gens):
+    """The generator row and the shape's two matrices packed in ``layout``,
+    as ``closed_form_base`` packs them in its own."""
+    s0, s1, s2, s3 = layout.steps
+
+    def m(x0=0, x1=0, x2=0, y=0):
+        return x0 * s0 + x1 * s1 + x2 * s2 + y * s3
+
+    rows = [{m(*e): c for e, c in g.terms.items()} for g in gens]
+    return (rows,) + tuple(closedform._BUILDERS[_shape(params)](rows, params, m))
+
+
+@pytest.mark.parametrize("label", ["i", "vi", "x", "xvi", "xviii", "xix"])
+def test_assembler_refuses_a_layout_too_small_for_its_twists(label):
+    """A layout whose bound is under twice the largest twist is an
+    AssertionError, also where every key still fits; at twice it the
+    assembler gives ``closed_form_base``'s complex."""
+    spec, _, params = pipeline(FIXTURES[label])
+    gens, ring = canonical_generators(params, spec), curve_ring(spec)
+    base = closed_form_base(params, gens)
+    top = max(max(module.twists) for module in base.modules)
+    for small in (top, 2 * top - 1):
+        layout = _Module(ring.weights, small)
+        with pytest.raises(AssertionError, match="exceeds half its layout's bound"):
+            closedform._assemble(ring, layout, *_templates_in(layout, params, gens))
+    layout = _Module(ring.weights, 2 * top)
+    fitted = closedform._assemble(ring, layout, *_templates_in(layout, params, gens))
+    assert [gmap.entries for gmap in fitted.maps] == [gmap.entries for gmap in base.maps]
+    assert [module.twists for module in fitted.modules] == [module.twists for module in base.modules]

@@ -18,6 +18,7 @@ from monocurve.closedform import (
     canonical_generators,
     case_id,
     closed_form_base,
+    closed_form_resolution,
     extract_parameters,
 )
 from monocurve.groebner import _Module, _rank_one, buchberger, pair_records, toric_kernel, toric_kernel_generic
@@ -469,6 +470,43 @@ def test_pair_records_assert_the_packing_bound():
     module.top = 20  # both leads have degree 14 and 16, their lcm 23
     with pytest.raises(AssertionError, match=r"pair \(0, 1\) exceeds the packing bound"):
         pair_records(module, module.next(leads), columns, [(0, 1)], leads)
+
+
+def test_pair_records_with_no_pairs_still_check_the_lead_coefficients():
+    """No pair gives no syzygy, and a lead coefficient other than ±1 is a
+    ValueError with no pair too: that check makes the result hold over
+    every field."""
+    gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
+    module, columns, leads = _rank_one(gens)
+    assert pair_records(module, module.next(leads), columns, [], leads) == []
+    doubled = [{t: 2 * c for t, c in column.items()} for column in columns]
+    with pytest.raises(ValueError, match="not ±1"):
+        pair_records(module, module.next(leads), doubled, [], leads)
+
+
+def test_map_keys_are_packed_without_encode(monkeypatch):
+    """Closed form and generic alike, building, minimalizing and validating
+    a complex keys every term by shifts and adds: ``_Module.encode``, which
+    the certificate's ``_rank_one`` still calls, is called zero times."""
+    calls = []
+    encode = _Module.encode
+
+    def counted(self, *args):
+        calls.append(args)
+        return encode(self, *args)
+
+    monkeypatch.setattr(_Module, "encode", counted)
+    buchberger(toric_kernel(validate_sequence(5, 7, 9, 11)).reduced_gb.elements)
+    assert calls  # the counter sees the certificate's calls
+    for label in sorted(FIXTURES):
+        spec = validate_sequence(*FIXTURES[label])
+        kernel = toric_kernel(spec)
+        params = extract_parameters(kernel)
+        gens = canonical_generators(params, spec)
+        calls.clear()
+        closed_form_resolution(params, gens).validate()
+        minimalize(build_resolution(kernel.reduced_gb)).validate()
+        assert calls == [], label
 
 
 def test_build_resolution_leaves_the_basis_as_it_was():
