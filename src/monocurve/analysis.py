@@ -38,7 +38,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .closedform import (
     CASE_TABLE,
@@ -172,7 +172,7 @@ def analyze_sequence(
     table = betti_table(resolution)
     betti_computed = table.totals()
     numerator = hilbert_numerator(resolution)
-    graded = [(i, d, c) for (i, d), c in sorted(table.counts().items())]
+    graded = [(i, d, c) for (i, d), c in table.entries]  # ascending (i, d)
     flags["hilbert_ok"] = numerator == series_numerator(spec.gamma)
 
     # validate() checks composition before minimality, so one pass sets both
@@ -187,7 +187,7 @@ def analyze_sequence(
     params = case = case_label = betti_lookup = None
     try:
         params = extract_parameters(kernel)
-        params_json = {f.name: getattr(params, f.name) for f in fields(params)}
+        params_json = dict(vars(params))  # the dataclass's fields, in order
         case = case_id(params)
     except (TemplateMismatch, CaseUnmatched) as exc:
         if params is None:

@@ -287,6 +287,9 @@ def cmd_matrices(args) -> int:
     except (TemplateMismatch, DegreeImbalance, CaseUnmatched) as exc:
         print("no closed form for this tuple: %s" % exc)
         return 0
+    except Exception as exc:  # a finding, as ``analyze`` records it: one line, exit 2
+        print("closed form failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
     print("case %s" % case.label)
     _print_maps("closed", closed, sys.stdout)
     agree_ranks = generic.ranks == closed.ranks

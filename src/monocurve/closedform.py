@@ -511,10 +511,10 @@ def graded_shifts(case: CaseId, params: CaseParameters, spec: SequenceSpec) -> t
 # satisfy A.B = 0 and B.C = 0 identically in the exponents; degenerate
 # parameter values (x0_pure = 0, x0_plain = 1, x2_cross = 0, x2_gap small)
 # turn individual entries into constants, and minimalize clears those
-# mechanically.  Each entry is an {offset: coefficient} dict (a generator
+# mechanically.  Each entry is a {monomial: coefficient} dict (a generator
 # is its own term dict, _diff of equal monomials is empty), m(x0=..., y=...)
-# packing each monomial as the offset sum(e_i * steps_i) it adds to the key
-# of 1 in its row; _assemble adds those keys, from_columns checks each term.
+# packing each monomial as its F_0 int, V + sum(e_i * steps_i); _assemble
+# adds each row's (i << rs) + (t << mb) to it, from_columns checks each term.
 
 
 def _diff(plus, minus) -> dict:
@@ -648,17 +648,18 @@ _BUILDERS = {
 
 
 def _assemble(ring, layout, rows, b_cols, c_cols) -> FreeResolution:
-    """Chain the generator row with the two syzygy matrices, given by their
-    columns of {offset: coefficient} entries: offset o in a row of twist t
-    is keyed layout.unit(row, t) + o, and ``from_columns`` checks each term.
-    A twist over half the layout's bound is an AssertionError: below it no
-    exponent outgrows its field, and a wrong degree reads as one, not as a carry."""
-    maps, target = [], GradedFreeModule(ring, (0,))
-    for cols in ([[g] for g in rows], b_cols, c_cols):
-        base = [layout.unit(i, t) for i, t in enumerate(target.twists)]
-        columns = [{base[i] + o: c for i, e in enumerate(col) for o, c in e.items()} for col in cols]
-        maps.append(GradedMap.from_columns(target, columns, layout))
+    """Chain the generator row, {F_0 int: coefficient} dicts that are the
+    first map's columns, with the two syzygy matrices of such entries: x^e
+    in row i of twist t is keyed its int + (i << rs) + (t << mb), empty
+    entries skipped, and ``from_columns`` checks each term.  A twist over
+    half the layout's bound is an AssertionError: below it no exponent
+    outgrows its field, and a wrong degree reads as one, not as a carry."""
+    maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), rows, layout)]
+    for cols in (b_cols, c_cols):
         target = maps[-1].source
+        base = [(i << layout.rs) + (t << layout.mb) for i, t in enumerate(target.twists)]
+        columns = [{b + o: c for b, e in zip(base, col) if e for o, c in e.items()} for col in cols]
+        maps.append(GradedMap.from_columns(target, columns, layout))
     if 2 * max(max(gmap.source.twists) for gmap in maps) > layout.top:
         raise AssertionError("a twist of the complex exceeds half its layout's bound")
     return FreeResolution(maps)
@@ -678,8 +679,8 @@ def closed_form_base(params: CaseParameters, gens: list) -> FreeResolution:
     """
     ring = gens[0].ring
     layout = _Module(ring.weights, 2 * sum(ring.degree(next(iter(g.terms))) for g in gens))
-    s0, s1, s2, s3 = layout.steps
-    m = lambda x0=0, x1=0, x2=0, y=0: x0 * s0 + x1 * s1 + x2 * s2 + y * s3  # noqa: E731
+    one, (s0, s1, s2, s3) = layout.full, layout.steps
+    m = lambda x0=0, x1=0, x2=0, y=0: one + x0 * s0 + x1 * s1 + x2 * s2 + y * s3  # noqa: E731
     rows = [{m(*e): c for e, c in g.terms.items()} for g in gens]
     a, b = params.plain_offset, params.cross_offset
     return _assemble(ring, layout, rows, *_BUILDERS[(a, b) if params.has_cross else a](rows, params, m))

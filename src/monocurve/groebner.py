@@ -27,9 +27,10 @@ so there are at most as many levels as variables.
 
 Every graded map keys its terms in ``_Module``'s fields too: x^m in row i
 of a column of twist t <= top is (i << rs) + (t << mb) + V - m, in row 0
-F_0's int at degree t.  A level's int goes to its map key by shifts and
-masks (``keys``), a row's key of 1 is ``unit``, products are int adds,
-and only ``encode`` (for ``_rank_one``) and ``decode`` see exponent tuples.
+F_0's int at degree t.  Each level's syzygies come out keyed so, as its
+map's columns; ``pair_records`` turns a column's tail back into level ints
+once.  A row's key of 1 is ``unit``, products are int adds, and only
+``encode`` (for ``_rank_one``) and ``decode`` see exponent tuples.
 
 The toric kernel's reduced basis is read off the Apéry set, with no S-pair,
 on ``_Module`` F_0 ints over x_1 .. x_k (``toric_kernel_generic``).
@@ -37,7 +38,6 @@ on ``_Module`` F_0 ints over x_1 .. x_k (``toric_kernel_generic``).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -54,11 +54,10 @@ VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
 
 @dataclass
 class GroebnerBasis:
-    """A Gröbner basis with its certificate, ``level``: the (module, frame)
-    of ``syzygy_level`` on ``columns``, the elements' ints in F_0 = R, one
-    ((i, j), lead, column) per pair of the lead frame, lead and column
-    packed terms of ``module``, the column the pair's syzygy.  Its order is
-    always the ring's weighted grevlex, the only one the packed keys express."""
+    """A Gröbner basis with its certificate, ``level``: the (module, frame) of
+    ``syzygy_level`` on ``columns``, the elements' ints in F_0 = R, one ((i, j),
+    lead, column) per lead-frame pair, lead an int of ``module``, column its
+    syzygy as a map column.  The order is the ring's weighted grevlex, always."""
 
     elements: list
     level: tuple
@@ -73,16 +72,14 @@ class _Module:
     bits.  Images in F_0 have degree at most ``top``.  A map key's row is
     key >> rs, its twist key >> mb below that, and x_i adds steps[i] to it."""
 
-    shared = ("weights", "top", "value", "vmask", "mb", "fields", "shifts", "full", "guard", "rs", "steps")
-    __slots__ = shared + ("pb", "pmask", "x", "r", "consts")
-
     def __init__(self, weights, top):
         """F_0 = R, x^m packed as (deg m << mb) + V - m: weighted grevlex."""
         v = (top // min(weights, default=1)).bit_length()
         self.weights, self.top, self.value, self.vmask = weights, top, v, (1 << v) - 1
         self.mb = len(weights) * (v + 1)
         self.fields, self.shifts = (1 << self.mb) - 1, tuple(range(self.mb - v - 1, -1, -v - 1))
-        self.full, self.guard = sum(self.vmask << s for s in self.shifts), sum(1 << s + v for s in self.shifts)
+        ones = self.fields // ((2 << v) - 1)  # the low bit of every field
+        self.full, self.guard = ones * self.vmask, ones << v
         self.rs = self.mb + top.bit_length()
         self.steps = tuple((w << self.mb) - (1 << s) for w, s in zip(weights, self.shifts))
         self.pb, self.pmask, self.x, self.r, self.consts = 0, 0, self.mb, 1, (self.full,)
@@ -91,26 +88,15 @@ class _Module:
         """The level over ``leads``, ints of this one: x^m e_p is the int of
         leads[p]·x^m here, then V - m, then 2^pb - 1 - p."""
         out, pb = object.__new__(_Module), len(leads).bit_length()
-        for name in self.shared:
-            setattr(out, name, getattr(self, name))
+        out.__dict__.update(self.__dict__)
         low = self.mb + pb
         out.consts = [(lead << low) + (self.full << pb) + (1 << pb) - 1 - p for p, lead in enumerate(leads)]
         out.pb, out.pmask, out.x, out.r = pb, (1 << pb) - 1, self.x + low, (self.r << low) + (1 << pb)
         return out
 
-    def term(self, p: int, q: int, degree: int) -> int:
-        """The int of x^q e_p, q packed, of the given degree."""
-        return self.consts[p] + (degree << self.x) - q * self.r
-
     def degree(self, q: int) -> int:
         v = self.vmask
         return sum([w * (q >> s & v) for w, s in zip(self.weights, self.shifts)])
-
-    def keys(self, column) -> dict:
-        """``column``, {int: coefficient} of this level, with each x^m e_p
-        keyed as x^m in row p of a map, at the degree of its image."""
-        pb, pmask, x, mb, fields, rs = self.pb, self.pmask, self.x, self.mb, self.fields, self.rs
-        return {(~t & pmask) << rs | t >> x << mb | t >> pb & fields: c for t, c in column.items()}
 
     def unit(self, row: int, twist: int) -> int:
         """The map key of 1 in a row of ``twist``; x^m adds m·steps to it."""
@@ -142,10 +128,16 @@ class _Module:
         low = b & least | a & ~least  # V - lcm
         return a - low, b - low
 
+    def pair(self, leads, i: int, j: int) -> tuple:
+        """(i, j, cofactor_i, cofactor_j, degree of the lcm) of two leads at one position."""
+        cof_i, cof_j = self.cofactors(leads[i], leads[j])
+        return i, j, cof_i, cof_j, (leads[i] >> self.x) + self.degree(cof_i)
+
 
 def _lead_frame(module, syz, leads) -> list:
-    """The pairs (i, j) whose syzygies the resolution keeps, ascending, each
-    with the lead of its syzygy in ``syz``, the level over ``leads``.
+    """The pairs (i, j, cofactor_i, cofactor_j) whose syzygies the resolution
+    keeps, ascending, each with the lead of its syzygy in ``syz``, the level
+    over ``leads``: x^q e_p, q packed, of degree d is consts[p] + (d << x) - q·r.
 
     The syzygy of (i, j), leads at one position, has lead cofactor_i e_i or
     cofactor_j e_j, whichever cofactor is lexicographically smaller (ties to
@@ -154,18 +146,19 @@ def _lead_frame(module, syz, leads) -> list:
     pair: the leads an ascending pass keeps when no kept lead divides them,
     since per slot the Schreyer order is a monomial order.
     """
-    mask, guard = module.pmask, module.guard
+    mask, guard, cofactors, n = module.pmask, module.guard, module.cofactors, len(leads)
     minimal: dict = {}  # slot -> [(cofactor, pair)], none dividing another
     for i, a in enumerate(leads):
-        for j in range(i + 1, len(leads)):
+        for j in range(i + 1, n):
             if (a ^ leads[j]) & mask == 0:
-                cof_i, cof_j = module.cofactors(a, leads[j])
+                cof_i, cof_j = cofactors(a, leads[j])
                 slot, cof = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
                 kept = minimal.setdefault(slot, [])
                 if all((cof | guard) - k & guard != guard for k, _ in kept):
                     kept[:] = [(k, pair) for k, pair in kept if (k | guard) - cof & guard != guard]
-                    kept.append((cof, (i, j)))
-    return sorted((pair, syz.term(slot, c, syz.degree(c))) for slot, kept in minimal.items() for c, pair in kept)
+                    kept.append((cof, (i, j, cof_i, cof_j)))
+    consts, x, r, degree = syz.consts, syz.x, syz.r, syz.degree
+    return sorted((pair, consts[p] + (degree(c) << x) - c * r) for p, kept in minimal.items() for c, pair in kept)
 
 
 def _rank_one(elements) -> tuple:
@@ -189,29 +182,26 @@ def _refuse_others(elements) -> None:
 
 def syzygy_level(module, columns, leads) -> tuple:
     """(syz, frame) of one syzygy level: ``syz`` the ``_Module`` over
-    ``leads``, the leads of ``columns``, {int: coefficient} dicts of
-    ``module``, and ``frame`` one (pair, lead, column) per pair of
-    ``_lead_frame``, the column the pair's syzygy in ``syz``.
+    ``leads``, the leads of ``columns``, map columns of ``module``'s
+    elements, and ``frame`` one (pair, lead, column) per pair of
+    ``_lead_frame``, the column the pair's syzygy keyed as a map column.
 
     On F_0 = R (r = 1) a pair with coprime leads, whose lcm's degree is the
     sum of theirs, keeps its Koszul column (g_i e_j - g_j e_i)·c_i c_j, c
-    the lead coefficients (product criterion); every other pair goes to one
-    ``pair_records`` call, whose AssertionError names the first pair that
-    leaves a remainder.
+    the lead coefficients (product criterion), each term of g_j moved to row
+    i and up by g_i's degree; every other pair goes to one ``pair_records``
+    call, whose AssertionError names the first pair that leaves a remainder.
     """
-    syz, x = module.next(leads), module.x
-    kept = _lead_frame(module, syz, leads)
-    koszul = [module.r == 1 and lead >> syz.x == (leads[i] >> x) + (leads[j] >> x) for (i, j), lead in kept]
-    divided = [pair for (pair, _), k in zip(kept, koszul) if not k]
-    syzygies = iter(pair_records(module, syz, columns, divided, leads))
-    # x^m e_p less consts[p], for x^m in F_0 = R
-    lift = lambda t: (t >> x << syz.x) - (module.full - (t & module.fields)) * syz.r  # noqa: E731
+    syz, x, rs = module.next(leads), module.x, module.rs
+    kept = [((*pair, lead >> syz.x), lead) for pair, lead in _lead_frame(module, syz, leads)]  # + lcm degree
+    koszul = [module.r == 1 and d == (leads[i] >> x) + (leads[j] >> x) for (i, j, _, _, d), _ in kept]
+    syzygies = iter(pair_records(module, columns, [pair for (pair, _), k in zip(kept, koszul) if not k], leads))
     frame = []
-    for ((i, j), lead), k in zip(kept, koszul):
-        if k:
+    for ((i, j, *_), lead), k in zip(kept, koszul):
+        if k:  # x = mb on F_0: g_j's terms move to row i, up by g_i's degree, and g_i's to row j
             s = columns[i][leads[i]] * columns[j][leads[j]]
-            column = {syz.consts[i] + lift(t): -s * c for t, c in columns[j].items()}
-            column.update({syz.consts[j] + lift(t): s * c for t, c in columns[i].items()})
+            column = {t + (i << rs | leads[i] >> x << x): -s * c for t, c in columns[j].items()}
+            column.update({t + (j << rs | leads[j] >> x << x): s * c for t, c in columns[i].items()})
         else:
             column = next(syzygies)
         frame.append(((i, j), lead, column))
@@ -250,9 +240,9 @@ def is_groebner(gens) -> bool:
     guard, ones = module.guard, module.guard >> module.value
     # the guard bits of the variables each lead carries
     support = [(module.full - (t & module.fields) | guard) - ones & guard for t in leads]
-    pairs = [(i, j) for j in range(len(leads)) for i in range(j) if support[i] & support[j]]
+    pairs = [module.pair(leads, i, j) for j in range(len(leads)) for i in range(j) if support[i] & support[j]]
     try:
-        pair_records(module, module.next(leads), columns, pairs, leads)
+        pair_records(module, columns, pairs, leads)
     except AssertionError:
         return False
     return True
@@ -270,57 +260,64 @@ def _subtract(terms: dict, items, shift: int, scale) -> None:
             del terms[t]
 
 
-def pair_records(module, syz, columns, pairs, leads) -> list:
-    """The syzygy of each pair (i, j) of ``columns``, {int: coefficient}
-    dicts of ``module`` forming a Gröbner basis with leads ``leads``, i's and
-    j's at one position, as a {int: coefficient} dict of ``syz``, the level
-    over ``leads``: the one division the program runs, at every level.
+def pair_records(module, columns, pairs, leads) -> list:
+    """The syzygy of each pair (i, j) of ``columns``, given as its record
+    (i, j, cofactor_i, cofactor_j, d), d the lcm's degree (``_Module.pair``),
+    map columns of the level ``module``'s elements forming a Gröbner basis
+    with leads ``leads``, ints of ``module``, i's and j's at one position, as
+    a map column over the level's elements: the program's one division.
 
     The S-element c_i·cofactor_i·columns[i] - c_j·cofactor_j·columns[j],
     c the lead coefficients, which must be ±1 (else a ValueError), is
-    divided by ``divide``'s rule in one dict: the greatest term goes to the
+    divided by ``divide``'s rule in one dict of ``module`` ints, each
+    column's tail turned back into them once: the greatest term goes to the
     greatest dividing lead, ties to the earlier index, whose tail is
     subtracted shifted by the term minus the lead; a term no lead divides
     fails the pair (AssertionError).  The syzygy is the quotients, minus
-    c_i·cofactor_i at slot i, plus c_j·cofactor_j at slot j; each quotient
-    is new to it, as the divided terms strictly fall below the lcm of the
-    pair's leads, whose degree must be at most ``module.top``.
+    c_i·cofactor_i at slot i, plus c_j·cofactor_j at slot j, each keyed in
+    its slot's row at the lcm's degree; each quotient is new to it, as the
+    divided terms strictly fall below the lcm of the pair's leads, whose
+    degree must be at most ``module.top``.
     """
-    units = [column[lead] for column, lead in zip(columns, leads)]
+    pb, x, r, guard, mask, fields = module.pb, module.x, module.r, module.guard, module.pmask, module.fields
+    rs, mb, full, top = module.rs, module.mb, module.full, module.top
+    heads = [(~t & mask) << rs | t >> x << mb | t >> pb & fields for t in leads]  # the leads' map keys
+    units = [column[head] for column, head in zip(columns, heads)]
     if any(u not in (1, -1) for u in units):
         raise ValueError("a lead coefficient is not ±1: %r" % (units,))
     if not pairs:
         return []
-    pb, x, r, guard, mask, mb = module.pb, module.x, module.r, module.guard, module.pmask, module.fields
-    consts, sx, sr = syz.consts, syz.x, syz.r
     divisors: dict = {}  # position -> [(index, lead, V - its exponent, lead coefficient)], by precedence
     for k in sorted(range(len(leads)), key=leads.__getitem__, reverse=True):
-        divisors.setdefault(leads[k] & mask, []).append((k, leads[k], leads[k] >> pb & mb, units[k]))
-    tails = [[(t, c) for t, c in column.items() if t != lead] for column, lead in zip(columns, leads)]
+        divisors.setdefault(leads[k] & mask, []).append((k, leads[k], leads[k] >> pb & fields, units[k]))
+    # x^m e_p in row p at twist t is consts[p] + (t - deg p << x) - m·r, and deg p is consts[p] >> x
+    lows, tmask = [(p & (1 << x) - 1) - full * r for p in module.consts], (1 << rs - mb) - 1
+    tails = [  # each column but its lead, as (int of module, coefficient)
+        [(lows[k >> rs] + ((k >> mb & tmask) << x) + (k & fields) * r, c) for k, c in col.items() if k != head]
+        for col, head in zip(columns, heads)
+    ]
     syzygies = []
-    for i, j in pairs:
+    for i, j, cof_i, cof_j, degree in pairs:
         a, b = leads[i], leads[j]
-        cof_i, cof_j = module.cofactors(a, b)
-        deg_i = module.degree(cof_i)
-        if (a >> x) + deg_i > module.top:
+        if degree > top:
             raise AssertionError("pair (%d, %d) exceeds the packing bound" % (i, j))
-        lcm = a + (deg_i << x) - cof_i * r
+        lcm, base = a + (degree - (a >> x) << x) - cof_i * r, (degree << mb) + full
         terms: dict = {}
         _subtract(terms, tails[i], lcm - a, -units[i])
         _subtract(terms, tails[j], lcm - b, units[j])
-        syzygy = {syz.term(i, cof_i, deg_i): -units[i], syz.term(j, cof_j, (lcm >> x) - (b >> x)): units[j]}
+        syzygy = {(i << rs) + base - cof_i: -units[i], (j << rs) + base - cof_j: units[j]}
         while terms:
-            top = max(terms)
-            c = terms.pop(top)
-            m = top >> pb & mb
-            for k, lead, d, unit in divisors.get(top & mask, ()):
+            t = max(terms)
+            c = terms.pop(t)
+            m = t >> pb & fields
+            for k, lead, d, unit in divisors.get(t & mask, ()):
                 if (d | guard) - m & guard == guard:
                     break
             else:
                 raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
             c *= unit
-            syzygy[consts[k] + ((top >> x) - (lead >> x) << sx) - (d - m) * sr] = c
-            _subtract(terms, tails[k], top - lead, c)
+            syzygy[(k << rs) + base - (d - m)] = c
+            _subtract(terms, tails[k], t - lead, c)
         syzygies.append(syzygy)
     return syzygies
 
@@ -356,29 +353,33 @@ def _standard_table(w) -> tuple:
     The int is (a_r << mb) + V - e, so ints compare as (a, -e_1, .., -e_k):
     least degree, then most x_1, and so on, the ring order.  1 is
     ``module.full``, x_i adds ``module.steps[i - 1]``, the residue is the
-    degree field mod w_0.  Exact while no field borrows: a least-degree path
-    visits no residue twice, so a_r <= top = (w_0 - 1)·max(w), and a
-    neighbour, a table monomial times one variable, has degree at most
-    top + max(w), the module's top, so e_i <= (top + max(w)) // w_i fits.
-    Shortest paths over the residues, one edge per weight after the first.
+    degree field mod w_0.  Exact while no field borrows: a least monomial in
+    any of the variables visits no residue twice on its way up from 1, so
+    a_r <= top = (w_0 - 1)·max(w), and a neighbour, a table monomial times
+    one variable, has degree at most top + max(w), the module's top, so
+    e_i <= (top + max(w)) // w_i fits.  The ints add along x_i and compare
+    in the order, so one round-robin pass per weight after the first fills
+    the table (Böcker and Lipták, *Algorithmica* 48, 2007): each cycle of
+    x_i through the residues, from its least entry once round.
     """
     m, top = w[0], (w[0] - 1) * max(w)
     module = _Module(w[1:], top + max(w))
-    mb = module.mb
-    steps = [(step, v % m) for step, v in zip(module.steps, module.weights)]
-    heap = [module.full]  # the int of 1
-    least = heap + [None] * (m - 1)
-    while heap:
-        label = heapq.heappop(heap)
-        r = (label >> mb) % m
-        if label != least[r]:
-            continue
-        for step, v in steps:
-            t, q = label + step, r + v - m if r + v >= m else r + v
-            if least[q] is None or t < least[q]:
-                least[q] = t
-                heapq.heappush(heap, t)
-    if max(least) >> mb > top:
+    least = [module.full] + [math.inf] * (m - 1)  # the int of 1, then none reached
+    for step, v in zip(module.steps, module.weights):
+        d, v = math.gcd(v, m), v % m
+        for start in range(d):
+            cycle = least[start::d]  # the cycle's entries, by residue
+            label = min(cycle)
+            q = start + d * cycle.index(label)
+            del cycle  # else every entry the walk replaces stays alive in it
+            for _ in range(m // d - 1):
+                q = q + v - m if q + v >= m else q + v
+                label += step
+                if label < least[q]:
+                    least[q] = label
+                else:
+                    label = least[q]
+    if max(least) >> module.mb > top:
         raise AssertionError("an Apéry element exceeds the packing bound")
     return least, module
 

@@ -81,8 +81,7 @@ class Ring:
         return self._default_order
 
     def degree(self, mono: tuple) -> int:
-        w = self.weights
-        return sum(e * w[i] for i, e in enumerate(mono) if e)
+        return sum(map(mul, mono, self.weights))
 
     def zero(self) -> "Poly":
         return Poly(self, {})

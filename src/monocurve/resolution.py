@@ -8,8 +8,7 @@ maps' packed columns and builds no polynomial.
 The syzygy levels come from ``groebner.syzygy_level``, one packed frame
 each: level 1 is the certificate ``buchberger`` made (``GroebnerBasis.level``),
 every later level one more call on the frame before.  Each level's frame
-goes to the columns of the level's map by shifts and masks
-(``_Module.keys``), which ``schreyer_syzygies`` takes as they are.
+columns are its map's columns as they are.
 
 Conventions, fixed once:
 
@@ -102,7 +101,7 @@ class GradedMap:
     columns: one {int: coefficient} dict per source basis vector, keyed in
     ``layout``, never changed once ``from_columns`` has built the map."""
 
-    __slots__ = ("source", "target", "columns", "layout")
+    __slots__ = ("source", "target", "columns", "layout", "units")
 
     @classmethod
     def from_columns(cls, target: GradedFreeModule, columns, layout) -> "GradedMap":
@@ -116,7 +115,7 @@ class GradedMap:
         """A map whose columns are known to fit its twists (checked columns,
         or a checked map with rows or columns deleted), checked no more."""
         out = object.__new__(cls)
-        out.source, out.target, out.columns, out.layout = source, target, tuple(columns), layout
+        out.source, out.target, out.columns, out.layout, out.units = source, target, tuple(columns), layout, None
         return out
 
     @property
@@ -143,16 +142,17 @@ def compose_zero(a: GradedMap, b: GradedMap) -> bool:
     adds a's column k times c·x^m, and the first column left with a nonzero
     coefficient answers False.  The product of a's term s in column k, of
     twist t, and b's term u in row k is keyed s + u - unit(k, t), the key
-    of 1 in row k taken off once per column of a; each product is one int add.
+    of 1 in row k taken off u once; each product is one int add.
     """
-    if a.source != b.target or a.layout is not b.layout:
+    if a.source is not b.target and a.source != b.target or a.layout is not b.layout:
         raise ShapeMismatch("inner modules or layouts differ")
-    rs, units = a.layout.rs, map(a.layout.unit, range(a.source.rank), a.source.twists)
-    left = [[(s - one, c) for s, c in column.items()] for one, column in zip(units, a.columns)]
+    rs, left, units = a.layout.rs, a.columns, list(map(a.layout.unit, range(a.source.rank), a.source.twists))
     for column in b.columns:
         acc = {}
         for u, c2 in column.items():
-            for key, c1 in left[u >> rs]:
+            k = u >> rs
+            u -= units[k]
+            for key, c1 in left[k].items():
                 key += u
                 acc[key] = acc.get(key, 0) + c1 * c2
         if any(acc.values()):
@@ -170,7 +170,7 @@ class FreeResolution:
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
         for left, right in zip(self.maps, self.maps[1:]):
-            if left.source != right.target:
+            if left.source is not right.target and left.source != right.target:
                 raise ShapeMismatch("consecutive maps do not chain")
 
     @property
@@ -209,9 +209,9 @@ def build_resolution(gb: GroebnerBasis) -> FreeResolution:
     ints (``gb.columns``, its row-0 keys) as columns.  The loop starts at
     ``gb.level``, the lead-frame syzygies ``buchberger`` certified the basis
     with (Schreyer's frame; La Scala and Stillman, JSC 26, 1998); each pass
-    hands the level's frame to its map by shifts and masks (``keys``), with
-    ``top``, which ``pair_records`` asserts, bounding every twist, and makes
-    the next level with one ``syzygy_level`` call.  The kept pair syzygies
+    makes the level's frame columns its map's, with ``top``, which
+    ``pair_records`` asserts, bounding every twist, and makes the next level
+    with one ``syzygy_level`` call.  The kept pair syzygies
     generate the syzygies of the leads, so by the generalised Buchberger
     criterion each level is a Gröbner basis in the induced order.
     """
@@ -221,7 +221,7 @@ def build_resolution(gb: GroebnerBasis) -> FreeResolution:
         if len(maps) == ring.nvars:
             raise AssertionError("resolution exceeded the number of variables")
         columns = [column for _, _, column in frame]
-        maps.append(schreyer_syzygies(maps[-1].source, list(map(module.keys, columns)), maps[0].layout))
+        maps.append(schreyer_syzygies(maps[-1].source, columns, maps[0].layout))
         module, frame = syzygy_level(module, columns, [lead for _, lead, _ in frame])
     return FreeResolution(maps)
 
@@ -281,19 +281,15 @@ def _find_constant_entry(maps, step: int = 0, row: int = 0):
     starting at row ``row`` of map ``step``, or None.  With positive weights
     a nonzero entry is constant iff its row and column twists are equal, and
     then its one term is the key of 1 in row i, so only those keys are
-    looked up."""
+    looked up, as the map's ``units``, (i, j, key) listed at its first scan."""
     for s in range(step, len(maps)):
-        gmap = maps[s]
-        columns: dict = {}
-        for j, t in enumerate(gmap.source.twists):
-            columns.setdefault(t, []).append(j)
-        for i in range(row if s == step else 0, gmap.target.rank):
-            t = gmap.target.twists[i]
-            if t in columns:
-                unit = gmap.layout.unit(i, t)
-                for j in columns[t]:
-                    if unit in gmap.columns[j]:
-                        return s, i, j
+        gmap, first = maps[s], row if s == step else 0
+        if gmap.units is None:
+            one, columns = gmap.layout.unit, list(enumerate(gmap.source.twists))
+            gmap.units = [(i, j, one(i, t)) for i, t in enumerate(gmap.target.twists) for j, u in columns if u == t]
+        for i, j, key in gmap.units:
+            if i >= first and key in gmap.columns[j]:
+                return s, i, j
     return None
 
 
@@ -333,17 +329,17 @@ class BettiTable:
         return dict(self.entries)
 
     def totals(self) -> tuple:
-        by_index = Counter()
+        by_index = [0] * (self.entries[-1][0][0] + 1 if self.entries else 0)  # entries ascend by (i, d)
         for (i, _d), c in self.entries:
             by_index[i] += c
-        return tuple(by_index[i] for i in range(max(by_index) + 1)) if by_index else ()
+        return tuple(by_index)
 
 
 def betti_table(res: FreeResolution) -> BettiTable:
     if not res.minimal:
         raise NotMinimal("minimalize the resolution first")
-    counts = Counter((i, d) for i, module in enumerate(res.modules[1:]) for d in module.twists)
-    return BettiTable(tuple(sorted(counts.items())))
+    twists = sorted([(i, d) for i, module in enumerate(res.modules[1:]) for d in module.twists])
+    return BettiTable(tuple(Counter(twists).items()))  # counted in ascending (i, d) order
 
 
 def hilbert_numerator(res: FreeResolution) -> dict:

@@ -74,9 +74,9 @@ sums, entry by entry, is the reference for that.
 alone, as reduced homology of small simplicial complexes, with no Gröbner
 code at all.  ``betti_degrees`` reads one level of a ``BettiTable``.
 
-The program reads the toric kernel's reduced basis off the Apéry set, one
-shortest-path pass with no S-pair.  Two references compute the same reduced
-basis another way, and the tests require them to agree with it:
+The program reads the toric kernel's reduced basis off the Apéry set, by
+one round-robin pass per weight and no S-pair.  Two references compute the
+same reduced basis another way, and the tests require them to agree with it:
 
 * ``toric_kernel_elimination``, the textbook algorithm, on the reduced
   elements;
@@ -99,7 +99,9 @@ walking the boundary of the order ideal of standard monomials, so its
 lookups follow that staircase, not w_0.  ``lead_labels_by_scan`` is the
 search it replaced, the reference for it: every residue's standard label
 times each variable, kept when it is not standard and each of its
-divisors by one variable is.
+divisors by one variable is.  The program fills its table by one
+round-robin pass per weight; ``standard_table_by_heap`` is the Dijkstra
+search over the residues it replaced, the reference for it.
 
 The program decides a sequence's minimal generation from one Apéry table,
 Γ's: g is redundant iff g - h is in Γ for some other generator h <= g.
@@ -540,10 +542,11 @@ def transcript_syzygies(gb: Completion) -> GradedMap:
 def decoded_frame(gb) -> list:
     """The certificate of ``gb`` read off its packed ``level``: per pair of
     the lead frame, (pair, lead, {(slot, exponent): coefficient}), the lead
-    a (slot, exponent) pair."""
+    a (slot, exponent) pair, an int of the level, and the column a map
+    column."""
     module, frame = gb.level
     return [
-        (pair, unpacked(module, lead), {unpacked(module, t): c for t, c in column.items()}) for pair, lead, column in frame
+        (pair, unpacked(module, lead), {module.decode(t): c for t, c in column.items()}) for pair, lead, column in frame
     ]
 
 
@@ -597,13 +600,15 @@ def packed(module, term) -> int:
     """The int of the (position, exponent) ``term`` in the program's
     ``groebner._Module`` ``module``."""
     p, mono = term
-    return module.term(p, sum(map(lshift, mono, module.shifts)), sum(map(mul, mono, module.weights)))
+    q, degree = sum(map(lshift, mono, module.shifts)), sum(map(mul, mono, module.weights))
+    return module.consts[p] + (degree << module.x) - q * module.r
 
 
 def unpacked(module, t: int) -> tuple:
     """The (position, exponent) term of the int ``t`` of the level
-    ``module``: its map key, decoded."""
-    (key,) = module.keys({t: 1})
+    ``module``: its map key, x^m e_p keyed as x^m in row p at the degree of
+    its image, decoded."""
+    key = (~t & module.pmask) << module.rs | t >> module.x << module.mb | t >> module.pb & module.fields
     return module.decode(key)
 
 
@@ -1355,6 +1360,32 @@ def standard_table_tuples(w) -> list:
                 least[q] = t
                 heapq.heappush(heap, (t, q))
     return least
+
+
+def standard_table_by_heap(w) -> tuple:
+    """``groebner._standard_table`` as it was before its round-robin
+    passes: the same (table, module), each residue's least int found by a
+    Dijkstra search over the residues, one edge per weight after the first,
+    the ints popped from a heap in the ring order."""
+    m, top = w[0], (w[0] - 1) * max(w)
+    module = _Module(w[1:], top + max(w))
+    mb = module.mb
+    steps = [(step, v % m) for step, v in zip(module.steps, module.weights)]
+    heap = [module.full]  # the int of 1
+    least = heap + [None] * (m - 1)
+    while heap:
+        label = heapq.heappop(heap)
+        r = (label >> mb) % m
+        if label != least[r]:
+            continue
+        for step, v in steps:
+            t, q = label + step, r + v - m if r + v >= m else r + v
+            if least[q] is None or t < least[q]:
+                least[q] = t
+                heapq.heappush(heap, t)
+    if max(least) >> mb > top:
+        raise AssertionError("an Apéry element exceeds the packing bound")
+    return least, module
 
 
 def lead_labels_by_scan(table, module) -> list:

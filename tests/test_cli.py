@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from monocurve import analysis, cli
 from monocurve.analysis import _case_sort_key, analyze_sequence, census_digest, sweep, sweep_lines
 from monocurve.groebner import toric_kernel
-from monocurve.resolution import build_resolution, minimalize
+from monocurve.resolution import PreconditionViolated, build_resolution, minimalize
 from monocurve.semigroup import M0_BUDGET, validate_sequence
 
 from test_analysis import _count_case_matches
@@ -532,6 +532,23 @@ def test_matrices_matches_the_case_once(monkeypatch, capsys):
 def test_matrices_invalid_sequence(capsys):
     assert cli.main(["matrices", "--seq", "2,4,6,3"]) == 1
     assert capsys.readouterr().err
+
+
+def test_matrices_reports_a_failing_closed_form_without_a_traceback(monkeypatch, capsys):
+    """A closed form that raises anything but the three refusals is a
+    finding, as in ``analyze``: the generic maps still print, as pinned in
+    the golden file, then one stderr line names the exception, exit 2."""
+
+    def fail(params, gens):
+        raise PreconditionViolated("pivot entry is not a constant ±1: 2")
+
+    monkeypatch.setattr(cli, "closed_form_resolution", fail)
+    assert cli.main(["matrices", "--seq", "8,9,10,12"]) == 2
+    out, err = capsys.readouterr()
+    golden = (GOLDEN / "matrices_8_9_10_12.txt").read_text()
+    assert out == golden[: golden.index("case xix")]
+    assert err == "closed form failed: PreconditionViolated: pivot entry is not a constant ±1: 2\n"
+    assert "Traceback" not in err
 
 
 # plumbing

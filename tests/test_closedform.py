@@ -518,7 +518,7 @@ def _templates_in(layout, params, gens):
     s0, s1, s2, s3 = layout.steps
 
     def m(x0=0, x1=0, x2=0, y=0):
-        return x0 * s0 + x1 * s1 + x2 * s2 + y * s3
+        return layout.full + x0 * s0 + x1 * s1 + x2 * s2 + y * s3
 
     rows = [{m(*e): c for e, c in g.terms.items()} for g in gens]
     return (rows,) + tuple(closedform._BUILDERS[_shape(params)](rows, params, m))

@@ -469,7 +469,7 @@ def test_pair_records_assert_the_packing_bound():
     module, columns, leads = _rank_one(gens)
     module.top = 20  # both leads have degree 14 and 16, their lcm 23
     with pytest.raises(AssertionError, match=r"pair \(0, 1\) exceeds the packing bound"):
-        pair_records(module, module.next(leads), columns, [(0, 1)], leads)
+        pair_records(module, columns, [module.pair(leads, 0, 1)], leads)
 
 
 def test_pair_records_with_no_pairs_still_check_the_lead_coefficients():
@@ -478,10 +478,21 @@ def test_pair_records_with_no_pairs_still_check_the_lead_coefficients():
     every field."""
     gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
     module, columns, leads = _rank_one(gens)
-    assert pair_records(module, module.next(leads), columns, [], leads) == []
+    assert pair_records(module, columns, [], leads) == []
     doubled = [{t: 2 * c for t, c in column.items()} for column in columns]
     with pytest.raises(ValueError, match="not ±1"):
-        pair_records(module, module.next(leads), doubled, [], leads)
+        pair_records(module, doubled, [], leads)
+
+
+def test_pair_records_check_the_lead_coefficient_of_a_column_no_pair_divides_by():
+    """The ±1 check covers every column, also one whose tail no division
+    of the given pairs reads: column 2 doubled, only the pair (0, 1)."""
+    gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y"), P("X2^2 - X1*Y")]
+    module, columns, leads = _rank_one(gens)
+    assert len(pair_records(module, columns, [module.pair(leads, 0, 1)], leads)) == 1
+    columns[2] = {t: 2 * c for t, c in columns[2].items()}
+    with pytest.raises(ValueError, match="not ±1"):
+        pair_records(module, columns, [module.pair(leads, 0, 1)], leads)
 
 
 def test_map_keys_are_packed_without_encode(monkeypatch):
@@ -538,14 +549,14 @@ def test_level_one_map_is_the_certificate(curve):
 
 
 def _pair_record_calls(gb):
-    """The (module, syz, columns, pairs, leads) of every ``pair_records``
-    call of build_resolution(gb)."""
+    """The (module, columns, pairs, leads) of every ``pair_records`` call of
+    build_resolution(gb), each pair a record (i, j, cofactor_i, cofactor_j, d)."""
     calls = []
     original = groebner.pair_records
 
-    def spy(module, syz, columns, pairs, leads):
-        calls.append((module, syz, columns, pairs, leads))
-        return original(module, syz, columns, pairs, leads)
+    def spy(module, columns, pairs, leads):
+        calls.append((module, columns, pairs, leads))
+        return original(module, columns, pairs, leads)
 
     groebner.pair_records = spy
     try:
@@ -556,8 +567,8 @@ def _pair_record_calls(gb):
 
 
 def _decoded(module, column):
-    """A column of packed terms as a {(slot, exponent): coefficient} dict."""
-    return {unpacked(module, t): c for t, c in column.items()}
+    """A map column as a {(slot, exponent): coefficient} dict."""
+    return {module.decode(t): c for t, c in column.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -577,10 +588,11 @@ def test_pair_records_match_generic_division(curve):
     gb = toric_kernel(spec).reduced_gb
     ring = gb.elements[0].ring
     module, columns, leads = _rank_one(gb.elements)
-    first = (module, module.next(leads), columns, [pair for pair, _, _ in gb.level[1]], leads)
+    first = (module, columns, [module.pair(leads, i, j) for (i, j), _, _ in gb.level[1]], leads)
     key = rank_one_key(ring.order())
-    for module, syz, columns, pairs, leads in [first] + _pair_record_calls(gb):
-        syzygies = [_decoded(syz, column) for column in pair_records(module, syz, columns, pairs, leads)]
+    for module, columns, records, leads in [first] + _pair_record_calls(gb):
+        syzygies = [_decoded(module, column) for column in pair_records(module, columns, records, leads)]
+        pairs = [record[:2] for record in records]
         columns, leads = [_decoded(module, column) for column in columns], [unpacked(module, t) for t in leads]
         rank = 1 + max(pos for column in columns for pos, _ in column)
         elements = [Vect(ring, rank, column) for column in columns]
@@ -603,7 +615,7 @@ def test_pair_records_raise_on_a_remainder():
     module, columns, leads = _rank_one(gens)
     pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
     with pytest.raises(AssertionError, match=r"pair \(\d, \d\) leaves a nonzero remainder"):
-        pair_records(module, module.next(leads), columns, pairs, leads)
+        pair_records(module, columns, [module.pair(leads, i, j) for i, j in pairs], leads)
     with pytest.raises(AssertionError, match=r"pair \(\d, \d\) leaves a nonzero remainder"):
         buchberger(gens)
     columns = [_decoded(module, column) for column in columns]
@@ -625,7 +637,7 @@ def test_pair_records_refuse_a_lead_coefficient_other_than_a_unit():
     columns[1] = {t: 2 * c for t, c in columns[1].items()}
     for pairs in ([(0, 1)], []):
         with pytest.raises(ValueError, match="lead coefficient"):
-            pair_records(module, module.next(leads), columns, pairs, leads)
+            pair_records(module, columns, [module.pair(leads, i, j) for i, j in pairs], leads)
         with pytest.raises(ValueError, match="lead coefficient"):
             pair_records_tuples(
                 [_decoded(module, column) for column in columns],
