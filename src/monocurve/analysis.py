@@ -124,13 +124,13 @@ class AnalysisReport:
 
 
 def _gb_ok(gens, certified) -> bool:
-    """Buchberger's criterion for the template generators: being a Gröbner
-    basis is a property of the set up to units, so when ``gens`` are up to
-    sign the elements of ``certified``, the kernel's basis in the same ring,
-    its ``buchberger`` certificate answers; else ``is_groebner``."""
-    basis = certified.elements
-    same = len(gens) == len(basis) and {frozenset(g.terms) for g in gens} == {frozenset(g.terms) for g in basis}
-    return same or is_groebner(gens)
+    """Buchberger's criterion for the template generators, term dicts: being
+    a Gröbner basis is a property of the set up to units, so when ``gens``
+    are up to sign the (lead, tail) pairs of ``certified``, the kernel's
+    basis in the same ring, its certificate answers; else ``is_groebner``."""
+    basis = certified.pairs
+    same = len(gens) == len(basis) and {frozenset(g) for g in gens} == {frozenset(p) for p in basis}
+    return same or is_groebner(gens, certified.ring.weights)
 
 
 def analyze_sequence(
@@ -236,7 +236,7 @@ def analyze_sequence(
                     }
                 )
         try:
-            closed = closed_form_resolution(params, gens)
+            closed = closed_form_resolution(params, gens, kernel.reduced_gb.ring)
             closed.validate()
         except Exception as exc:  # any instantiation failure is a finding
             detail = "%s: %s" % (type(exc).__name__, exc)

@@ -27,12 +27,12 @@ import ast
 import json
 from dataclasses import dataclass, fields
 from importlib import resources
+from operator import mul
 
 from .semigroup import SequenceSpec, progression_multiple
-from .poly import Poly, Ring
 # buchberger is not called here; it stays importable as closedform.buchberger
 # because perfbench/spans.py wraps that attribute
-from .groebner import VARIABLE_NAMES, ToricIdeal, _Module, buchberger, is_pure_difference  # noqa: F401
+from .groebner import VARIABLE_NAMES, ToricIdeal, _Module, buchberger  # noqa: F401
 from .resolution import FreeResolution, GradedFreeModule, GradedMap, minimalize
 
 
@@ -126,28 +126,24 @@ def _m(x0=0, x1=0, x2=0, y=0) -> tuple:
     return x0, x1, x2, y
 
 
-def curve_ring(spec: SequenceSpec) -> Ring:
-    return Ring(VARIABLE_NAMES, spec.weights)
-
-
 def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
-    """The standard generating set, in template order.
-
-    Output order: quadric, plain family, cross family (omitted when
-    has_cross is false), pure relation.  Each element's two monomials must
-    differ and have one weighted degree; else the parameters do not belong
-    to this sequence, and DegreeImbalance is raised.
+    """The standard generating set, each binomial x^plus - x^minus as its
+    term dict {plus: 1, minus: -1}, in template order: quadric, plain family,
+    cross family (omitted when has_cross is false), pure relation.  Each
+    element's two monomials must differ and have one weighted degree; else
+    the parameters do not belong to this sequence: DegreeImbalance.
     """
-    ring = curve_ring(spec)
+    weights = spec.weights
     a, b = params.plain_offset, params.cross_offset
     lam, mu, nu = params.x0_plain, params.x0_pure, params.x0_cross
     q, qc = params.x2_plain, params.x2_cross
     v, w = params.y_order, params.y_split
 
     def binomial(name, plus, minus):
-        if plus == minus or ring.degree(plus) != ring.degree(minus):
-            raise DegreeImbalance("%s: %d != %d for %s" % (name, ring.degree(plus), ring.degree(minus), spec))
-        return Poly(ring, {plus: 1, minus: -1})
+        d_plus, d_minus = sum(map(mul, plus, weights)), sum(map(mul, minus, weights))
+        if plus == minus or d_plus != d_minus:
+            raise DegreeImbalance("%s: %d != %d for %s" % (name, d_plus, d_minus, spec))
+        return {plus: 1, minus: -1}
 
     gens = [binomial("quadric", _m(x1=2), _m(x0=1, x2=1))]
     for i in range(3 - a):
@@ -182,33 +178,18 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
 # extraction
 
 
-def _monic_parts(p: Poly) -> tuple:
-    lead, coeff = p.lead()
-    terms = dict(p.terms)
-    del terms[lead]
-    ((tail, tail_coeff),) = terms.items()
-    if coeff != 1 or tail_coeff != -1:
-        raise TemplateMismatch("basis element is not a monic pure difference")
-    return lead, tail
-
-
 def extract_parameters(ideal: ToricIdeal) -> CaseParameters:
-    """Read the structural exponents off the ideal's reduced basis.
-
-    Refuses with TemplateMismatch when the basis fails to fit the templates.
-    """
-    elements = list(ideal.reduced_gb.elements)
-    if elements[0].ring.names != VARIABLE_NAMES:
+    """Read the structural exponents off the (lead, tail) exponent pairs of
+    the ideal's reduced basis, monic pure differences by ``ToricIdeal.validate``;
+    TemplateMismatch when the basis fails to fit the templates."""
+    if ideal.reduced_gb.ring.names != VARIABLE_NAMES:
         raise TemplateMismatch("expected the four standard curve variables")
-    return _classify(elements, ideal.spec)
+    return _classify(ideal.reduced_gb.pairs, ideal.spec)
 
 
-def _classify(elements, spec: SequenceSpec) -> CaseParameters:
+def _classify(pairs, spec: SequenceSpec) -> CaseParameters:
     quadric, plain, cross, pure = [], [], [], []
-    for p in elements:
-        if not is_pure_difference(p):
-            raise TemplateMismatch("non-binomial element in the basis")
-        lead, tail = _monic_parts(p)
+    for lead, tail in pairs:
         if lead[0] != 0:
             raise TemplateMismatch("a lead carries X0: %s" % (lead,))
         if lead == (0, 2, 0, 0):
@@ -327,8 +308,8 @@ def _classify(elements, spec: SequenceSpec) -> CaseParameters:
     expected = 2 + (3 - a) + ((3 - b) if has_cross else 0)
     if has_cross and b == 1 and a == 2 and qc == q:
         expected -= 1  # the cross companion reduces away
-    if len(elements) != expected:
-        raise TemplateMismatch("basis has %d elements, templates give %d" % (len(elements), expected))
+    if len(pairs) != expected:
+        raise TemplateMismatch("basis has %d elements, templates give %d" % (len(pairs), expected))
 
     if v != progression_multiple(spec.n, spec.m0, spec.d):
         raise TemplateMismatch("pure Y exponent disagrees with the semigroup")
@@ -665,33 +646,26 @@ def _assemble(ring, layout, rows, b_cols, c_cols) -> FreeResolution:
     return FreeResolution(maps)
 
 
-def closed_form_base(params: CaseParameters, gens: list) -> FreeResolution:
-    """The template resolution before any trimming.
-
-    Instantiates the family shape's syzygy matrices with the parameters
-    substituted, over ``gens``, the generator row ``canonical_generators``
-    built from the same parameters; no other ``Poly`` is built.  Each
+def closed_form_base(params: CaseParameters, gens: list, ring) -> FreeResolution:
+    """The template resolution in ``ring`` before any trimming: the family
+    shape's syzygy matrices, parameters substituted, over ``gens``, the term
+    dicts ``canonical_generators`` built from the same parameters.  Each
     monomial is packed as written, by ``m``, in a layout whose bound is
     twice the sum D of the generator degrees: no twist of the base complex
     exceeds D (the Koszul shapes reach it), which ``_assemble`` asserts.
-    Degenerate parameter values leave constant entries, so the output is in
-    general non-minimal; its minimalization has closed-form entries.
-    """
-    ring = gens[0].ring
-    layout = _Module(ring.weights, 2 * sum(ring.degree(next(iter(g.terms))) for g in gens))
+    Degenerate parameter values leave constant entries, which
+    ``closed_form_resolution`` splits off."""
+    weights = ring.weights
+    layout = _Module(weights, 2 * sum(sum(map(mul, next(iter(g)), weights)) for g in gens))
     one, (s0, s1, s2, s3) = layout.full, layout.steps
     m = lambda x0=0, x1=0, x2=0, y=0: one + x0 * s0 + x1 * s1 + x2 * s2 + y * s3  # noqa: E731
-    rows = [{m(*e): c for e, c in g.terms.items()} for g in gens]
+    rows = [{m(*e): c for e, c in g.items()} for g in gens]
     a, b = params.plain_offset, params.cross_offset
     return _assemble(ring, layout, rows, *_BUILDERS[(a, b) if params.has_cross else a](rows, params, m))
 
 
-def closed_form_resolution(params: CaseParameters, gens: list) -> FreeResolution:
-    """Minimal resolution with closed-form entries.
-
-    The base complex over ``gens`` (``canonical_generators`` of the same
-    parameters) with its unit entries split off by ``minimalize``; the
-    surviving ranks equal the triple of the table row that ``case_id``
-    matches for ``params``; no row is matched here.
-    """
-    return minimalize(closed_form_base(params, gens))
+def closed_form_resolution(params: CaseParameters, gens: list, ring) -> FreeResolution:
+    """Minimal resolution with closed-form entries: ``closed_form_base``
+    with its unit entries split off by ``minimalize``; the surviving ranks
+    equal the triple of the row ``case_id`` matches, which is not run here."""
+    return minimalize(closed_form_base(params, gens, ring))

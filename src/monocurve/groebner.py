@@ -8,7 +8,8 @@ columns of the map before, the generators those of F_0 = R.
 ``syzygy_level`` runs a level on its lead frame (La Scala and Stillman,
 JSC 26, 1998), ``buchberger`` certifies a basis by level 1 and keeps it
 packed, and ``resolution.build_resolution`` goes on from it; ``is_groebner``
-divides every pair whose leads share a variable.
+divides every pair whose leads share a variable; both take ``Poly``s or,
+on the program's path, exponent pairs or term dicts.
 
 Each term x^m e_p of a level is one int, its own Schreyer key
 (``_Module``), so terms compare, shift and divide as ints and the greatest
@@ -33,7 +34,8 @@ once.  A row's key of 1 is ``unit``, products are int adds, and only
 ``encode`` (for ``_rank_one``) and ``decode`` see exponent tuples.
 
 The toric kernel's reduced basis is read off the Apéry set, with no S-pair,
-on ``_Module`` F_0 ints over x_1 .. x_k (``toric_kernel_generic``).
+on ``_Module`` F_0 ints over x_1 .. x_k (``toric_kernel_generic``), and
+handed to level 1 as (lead, tail) exponent pairs.
 """
 
 from __future__ import annotations
@@ -54,14 +56,22 @@ VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
 
 @dataclass
 class GroebnerBasis:
-    """A Gröbner basis with its certificate, ``level``: the (module, frame) of
-    ``syzygy_level`` on ``columns``, the elements' ints in F_0 = R, one ((i, j),
-    lead, column) per lead-frame pair, lead an int of ``module``, column its
-    syzygy as a map column.  The order is the ring's weighted grevlex, always."""
+    """A Gröbner basis in the ring's weighted grevlex, ``pairs`` each
+    element's monomials as exponent tuples, lead first, with its certificate
+    ``level``: the (module, frame) of ``syzygy_level`` on ``columns``, the
+    elements' ints in F_0 = R, one ((i, j), lead, column) per lead-frame
+    pair, lead an int of ``module``, column its syzygy as a map column."""
 
-    elements: list
-    level: tuple
+    ring: Ring
+    pairs: list
     columns: list
+    level: tuple
+
+    @property
+    def elements(self) -> list:
+        """The elements as ``Poly``s, decoded at each read."""
+        decode = self.level[0].decode
+        return [Poly(self.ring, {decode(key)[1]: c for key, c in column.items()}) for column in self.columns]
 
 
 class _Module:
@@ -134,10 +144,10 @@ class _Module:
         return i, j, cof_i, cof_j, (leads[i] >> self.x) + self.degree(cof_i)
 
 
-def _lead_frame(module, syz, leads) -> list:
+def _lead_frame(module, leads) -> list:
     """The pairs (i, j, cofactor_i, cofactor_j) whose syzygies the resolution
-    keeps, ascending, each with the lead of its syzygy in ``syz``, the level
-    over ``leads``: x^q e_p, q packed, of degree d is consts[p] + (d << x) - q·r.
+    keeps, ascending, each with the slot p and the packed cofactor q of its
+    syzygy's lead x^q e_p.
 
     The syzygy of (i, j), leads at one position, has lead cofactor_i e_i or
     cofactor_j e_j, whichever cofactor is lexicographically smaller (ties to
@@ -157,18 +167,15 @@ def _lead_frame(module, syz, leads) -> list:
                 if all((cof | guard) - k & guard != guard for k, _ in kept):
                     kept[:] = [(k, pair) for k, pair in kept if (k | guard) - cof & guard != guard]
                     kept.append((cof, (i, j, cof_i, cof_j)))
-    consts, x, r, degree = syz.consts, syz.x, syz.r, syz.degree
-    return sorted((pair, consts[p] + (degree(c) << x) - c * r) for p, kept in minimal.items() for c, pair in kept)
+    return sorted((pair, p, c) for p, kept in minimal.items() for c, pair in kept)
 
 
-def _rank_one(elements) -> tuple:
-    """(module, columns, leads) of ``elements`` in F_0 = R: the ``_Module``
-    for one level per variable, each at most doubling the degrees, the
-    elements' {int: coefficient} dicts, and their leads."""
-    ring = elements[0].ring
-    w = ring.weights
-    module = _Module(w, max(sum(map(mul, m, w)) for g in elements for m in g.terms) << ring.nvars)
-    columns = [{module.encode(0, 0, m): c for m, c in g.terms.items()} for g in elements]
+def _rank_one(weights, terms) -> tuple:
+    """(module, columns, leads) of term dicts {exponent: coefficient} over
+    ``weights`` in F_0 = R: the ``_Module`` for one level per variable, each
+    at most doubling the degrees, their {int: coefficient} dicts and leads."""
+    module = _Module(weights, max(sum(map(mul, m, weights)) for t in terms for m in t) << len(weights))
+    columns = [{module.encode(0, 0, m): c for m, c in t.items()} for t in terms]
     return module, columns, [max(column) for column in columns]
 
 
@@ -184,7 +191,8 @@ def syzygy_level(module, columns, leads) -> tuple:
     """(syz, frame) of one syzygy level: ``syz`` the ``_Module`` over
     ``leads``, the leads of ``columns``, map columns of ``module``'s
     elements, and ``frame`` one (pair, lead, column) per pair of
-    ``_lead_frame``, the column the pair's syzygy keyed as a map column.
+    ``_lead_frame``, the column the pair's syzygy keyed as a map column;
+    with no pair kept, ``syz`` is ``module``: nothing is packed or divided.
 
     On F_0 = R (r = 1) a pair with coprime leads, whose lcm's degree is the
     sum of theirs, keeps its Koszul column (g_i e_j - g_j e_i)·c_i c_j, c
@@ -192,8 +200,12 @@ def syzygy_level(module, columns, leads) -> tuple:
     i and up by g_i's degree; every other pair goes to one ``pair_records``
     call, whose AssertionError names the first pair that leaves a remainder.
     """
+    kept = _lead_frame(module, leads)
+    if not kept:
+        return module, []
     syz, x, rs = module.next(leads), module.x, module.rs
-    kept = [((*pair, lead >> syz.x), lead) for pair, lead in _lead_frame(module, syz, leads)]  # + lcm degree
+    kept = [(pair, syz.consts[p] + (syz.degree(c) << syz.x) - c * syz.r) for pair, p, c in kept]  # its lead
+    kept = [((*pair, lead >> syz.x), lead) for pair, lead in kept]  # + the lcm's degree
     koszul = [module.r == 1 and d == (leads[i] >> x) + (leads[j] >> x) for (i, j, _, _, d), _ in kept]
     syzygies = iter(pair_records(module, columns, [pair for (pair, _), k in zip(kept, koszul) if not k], leads))
     frame = []
@@ -208,35 +220,44 @@ def syzygy_level(module, columns, leads) -> tuple:
     return syz, frame
 
 
-def buchberger(elements) -> GroebnerBasis:
-    """Certify unit monomials and pure-difference binomials as a Gröbner
-    basis in the ring's weighted grevlex order by Buchberger's criterion
-    over the lead frame: ``syzygy_level`` on the elements in F_0 = R, packed
-    for the at most one level per variable ``build_resolution`` makes, so a
-    pair that leaves a remainder raises an AssertionError naming it.  The
-    kept pair syzygies generate the syzygies of the leads, so zero
-    remainders on them prove the criterion; the level is kept packed.
+def buchberger(elements, ring=None) -> GroebnerBasis:
+    """Certify unit monomials and pure-difference binomials, ``Poly``s or,
+    with ``ring``, (lead, tail) exponent pairs of x^lead - x^tail (the
+    kernel's form, no ``Poly``), as a Gröbner basis in the ring's weighted
+    grevlex order by Buchberger's criterion over the lead frame:
+    ``syzygy_level`` on the elements in F_0 = R, packed for the at most one
+    level per variable ``build_resolution`` makes, so a pair that leaves a
+    remainder raises an AssertionError naming it.  The kept pair syzygies
+    generate the syzygies of the leads, so zero remainders on them prove
+    the criterion; the level is kept packed.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one generator")
-    _refuse_others(elements)
-    module, columns, leads = _rank_one(elements)
-    return GroebnerBasis(elements, syzygy_level(module, columns, leads), columns)
+    if ring is None:  # Poly elements: each one's monomials, greatest first, for its pair
+        _refuse_others(elements)
+        ring, terms = elements[0].ring, [g.terms for g in elements]
+        elements = [tuple(sorted(t, key=ring.order().key, reverse=True)) for t in terms]
+    else:
+        terms = [{lead: 1, tail: -1} for lead, tail in elements]
+    module, columns, leads = _rank_one(ring.weights, terms)
+    return GroebnerBasis(ring, elements, columns, syzygy_level(module, columns, leads))
 
 
-def is_groebner(gens) -> bool:
-    """Buchberger's criterion for pure-difference binomials with the
-    product criterion (Cox, Little and O'Shea, *Ideals, Varieties, and
-    Algorithms*, §2.9): the set is a Gröbner basis iff ``pair_records``
+def is_groebner(gens, weights=None) -> bool:
+    """Buchberger's criterion with the product criterion (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, §2.9) for pure-difference
+    binomials, ``Poly``s or, with ``weights``, at least one term dict
+    {exponent: coefficient}: the set is a Gröbner basis iff ``pair_records``
     finds no remainder on the pairs whose leads share a variable."""
     gens = list(gens)
-    _refuse_others(gens)
-    if not all(map(is_pure_difference, gens)):
-        raise ValueError("is_groebner takes pure-difference binomials only")
-    if not gens:
-        return True  # the zero ideal, with no degree to pack by
-    module, columns, leads = _rank_one(gens)
+    if weights is None:
+        if any(type(g) is not Poly or sorted(g.terms.values()) != [-1, 1] for g in gens):
+            raise ValueError("is_groebner takes pure-difference binomials only")
+        if not gens:
+            return True  # the zero ideal, with no degree to pack by
+        gens, weights = [g.terms for g in gens], gens[0].ring.weights
+    module, columns, leads = _rank_one(weights, gens)
     guard, ones = module.guard, module.guard >> module.value
     # the guard bits of the variables each lead carries
     support = [(module.full - (t & module.fields) | guard) - ones & guard for t in leads]
@@ -322,11 +343,6 @@ def pair_records(module, columns, pairs, leads) -> list:
     return syzygies
 
 
-def is_pure_difference(p: Poly) -> bool:
-    """Two terms, coefficients +1 and -1."""
-    return sorted(p.terms.values()) == [-1, 1]
-
-
 @dataclass
 class ToricIdeal:
     """Defining ideal of the monomial curve, with its reduced Gröbner basis."""
@@ -335,13 +351,16 @@ class ToricIdeal:
     reduced_gb: GroebnerBasis
 
     def validate(self) -> None:
-        # a pure difference x^a - x^b vanishes under x_i -> t^{w_i} iff
-        # deg a = deg b, which also proves it homogeneous
-        for p in self.reduced_gb.elements:
-            if not is_pure_difference(p):
-                raise AssertionError(f"not a pure difference binomial: {p}")
-            if len({p.ring.degree(m) for m in p.terms}) != 1:
-                raise AssertionError(f"does not vanish under substitution: {p}")
+        """Each packed column is x^a - x^b, lead first, and its two ints share
+        a degree field: a pure difference vanishes under x_i -> t^{w_i} iff
+        deg a = deg b, which also proves it homogeneous."""
+        mb = self.reduced_gb.level[0].mb
+        for column in self.reduced_gb.columns:
+            terms = list(column.items())
+            if len(terms) != 2 or (terms[0][1], terms[1][1]) != (1, -1) or terms[0][0] < terms[1][0]:
+                raise AssertionError("not a pure difference, lead first: %r" % (column,))
+            if terms[0][0] >> mb != terms[1][0] >> mb:
+                raise AssertionError("does not vanish under substitution: %r" % (column,))
 
 
 def _standard_table(w) -> tuple:
@@ -444,12 +463,13 @@ def toric_kernel_generic(weights, names=None):
     ``_lead_labels`` finds the leads by walking S's boundary, in lookups
     that follow S's extent, not w_0.
 
-    The basis then goes once through ``buchberger``, whose frame pairs
-    all reduce to zero: that certifies it a Gröbner basis.  With
-    ``ToricIdeal.validate`` (each element is in the kernel) and the Hilbert
-    identity that ``series_numerator`` checks from its own Apéry set, that
-    makes it the kernel's basis; so the Hilbert check must not read this
-    table, and the table's code shares nothing with ``semigroup``.
+    ``buchberger`` packs the (lead, tail) exponent pairs into F_0 = R, no
+    ``Poly`` built, and its frame pairs all reduce to zero: that certifies
+    the basis a Gröbner basis.  With ``ToricIdeal.validate`` (each element
+    is in the kernel) and the Hilbert identity that ``series_numerator``
+    checks from its own Apéry set, that makes it the kernel's basis; so the
+    Hilbert check must not read this table, whose code shares nothing with
+    ``semigroup``.
 
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
     under the ring's weighted grevlex order, ascending by lead, with its
@@ -460,13 +480,13 @@ def toric_kernel_generic(weights, names=None):
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)
     table, module = _standard_table(w)
-    reduced = []
+    pairs = []
     for lead in sorted(_lead_labels(table, module)):  # the ring order, as no lead has x_0
         degree = lead >> module.mb
         tail = table[degree % w[0]]
         x0 = (degree - (tail >> module.mb)) // w[0]
-        reduced.append(Poly(ring, {(0, *module.decode(lead)[1]): 1, (x0, *module.decode(tail)[1]): -1}))
-    return ring, buchberger(reduced)
+        pairs.append(((0, *module.decode(lead)[1]), (x0, *module.decode(tail)[1])))
+    return ring, buchberger(pairs, ring)
 
 
 def toric_kernel(spec: SequenceSpec) -> ToricIdeal:

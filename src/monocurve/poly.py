@@ -1,29 +1,20 @@
-"""Sparse exact polynomial arithmetic with weighted monomial orders.
+"""Sparse exact polynomial arithmetic with weighted monomial orders, for the
+program's edges: parsing, rendering, ``cli matrices`` and the tests.  The
+program itself computes on packed ints (``groebner._Module``), one per term
+of a syzygy level or a graded map, and builds no ``Poly`` per tuple.
 
-Polynomials live in a rational polynomial ring whose variables carry positive
-integer weights; the ring's order, the one the program computes and renders
-in, is the weighted graded reverse-lexicographic order.  ``Poly.lead``,
+Polynomials live in a rational polynomial ring whose variables carry
+positive integer weights, ordered by weighted grevlex.  ``Poly.lead``,
 ``divide`` and ``s_polynomial`` take any order: anything with a ``key``
-method, a monomial greater than another iff its key is.
+method, a monomial greater than another iff its key is.  ``_Terms`` maps
+keys to coefficients and holds all the arithmetic; ``Poly``, its one
+subclass here, names its exponent-tuple key arithmetic once, as static
+``key_*`` attributes, which ``divide`` and ``s_polynomial`` read.
 
-Syzygies need no vector type and no order object: ``groebner`` packs each
-term of a syzygy level into one int that is its own Schreyer key, and each
-term of a graded map into one int of the same fields.
-
-``_Terms`` maps keys to coefficients and holds all the arithmetic; a
-subclass names its key arithmetic once, as static ``key_*`` attributes, and
-``divide`` and ``s_polynomial`` read only those.  ``Poly`` is the one
-subclass here: its keys are exponent tuples.
-
-Coefficients are Python ints wherever divisions stay exact and Fractions
-otherwise, which keeps the binomial-dominated workloads fast without ever
-leaving exact arithmetic.
-
-Normalisation happens once, at the public constructor ``Poly(ring, terms)``:
-zero coefficients are dropped and integral Fractions become ints.
-Arithmetic results skip it.  Every operation already drops the zeros it
-makes, so its result is built by ``_like``, which stores the dict as it is
-and only collapses integral Fractions.
+Coefficients are ints wherever divisions stay exact and Fractions
+otherwise.  ``Poly(ring, terms)`` drops zero coefficients and makes
+integral Fractions ints; arithmetic results, free of zeros already, are
+built by ``_like``, which only collapses integral Fractions.
 """
 
 from __future__ import annotations

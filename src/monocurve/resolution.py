@@ -6,8 +6,8 @@ resolution is minimal.  ``FreeResolution.validate`` certifies d∘d = 0 with
 maps' packed columns and builds no polynomial.
 
 The syzygy levels come from ``groebner.syzygy_level``, one packed frame
-each: level 1 is the certificate ``buchberger`` made (``GroebnerBasis.level``),
-every later level one more call on the frame before.  Each level's frame
+each: level 1 is the basis's certificate (``GroebnerBasis.level``), every
+later level one more call on the frame before.  Each level's frame
 columns are its map's columns as they are.
 
 Conventions, fixed once:
@@ -207,15 +207,15 @@ def build_resolution(gb: GroebnerBasis) -> FreeResolution:
 
     Every map is in the levels' layout, maps[0] with the generators' F_0
     ints (``gb.columns``, its row-0 keys) as columns.  The loop starts at
-    ``gb.level``, the lead-frame syzygies ``buchberger`` certified the basis
-    with (Schreyer's frame; La Scala and Stillman, JSC 26, 1998); each pass
+    ``gb.level``, the lead-frame syzygies that certified the basis
+    (Schreyer's frame; La Scala and Stillman, JSC 26, 1998); each pass
     makes the level's frame columns its map's, with ``top``, which
     ``pair_records`` asserts, bounding every twist, and makes the next level
     with one ``syzygy_level`` call.  The kept pair syzygies
     generate the syzygies of the leads, so by the generalised Buchberger
     criterion each level is a Gröbner basis in the induced order.
     """
-    ring, (module, frame) = gb.elements[0].ring, gb.level
+    ring, (module, frame) = gb.ring, gb.level
     maps = [GradedMap.from_columns(GradedFreeModule(ring, (0,)), gb.columns, module)]
     while frame:
         if len(maps) == ring.nvars:

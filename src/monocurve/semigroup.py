@@ -8,10 +8,10 @@ answer membership (s is in the semigroup iff it is at least the Apery
 element of its residue class) and give the Frobenius number and the exact
 numerator of the semigroup's generating series.
 
-A valid tuple builds one table, Gamma's, cached on its ``SequenceSpec``; the
-least multiple of n in <m0, m1, m2> comes from a formula.  Every table the
-program builds, here and in the toric kernel, has at most m0 entries, so
-``validate_sequence`` refuses m0 above ``M0_BUDGET`` before it builds any.
+A valid tuple builds one table, Gamma's, cached on its ``SequenceSpec``;
+validation and the least multiple of n in <m0, m1, m2> come from formulas.
+Every table the program builds, here and in the toric kernel, has at most
+m0 entries, so ``validate_sequence`` refuses m0 above ``M0_BUDGET``.
 """
 
 from __future__ import annotations
@@ -154,23 +154,33 @@ def min_multiple_in(x: int, semigroup: SubSemigroup) -> int:
     return v
 
 
+def _in_progression(s: int, m0: int, d: int) -> bool:
+    """Is s >= 0 in <m0, m0 + d, m0 + 2d>, whose elements are the k*m0 + j*d
+    with 0 <= j <= 2k?  For g = gcd(m0, d) dividing s, k falls as j rises
+    through one class mod m0/g, so the class's least j decides."""
+    g = math.gcd(m0, d)
+    m, e = m0 // g, d // g
+    j = s // g * pow(e, -1, m) % m
+    return s % g == 0 and j * m <= 2 * (s // g - j * e)  # j <= 2k, k = (s/g - j*e) / m
+
+
+def _in_pair(s: int, a: int, b: int) -> bool:
+    """Is s >= 0 in <a, b>?  The least count c of b's with c*b = s mod a
+    decides, as it leaves the most for the a's."""
+    g = math.gcd(a, b)
+    return s % g == 0 and s // g * pow(b // g, -1, a // g) % (a // g) * b <= s
+
+
 def progression_multiple(x: int, m0: int, d: int) -> int:
-    """Least v >= 1 such that v*x lies in <m0, m0 + d, m0 + 2d>, with no table:
-    its elements are the k*m0 + j*d with 0 <= j <= 2k, and for g = gcd(m0, d)
-    dividing s = v*x, k falls as j rises through one class mod m0/g, so the
-    class's least j, (s/g) * (d/g)^-1 mod m0/g, decides."""
+    """Least v >= 1 such that v*x lies in <m0, m0 + d, m0 + 2d>, with no
+    table: only the multiples of g // gcd(g, x), g = gcd(m0, d), can."""
     if x <= 0:
         raise ValueError("x must be positive")
     g = math.gcd(m0, d)
-    m, e = m0 // g, d // g
-    inverse = pow(e, -1, m)
     step = v = g // math.gcd(g, x)
-    while True:
-        s = v * x // g
-        j = s * inverse % m
-        if j * m <= 2 * (s - j * e):  # j <= 2k, k = (s - j*e) / m
-            return v
+    while not _in_progression(v * x, m0, d):
         v += step
+    return v
 
 
 def series_numerator(semigroup: SubSemigroup) -> dict:
@@ -228,9 +238,10 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
 
     Raises NotArithmetic, GcdNotOne, OverBudget or RedundantGenerator (in
     that order of precedence; minimality is checked for n first, then m0,
-    m1, m2).  Minimality reads the spec's Gamma table, the tuple's only one:
-    g is redundant iff g - h is in Gamma for some other generator h <= g,
-    since g - h < g, so no representation of it uses g.
+    m1, m2).  Minimality is by formula, with no table: a generator is
+    redundant iff it lies in <the other three>, where no larger one takes
+    part, and 2*m1 > m2, so the tests are n in <m0, m1, m2>, n dividing m0,
+    m1 in <m0, n>, and m2 or m2 - m1 in <m0, n>.
     """
     values = (m0, m1, m2, n)
     if any(not isinstance(v, int) or v <= 0 for v in values):
@@ -243,9 +254,12 @@ def validate_sequence(m0: int, m1: int, m2: int, n: int) -> SequenceSpec:
         raise GcdNotOne(f"gcd{values} is not 1")
     if m0 > M0_BUDGET:
         raise OverBudget(f"m0 = {m0} exceeds M0_BUDGET = {M0_BUDGET}, the largest table of m0 entries built")
-    spec = SequenceSpec(m0, m1, m2, n)
-    for name, index in (("n", 3), ("m0", 0), ("m1", 1), ("m2", 2)):
-        others = values[:index] + values[index + 1 :]
-        if any(spec.gamma.contains(values[index] - h) for h in others):
-            raise RedundantGenerator(name)
-    return spec
+    if _in_progression(n, m0, m1 - m0):
+        raise RedundantGenerator("n")
+    if m0 % n == 0:
+        raise RedundantGenerator("m0")
+    if _in_pair(m1, m0, n):
+        raise RedundantGenerator("m1")
+    if _in_pair(m2, m0, n) or _in_pair(m2 - m1, m0, n):
+        raise RedundantGenerator("m2")
+    return SequenceSpec(m0, m1, m2, n)

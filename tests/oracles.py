@@ -121,6 +121,13 @@ with the program's checker or compile step.  ``eval_shift`` evaluates one
 twist expression through the program's checked tree, for the tests of its
 walker.
 
+The program's toric kernel hands its (lead, tail) exponent pairs to
+``buchberger`` with no ``Poly``.  ``toric_kernel_by_polys`` is the path it
+replaced, the reference for it: each pair built as a ``Poly``, the list
+certified by ``buchberger`` on ``Poly``s.  ``is_pure_difference`` tests a
+``Poly``; ``curve_ring`` is a curve's ring and ``template_polys`` its
+``canonical_generators``, term dicts in the program, as ``Poly``s.
+
 The program packs each closed-form template monomial as it is written, the
 offset it adds to the key of 1 in its row, in a layout sized off the
 generator degrees.  ``closed_form_base_by_exponents`` is the assembly it
@@ -137,8 +144,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, eq, le, lshift, mul, ne, neg, sub
 
-from monocurve.closedform import _BUILDERS, _COMPARABLE, _PARAM_FIELDS, CASE_TABLE, CaseUnmatched, _compile, _m, _tree
-from monocurve.groebner import _Module, buchberger as binomial_buchberger
+from monocurve.closedform import (
+    _BUILDERS,
+    _COMPARABLE,
+    _PARAM_FIELDS,
+    CASE_TABLE,
+    CaseUnmatched,
+    _compile,
+    _m,
+    _tree,
+    canonical_generators,
+)
+from monocurve.groebner import VARIABLE_NAMES, _lead_labels, _Module, _standard_table, buchberger as binomial_buchberger
 from monocurve.poly import Poly, Ring, _Terms, coeff_div, divide, render, s_polynomial
 from monocurve.resolution import (
     FreeResolution,
@@ -166,6 +183,11 @@ def is_homogeneous(f: Poly, ring_or_weights=None):
     weights = ring.weights if isinstance(ring, Ring) else tuple(ring)
     degrees = {sum(map(mul, mono, weights)) for mono in f.terms}
     return degrees.pop() if len(degrees) == 1 else None
+
+
+def is_pure_difference(p: Poly) -> bool:
+    """Two terms, coefficients +1 and -1."""
+    return sorted(p.terms.values()) == [-1, 1]
 
 
 def vanishes_under_substitution(p: Poly, weights) -> bool:
@@ -1498,15 +1520,14 @@ def case_id_by_rows(params):
     return matches[0]
 
 
-def closed_form_base_by_exponents(params, gens) -> FreeResolution:
+def closed_form_base_by_exponents(params, gens, ring) -> FreeResolution:
     """``closed_form_base`` assembled from exponent tuples: the shape's
     builder over the generators' term dicts with ``_m`` as its monomial, the
     twists read off each column's first term, one layout at twice the
     largest twist, and every term packed by ``encode``."""
     a, b = params.plain_offset, params.cross_offset
-    rows = [g.terms for g in gens]
+    rows = list(gens)
     b_cols, c_cols = _BUILDERS[(a, b) if params.has_cross else a](rows, params, _m)
-    ring = gens[0].ring
     levels, twists, w = [[[g] for g in rows], b_cols, c_cols], [(0,)], ring.weights
     for cols in levels:
         firsts = (next((twists[-1][i] + sum(map(mul, m, w)) for i, e in enumerate(col) for m in e), 0) for col in cols)
@@ -1518,3 +1539,33 @@ def closed_form_base_by_exponents(params, gens) -> FreeResolution:
         maps.append(GradedMap.from_columns(target, columns, layout))
         target = maps[-1].source
     return FreeResolution(maps)
+
+
+def curve_ring(spec) -> Ring:
+    """The ring of a curve's four variables, graded by its sequence."""
+    return Ring(VARIABLE_NAMES, spec.weights)
+
+
+def template_polys(params, spec) -> list:
+    """``canonical_generators``, term dicts, as ``Poly``s of ``curve_ring``."""
+    ring = curve_ring(spec)
+    return [Poly(ring, terms) for terms in canonical_generators(params, spec)]
+
+
+def toric_kernel_by_polys(weights, names=None):
+    """``toric_kernel_generic`` as it was before it packed its basis itself:
+    the same table and lead walk, each (lead, tail) built as a ``Poly`` and
+    the list certified by ``buchberger``, which packs it again.  Returns
+    (ring, gb) like ``toric_kernel_generic``."""
+    weights = tuple(int(w) for w in weights)
+    ring = Ring(("x", "y", "z", "w", "u", "v")[: len(weights)] if names is None else tuple(names), weights)
+    g = math.gcd(*weights)
+    w = tuple(v // g for v in weights)
+    table, module = _standard_table(w)
+    reduced = []
+    for lead in sorted(_lead_labels(table, module)):
+        degree = lead >> module.mb
+        tail = table[degree % w[0]]
+        x0 = (degree - (tail >> module.mb)) // w[0]
+        reduced.append(Poly(ring, {(0, *module.decode(lead)[1]): 1, (x0, *module.decode(tail)[1]): -1}))
+    return ring, binomial_buchberger(reduced)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monocurve import analysis, closedform, semigroup
 from monocurve.groebner import toric_kernel
-from monocurve.poly import Poly
+from monocurve.poly import Poly, Ring
 from monocurve.resolution import FreeResolution, _find_constant_entry, minimalize
 
 from oracles import is_groebner as generic_is_groebner, matrix_map
@@ -127,6 +127,17 @@ def test_one_semigroup_table_per_tuple(monkeypatch, seq):
     assert seen == [tuple(sorted(seq))]
 
 
+def test_a_sweep_builds_one_table_per_valid_tuple(monkeypatch):
+    """Validation is by formula, so enumerating the box builds no table,
+    and the sweep then builds one per valid tuple, Gamma's, in its analysis."""
+    seen = _spy_tables(monkeypatch)
+    specs = list(analysis.enumerate_box(12, 12))
+    assert seen == []
+    reports = analysis.sweep(12, 12)
+    assert [report.seq for report in reports] == [spec.weights for spec in specs]
+    assert seen == [tuple(sorted(report.seq)) for report in reports]
+
+
 def _count_case_matches(monkeypatch, *owners) -> list:
     """Route every ``case_id`` lookup through ``owners`` to a spy that
     records each call."""
@@ -143,13 +154,13 @@ def _count_case_matches(monkeypatch, *owners) -> list:
 
 
 def _count_groebner_checks(monkeypatch) -> list:
-    """The generator list of every is_groebner call analysis makes."""
+    """The generator list, term dicts, of every is_groebner call analysis makes."""
     calls = []
     original = analysis.is_groebner
 
-    def spy(gens):
+    def spy(gens, weights):
         calls.append(gens)
-        return original(gens)
+        return original(gens, weights)
 
     monkeypatch.setattr(analysis, "is_groebner", spy)
     return calls
@@ -161,7 +172,7 @@ def _same_binomials(seq) -> bool:
     kernel = toric_kernel(spec)
     gens = closedform.canonical_generators(closedform.extract_parameters(kernel), spec)
     basis = kernel.reduced_gb.elements
-    return sorted(map(sorted, (g.terms for g in gens))) == sorted(map(sorted, (g.terms for g in basis)))
+    return sorted(map(sorted, gens)) == sorted(map(sorted, (g.terms for g in basis)))
 
 
 def test_gb_ok_reads_the_certificate_when_the_sets_agree(monkeypatch):
@@ -184,20 +195,51 @@ def test_gb_ok_divides_when_the_sets_differ(monkeypatch):
 def test_gb_ok_checks_every_other_set(monkeypatch):
     """Only the certified set itself skips is_groebner: a proper subset,
     the set with a repeated element, or one tail swapped goes through it,
-    and its verdict is the reference's."""
+    and its verdict is the reference's.  ``_gb_ok`` takes term dicts, as
+    ``canonical_generators`` makes them."""
     basis = toric_kernel(semigroup.validate_sequence(*SEQ)).reduced_gb
     order = basis.elements[0].ring.order()
     gens = list(basis.elements)
+    terms = lambda polys: [g.terms for g in polys]  # noqa: E731
     calls = _count_groebner_checks(monkeypatch)
-    assert analysis._gb_ok(gens[::-1], basis) is True and calls == []
+    assert analysis._gb_ok(terms(gens[::-1]), basis) is True and calls == []
     lead = gens[1].lead(order)[0]
     tail = next(m for m in gens[2].terms if m != gens[2].lead(order)[0])
     swapped = gens[:1] + [Poly(gens[1].ring, {lead: 1, tail: -1})] + gens[2:]  # gens[2]'s tail on gens[1]
     others = [gens[:-1], gens[1:], gens + gens[:1], swapped]
     for other in others:
-        assert analysis._gb_ok(other, basis) == generic_is_groebner(other, order)
-    assert calls == others
-    assert analysis._gb_ok(swapped, basis) is False
+        assert analysis._gb_ok(terms(other), basis) == generic_is_groebner(other, order)
+    assert calls == [terms(other) for other in others]
+    assert analysis._gb_ok(terms(swapped), basis) is False
+
+
+@pytest.mark.parametrize(
+    "seq, checks, kind",
+    [
+        (SEQ, 0, None),  # matched, its template set the kernel's basis
+        ((6, 8, 10, 7), 0, "template_mismatch"),  # glued: no template fits
+        ((4, 5, 6, 7), 1, None),  # matched, its template set not the basis
+    ],
+)
+def test_analysis_builds_no_poly(monkeypatch, seq, checks, kind):
+    """The kernel's basis, the templates and every map stay packed on
+    ``analyze_sequence``'s path: no ``Poly`` is built, on a matched tuple,
+    on a glued one, or on one whose template set goes through
+    ``is_groebner``, and the kernel's ring is the only ``Ring``."""
+    built = []
+    for owner, name in ((Poly, "__init__"), (Poly, "_like"), (Ring, "__init__")):
+        original = getattr(owner, name)
+
+        def spy(self, *args, _original=original, _name="%s.%s" % (owner.__name__, name)):
+            built.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+    calls = _count_groebner_checks(monkeypatch)
+    report = analysis.analyze_sequence(*seq)
+    assert report.all_verified() and len(calls) == checks
+    assert [rec["kind"] for rec in report.discrepancies if rec["kind"] == "template_mismatch"] == ([kind] if kind else [])
+    assert built == ["Ring.__init__"]
 
 
 def test_case_parameters_validated_once_per_tuple(monkeypatch):

@@ -539,7 +539,7 @@ def test_matrices_reports_a_failing_closed_form_without_a_traceback(monkeypatch,
     finding, as in ``analyze``: the generic maps still print, as pinned in
     the golden file, then one stderr line names the exception, exit 2."""
 
-    def fail(params, gens):
+    def fail(params, gens, ring):
         raise PreconditionViolated("pivot entry is not a constant ±1: 2")
 
     monkeypatch.setattr(cli, "closed_form_resolution", fail)

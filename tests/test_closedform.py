@@ -14,7 +14,6 @@ from monocurve.closedform import (
     case_id,
     closed_form_base,
     closed_form_resolution,
-    curve_ring,
     extract_parameters,
     graded_shifts,
     _case_code,
@@ -25,7 +24,15 @@ from monocurve.resolution import build_resolution, compose_zero, hilbert_numerat
 from monocurve.semigroup import ValidationError, validate_sequence
 
 from monocurve import closedform
-from oracles import case_id_by_rows, closed_form_base_by_exponents, eval_shift, parse_condition, reduce_basis
+from oracles import (
+    case_id_by_rows,
+    closed_form_base_by_exponents,
+    curve_ring,
+    eval_shift,
+    parse_condition,
+    reduce_basis,
+    template_polys,
+)
 
 # one sequence per reachable case, smallest found by sweeping
 FIXTURES = {
@@ -91,7 +98,7 @@ def test_fixture_roundtrip(label):
     spec, kernel, params = pipeline(seq)
     assert case_id(params).label == label
     assert case_id(params).betti == TRIPLES[label]
-    gens = canonical_generators(params, spec)
+    gens = template_polys(params, spec)
     order = curve_ring(spec).order()
     template_leads = {g.lead(order) for g in gens}
     assert {g.lead(order) for g in kernel.reduced_gb.elements} <= template_leads
@@ -139,7 +146,7 @@ def test_bare_pure_tail_is_supported():
     assert not params.has_cross
     assert params.x2_plain == params.x2_cross
     assert case_id(params).label == "xviii"
-    gens = canonical_generators(params, spec)
+    gens = template_polys(params, spec)
     assert is_groebner(gens)
 
 
@@ -197,7 +204,7 @@ def test_unvalidatable_generators_raise():
 def test_closed_form_matches_generic(label):
     seq = FIXTURES[label]
     spec, kernel, params = pipeline(seq)
-    closed = closed_form_resolution(params, canonical_generators(params, spec))
+    closed = closed_form_resolution(params, canonical_generators(params, spec), curve_ring(spec))
     closed.validate()
     generic = minimalize(build_resolution(kernel.reduced_gb))
     assert closed.ranks == generic.ranks == (1,) + TRIPLES[label]
@@ -211,17 +218,17 @@ def test_base_complex_trims_degenerate_entries():
     minimalization removes exactly the tabulated amount."""
     spec, _, params = pipeline((7, 9, 11, 10))  # x0_pure = 0 here
     gens = canonical_generators(params, spec)
-    base = closed_form_base(params, gens)
+    base = closed_form_base(params, gens, curve_ring(spec))
     base.validate()
     assert base.ranks == (1, 5, 7, 3)
-    assert closed_form_resolution(params, gens).ranks == (1, 4, 6, 3)
+    assert closed_form_resolution(params, gens, curve_ring(spec)).ranks == (1, 4, 6, 3)
 
     spec, _, params = pipeline((10, 11, 12, 8))  # no cross family survives
     gens = canonical_generators(params, spec)
-    base = closed_form_base(params, gens)
+    base = closed_form_base(params, gens, curve_ring(spec))
     base.validate()
     assert base.ranks == (1, 4, 5, 2)
-    assert closed_form_resolution(params, gens).ranks == (1, 3, 3, 1)
+    assert closed_form_resolution(params, gens, curve_ring(spec)).ranks == (1, 3, 3, 1)
 
 
 def test_closed_form_requires_a_case():
@@ -250,7 +257,7 @@ def shifts_and_computed(label):
     spec, kernel, params = pipeline(seq)
     case = case_id(params)
     tabulated = graded_shifts(case, params, spec)
-    closed = closed_form_resolution(params, canonical_generators(params, spec))
+    closed = closed_form_resolution(params, canonical_generators(params, spec), curve_ring(spec))
     computed = [sorted(m.twists) for m in closed.modules[1:]]
     return tabulated, computed
 
@@ -418,7 +425,7 @@ def test_extraction_roundtrip_property(m0, d, n):
         params = extract_parameters(kernel)
     except (TemplateMismatch, DegreeImbalance):
         return
-    gens = canonical_generators(params, spec)
+    gens = template_polys(params, spec)
     order = curve_ring(spec).order()
     assert {g.lead(order) for g in kernel.reduced_gb.elements} <= {
         g.lead(order) for g in gens
@@ -445,7 +452,7 @@ def test_no_cross_cones_beyond_the_box(m0, d, n):
     except (ValidationError, TemplateMismatch, DegreeImbalance):
         assume(False)
     assume(not params.has_cross)
-    base = closed_form_base(params, canonical_generators(params, spec))
+    base = closed_form_base(params, canonical_generators(params, spec), curve_ring(spec))
     assert all(compose_zero(a, b) for a, b in zip(base.maps, base.maps[1:]))
     closed = minimalize(base)
     generic = minimalize(build_resolution(kernel.reduced_gb))
@@ -485,11 +492,12 @@ def _same_as_exponent_assembly(curve):
         gens = canonical_generators(params, spec)
     except (ValidationError, TemplateMismatch, DegreeImbalance):
         return None
-    packed, oracle = closed_form_base(params, gens), closed_form_base_by_exponents(params, gens)
+    ring = curve_ring(spec)
+    packed, oracle = closed_form_base(params, gens, ring), closed_form_base_by_exponents(params, gens, ring)
     assert packed.ranks == oracle.ranks
     assert [module.twists for module in packed.modules] == [module.twists for module in oracle.modules]
     assert [gmap.entries for gmap in packed.maps] == [gmap.entries for gmap in oracle.maps]
-    bound = sum(curve_ring(spec).degree(next(iter(g.terms))) for g in gens)
+    bound = sum(ring.degree(next(iter(g))) for g in gens)
     assert max(max(module.twists) for module in packed.modules) <= bound
     assert packed.maps[0].layout.top == 2 * bound
     return _shape(params)
@@ -520,7 +528,7 @@ def _templates_in(layout, params, gens):
     def m(x0=0, x1=0, x2=0, y=0):
         return layout.full + x0 * s0 + x1 * s1 + x2 * s2 + y * s3
 
-    rows = [{m(*e): c for e, c in g.terms.items()} for g in gens]
+    rows = [{m(*e): c for e, c in g.items()} for g in gens]
     return (rows,) + tuple(closedform._BUILDERS[_shape(params)](rows, params, m))
 
 
@@ -531,7 +539,7 @@ def test_assembler_refuses_a_layout_too_small_for_its_twists(label):
     assembler gives ``closed_form_base``'s complex."""
     spec, _, params = pipeline(FIXTURES[label])
     gens, ring = canonical_generators(params, spec), curve_ring(spec)
-    base = closed_form_base(params, gens)
+    base = closed_form_base(params, gens, ring)
     top = max(max(module.twists) for module in base.modules)
     for small in (top, 2 * top - 1):
         layout = _Module(ring.weights, small)

@@ -13,14 +13,12 @@ from monocurve.groebner import (
     _standard_table,
     buchberger,
     is_groebner,
-    is_pure_difference,
     toric_kernel,
     toric_kernel_generic,
 )
 from monocurve.closedform import (
     DegreeImbalance,
     TemplateMismatch,
-    canonical_generators,
     extract_parameters,
 )
 from monocurve.poly import Poly, Ring, parse
@@ -37,6 +35,7 @@ from oracles import (
     ideal_member,
     is_groebner as generic_is_groebner,
     is_homogeneous,
+    is_pure_difference,
     lead_frame_tuples,
     lead_labels_by_scan,
     lead_minimal,
@@ -46,6 +45,8 @@ from oracles import (
     reduce_basis,
     replay_ok,
     standard_table_by_heap,
+    template_polys,
+    toric_kernel_by_polys,
     toric_kernel_by_sets,
     toric_kernel_elimination,
     toric_kernel_saturation,
@@ -219,8 +220,22 @@ def test_toric_ideal_refuses_a_pure_difference_of_unequal_degrees():
     ideal = toric_kernel(validate_sequence(5, 7, 9, 11))
     bad = P("X1^2 - X0*X1")  # degrees 14 and 12
     assert is_pure_difference(bad) and is_homogeneous(bad, R4) is None
-    ideal.reduced_gb.elements = ideal.reduced_gb.elements + [bad]
+    layout = ideal.reduced_gb.level[0]
+    ideal.reduced_gb.columns.append({layout.encode(0, 0, m): c for m, c in bad.terms.items()})  # lead first
     with pytest.raises(AssertionError, match="does not vanish under substitution"):
+        ideal.validate()
+
+
+@pytest.mark.parametrize("text", ["X0*X2 - X1^2", "-X1^2 + X0*X2", "X1^2 - X0*X2 + X1*Y", "2*X1^2 - 2*X0*X2", "X1^2"])
+def test_toric_ideal_refuses_a_column_not_a_monic_pure_difference_lead_first(text):
+    """validate reads the packed columns: two terms, +1 on the lead, which
+    comes first, -1 on the tail; anything else is refused before the
+    degrees are compared."""
+    ideal = toric_kernel(validate_sequence(5, 7, 9, 11))
+    ideal.validate()
+    layout = ideal.reduced_gb.level[0]
+    ideal.reduced_gb.columns[0] = {layout.encode(0, 0, m): c for m, c in P(text).terms.items()}
+    with pytest.raises(AssertionError, match="not a pure difference, lead first"):
         ideal.validate()
 
 
@@ -366,6 +381,35 @@ def test_kernel_matches_set_based_reference(weights):
     assert outcome == _kernel_outcome(toric_kernel_by_sets, weights)
 
 
+# the kernel packs its own (lead, tail) exponent pairs and certifies them by
+# the syzygy_level call buchberger makes: the same pairs, columns, leads and
+# level as the Poly path it replaced, and as buchberger on its elements
+
+
+def _packed(gb):
+    """(pairs, columns, leads, the level's module fields, frame) of a basis."""
+    module, frame = gb.level
+    return gb.pairs, gb.columns, [max(column) for column in gb.columns], vars(module), frame
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARITHMETIC_WEIGHTS.filter(_valid))
+@example((1, 2))
+@example((3, 4, 5))
+@example((5, 7, 9, 11))
+# glued: g = gcd(m0, d) = 2 and 2n in <m0, m1, m2>, in the box and beyond it
+@example((6, 8, 10, 7))
+@example((62, 64, 66, 63))
+# common factors, and w0 not the least weight
+@example((6, 10, 15))
+@example((36, 26, 26))
+def test_packed_kernel_is_buchberger_on_its_elements(weights):
+    ring, gb = toric_kernel_generic(weights)
+    ring_o, gb_o = toric_kernel_by_polys(weights)
+    assert ring == ring_o == gb.ring and gb.elements == gb_o.elements
+    assert _packed(gb) == _packed(gb_o) == _packed(buchberger(gb.elements))
+
+
 # the staircase walk against the residue scan it replaced: the same lead
 # labels, each once, from the same table
 
@@ -479,7 +523,7 @@ def _template_set(weights):
     try:
         spec = validate_sequence(*weights)
         params = extract_parameters(toric_kernel(spec))
-        return canonical_generators(params, spec)
+        return template_polys(params, spec)
     except (ValidationError, TemplateMismatch, DegreeImbalance):
         assume(False)
 

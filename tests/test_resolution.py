@@ -316,6 +316,11 @@ def _program_levels(gb):
     return [level for level in levels if level[1]]
 
 
+def _packed_rank_one(polys):
+    """``_rank_one`` on ``Poly``s: their term dicts over their ring's weights."""
+    return _rank_one(polys[0].ring.weights, [g.terms for g in polys])
+
+
 def _assert_packed_like_tuples(elements, levels, depth):
     """The program's packed ``levels``, decoded, are the first ``depth``
     levels of the tuple-form oracle term for term, leads included, and at
@@ -325,7 +330,7 @@ def _assert_packed_like_tuples(elements, levels, depth):
     expected = schreyer_levels_tuples(elements, order, depth)
     decoded = [[(pair, unpacked(syz, lead), _decoded(syz, col)) for pair, lead, col in frame] for syz, frame in levels]
     assert decoded == [frame for _, frame in expected]
-    rank_one = _rank_one(elements)[0]
+    rank_one = _packed_rank_one(elements)[0]
     columns = [{(0, m): c for m, c in g.terms.items()} for g in elements]
     orders = [(rank_one, rank_one_key(order), columns)]
     orders += [(syz, key, [col for _, _, col in frame]) for (syz, _), (key, frame) in zip(levels, expected)]
@@ -466,7 +471,7 @@ def test_pair_records_assert_the_packing_bound():
     """A module packed for lower degrees than a pair's lcm refuses the pair
     before dividing it."""
     gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
-    module, columns, leads = _rank_one(gens)
+    module, columns, leads = _packed_rank_one(gens)
     module.top = 20  # both leads have degree 14 and 16, their lcm 23
     with pytest.raises(AssertionError, match=r"pair \(0, 1\) exceeds the packing bound"):
         pair_records(module, columns, [module.pair(leads, 0, 1)], leads)
@@ -477,7 +482,7 @@ def test_pair_records_with_no_pairs_still_check_the_lead_coefficients():
     ValueError with no pair too: that check makes the result hold over
     every field."""
     gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
-    module, columns, leads = _rank_one(gens)
+    module, columns, leads = _packed_rank_one(gens)
     assert pair_records(module, columns, [], leads) == []
     doubled = [{t: 2 * c for t, c in column.items()} for column in columns]
     with pytest.raises(ValueError, match="not ±1"):
@@ -488,7 +493,7 @@ def test_pair_records_check_the_lead_coefficient_of_a_column_no_pair_divides_by(
     """The ±1 check covers every column, also one whose tail no division
     of the given pairs reads: column 2 doubled, only the pair (0, 1)."""
     gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y"), P("X2^2 - X1*Y")]
-    module, columns, leads = _rank_one(gens)
+    module, columns, leads = _packed_rank_one(gens)
     assert len(pair_records(module, columns, [module.pair(leads, 0, 1)], leads)) == 1
     columns[2] = {t: 2 * c for t, c in columns[2].items()}
     with pytest.raises(ValueError, match="not ±1"):
@@ -515,7 +520,7 @@ def test_map_keys_are_packed_without_encode(monkeypatch):
         params = extract_parameters(kernel)
         gens = canonical_generators(params, spec)
         calls.clear()
-        closed_form_resolution(params, gens).validate()
+        closed_form_resolution(params, gens, kernel.reduced_gb.ring).validate()
         minimalize(build_resolution(kernel.reduced_gb)).validate()
         assert calls == [], label
 
@@ -587,7 +592,7 @@ def test_pair_records_match_generic_division(curve):
         assume(False)
     gb = toric_kernel(spec).reduced_gb
     ring = gb.elements[0].ring
-    module, columns, leads = _rank_one(gb.elements)
+    module, columns, leads = _packed_rank_one(gb.elements)
     first = (module, columns, [module.pair(leads, i, j) for (i, j), _, _ in gb.level[1]], leads)
     key = rank_one_key(ring.order())
     for module, columns, records, leads in [first] + _pair_record_calls(gb):
@@ -612,7 +617,7 @@ def test_pair_records_raise_on_a_remainder():
     generic division of ring polynomials and of rank-one vectors."""
     gens = [P(t) for t in ["X1^2 - X0*X2", "X1*X2 - X0*Y", "X2*Y - X0^4", "Y^2 - X0^3*X1"]]
     order = R4.order()
-    module, columns, leads = _rank_one(gens)
+    module, columns, leads = _packed_rank_one(gens)
     pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
     with pytest.raises(AssertionError, match=r"pair \(\d, \d\) leaves a nonzero remainder"):
         pair_records(module, columns, [module.pair(leads, i, j) for i, j in pairs], leads)
@@ -633,7 +638,7 @@ def test_pair_records_refuse_a_lead_coefficient_other_than_a_unit():
     in the program's packed terms as in the tuple form."""
     order = R4.order()
     gens = [P("X1^2 - X0*X2"), P("X1*X2 - X0*Y")]
-    module, columns, leads = _rank_one(gens)
+    module, columns, leads = _packed_rank_one(gens)
     columns[1] = {t: 2 * c for t, c in columns[1].items()}
     for pairs in ([(0, 1)], []):
         with pytest.raises(ValueError, match="lead coefficient"):
@@ -814,7 +819,7 @@ def _closed_form_base(spec, kernel):
         case_id(params)
     except (TemplateMismatch, DegreeImbalance, CaseUnmatched):
         return None
-    return closed_form_base(params, canonical_generators(params, spec))
+    return closed_form_base(params, canonical_generators(params, spec), kernel.reduced_gb.ring)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1055,7 +1060,7 @@ def test_compose_zero_matches_generic_oracle_on_curves(curve, data):
     complexes = [schreyer, minimalize(schreyer)]
     try:
         params = extract_parameters(kernel)
-        base = closed_form_base(params, canonical_generators(params, spec))
+        base = closed_form_base(params, canonical_generators(params, spec), kernel.reduced_gb.ring)
         complexes += [base, minimalize(base)]
     except (TemplateMismatch, DegreeImbalance):
         pass
