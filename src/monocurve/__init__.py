@@ -31,7 +31,6 @@ from monocurve.groebner import (
     GroebnerBasis,
     ToricIdeal,
     buchberger,
-    is_groebner,
     toric_kernel,
 )
 from monocurve.poly import Poly, Ring, parse, render
@@ -91,7 +90,6 @@ __all__ = [
     "frobenius",
     "graded_shifts",
     "hilbert_numerator",
-    "is_groebner",
     "minimalize",
     "min_multiple_in",
     "parse",

@@ -12,7 +12,7 @@ wrong table entry is a finding about the table, not an error in the tuple.
 Discrepancy kinds:
 
 * ``invalid_sequence``   the input never entered the pipeline
-* ``template_mismatch``  the reduced basis fits no template shape
+* ``template_mismatch``  the sequence's exponents fit no template shape
 * ``case_unmatched``     parameters extracted but no case row covers them
 * ``betti_lookup``       table triple differs from the computed one
 * ``twist_table``        a tabulated twist list differs from the computed
@@ -39,6 +39,7 @@ import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import le, mul
 
 from .closedform import (
     CASE_TABLE,
@@ -50,7 +51,7 @@ from .closedform import (
     extract_parameters,
     graded_shifts,
 )
-from .groebner import is_groebner, toric_kernel
+from .groebner import toric_kernel
 from .resolution import (
     NotMinimal,
     ShapeMismatch,
@@ -124,13 +125,23 @@ class AnalysisReport:
 
 
 def _gb_ok(gens, certified) -> bool:
-    """Buchberger's criterion for the template generators, term dicts: being
-    a Gröbner basis is a property of the set up to units, so when ``gens``
-    are up to sign the (lead, tail) pairs of ``certified``, the kernel's
-    basis in the same ring, its certificate answers; else ``is_groebner``."""
-    basis = certified.pairs
-    same = len(gens) == len(basis) and {frozenset(g) for g in gens} == {frozenset(p) for p in basis}
-    return same or is_groebner(gens, certified.ring.weights)
+    """Are the template generators, term dicts, a Gröbner basis of the
+    curve's ideal, whose reduced basis in the same ring is ``certified``?
+    Each must be x^p - x^m of one weighted degree, so in the ideal, and
+    their leads, each the lexicographically smaller exponent tuple (the
+    order's tie-break within a degree), must generate the ideal's initial
+    ideal: hold every kernel lead, which are minimal, and each be a
+    multiple of one."""
+    weights, leads = certified.ring.weights, set()
+    for g in gens:
+        if len(g) != 2 or set(g.values()) != {1, -1}:
+            return False
+        p, m = g
+        if sum(map(mul, p, weights)) != sum(map(mul, m, weights)):
+            return False
+        leads.add(min(p, m))
+    kernel = {lead for lead, _ in certified.pairs}
+    return kernel <= leads and all(any(all(map(le, k, t)) for k in kernel) for t in leads - kernel)
 
 
 def analyze_sequence(
@@ -186,7 +197,7 @@ def analyze_sequence(
 
     params = case = case_label = betti_lookup = None
     try:
-        params = extract_parameters(kernel)
+        params = extract_parameters(spec)
         params_json = dict(vars(params))  # the dataclass's fields, in order
         case = case_id(params)
     except (TemplateMismatch, CaseUnmatched) as exc:

@@ -280,7 +280,7 @@ def cmd_matrices(args) -> int:
     generic = _resolve(kernel)
     _print_maps("generic", generic, sys.stdout)
     try:
-        params = extract_parameters(kernel)
+        params = extract_parameters(spec)
         gens = canonical_generators(params, spec)
         case = case_id(params)
         closed = closed_form_resolution(params, gens, kernel.reduced_gb.ring)

@@ -15,10 +15,11 @@ like rather than by any external notation:
 * the pure relation    Y^v  -  X0^m * (at most one other X variable and
                        a power of X2; both may be absent)
 
-Every structural exponent is recoverable from the reduced basis alone; the
-extraction below does that and cross-checks each reading against the
-semigroup arithmetic, refusing (rather than guessing) whenever the basis
-fails to fit the templates.
+Every structural exponent follows from the sequence alone, by membership
+in its semigroup: ``extract_parameters`` finds each template monomial as
+the least monomial of its degree or as a minimal monomial above those,
+reads no kernel, and refuses the tuples whose exponents fall out of the
+templates' range.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from importlib import resources
 from operator import mul
 
 from .semigroup import SequenceSpec, progression_multiple
+from .groebner import _Module
 # buchberger is not called here; it stays importable as closedform.buchberger
 # because perfbench/spans.py wraps that attribute
-from .groebner import VARIABLE_NAMES, ToricIdeal, _Module, buchberger  # noqa: F401
-from .resolution import FreeResolution, GradedFreeModule, GradedMap, minimalize
+from .resolution import FreeResolution, GradedFreeModule, GradedMap, buchberger, minimalize  # noqa: F401
 
 
 class DegreeImbalance(ValueError):
@@ -41,7 +42,7 @@ class DegreeImbalance(ValueError):
 
 
 class TemplateMismatch(ValueError):
-    """The reduced basis does not fit the binomial templates."""
+    """The sequence's exponents do not fit the binomial templates."""
 
 
 class CaseUnmatched(LookupError):
@@ -50,14 +51,13 @@ class CaseUnmatched(LookupError):
 
 @dataclass(frozen=True)
 class CaseParameters:
-    """Structural exponents read off the reduced basis, validated once,
+    """Structural exponents of a sequence's templates, validated once,
     when made: parameters that fail ``validate`` raise TemplateMismatch.
 
     plain_offset   1 or 2: smallest index i such that X_i carries a Y-free
                    lead; the plain family has 3 - plain_offset members.
-    cross_offset   the same for the leads that mix X's with Y; kept even when
-                   has_cross is false (then it is derived from the pure
-                   relation's tail instead of read directly).
+    cross_offset   the same for the leads that mix X's with Y, fixed by the
+                   pure relation's tail, so kept even when has_cross is false.
     x0_plain       X0 budget of the plain tails: the tail of the i-th plain
                    element is X0^(x0_plain-1) * X_i * Y^y_split.
     x0_pure        X0 exponent in the pure relation's tail.
@@ -178,154 +178,72 @@ def canonical_generators(params: CaseParameters, spec: SequenceSpec) -> list:
 # extraction
 
 
-def extract_parameters(ideal: ToricIdeal) -> CaseParameters:
-    """Read the structural exponents off the (lead, tail) exponent pairs of
-    the ideal's reduced basis, monic pure differences by ``ToricIdeal.validate``;
-    TemplateMismatch when the basis fails to fit the templates."""
-    if ideal.reduced_gb.ring.names != VARIABLE_NAMES:
-        raise TemplateMismatch("expected the four standard curve variables")
-    return _classify(ideal.reduced_gb.pairs, ideal.spec)
-
-
-def _classify(pairs, spec: SequenceSpec) -> CaseParameters:
-    quadric, plain, cross, pure = [], [], [], []
-    for lead, tail in pairs:
-        if lead[0] != 0:
-            raise TemplateMismatch("a lead carries X0: %s" % (lead,))
-        if lead == (0, 2, 0, 0):
-            quadric.append((lead, tail))
-        elif lead[3] == 0:
-            plain.append((lead, tail))
-        elif lead[1] == 0 and lead[2] == 0:
-            pure.append((lead, tail))
+def _first(ok, lo: int, hi: int) -> int:
+    """The least j in [lo, hi) with ok(j), hi if none, for ok false up to
+    some j and true from it on."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
         else:
-            cross.append((lead, tail))
+            lo = mid + 1
+    return lo
 
-    if len(quadric) != 1 or quadric[0][1] != (1, 0, 1, 0):
-        raise TemplateMismatch("no quadric X1^2 - X0*X2")
-    if len(pure) != 1:
-        raise TemplateMismatch("expected exactly one pure Y-power lead, got %d" % len(pure))
 
-    (pure_lead, pure_tail) = pure[0]
-    v = pure_lead[3]
-    if v < 2 or pure_tail[3] != 0 or pure_tail[1] > 1:
-        raise TemplateMismatch("pure relation tail %s out of shape" % (pure_tail,))
-    mu, eps, delta = pure_tail[0], pure_tail[1], pure_tail[2]
+def extract_parameters(spec: SequenceSpec) -> CaseParameters:
+    """The structural exponents of ``spec`` from membership in Γ alone: the
+    reduced basis's tails are standard monomials, the least of their
+    degree, and its leads the minimal monomials that are not (Sturmfels,
+    *Gröbner Bases and Convex Polytopes*, ch. 4; Patil, *Manuscripta Math.*
+    80, 1993, gives the minimal generators).
 
-    # plain family: an X1-led element is exact and fixes everything; with no
-    # X1 carrier the single X2-led element's tail is exact instead
-    x1_led = [pt for pt in plain if pt[0][1] == 1]
-    x2_led = [pt for pt in plain if pt[0][1] == 0]
-    if len(x1_led) + len(x2_led) != len(plain):
-        raise TemplateMismatch("a Y-free lead carries X1^2 or worse")
-    if x1_led:
-        if len(x1_led) != 1 or len(x2_led) != 1:
-            raise TemplateMismatch("plain family should have exactly two members here")
-        a = 1
-        (lead, tail) = x1_led[0]
-        q = lead[2]
-        if tail[1] != 0 or tail[2] != 0:
-            raise TemplateMismatch("plain tail %s out of shape" % (tail,))
-        lam, w = tail[0], tail[3]
-        if x2_led[0][0] != (0, 0, q + 1, 0):
-            raise TemplateMismatch("companion plain lead should be X2^%d" % (q + 1))
-        # companion tail may be a rewrite of the template; never read it
-    else:
-        if len(x2_led) != 1:
-            raise TemplateMismatch("plain family should be a single X2 power here")
-        a = 2
-        (lead, tail) = x2_led[0]
-        q = lead[2] - 1
-        if tail[1] != 0 or tail[2] != 0:
-            raise TemplateMismatch("plain tail %s out of shape" % (tail,))
-        lam, w = tail[0], tail[3]
+    The least monomial of degree s takes as many X0 as keep s - k·m0 in Γ,
+    then as many X1, then X2, and the rest is a power of Y; membership falls
+    as k grows, so each count is bisected.  The plain lead is X1·X2^q for
+    the least q with m1 + q·m2 - m0 in Γ if that q is below the least j >= 1
+    with j·m2 - m0 in Γ, else X2^j with q = j - 1; the least monomial of its
+    degree is the plain tail X0^l·Y^w.  The pure lead is Y^v, v from
+    ``progression_multiple``, its tail X0^mu·X1^eps·X2^delta; an X1 there
+    puts the cross family on the other offset, which fixes the cross lead
+    X_b·X2^qc·Y^(v-w), present iff it is a lead.  TemplateMismatch when the
+    plain exponents fall out of range: the glued tuples, whose basis fits
+    no template.
+    """
+    m0, m1, m2, n = weights = spec.weights
+    table, m = spec.gamma._least(), spec.gamma.generators[0]  # Ap(Γ, its least generator); gcd 1
+    inside = lambda s: s >= table[s % m]  # noqa: E731 (a negative s, or one below m but 0, fails too)
+
+    def least_monomial(s: int) -> list:
+        e = []
+        for g in weights[:3]:
+            e.append(_first(lambda k: not inside(s - (k + 1) * g), 0, s // g))
+            s -= e[-1] * g
+        return e + [s // n]
+
+    def is_least(e) -> bool:
+        """Is x^e the least monomial of its degree: is no X0, X1, X2 to spare?"""
+        s = sum(map(mul, e, weights))
+        for k, g in zip(e, weights[:3]):
+            s -= k * g
+            if inside(s - g):
+                return False
+        return True
+
+    j = _first(lambda j: inside(j * m2 - m0), 1, m0)  # m0·m2 - m0 is in Γ
+    q = _first(lambda q: inside(m1 + q * m2 - m0), 0, j)
+    a, q = (1, q) if q < j else (2, j - 1)
+    lam, _, _, w = least_monomial(weights[a] + q * m2)
+    v = progression_multiple(n, m0, spec.d)
     if q < 1 or lam < 1 or w < 1 or w >= v:
         raise TemplateMismatch("plain exponents (q=%d, l=%d, w=%d) out of range" % (q, lam, w))
-
-    if cross:
-        has_cross = True
-        c_x1 = [pt for pt in cross if pt[0][1] == 1]
-        c_x2 = [pt for pt in cross if pt[0][1] == 0]
-        if len(c_x1) + len(c_x2) != len(cross):
-            raise TemplateMismatch("a mixed lead carries X1^2 or worse")
-        if c_x1:
-            b = 1
-            if len(c_x1) != 1:
-                raise TemplateMismatch("two X1-led cross elements")
-            (lead, tail) = c_x1[0]
-            qc = lead[2]
-        else:
-            b = 2
-            if len(c_x2) != 1:
-                raise TemplateMismatch("cross family should be a single element here")
-            (lead, tail) = c_x2[0]
-            qc = lead[2] - 1
-        if lead[3] != v - w:
-            raise TemplateMismatch("cross lead carries Y^%d, expected Y^%d" % (lead[3], v - w))
-        if tail[1] != 0 or tail[2] != 0 or tail[3] != 0:
-            raise TemplateMismatch("cross tail %s should be a pure X0 power" % (tail,))
-        nu = tail[0]
-        if b == 1:
-            # the X2-led companion reduces away exactly when the plain family
-            # already leads with the same X2 power
-            expect_companion = not (a == 2 and qc == q)
-            if expect_companion:
-                if len(c_x2) != 1 or c_x2[0][0] != (0, 0, qc + 1, v - w):
-                    raise TemplateMismatch("cross companion lead missing or misshapen")
-                if c_x2[0][1] != (nu - 1, 1, 0, 0):
-                    raise TemplateMismatch("cross companion tail out of shape")
-            elif c_x2:
-                raise TemplateMismatch("cross companion should reduce away here")
-    else:
-        has_cross = False
-        if a == 1:
-            b = 2 if eps == 1 else 1
-        else:
-            b = 1 if eps == 1 else 2
-        nu = lam + mu + (1 if a > b else 0)
-        qc = None  # fixed below from the pure tail
-
-    # the pure relation's tail must agree with the offsets just found
-    if b < a:
-        ok = eps == 1
-        qc_from_pure = q - delta
-    elif (a, b) == (1, 2):
-        ok = eps == 1
-        qc_from_pure = q - delta - 1
-    else:  # a == b; delta = 0 (a bare X0 tail) occurs only without a cross
-        # family, and validate rejects that combination when one is present
-        ok = eps == 0
-        qc_from_pure = q - delta
-    if not ok:
-        raise TemplateMismatch(
-            "pure tail %s inconsistent with offsets (%d, %d)" % (pure_tail, a, b)
-        )
-    if qc is None:
-        qc = qc_from_pure
-    elif qc != qc_from_pure:
-        raise TemplateMismatch("cross X2 exponent %d vs %d from the pure tail" % (qc, qc_from_pure))
-
-    expected = 2 + (3 - a) + ((3 - b) if has_cross else 0)
-    if has_cross and b == 1 and a == 2 and qc == q:
-        expected -= 1  # the cross companion reduces away
-    if len(pairs) != expected:
-        raise TemplateMismatch("basis has %d elements, templates give %d" % (len(pairs), expected))
-
-    if v != progression_multiple(spec.n, spec.m0, spec.d):
-        raise TemplateMismatch("pure Y exponent disagrees with the semigroup")
-
-    return CaseParameters(
-        plain_offset=a,
-        cross_offset=b,
-        x0_plain=lam,
-        x0_pure=mu,
-        x0_cross=nu,
-        x2_plain=q,
-        x2_cross=qc,
-        y_order=v,
-        y_split=w,
-        has_cross=has_cross,
-    )
+    mu, eps, delta, _ = least_monomial(v * n)
+    b = 3 - a if eps else a
+    qc = q - delta - (a < b)
+    lead = [0, 0, qc, v - w]
+    lead[b] += 1
+    divisors = [[e - (i == k) for i, e in enumerate(lead)] for k in range(4) if lead[k]]
+    has_cross = qc >= 0 and not is_least(lead) and all(map(is_least, divisors))
+    return CaseParameters(a, b, lam, mu, lam + mu + (a > b), q, qc, v, w, has_cross)  # in field order
 
 
 # ---------------------------------------------------------------------------

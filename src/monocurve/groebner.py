@@ -7,9 +7,8 @@ is the one division, for every syzygy level, whose elements are the
 columns of the map before, the generators those of F_0 = R.
 ``syzygy_level`` runs a level on its lead frame (La Scala and Stillman,
 JSC 26, 1998), ``buchberger`` certifies a basis by level 1 and keeps it
-packed, and ``resolution.build_resolution`` goes on from it; ``is_groebner``
-divides every pair whose leads share a variable; both take ``Poly``s or,
-on the program's path, exponent pairs or term dicts.
+packed, and ``resolution.build_resolution`` goes on from it; it takes
+``Poly``s or, on the program's path, exponent pairs.
 
 Each term x^m e_p of a level is one int, its own Schreyer key
 (``_Module``), so terms compare, shift and divide as ints and the greatest
@@ -138,11 +137,6 @@ class _Module:
         low = b & least | a & ~least  # V - lcm
         return a - low, b - low
 
-    def pair(self, leads, i: int, j: int) -> tuple:
-        """(i, j, cofactor_i, cofactor_j, degree of the lcm) of two leads at one position."""
-        cof_i, cof_j = self.cofactors(leads[i], leads[j])
-        return i, j, cof_i, cof_j, (leads[i] >> self.x) + self.degree(cof_i)
-
 
 def _lead_frame(module, leads) -> list:
     """The pairs (i, j, cofactor_i, cofactor_j) whose syzygies the resolution
@@ -244,31 +238,6 @@ def buchberger(elements, ring=None) -> GroebnerBasis:
     return GroebnerBasis(ring, elements, columns, syzygy_level(module, columns, leads))
 
 
-def is_groebner(gens, weights=None) -> bool:
-    """Buchberger's criterion with the product criterion (Cox, Little and
-    O'Shea, *Ideals, Varieties, and Algorithms*, §2.9) for pure-difference
-    binomials, ``Poly``s or, with ``weights``, at least one term dict
-    {exponent: coefficient}: the set is a Gröbner basis iff ``pair_records``
-    finds no remainder on the pairs whose leads share a variable."""
-    gens = list(gens)
-    if weights is None:
-        if any(type(g) is not Poly or sorted(g.terms.values()) != [-1, 1] for g in gens):
-            raise ValueError("is_groebner takes pure-difference binomials only")
-        if not gens:
-            return True  # the zero ideal, with no degree to pack by
-        gens, weights = [g.terms for g in gens], gens[0].ring.weights
-    module, columns, leads = _rank_one(weights, gens)
-    guard, ones = module.guard, module.guard >> module.value
-    # the guard bits of the variables each lead carries
-    support = [(module.full - (t & module.fields) | guard) - ones & guard for t in leads]
-    pairs = [module.pair(leads, i, j) for j in range(len(leads)) for i in range(j) if support[i] & support[j]]
-    try:
-        pair_records(module, columns, pairs, leads)
-    except AssertionError:
-        return False
-    return True
-
-
 def _subtract(terms: dict, items, shift: int, scale) -> None:
     """terms -= scale · x^q · items, x^q adding ``shift`` to each int, in
     place, dropping the coefficients that cancel."""
@@ -283,7 +252,8 @@ def _subtract(terms: dict, items, shift: int, scale) -> None:
 
 def pair_records(module, columns, pairs, leads) -> list:
     """The syzygy of each pair (i, j) of ``columns``, given as its record
-    (i, j, cofactor_i, cofactor_j, d), d the lcm's degree (``_Module.pair``),
+    (i, j, cofactor_i, cofactor_j, d), the cofactors packed as
+    ``_Module.cofactors`` gives them and d the lcm's degree,
     map columns of the level ``module``'s elements forming a Gröbner basis
     with leads ``leads``, ints of ``module``, i's and j's at one position, as
     a map column over the level's elements: the program's one division.

@@ -135,6 +135,15 @@ replaced, the reference for it: the same builders write each monomial as
 its exponent tuple (``closedform._m``), a first pass reads each column's
 twist off its first term to size the layout at twice the largest twist,
 and ``_Module.encode`` packs every term.
+
+The program derives a sequence's template parameters from membership in
+its semigroup and holds the template generators to the kernel's leads.
+The paths it replaced are the references for that:
+``extract_parameters_from_basis`` (with ``_classify``) reads the
+parameters off the kernel's reduced basis, and ``is_groebner`` divides
+every pair of a generating set.  ``pair`` is the division record
+(i, j, cofactor_i, cofactor_j, degree of the lcm) of two packed leads that
+``pair_records`` takes, for the tests that hand it pairs of their own.
 """
 
 import functools
@@ -149,13 +158,15 @@ from monocurve.closedform import (
     _COMPARABLE,
     _PARAM_FIELDS,
     CASE_TABLE,
+    CaseParameters,
     CaseUnmatched,
+    TemplateMismatch,
     _compile,
     _m,
     _tree,
     canonical_generators,
 )
-from monocurve.groebner import VARIABLE_NAMES, _lead_labels, _Module, _standard_table, buchberger as binomial_buchberger
+from monocurve.groebner import VARIABLE_NAMES, ToricIdeal, _lead_labels, _Module, _standard_table, buchberger as binomial_buchberger
 from monocurve.poly import Poly, Ring, _Terms, coeff_div, divide, render, s_polynomial
 from monocurve.resolution import (
     FreeResolution,
@@ -174,6 +185,7 @@ from monocurve.semigroup import (
     SequenceSpec,
     SubSemigroup,
     ValidationError,
+    progression_multiple,
 )
 
 
@@ -1569,3 +1581,160 @@ def toric_kernel_by_polys(weights, names=None):
         x0 = (degree - (tail >> module.mb)) // w[0]
         reduced.append(Poly(ring, {(0, *module.decode(lead)[1]): 1, (x0, *module.decode(tail)[1]): -1}))
     return ring, binomial_buchberger(reduced)
+
+
+def pair(module, leads, i: int, j: int) -> tuple:
+    """(i, j, cofactor_i, cofactor_j, degree of the lcm) of two leads, ints
+    of ``module`` at one position, as ``pair_records`` takes it."""
+    cof_i, cof_j = module.cofactors(leads[i], leads[j])
+    return i, j, cof_i, cof_j, (leads[i] >> module.x) + module.degree(cof_i)
+
+
+def extract_parameters_from_basis(ideal: ToricIdeal) -> CaseParameters:
+    """Read the structural exponents off the (lead, tail) exponent pairs of
+    the ideal's reduced basis, monic pure differences by ``ToricIdeal.validate``;
+    TemplateMismatch when the basis fails to fit the templates."""
+    if ideal.reduced_gb.ring.names != VARIABLE_NAMES:
+        raise TemplateMismatch("expected the four standard curve variables")
+    return _classify(ideal.reduced_gb.pairs, ideal.spec)
+
+
+def _classify(pairs, spec: SequenceSpec) -> CaseParameters:
+    quadric, plain, cross, pure = [], [], [], []
+    for lead, tail in pairs:
+        if lead[0] != 0:
+            raise TemplateMismatch("a lead carries X0: %s" % (lead,))
+        if lead == (0, 2, 0, 0):
+            quadric.append((lead, tail))
+        elif lead[3] == 0:
+            plain.append((lead, tail))
+        elif lead[1] == 0 and lead[2] == 0:
+            pure.append((lead, tail))
+        else:
+            cross.append((lead, tail))
+
+    if len(quadric) != 1 or quadric[0][1] != (1, 0, 1, 0):
+        raise TemplateMismatch("no quadric X1^2 - X0*X2")
+    if len(pure) != 1:
+        raise TemplateMismatch("expected exactly one pure Y-power lead, got %d" % len(pure))
+
+    (pure_lead, pure_tail) = pure[0]
+    v = pure_lead[3]
+    if v < 2 or pure_tail[3] != 0 or pure_tail[1] > 1:
+        raise TemplateMismatch("pure relation tail %s out of shape" % (pure_tail,))
+    mu, eps, delta = pure_tail[0], pure_tail[1], pure_tail[2]
+
+    # plain family: an X1-led element is exact and fixes everything; with no
+    # X1 carrier the single X2-led element's tail is exact instead
+    x1_led = [pt for pt in plain if pt[0][1] == 1]
+    x2_led = [pt for pt in plain if pt[0][1] == 0]
+    if len(x1_led) + len(x2_led) != len(plain):
+        raise TemplateMismatch("a Y-free lead carries X1^2 or worse")
+    if x1_led:
+        if len(x1_led) != 1 or len(x2_led) != 1:
+            raise TemplateMismatch("plain family should have exactly two members here")
+        a = 1
+        (lead, tail) = x1_led[0]
+        q = lead[2]
+        if tail[1] != 0 or tail[2] != 0:
+            raise TemplateMismatch("plain tail %s out of shape" % (tail,))
+        lam, w = tail[0], tail[3]
+        if x2_led[0][0] != (0, 0, q + 1, 0):
+            raise TemplateMismatch("companion plain lead should be X2^%d" % (q + 1))
+        # companion tail may be a rewrite of the template; never read it
+    else:
+        if len(x2_led) != 1:
+            raise TemplateMismatch("plain family should be a single X2 power here")
+        a = 2
+        (lead, tail) = x2_led[0]
+        q = lead[2] - 1
+        if tail[1] != 0 or tail[2] != 0:
+            raise TemplateMismatch("plain tail %s out of shape" % (tail,))
+        lam, w = tail[0], tail[3]
+    if q < 1 or lam < 1 or w < 1 or w >= v:
+        raise TemplateMismatch("plain exponents (q=%d, l=%d, w=%d) out of range" % (q, lam, w))
+
+    if cross:
+        has_cross = True
+        c_x1 = [pt for pt in cross if pt[0][1] == 1]
+        c_x2 = [pt for pt in cross if pt[0][1] == 0]
+        if len(c_x1) + len(c_x2) != len(cross):
+            raise TemplateMismatch("a mixed lead carries X1^2 or worse")
+        if c_x1:
+            b = 1
+            if len(c_x1) != 1:
+                raise TemplateMismatch("two X1-led cross elements")
+            (lead, tail) = c_x1[0]
+            qc = lead[2]
+        else:
+            b = 2
+            if len(c_x2) != 1:
+                raise TemplateMismatch("cross family should be a single element here")
+            (lead, tail) = c_x2[0]
+            qc = lead[2] - 1
+        if lead[3] != v - w:
+            raise TemplateMismatch("cross lead carries Y^%d, expected Y^%d" % (lead[3], v - w))
+        if tail[1] != 0 or tail[2] != 0 or tail[3] != 0:
+            raise TemplateMismatch("cross tail %s should be a pure X0 power" % (tail,))
+        nu = tail[0]
+        if b == 1:
+            # the X2-led companion reduces away exactly when the plain family
+            # already leads with the same X2 power
+            expect_companion = not (a == 2 and qc == q)
+            if expect_companion:
+                if len(c_x2) != 1 or c_x2[0][0] != (0, 0, qc + 1, v - w):
+                    raise TemplateMismatch("cross companion lead missing or misshapen")
+                if c_x2[0][1] != (nu - 1, 1, 0, 0):
+                    raise TemplateMismatch("cross companion tail out of shape")
+            elif c_x2:
+                raise TemplateMismatch("cross companion should reduce away here")
+    else:
+        has_cross = False
+        if a == 1:
+            b = 2 if eps == 1 else 1
+        else:
+            b = 1 if eps == 1 else 2
+        nu = lam + mu + (1 if a > b else 0)
+        qc = None  # fixed below from the pure tail
+
+    # the pure relation's tail must agree with the offsets just found
+    if b < a:
+        ok = eps == 1
+        qc_from_pure = q - delta
+    elif (a, b) == (1, 2):
+        ok = eps == 1
+        qc_from_pure = q - delta - 1
+    else:  # a == b; delta = 0 (a bare X0 tail) occurs only without a cross
+        # family, and validate rejects that combination when one is present
+        ok = eps == 0
+        qc_from_pure = q - delta
+    if not ok:
+        raise TemplateMismatch(
+            "pure tail %s inconsistent with offsets (%d, %d)" % (pure_tail, a, b)
+        )
+    if qc is None:
+        qc = qc_from_pure
+    elif qc != qc_from_pure:
+        raise TemplateMismatch("cross X2 exponent %d vs %d from the pure tail" % (qc, qc_from_pure))
+
+    expected = 2 + (3 - a) + ((3 - b) if has_cross else 0)
+    if has_cross and b == 1 and a == 2 and qc == q:
+        expected -= 1  # the cross companion reduces away
+    if len(pairs) != expected:
+        raise TemplateMismatch("basis has %d elements, templates give %d" % (len(pairs), expected))
+
+    if v != progression_multiple(spec.n, spec.m0, spec.d):
+        raise TemplateMismatch("pure Y exponent disagrees with the semigroup")
+
+    return CaseParameters(
+        plain_offset=a,
+        cross_offset=b,
+        x0_plain=lam,
+        x0_pure=mu,
+        x0_cross=nu,
+        x2_plain=q,
+        x2_cross=qc,
+        y_order=v,
+        y_split=w,
+        has_cross=has_cross,
+    )

@@ -269,7 +269,7 @@ def test_criterion_04_syzygy_rows_match_tabulated_lists():
     for label, (seq, builder) in SYZYGY_FIXTURES.items():
         spec = validate_sequence(*seq)
         kernel = toric_kernel(spec)
-        params = extract_parameters(kernel)
+        params = extract_parameters(spec)
         assert case_id(params).label == label
         gens = template_polys(params, spec)
         order = curve_ring(spec).order()
@@ -300,7 +300,7 @@ def test_criterion_05_degenerate_entries_minimalize_away():
         ((10, 11, 12, 8), (1, 4, 5, 2), (1, 3, 3, 1)),
     ]:
         spec = validate_sequence(*seq)
-        params = extract_parameters(toric_kernel(spec))
+        params = extract_parameters(spec)
         base = closed_form_base(params, canonical_generators(params, spec), curve_ring(spec))
         trimmed = minimalize(base)
         good = base.ranks == before and trimmed.ranks == after

@@ -1,11 +1,12 @@
 """How analyze_sequence sets its flags: the one FreeResolution.validate()
 pass onto compose_ok and minimal_ok, the exact series identity onto
-hilbert_ok, and the kernel's certificate or is_groebner onto gb_ok; that
+hilbert_ok, and the template leads held to the kernel's onto gb_ok; that
 each check runs once per tuple and builds one semigroup table in all; and
 how long it takes on large generators."""
 
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +16,7 @@ from monocurve.groebner import toric_kernel
 from monocurve.poly import Poly, Ring
 from monocurve.resolution import FreeResolution, _find_constant_entry, minimalize
 
-from oracles import is_groebner as generic_is_groebner, matrix_map
+from oracles import ideal_member, is_groebner as generic_is_groebner, is_homogeneous, matrix_map
 
 SEQ = (5, 7, 9, 11)
 
@@ -108,12 +109,17 @@ def _spy_tables(monkeypatch) -> list:
 
 @pytest.mark.parametrize("seq", [(5, 7, 9, 11), (150, 157, 164, 299)])
 def test_extract_parameters_builds_no_table(monkeypatch, seq):
-    """extract_parameters reads the least multiple of n in <m0, m1, m2>
-    off a formula, so it builds no semigroup table."""
-    kernel = toric_kernel(semigroup.validate_sequence(*seq))
+    """extract_parameters reads membership in Gamma off Gamma's table and
+    the least multiple of n in <m0, m1, m2> off a formula, so it builds no
+    table besides Gamma's, and none once Gamma's is built."""
     seen = _spy_tables(monkeypatch)
-    params = closedform.extract_parameters(kernel)
+    params = closedform.extract_parameters(semigroup.validate_sequence(*seq))
     assert params.y_order >= 1  # parameters were extracted
+    assert seen == [tuple(sorted(seq))]
+    spec = semigroup.validate_sequence(*seq)
+    semigroup.series_numerator(spec.gamma)  # builds Gamma's table, as analysis does first
+    seen.clear()
+    assert closedform.extract_parameters(spec) == params
     assert seen == []
 
 
@@ -153,79 +159,104 @@ def _count_case_matches(monkeypatch, *owners) -> list:
     return calls
 
 
-def _count_groebner_checks(monkeypatch) -> list:
-    """The generator list, term dicts, of every is_groebner call analysis makes."""
-    calls = []
-    original = analysis.is_groebner
-
-    def spy(gens, weights):
-        calls.append(gens)
-        return original(gens, weights)
-
-    monkeypatch.setattr(analysis, "is_groebner", spy)
-    return calls
-
-
 def _same_binomials(seq) -> bool:
     """Are the template generators of ``seq`` its certified basis up to sign?"""
     spec = semigroup.validate_sequence(*seq)
     kernel = toric_kernel(spec)
-    gens = closedform.canonical_generators(closedform.extract_parameters(kernel), spec)
+    gens = closedform.canonical_generators(closedform.extract_parameters(spec), spec)
     basis = kernel.reduced_gb.elements
     return sorted(map(sorted, gens)) == sorted(map(sorted, (g.terms for g in basis)))
 
 
-def test_gb_ok_reads_the_certificate_when_the_sets_agree(monkeypatch):
+def test_gb_ok_reads_the_certificate_when_the_sets_agree():
     assert _same_binomials(SEQ)
-    calls = _count_groebner_checks(monkeypatch)
     report = analysis.analyze_sequence(*SEQ)
     assert report.flags["gb_ok"] is True
-    assert calls == []
 
 
-def test_gb_ok_divides_when_the_sets_differ(monkeypatch):
+def test_gb_ok_compares_leads_when_the_sets_differ():
     seq = (4, 5, 6, 7)  # matched, in the box, template set not the basis
     assert not _same_binomials(seq)
-    calls = _count_groebner_checks(monkeypatch)
     report = analysis.analyze_sequence(*seq)
     assert report.case is not None and report.flags["gb_ok"] is True
-    assert len(calls) == 1
 
 
-def test_gb_ok_checks_every_other_set(monkeypatch):
-    """Only the certified set itself skips is_groebner: a proper subset,
-    the set with a repeated element, or one tail swapped goes through it,
-    and its verdict is the reference's.  ``_gb_ok`` takes term dicts, as
+def _gb_reference(polys, basis) -> bool:
+    """Are ``polys`` a Gröbner basis of the ideal whose reduced basis is
+    ``basis``: each homogeneous, so in the ideal, a Gröbner basis by all-pairs
+    division, and every element of ``basis`` reducing to zero by them?"""
+    order = basis.ring.order()
+    return (
+        all(is_homogeneous(g) is not None for g in polys)
+        and generic_is_groebner(polys, order)
+        and all(ideal_member(f, SimpleNamespace(elements=polys)) for f in basis.elements)
+    )
+
+
+def test_gb_ok_checks_every_other_set():
+    """The certified set in any order passes; a proper subset, the set with
+    a repeated element, or one tail swapped gets the reference's verdict,
+    which is all-pairs division's on each.  ``_gb_ok`` takes term dicts, as
     ``canonical_generators`` makes them."""
     basis = toric_kernel(semigroup.validate_sequence(*SEQ)).reduced_gb
     order = basis.elements[0].ring.order()
     gens = list(basis.elements)
     terms = lambda polys: [g.terms for g in polys]  # noqa: E731
-    calls = _count_groebner_checks(monkeypatch)
-    assert analysis._gb_ok(terms(gens[::-1]), basis) is True and calls == []
+    assert analysis._gb_ok(terms(gens[::-1]), basis) is True
     lead = gens[1].lead(order)[0]
     tail = next(m for m in gens[2].terms if m != gens[2].lead(order)[0])
     swapped = gens[:1] + [Poly(gens[1].ring, {lead: 1, tail: -1})] + gens[2:]  # gens[2]'s tail on gens[1]
-    others = [gens[:-1], gens[1:], gens + gens[:1], swapped]
-    for other in others:
-        assert analysis._gb_ok(terms(other), basis) == generic_is_groebner(other, order)
-    assert calls == [terms(other) for other in others]
+    for other in [gens[:-1], gens[1:], gens + gens[:1], swapped]:
+        assert analysis._gb_ok(terms(other), basis) == generic_is_groebner(other, order) == _gb_reference(other, basis)
     assert analysis._gb_ok(terms(swapped), basis) is False
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 58), st.integers(1, 29), st.integers(1, 60)).filter(lambda t: t[0] + 2 * t[1] <= 60),
+        st.tuples(st.integers(61, 200), st.integers(1, 20), st.integers(1, 300)),
+    ),
+    st.data(),
+)
+def test_gb_ok_is_the_reference_on_templates_and_their_perturbations(curve, data):
+    """On a matched tuple's template set, and on it with one element
+    dropped or repeated, reversed, or with one element's tail moved onto
+    another's lead, ``_gb_ok`` is the reference's verdict."""
+    m0, d, n = curve
+    try:
+        spec = semigroup.validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+        gens = closedform.canonical_generators(closedform.extract_parameters(spec), spec)
+    except (semigroup.ValidationError, closedform.TemplateMismatch):
+        assume(False)
+    basis = toric_kernel(spec).reduced_gb
+    order = basis.ring.order()
+    k, j = data.draw(st.integers(0, len(gens) - 1)), data.draw(st.integers(0, len(gens) - 1))
+    lead = Poly(basis.ring, gens[j]).lead(order)[0]
+    tail = next(m for m in gens[k] if m != Poly(basis.ring, gens[k]).lead(order)[0])
+    variants = [gens, gens[:k] + gens[k + 1 :], gens + [gens[k]], gens[::-1]]
+    if lead != tail:
+        variants.append(gens[:k] + [{lead: 1, tail: -1}] + gens[k + 1 :])
+    for variant in variants:
+        polys = [Poly(basis.ring, g) for g in variant]
+        assert analysis._gb_ok(variant, basis) == _gb_reference(polys, basis), variant
+
+
 @pytest.mark.parametrize(
-    "seq, checks, kind",
+    "seq, differs, kind",
     [
         (SEQ, 0, None),  # matched, its template set the kernel's basis
         ((6, 8, 10, 7), 0, "template_mismatch"),  # glued: no template fits
         ((4, 5, 6, 7), 1, None),  # matched, its template set not the basis
     ],
 )
-def test_analysis_builds_no_poly(monkeypatch, seq, checks, kind):
+def test_analysis_builds_no_poly(monkeypatch, seq, differs, kind):
     """The kernel's basis, the templates and every map stay packed on
     ``analyze_sequence``'s path: no ``Poly`` is built, on a matched tuple,
-    on a glued one, or on one whose template set goes through
-    ``is_groebner``, and the kernel's ring is the only ``Ring``."""
+    on a glued one, or on one whose template set differs from the kernel's
+    basis, and the kernel's ring is the only ``Ring``."""
+    if kind is None:
+        assert _same_binomials(seq) != differs
     built = []
     for owner, name in ((Poly, "__init__"), (Poly, "_like"), (Ring, "__init__")):
         original = getattr(owner, name)
@@ -235,9 +266,8 @@ def test_analysis_builds_no_poly(monkeypatch, seq, checks, kind):
             return _original(self, *args)
 
         monkeypatch.setattr(owner, name, spy)
-    calls = _count_groebner_checks(monkeypatch)
     report = analysis.analyze_sequence(*seq)
-    assert report.all_verified() and len(calls) == checks
+    assert report.all_verified()
     assert [rec["kind"] for rec in report.discrepancies if rec["kind"] == "template_mismatch"] == ([kind] if kind else [])
     assert built == ["Ring.__init__"]
 

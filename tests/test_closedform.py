@@ -2,7 +2,7 @@
 resolutions, and the tabulated twist lists with their known slips."""
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from monocurve.closedform import (
     CASE_TABLE,
@@ -19,16 +19,19 @@ from monocurve.closedform import (
     _case_code,
     _shift_row,
 )
-from monocurve.groebner import _Module, buchberger, is_groebner, toric_kernel
+from monocurve.groebner import _Module, buchberger, toric_kernel
 from monocurve.resolution import build_resolution, compose_zero, hilbert_numerator, minimalize
 from monocurve.semigroup import ValidationError, validate_sequence
 
-from monocurve import closedform
+from monocurve import closedform, groebner
+from monocurve.analysis import enumerate_box
 from oracles import (
     case_id_by_rows,
     closed_form_base_by_exponents,
     curve_ring,
     eval_shift,
+    extract_parameters_from_basis,
+    is_groebner,
     parse_condition,
     reduce_basis,
     template_polys,
@@ -81,7 +84,7 @@ TRIPLES = {
 def pipeline(seq):
     spec = validate_sequence(*seq)
     kernel = toric_kernel(spec)
-    return spec, kernel, extract_parameters(kernel)
+    return spec, kernel, extract_parameters(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,67 @@ def test_template_mismatch_families():
     exponents crowding out the pure tail."""
     spec = validate_sequence(6, 8, 10, 7)
     with pytest.raises(TemplateMismatch):
-        extract_parameters(toric_kernel(spec))
+        extract_parameters(spec)
+
+
+def _parameters_or_refusal(extract, source):
+    try:
+        return extract(source)
+    except TemplateMismatch as exc:
+        return "TemplateMismatch: %s" % exc
+
+
+def _reads_as_the_basis(spec) -> bool:
+    """Are the parameters from Γ, or the refusal text, the ones the kernel's
+    reduced basis gives?"""
+    basis_reading = _parameters_or_refusal(extract_parameters_from_basis, toric_kernel(spec))
+    return _parameters_or_refusal(extract_parameters, spec) == basis_reading
+
+
+def test_parameters_from_the_semigroup_match_the_basis_reading():
+    """On every valid tuple with m2 <= 30 and n <= 30, glued ones included,
+    and on two with large m0, the sequence alone gives the parameters, or
+    the refusal, that the kernel's reduced basis gives."""
+    specs = list(enumerate_box(30, 30))
+    assert len(specs) == 2124
+    large = [validate_sequence(10007, 10008, 10009, 123457), validate_sequence(100003, 100004, 100005, 1234567)]
+    assert [spec for spec in specs + large if not _reads_as_the_basis(spec)] == []
+    refused = [spec for spec in specs if isinstance(_parameters_or_refusal(extract_parameters, spec), str)]
+    assert refused and validate_sequence(6, 8, 10, 7) in refused
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(61, 400), st.integers(1, 60), st.integers(1, 800)),
+        st.tuples(st.integers(61, 1500), st.integers(1, 300), st.integers(1, 4000)),
+    )
+)
+@example((100, 10, 77))  # glued: gcd(m0, d) = 10 is the least multiple of n in <m0, m1, m2>
+@example((1200, 250, 3001))  # glued, gcd 50
+def test_parameters_match_the_basis_reading_beyond_the_box(curve):
+    m0, d, n = curve
+    try:
+        spec = validate_sequence(m0, m0 + d, m0 + 2 * d, n)
+    except ValidationError:
+        assume(False)
+    assert _reads_as_the_basis(spec)
+
+
+def test_parameters_read_no_kernel(monkeypatch):
+    """With every entry to the kernel and its certificate patched to raise,
+    the parameters still come out, and the glued tuple is still refused."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel was read")
+
+    for name in ("toric_kernel", "toric_kernel_generic", "buchberger"):
+        monkeypatch.setattr(groebner, name, refuse)
+    monkeypatch.setattr(closedform, "buchberger", refuse)
+    for label, seq in FIXTURES.items():
+        assert case_id(extract_parameters(validate_sequence(*seq))).label == label
+    with pytest.raises(TemplateMismatch, match=r"plain exponents \(q=1, l=3, w=0\) out of range"):
+        extract_parameters(validate_sequence(6, 8, 10, 7))
 
 
 def test_bare_pure_tail_is_supported():
@@ -147,7 +210,8 @@ def test_bare_pure_tail_is_supported():
     assert params.x2_plain == params.x2_cross
     assert case_id(params).label == "xviii"
     gens = template_polys(params, spec)
-    assert is_groebner(gens)
+    buchberger(gens)  # certifies them, else an AssertionError
+    assert is_groebner(gens, curve_ring(spec).order())
 
 
 def test_case_table_shape():
@@ -422,7 +486,7 @@ def test_extraction_roundtrip_property(m0, d, n):
         return
     kernel = toric_kernel(spec)
     try:
-        params = extract_parameters(kernel)
+        params = extract_parameters(spec)
     except (TemplateMismatch, DegreeImbalance):
         return
     gens = template_polys(params, spec)
