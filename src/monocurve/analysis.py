@@ -36,7 +36,6 @@ import json
 import os
 import time
 import traceback
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import le, mul
@@ -134,13 +133,13 @@ def _gb_ok(gens, certified) -> bool:
     multiple of one."""
     weights, leads = certified.ring.weights, set()
     for g in gens:
-        if len(g) != 2 or set(g.values()) != {1, -1}:
+        if len(g) != 2:
             return False
-        p, m = g
-        if sum(map(mul, p, weights)) != sum(map(mul, m, weights)):
+        (p, a), (m, b) = g.items()
+        if a * b != -1 or sum(map(mul, p, weights)) != sum(map(mul, m, weights)):  # {a, b} = {1, -1}
             return False
         leads.add(min(p, m))
-    kernel = {lead for lead, _ in certified.pairs}
+    kernel = {certified.level[0].decode(max(column))[1] for column in certified.columns}
     return kernel <= leads and all(any(all(map(le, k, t)) for k in kernel) for t in leads - kernel)
 
 
@@ -232,10 +231,12 @@ def analyze_sequence(
         for level in range(max(len(tabulated), len(computed_twists))):
             expected = tabulated[level] if level < len(tabulated) else ()
             got = computed_twists[level] if level < len(computed_twists) else ()
-            if sorted(expected) != sorted(got):  # the multisets differ
-                expected, got = Counter(expected), Counter(got)
-                table_only = sorted((expected - got).elements())
-                computed_only = sorted((got - expected).elements())
+            table_only, computed_only = sorted(expected), sorted(got)
+            if table_only != computed_only:  # the multisets differ: drop what they share
+                for d in got:
+                    if d in table_only:
+                        table_only.remove(d)
+                        computed_only.remove(d)
                 discrepancies.append(
                     {
                         "kind": "twist_table",

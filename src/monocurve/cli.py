@@ -4,7 +4,8 @@ Five subcommands: ``analyze`` one tuple, ``sweep`` a bounded family into a
 JSONL census file, ``census`` to digest such a file, ``hilbert`` for the
 series identity alone, and ``matrices`` to print both matrix sets side by
 side.  Exit codes are uniform everywhere: 0 all checks passed, 1 the input
-or the command line was invalid, 2 something real failed verification.
+or the command line was invalid, 2 something real failed verification, a
+raise on a valid input included (one stderr line naming it, no traceback).
 """
 
 from __future__ import annotations
@@ -57,20 +58,12 @@ def _parse_seq(text: str) -> tuple:
 
 
 def _numerator_text(numerator: dict) -> str:
-    if not numerator:
-        return "0"
     pieces = []
     for degree, coeff in sorted(numerator.items()):
+        body = ("%d*" % abs(coeff) if abs(coeff) != 1 else "") + ("z^%d" % degree if degree else "1")
         sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        body = "z^%d" % degree if degree else "1"
-        if mag != 1:
-            body = "%d*%s" % (mag, body)
-        if not pieces:
-            pieces.append(body if coeff > 0 else "-" + body)
-        else:
-            pieces.append("%s %s" % (sign, body))
-    return " ".join(pieces)
+        pieces.append("%s %s" % (sign, body) if pieces else body if coeff > 0 else "-" + body)
+    return " ".join(pieces) or "0"
 
 
 def _print_report(report, stream) -> None:
@@ -93,7 +86,8 @@ def _print_report(report, stream) -> None:
             print("    %s" % json.dumps(rec), file=stream)
     else:
         print("  discrepancies: none", file=stream)
-    print("  elapsed %d ms" % report.ms_elapsed, file=stream)
+    if report.ms_elapsed is not None:  # None on a sweep's internal_error record
+        print("  elapsed %d ms" % report.ms_elapsed, file=stream)
 
 
 def cmd_analyze(args) -> int:
@@ -352,6 +346,9 @@ def main(argv=None) -> int:
     except MemoryError:  # e.g. m0 near M0_BUDGET under a tight address-space cap
         print("out of memory: the input needs more memory than this process may use", file=sys.stderr)
         return 1
+    except Exception as exc:  # the pipeline raised on a valid input: a finding, one line, as sweep records it
+        print("%s failed: %s: %s" % (args.command, type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -199,15 +199,16 @@ def extract_parameters(spec: SequenceSpec) -> CaseParameters:
 
     The least monomial of degree s takes as many X0 as keep s - k·m0 in Γ,
     then as many X1, then X2, and the rest is a power of Y; membership falls
-    as k grows, so each count is bisected.  The plain lead is X1·X2^q for
-    the least q with m1 + q·m2 - m0 in Γ if that q is below the least j >= 1
-    with j·m2 - m0 in Γ, else X2^j with q = j - 1; the least monomial of its
-    degree is the plain tail X0^l·Y^w.  The pure lead is Y^v, v from
-    ``progression_multiple``, its tail X0^mu·X1^eps·X2^delta; an X1 there
-    puts the cross family on the other offset, which fixes the cross lead
-    X_b·X2^qc·Y^(v-w), present iff it is a lead.  TemplateMismatch when the
-    plain exponents fall out of range: the glued tuples, whose basis fits
-    no template.
+    as k grows, so each count is bisected, or, for Γ's least generator m,
+    read off Γ's table as (s - table[s mod m]) / m.  The plain lead is
+    X1·X2^q for the least q with m1 + q·m2 - m0 in Γ if that q is below the
+    least j >= 1 with j·m2 - m0 in Γ, else X2^j with q = j - 1; the least
+    monomial of its degree is the plain tail X0^l·Y^w.  The pure lead is
+    Y^v, v from ``progression_multiple``, its tail X0^mu·X1^eps·X2^delta; an
+    X1 there puts the cross family on the other offset, which fixes the
+    cross lead X_b·X2^qc·Y^(v-w), present iff it is a lead.
+    TemplateMismatch when the plain exponents fall out of range: the glued
+    tuples, whose basis fits no template.
     """
     m0, m1, m2, n = weights = spec.weights
     table, m = spec.gamma._least(), spec.gamma.generators[0]  # Ap(Γ, its least generator); gcd 1
@@ -215,8 +216,8 @@ def extract_parameters(spec: SequenceSpec) -> CaseParameters:
 
     def least_monomial(s: int) -> list:
         e = []
-        for g in weights[:3]:
-            e.append(_first(lambda k: not inside(s - (k + 1) * g), 0, s // g))
+        for g in weights[:3]:  # s - k·m in Γ iff it is at least table[s % m]
+            e.append((s - table[s % m]) // m if g == m else _first(lambda k: not inside(s - (k + 1) * g), 0, s // g))
             s -= e[-1] * g
         return e + [s // n]
 

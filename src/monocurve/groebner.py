@@ -7,8 +7,7 @@ is the one division, for every syzygy level, whose elements are the
 columns of the map before, the generators those of F_0 = R.
 ``syzygy_level`` runs a level on its lead frame (La Scala and Stillman,
 JSC 26, 1998), ``buchberger`` certifies a basis by level 1 and keeps it
-packed, and ``resolution.build_resolution`` goes on from it; it takes
-``Poly``s or, on the program's path, exponent pairs.
+packed, and ``resolution.build_resolution`` goes on from it.
 
 Each term x^m e_p of a level is one int, its own Schreyer key
 (``_Module``), so terms compare, shift and divide as ints and the greatest
@@ -29,12 +28,11 @@ Every graded map keys its terms in ``_Module``'s fields too: x^m in row i
 of a column of twist t <= top is (i << rs) + (t << mb) + V - m, in row 0
 F_0's int at degree t.  Each level's syzygies come out keyed so, as its
 map's columns; ``pair_records`` turns a column's tail back into level ints
-once.  A row's key of 1 is ``unit``, products are int adds, and only
-``encode`` (for ``_rank_one``) and ``decode`` see exponent tuples.
-
-The toric kernel's reduced basis is read off the Apéry set, with no S-pair,
-on ``_Module`` F_0 ints over x_1 .. x_k (``toric_kernel_generic``), and
-handed to level 1 as (lead, tail) exponent pairs.
+once.  A row's key of 1 is ``unit`` and products are int adds; only
+``encode``, for the ``Poly``s ``buchberger`` takes (``_rank_one``), and
+``decode``, for the ``pairs`` and ``elements`` views and the kernel leads
+``analysis`` compares, see exponent tuples.  The toric kernel lifts its
+Apéry table's ints into F_0's, field by field, for level 1.
 """
 
 from __future__ import annotations
@@ -55,16 +53,21 @@ VARIABLE_NAMES = ("X0", "X1", "X2", "Y")
 
 @dataclass
 class GroebnerBasis:
-    """A Gröbner basis in the ring's weighted grevlex, ``pairs`` each
-    element's monomials as exponent tuples, lead first, with its certificate
-    ``level``: the (module, frame) of ``syzygy_level`` on ``columns``, the
-    elements' ints in F_0 = R, one ((i, j), lead, column) per lead-frame
-    pair, lead an int of ``module``, column its syzygy as a map column."""
+    """A Gröbner basis in the ring's weighted grevlex, ``columns`` the
+    elements' ints in F_0 = R, with its certificate ``level``: the (module,
+    frame) of ``syzygy_level`` on ``columns``, one ((i, j), lead, column)
+    per lead-frame pair, lead an int of ``module``, column its syzygy as a
+    map column."""
 
     ring: Ring
-    pairs: list
     columns: list
     level: tuple
+
+    @property
+    def pairs(self) -> list:
+        """Each element's exponent tuples, lead first, decoded at each read."""
+        decode = self.level[0].decode
+        return [tuple([decode(key)[1] for key in sorted(column, reverse=True)]) for column in self.columns]
 
     @property
     def elements(self) -> list:
@@ -103,10 +106,6 @@ class _Module:
         out.pb, out.pmask, out.x, out.r = pb, (1 << pb) - 1, self.x + low, (self.r << low) + (1 << pb)
         return out
 
-    def degree(self, q: int) -> int:
-        v = self.vmask
-        return sum([w * (q >> s & v) for w, s in zip(self.weights, self.shifts)])
-
     def unit(self, row: int, twist: int) -> int:
         """The map key of 1 in a row of ``twist``; x^m adds m·steps to it."""
         return (row << self.rs) + (twist << self.mb) + self.full
@@ -128,15 +127,6 @@ class _Module:
         rest = {key - one if key >= high else key: c for key, c in column.items() if not low <= key < high}
         return rest, [(key, c) for key, c in column.items() if low <= key < high]
 
-    def cofactors(self, a: int, b: int) -> tuple:
-        """lcm - m_a and lcm - m_b, packed, for terms a and b at one
-        position, m_a, m_b their exponents and lcm theirs."""
-        a, b = a >> self.pb & self.fields, b >> self.pb & self.fields  # V - m_a, V - m_b
-        ge = (a | self.guard) - b & self.guard  # the guard bits of the fields where a >= b
-        least = ge - (ge >> self.value)
-        low = b & least | a & ~least  # V - lcm
-        return a - low, b - low
-
 
 def _lead_frame(module, leads) -> list:
     """The pairs (i, j, cofactor_i, cofactor_j) whose syzygies the resolution
@@ -150,16 +140,24 @@ def _lead_frame(module, leads) -> list:
     pair: the leads an ascending pass keeps when no kept lead divides them,
     since per slot the Schreyer order is a monomial order.
     """
-    mask, guard, cofactors, n = module.pmask, module.guard, module.cofactors, len(leads)
+    pb, fields, guard, value, mask = module.pb, module.fields, module.guard, module.value, module.pmask
+    packed = [t >> pb & fields for t in leads]  # V - each lead's exponent
     minimal: dict = {}  # slot -> [(cofactor, pair)], none dividing another
-    for i, a in enumerate(leads):
-        for j in range(i + 1, n):
-            if (a ^ leads[j]) & mask == 0:
-                cof_i, cof_j = cofactors(a, leads[j])
+    for i, a in enumerate(packed):
+        for j in range(i + 1, len(leads)):
+            if (leads[i] ^ leads[j]) & mask == 0:  # one position
+                b = packed[j]
+                ge = (a | guard) - b & guard  # the guard bits of the fields where a >= b
+                least = ge - (ge >> value)
+                low = b & least | a & ~least  # V - lcm
+                cof_i, cof_j = a - low, b - low
                 slot, cof = (i, cof_i) if cof_i <= cof_j else (j, cof_j)
                 kept = minimal.setdefault(slot, [])
-                if all((cof | guard) - k & guard != guard for k, _ in kept):
-                    kept[:] = [(k, pair) for k, pair in kept if (k | guard) - cof & guard != guard]
+                for q, _ in kept:
+                    if (cof | guard) - q & guard == guard:  # q divides cof
+                        break
+                else:
+                    kept[:] = [(q, pair) for q, pair in kept if (q | guard) - cof & guard != guard]
                     kept.append((cof, (i, j, cof_i, cof_j)))
     return sorted((pair, p, c) for p, kept in minimal.items() for c, pair in kept)
 
@@ -171,14 +169,6 @@ def _rank_one(weights, terms) -> tuple:
     module = _Module(weights, max(sum(map(mul, m, weights)) for t in terms for m in t) << len(weights))
     columns = [{module.encode(0, 0, m): c for m, c in t.items()} for t in terms]
     return module, columns, [max(column) for column in columns]
-
-
-def _refuse_others(elements) -> None:
-    """ValueError unless every element is a unit monomial or a
-    pure-difference binomial, up to sign."""
-    for g in elements:
-        if type(g) is not Poly or sorted(g.terms.values()) not in ([-1], [1], [-1, 1]):
-            raise ValueError("not a unit monomial or pure-difference binomial: %r" % (g,))
 
 
 def syzygy_level(module, columns, leads) -> tuple:
@@ -197,63 +187,55 @@ def syzygy_level(module, columns, leads) -> tuple:
     kept = _lead_frame(module, leads)
     if not kept:
         return module, []
-    syz, x, rs = module.next(leads), module.x, module.rs
-    kept = [(pair, syz.consts[p] + (syz.degree(c) << syz.x) - c * syz.r) for pair, p, c in kept]  # its lead
-    kept = [((*pair, lead >> syz.x), lead) for pair, lead in kept]  # + the lcm's degree
-    koszul = [module.r == 1 and d == (leads[i] >> x) + (leads[j] >> x) for (i, j, _, _, d), _ in kept]
-    syzygies = iter(pair_records(module, columns, [pair for (pair, _), k in zip(kept, koszul) if not k], leads))
-    frame = []
-    for ((i, j, *_), lead), k in zip(kept, koszul):
-        if k:  # x = mb on F_0: g_j's terms move to row i, up by g_i's degree, and g_i's to row j
-            s = columns[i][leads[i]] * columns[j][leads[j]]
-            column = {t + (i << rs | leads[i] >> x << x): -s * c for t, c in columns[j].items()}
-            column.update({t + (j << rs | leads[j] >> x << x): s * c for t, c in columns[i].items()})
+    syz, x, rs, v = module.next(leads), module.x, module.rs, module.vmask
+    sx, r, consts, fields = syz.x, syz.r, syz.consts, list(zip(module.weights, module.shifts))
+    frame, divided = [], []  # divided: (index in frame, record) of each pair pair_records divides
+    for (i, j, cof_i, cof_j), p, c in kept:
+        degree = sum([w * (c >> s & v) for w, s in fields])  # the cofactor's; the lcm's is d
+        d, lead = (leads[p] >> x) + degree, consts[p] + (degree << sx) - c * r
+        if module.r == 1 and d == (leads[i] >> x) + (leads[j] >> x):
+            # x = mb on F_0: g_j's terms move to row i, up by g_i's degree, and g_i's to row j
+            u = columns[i][leads[i]] * columns[j][leads[j]]
+            column = {t + (i << rs | leads[i] >> x << x): -u * e for t, e in columns[j].items()}
+            column.update({t + (j << rs | leads[j] >> x << x): u * e for t, e in columns[i].items()})
         else:
-            column = next(syzygies)
+            column = None
+            divided.append((len(frame), (i, j, cof_i, cof_j, d)))
         frame.append(((i, j), lead, column))
+    syzygies = pair_records(module, columns, [record for _, record in divided], leads)
+    for (k, _), column in zip(divided, syzygies):
+        frame[k] = (*frame[k][:2], column)
     return syz, frame
 
 
-def buchberger(elements, ring=None) -> GroebnerBasis:
+def buchberger(elements, ring=None, module=None) -> GroebnerBasis:
     """Certify unit monomials and pure-difference binomials, ``Poly``s or,
-    with ``ring``, (lead, tail) exponent pairs of x^lead - x^tail (the
-    kernel's form, no ``Poly``), as a Gröbner basis in the ring's weighted
+    with ``ring`` and ``module``, F_0 columns packed as ``_rank_one`` packs
+    them (the kernel's form), as a Gröbner basis in the ring's weighted
     grevlex order by Buchberger's criterion over the lead frame:
-    ``syzygy_level`` on the elements in F_0 = R, packed for the at most one
-    level per variable ``build_resolution`` makes, so a pair that leaves a
-    remainder raises an AssertionError naming it.  The kept pair syzygies
-    generate the syzygies of the leads, so zero remainders on them prove
-    the criterion; the level is kept packed.
+    ``syzygy_level`` on the elements in F_0 = R, whose AssertionError names
+    a pair that leaves a remainder.  The kept pair syzygies generate the
+    syzygies of the leads, so zero remainders on them prove the criterion;
+    the level is kept packed for ``build_resolution``.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one generator")
-    if ring is None:  # Poly elements: each one's monomials, greatest first, for its pair
-        _refuse_others(elements)
-        ring, terms = elements[0].ring, [g.terms for g in elements]
-        elements = [tuple(sorted(t, key=ring.order().key, reverse=True)) for t in terms]
+    if module is None:  # Poly elements
+        for g in elements:
+            if type(g) is not Poly or sorted(g.terms.values()) not in ([-1], [1], [-1, 1]):
+                raise ValueError("not a unit monomial or pure-difference binomial: %r" % (g,))
+        ring = elements[0].ring
+        module, elements, leads = _rank_one(ring.weights, [g.terms for g in elements])
     else:
-        terms = [{lead: 1, tail: -1} for lead, tail in elements]
-    module, columns, leads = _rank_one(ring.weights, terms)
-    return GroebnerBasis(ring, elements, columns, syzygy_level(module, columns, leads))
-
-
-def _subtract(terms: dict, items, shift: int, scale) -> None:
-    """terms -= scale · x^q · items, x^q adding ``shift`` to each int, in
-    place, dropping the coefficients that cancel."""
-    for t, c in items:
-        t += shift
-        v = terms.get(t, 0) - c * scale
-        if v:
-            terms[t] = v
-        else:
-            del terms[t]
+        leads = [max(column) for column in elements]
+    return GroebnerBasis(ring, elements, syzygy_level(module, elements, leads))
 
 
 def pair_records(module, columns, pairs, leads) -> list:
     """The syzygy of each pair (i, j) of ``columns``, given as its record
     (i, j, cofactor_i, cofactor_j, d), the cofactors packed as
-    ``_Module.cofactors`` gives them and d the lcm's degree,
+    ``_lead_frame`` gives them and d the lcm's degree,
     map columns of the level ``module``'s elements forming a Gröbner basis
     with leads ``leads``, ints of ``module``, i's and j's at one position, as
     a map column over the level's elements: the program's one division.
@@ -293,11 +275,20 @@ def pair_records(module, columns, pairs, leads) -> list:
         if degree > top:
             raise AssertionError("pair (%d, %d) exceeds the packing bound" % (i, j))
         lcm, base = a + (degree - (a >> x) << x) - cof_i * r, (degree << mb) + full
-        terms: dict = {}
-        _subtract(terms, tails[i], lcm - a, -units[i])
-        _subtract(terms, tails[j], lcm - b, units[j])
-        syzygy = {(i << rs) + base - cof_i: -units[i], (j << rs) + base - cof_j: units[j]}
-        while terms:
+        shift, c = lcm - a, units[i]
+        terms = {t + shift: c * e for t, e in tails[i]}
+        items, shift, c = tails[j], lcm - b, units[j]
+        syzygy = {(i << rs) + base - cof_i: -units[i], (j << rs) + base - cof_j: c}
+        while True:
+            for t, e in items:  # terms -= c·x^q·items, x^q adding shift, in place
+                t += shift
+                e = terms.get(t, 0) - c * e
+                if e:
+                    terms[t] = e
+                else:
+                    del terms[t]
+            if not terms:
+                break
             t = max(terms)
             c = terms.pop(t)
             m = t >> pb & fields
@@ -308,7 +299,7 @@ def pair_records(module, columns, pairs, leads) -> list:
                 raise AssertionError("pair (%d, %d) leaves a nonzero remainder" % (i, j))
             c *= unit
             syzygy[(k << rs) + base - (d - m)] = c
-            _subtract(terms, tails[k], t - lead, c)
+            items, shift = tails[k], t - lead
         syzygies.append(syzygy)
     return syzygies
 
@@ -433,13 +424,13 @@ def toric_kernel_generic(weights, names=None):
     ``_lead_labels`` finds the leads by walking S's boundary, in lookups
     that follow S's extent, not w_0.
 
-    ``buchberger`` packs the (lead, tail) exponent pairs into F_0 = R, no
-    ``Poly`` built, and its frame pairs all reduce to zero: that certifies
-    the basis a Gröbner basis.  With ``ToricIdeal.validate`` (each element
-    is in the kernel) and the Hilbert identity that ``series_numerator``
-    checks from its own Apéry set, that makes it the kernel's basis; so the
-    Hilbert check must not read this table, whose code shares nothing with
-    ``semigroup``.
+    Each table int lifts field by field into its int in F_0 = R, packed as
+    ``_rank_one`` would pack it; ``buchberger`` takes those columns, and
+    its frame pairs all reduce to zero: that certifies the basis a Gröbner
+    basis.  With ``ToricIdeal.validate`` (each element is in the kernel)
+    and the Hilbert identity that ``series_numerator`` checks from its own
+    Apéry set, that makes it the kernel's basis; so the Hilbert check must
+    not read this table, whose code shares nothing with ``semigroup``.
 
     Returns (ring, gb) where gb is the reduced Gröbner basis of the kernel
     under the ring's weighted grevlex order, ascending by lead, with its
@@ -449,14 +440,17 @@ def toric_kernel_generic(weights, names=None):
     ring = Ring(("x", "y", "z", "w", "u", "v")[: len(weights)] if names is None else tuple(names), weights)
     g = math.gcd(*weights)
     w = tuple(v // g for v in weights)
-    table, module = _standard_table(w)
-    pairs = []
-    for lead in sorted(_lead_labels(table, module)):  # the ring order, as no lead has x_0
-        degree = lead >> module.mb
-        tail = table[degree % w[0]]
-        x0 = (degree - (tail >> module.mb)) // w[0]
-        pairs.append(((0, *module.decode(lead)[1]), (x0, *module.decode(tail)[1])))
-    return ring, buchberger(pairs, ring)
+    table, small = _standard_table(w)
+    leads, mb, vs = sorted(_lead_labels(table, small)), small.mb, small.vmask  # the ring order: no lead has x_0
+    module = _Module(weights, g * max((lead >> mb for lead in leads), default=0) << len(weights))  # as _rank_one's
+    lift = list(zip(small.shifts, module.shifts[1:]))  # field V_s - e_i of the table, field V - e_i of F_0
+    base, columns = module.full - sum(vs << s for _, s in lift), []
+    for lead in leads:
+        tail, head = table[(lead >> mb) % w[0]], (g * (lead >> mb) << module.mb) + base
+        x0 = ((lead >> mb) - (tail >> mb)) // w[0] << module.shifts[0]
+        lead, tail = (head + sum([(t >> a & vs) << b for a, b in lift]) for t in (lead, tail))
+        columns.append({lead: 1, tail - x0: -1})
+    return ring, buchberger(columns, ring, module)
 
 
 def toric_kernel(spec: SequenceSpec) -> ToricIdeal:

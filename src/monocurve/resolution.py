@@ -30,11 +30,10 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from monocurve.poly import Ring
-from monocurve.groebner import GroebnerBasis, _subtract, syzygy_level
+from monocurve.groebner import GroebnerBasis, syzygy_level
 
 # buchberger is not called here; it stays importable as resolution.buchberger
 from monocurve.groebner import buchberger  # noqa: F401
@@ -257,8 +256,14 @@ def prune_unit(res: FreeResolution, step: int, row: int, col: int) -> FreeResolu
     trimmed = []
     for column in mid.columns[:col] + mid.columns[col + 1:]:
         complement, taken = layout.take_row(column, row)
-        for key, c in taken:
-            _subtract(complement, below, key - unit, c * pivot)
+        for key, c in taken:  # complement -= c·pivot·x^m·below, x^m the int add key - unit
+            for t, e in below:
+                t += key - unit
+                e = complement.get(t, 0) - c * pivot * e
+                if e:
+                    complement[t] = e
+                else:
+                    del complement[t]
         trimmed.append(complement)
 
     new_maps = list(res.maps)
@@ -338,8 +343,10 @@ class BettiTable:
 def betti_table(res: FreeResolution) -> BettiTable:
     if not res.minimal:
         raise NotMinimal("minimalize the resolution first")
-    twists = sorted([(i, d) for i, module in enumerate(res.modules[1:]) for d in module.twists])
-    return BettiTable(tuple(Counter(twists).items()))  # counted in ascending (i, d) order
+    counts: dict = {}  # filled in ascending (i, d) order
+    for key in sorted([(i, d) for i, module in enumerate(res.modules[1:]) for d in module.twists]):
+        counts[key] = counts.get(key, 0) + 1
+    return BettiTable(tuple(counts.items()))
 
 
 def hilbert_numerator(res: FreeResolution) -> dict:

@@ -121,10 +121,11 @@ with the program's checker or compile step.  ``eval_shift`` evaluates one
 twist expression through the program's checked tree, for the tests of its
 walker.
 
-The program's toric kernel hands its (lead, tail) exponent pairs to
-``buchberger`` with no ``Poly``.  ``toric_kernel_by_polys`` is the path it
-replaced, the reference for it: each pair built as a ``Poly``, the list
-certified by ``buchberger`` on ``Poly``s.  ``is_pure_difference`` tests a
+The program's toric kernel lifts each lead and tail from its table int
+straight into F_0's and hands the packed columns to ``buchberger``, with
+no exponent tuple and no ``Poly``.  ``toric_kernel_by_polys`` is the path
+it replaced, the reference for it: each pair built as a ``Poly``, the
+list certified by ``buchberger`` on ``Poly``s, which packs it again.  ``is_pure_difference`` tests a
 ``Poly``; ``curve_ring`` is a curve's ring and ``template_polys`` its
 ``canonical_generators``, term dicts in the program, as ``Poly``s.
 
@@ -144,6 +145,13 @@ parameters off the kernel's reduced basis, and ``is_groebner`` divides
 every pair of a generating set.  ``pair`` is the division record
 (i, j, cofactor_i, cofactor_j, degree of the lcm) of two packed leads that
 ``pair_records`` takes, for the tests that hand it pairs of their own.
+
+The program's ``_lead_frame`` packs each pair's cofactors, and
+``syzygy_level`` each cofactor's degree, inline, in their loops.  The
+``_Module`` methods they replaced live here as functions for ``pair`` and
+the tests: ``cofactors(module, a, b)``, lcm minus each of two packed terms
+at one position, and ``degree(module, q)``, a packed exponent's weighted
+degree.
 """
 
 import functools
@@ -1583,11 +1591,27 @@ def toric_kernel_by_polys(weights, names=None):
     return ring, binomial_buchberger(reduced)
 
 
+def degree(module, q: int) -> int:
+    """The weighted degree of a packed exponent q of ``module``."""
+    return sum(w * (q >> s & module.vmask) for w, s in zip(module.weights, module.shifts))
+
+
+def cofactors(module, a: int, b: int) -> tuple:
+    """lcm - m_a and lcm - m_b, packed, for terms a and b of ``module`` at
+    one position, m_a, m_b their exponents and lcm theirs: the program's
+    ``_lead_frame`` computes them inline."""
+    a, b = a >> module.pb & module.fields, b >> module.pb & module.fields  # V - m_a, V - m_b
+    ge = (a | module.guard) - b & module.guard  # the guard bits of the fields where a >= b
+    least = ge - (ge >> module.value)
+    low = b & least | a & ~least  # V - lcm
+    return a - low, b - low
+
+
 def pair(module, leads, i: int, j: int) -> tuple:
     """(i, j, cofactor_i, cofactor_j, degree of the lcm) of two leads, ints
     of ``module`` at one position, as ``pair_records`` takes it."""
-    cof_i, cof_j = module.cofactors(leads[i], leads[j])
-    return i, j, cof_i, cof_j, (leads[i] >> module.x) + module.degree(cof_i)
+    cof_i, cof_j = cofactors(module, leads[i], leads[j])
+    return i, j, cof_i, cof_j, (leads[i] >> module.x) + degree(module, cof_i)
 
 
 def extract_parameters_from_basis(ideal: ToricIdeal) -> CaseParameters:

@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from monocurve import analysis, closedform, semigroup
-from monocurve.groebner import toric_kernel
+from monocurve import analysis, closedform, groebner, semigroup
+from monocurve.groebner import _Module, toric_kernel
 from monocurve.poly import Poly, Ring
 from monocurve.resolution import FreeResolution, _find_constant_entry, minimalize
 
@@ -270,6 +270,25 @@ def test_analysis_builds_no_poly(monkeypatch, seq, differs, kind):
     assert report.all_verified()
     assert [rec["kind"] for rec in report.discrepancies if rec["kind"] == "template_mismatch"] == ([kind] if kind else [])
     assert built == ["Ring.__init__"]
+
+
+@pytest.mark.parametrize("seq", [SEQ, (6, 8, 10, 7), (10007, 10008, 10009, 123457)])
+def test_analysis_decodes_only_the_kernel_leads(monkeypatch, seq):
+    """On a matched tuple, a glued one and the large-m0 tuple CI analyses,
+    the kernel's basis goes from its table to level 1 packed: ``_rank_one``
+    and ``_Module.encode`` are never called, and ``_Module.decode`` reads
+    only the kernel leads ``_gb_ok`` holds the templates to, each once, and
+    nothing on a tuple with no case."""
+    calls = {"_rank_one": [], "encode": [], "decode": []}
+    rank_one, encode, decode = groebner._rank_one, _Module.encode, _Module.decode
+    monkeypatch.setattr(groebner, "_rank_one", lambda *args: calls["_rank_one"].append(args) or rank_one(*args))
+    monkeypatch.setattr(_Module, "encode", lambda self, *args: calls["encode"].append(args) or encode(self, *args))
+    monkeypatch.setattr(_Module, "decode", lambda self, key: calls["decode"].append(key) or decode(self, key))
+    report = analysis.analyze_sequence(*seq)
+    assert report.all_verified() and (report.case is None) == (seq == (6, 8, 10, 7))
+    leads = [max(column) for column in toric_kernel(semigroup.validate_sequence(*seq)).reduced_gb.columns]
+    assert calls["_rank_one"] == calls["encode"] == []
+    assert calls["decode"] == (leads if report.case else [])
 
 
 def test_case_parameters_validated_once_per_tuple(monkeypatch):

@@ -551,6 +551,36 @@ def test_matrices_reports_a_failing_closed_form_without_a_traceback(monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, target", [("analyze", "analyze_sequence"), ("hilbert", "toric_kernel")])
+def test_pipeline_failure_is_one_line_without_a_traceback(monkeypatch, capsys, command, target):
+    """The pipeline raising on a valid tuple is a finding, as ``sweep``
+    records it: one stderr line names the exception, exit 2, no output."""
+
+    def fail(*args):
+        raise AssertionError("pair (0, 1) leaves a nonzero remainder")
+
+    monkeypatch.setattr(cli, target, fail)
+    assert cli.main([command, "--seq", "5,7,9,11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "%s failed: AssertionError: pair (0, 1) leaves a nonzero remainder\n" % command
+
+
+def test_report_of_an_internal_error_prints_without_elapsed_time(monkeypatch, capsys):
+    """The untimed report ``sweep`` makes for a tuple whose analysis raised
+    prints its discrepancy and no elapsed line."""
+
+    def fail(*args):
+        raise AssertionError("pair (0, 1) leaves a nonzero remainder")
+
+    monkeypatch.setattr(analysis, "analyze_sequence", fail)
+    report = analysis._sweep_one((5, 7, 9, 11))
+    assert report.ms_elapsed is None
+    cli._print_report(report, sys.stdout)
+    out = capsys.readouterr().out
+    assert '"kind": "internal_error"' in out and "elapsed" not in out
+
+
 # plumbing
 
 

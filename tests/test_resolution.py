@@ -4,6 +4,7 @@ calculus), Betti and Hilbert data."""
 
 import functools
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -49,6 +50,7 @@ from oracles import (
     SchreyerOrder,
     SwapBasis,
     betti_degrees,
+    cofactors,
     compose_zero_generic,
     constant_entry_scan,
     decoded_frame,
@@ -107,6 +109,30 @@ def test_graded_map_checks_homogeneity():
         matrix_map(F, base, [[P("X1^3")]])  # degree 21 != 14
     with pytest.raises(ShapeMismatch):
         matrix_map(F, base, [[P("X1^2"), P("X0")]])
+
+
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        # a term in row 2 of a rank-2 target
+        ([[(2, 16, (0, 1, 0, 0))]], ShapeMismatch, "column 0 has a term in row 2 of rank 2"),
+        # X1^2 in row 0 (twist 28), then X1 in row 1 (twist 23): unequal twists
+        ([[(0, 14, (0, 2, 0, 0)), (1, 16, (0, 1, 0, 0))]], HomogeneityBroken, "entry (1,0) has degree 7, twists demand 12"),
+        # 1 at twist 14 in row 1 of twist 16: below its row's
+        ([[(1, 14, (0, 0, 0, 0))]], HomogeneityBroken, "entry (1,0) has degree -2, twists demand -2"),
+        # a zero second column
+        ([[(0, 14, (0, 0, 1, 0))], []], ShapeMismatch, "column 1 is zero, so it has no twist"),
+    ],
+)
+def test_from_columns_names_the_failing_term(terms, error, message):
+    """``from_columns`` names the term it refuses; a closed form that
+    fails writes this message into its ``closed_form`` discrepancy.  Each
+    term is (row, twist, exponent), keyed as x^exponent in a row of that
+    twist, into a target of twists (14, 16)."""
+    layout = _Module(R4.weights, 64)
+    columns = [{layout.encode(i, t, e): 1 for i, t, e in column} for column in terms]
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        GradedMap.from_columns(GradedFreeModule(R4, (14, 16)), columns, layout)
 
 
 def test_compose_zero_shape_mismatch():
@@ -458,7 +484,7 @@ def test_packed_keys_exact_up_to_the_bound(weights, top, data):
             lcm = tuple(map(max, a, b))
             shifts = level.shifts
             want = tuple(sum(e << s for e, s in zip(map(int.__sub__, lcm, m), shifts)) for m in (a, b))
-            assert level.cofactors(packed(level, (p, a)), packed(level, (q, b))) == want
+            assert cofactors(level, packed(level, (p, a)), packed(level, (q, b))) == want
 
 
 def test_buchberger_and_is_groebner_boundaries():
